@@ -17,8 +17,7 @@
 
 use caaf::Sum;
 use ftagg::pair::{AggOutcome, Tweaks};
-use ftagg::run::run_pair_with_tweaks;
-use ftagg::Instance;
+use ftagg::{run_pair_observed, Instance, Observe};
 use ftagg_bench::Table;
 use netsim::{topology, FailureSchedule, NodeId};
 use rand::rngs::StdRng;
@@ -34,7 +33,9 @@ struct Outcome {
 
 fn check(out: &mut Outcome, inst: &Instance, t: u32, tweaks: Tweaks) {
     let c = 2u32;
-    let rep = run_pair_with_tweaks(&Sum, inst, inst.schedule.clone(), c, t, true, 0, tweaks);
+    let obs = Observe::default();
+    let (rep, _, _) =
+        run_pair_observed(&Sum, inst, inst.schedule.clone(), c, t, true, 0, tweaks, obs);
     out.runs += 1;
     match rep.outcome {
         AggOutcome::Result(v) => {

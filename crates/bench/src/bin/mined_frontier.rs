@@ -239,7 +239,7 @@ fn main() {
         if replay.value != entry.value {
             problems.push("value drift");
         }
-        if !replay.clean {
+        if !replay.monitor.is_clean() {
             problems.push("watchdog violations");
         }
         if replay.counterexamples > 0 {

@@ -10,9 +10,8 @@
 
 use caaf::Sum;
 use ftagg::analysis::{classify, Scenario};
-use ftagg::monitored::run_pair_engine_monitored;
-use ftagg::pair::AggOutcome;
-use ftagg::Instance;
+use ftagg::pair::{AggOutcome, Tweaks};
+use ftagg::{run_pair_observed, Instance, Observe};
 use ftagg_bench::{threads_from_args, Table};
 use netsim::{adversary::schedules, topology, FailureSchedule, NodeId, Runner};
 use rand::rngs::StdRng;
@@ -72,8 +71,11 @@ fn run_trial(trial: u64, c: u32) -> Observation {
         return None;
     }
     let t = rng.gen_range(0..5);
-    let (eng, params, monitor) =
-        run_pair_engine_monitored(&Sum, &inst, inst.schedule.clone(), c, t, true, true);
+    let obs = Observe::watchdog(true);
+    let s = inst.schedule.clone();
+    let (_, seen, eng) = run_pair_observed(&Sum, &inst, s, c, t, true, 0, Tweaks::default(), obs);
+    let monitor = seen.monitor.expect("watchdog requested");
+    let params = *eng.node(inst.root).params();
     assert!(monitor.is_clean(), "trial {trial}: {}", monitor.render());
     let (scenario, _) = classify(&inst, &inst.schedule, &eng, &params);
     let root = eng.node(inst.root);

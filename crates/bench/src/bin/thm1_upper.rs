@@ -57,10 +57,8 @@ fn main() {
         assert!(r.flooding_rounds <= b + 1, "TC {} > b = {b}", r.flooding_rounds);
         (r.metrics.max_bits() as f64, r.pairs_run, r.flooding_rounds, r.correct, pair_cap)
     };
-    let results = match &progress {
-        Some(sink) => runner.run_progress(&work, trial_fn, sink as &dyn ProgressSink),
-        None => runner.run(&work, trial_fn),
-    };
+    let progress = progress.as_ref().map(|p| p as &dyn ProgressSink);
+    let (results, _) = runner.run_observed(&work, |s, _| trial_fn(s), progress, None);
     let mut t = Table::new(vec![
         "N",
         "f",

@@ -232,10 +232,7 @@ pub fn measure_grid(quick: bool, threads: usize, progress: Option<&dyn ProgressS
         r.metrics.max_bits() as f64
     };
     let runner = Runner::new(threads);
-    let ccs = match progress {
-        Some(sink) => runner.run_progress(&seeds, trial_fn, sink),
-        None => runner.run(&seeds, trial_fn),
-    };
+    let (ccs, _) = runner.run_observed(&seeds, |s, _| trial_fn(s), progress, None);
     pts.iter()
         .zip(ccs.chunks(trials))
         .map(|(&(spine, f, b), chunk)| Cell { n: 2 * spine, f, b, cc: geomean(chunk) })

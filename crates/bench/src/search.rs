@@ -28,13 +28,14 @@
 //! bit-for-bit by [`replay_entry`].
 
 use caaf::{Caaf, Count, Gcd, Min, ModSum, Sum};
-use ftagg::doubling::{run_doubling, run_doubling_traced, DoublingConfig};
+use ftagg::doubling::{run_doubling_observed, DoublingConfig};
 use ftagg::pair::Tweaks;
-use ftagg::tradeoff::{run_tradeoff, run_tradeoff_monitored, run_tradeoff_traced, TradeoffConfig};
-use ftagg::{run_pair_monitored, run_pair_traced, run_pair_with_schedule, Instance};
+use ftagg::tradeoff::{run_tradeoff_observed, TradeoffConfig};
+use ftagg::{run_pair_observed, Instance, Observe, Observed};
 use netsim::adversary::mutate::{self, MutationBias};
 use netsim::{
-    diff, Blame, CorpusEntry, EngineKind, FailureSchedule, Graph, NodeId, Round, Runner, Trace,
+    diff, Blame, CorpusEntry, EngineKind, FailureSchedule, Graph, MonitorReport, NodeId, Round,
+    Runner, Trace,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -284,6 +285,42 @@ fn objective_of(objective: Objective, metrics: &netsim::Metrics, rounds: Round) 
     }
 }
 
+/// One run of the mined protocol under coin seed `coin_seed` with the
+/// observers in `obs` attached: the objective's value, the wrong output
+/// and its end round (if the run produced one), and what the observers
+/// collected.
+pub fn run_protocol<C: Caaf>(
+    op: &C,
+    inst: &Instance,
+    cfg: &MineConfig,
+    coin_seed: u64,
+    obs: Observe<'_>,
+) -> (u64, Option<(u64, Round)>, Observed) {
+    let (metrics, rounds, wrong, seen) = match cfg.protocol {
+        MineProtocol::Tradeoff { f } => {
+            let tc = TradeoffConfig { b: cfg.b, c: cfg.c, f, seed: coin_seed };
+            let (r, seen) = run_tradeoff_observed(op, inst, &tc, obs);
+            let wrong = (!r.correct).then_some(r.result);
+            (r.metrics, r.rounds, wrong, seen)
+        }
+        MineProtocol::Pair { t } => {
+            let schedule = inst.schedule.clone();
+            let (r, seen, _) =
+                run_pair_observed(op, inst, schedule, cfg.c, t, true, 0, Tweaks::default(), obs);
+            let wrong = (r.accepted() && r.correct == Some(false))
+                .then(|| r.result().expect("accepted implies a result"));
+            (r.metrics, r.rounds, wrong, seen)
+        }
+        MineProtocol::Doubling { max_stages } => {
+            let dc = DoublingConfig { c: cfg.c, max_stages };
+            let (r, seen) = run_doubling_observed(op, inst, &dc, obs);
+            let wrong = (!r.correct).then_some(r.result);
+            (r.metrics, r.rounds, wrong, seen)
+        }
+    };
+    (objective_of(cfg.objective, &metrics, rounds), wrong.map(|v| (v, rounds)), seen)
+}
+
 /// One deterministic evaluation: the objective total over the coin seeds
 /// plus any correctness counterexamples observed.
 fn evaluate<C: Caaf + Sync + 'static>(
@@ -315,26 +352,7 @@ fn evaluate_on<C: Caaf + Sync + 'static>(
             .with_engine(engine);
     let seeds = eval_seeds(cfg);
     let outcomes = Runner::new(cfg.threads).run(&seeds, |coin_seed| {
-        let (value, wrong) = match cfg.protocol {
-            MineProtocol::Tradeoff { f } => {
-                let tc = TradeoffConfig { b: cfg.b, c: cfg.c, f, seed: coin_seed };
-                let r = run_tradeoff(op, &inst, &tc);
-                let wrong = (!r.correct).then_some((r.result, r.rounds));
-                (objective_of(cfg.objective, &r.metrics, r.rounds), wrong)
-            }
-            MineProtocol::Pair { t } => {
-                let r = run_pair_with_schedule(op, &inst, inst.schedule.clone(), cfg.c, t, true, 0);
-                let wrong = (r.accepted() && r.correct == Some(false))
-                    .then(|| (r.result().expect("accepted implies a result"), r.rounds));
-                (objective_of(cfg.objective, &r.metrics, r.rounds), wrong)
-            }
-            MineProtocol::Doubling { max_stages } => {
-                let dc = DoublingConfig { c: cfg.c, max_stages };
-                let r = run_doubling(op, &inst, &dc);
-                let wrong = (!r.correct).then_some((r.result, r.rounds));
-                (objective_of(cfg.objective, &r.metrics, r.rounds), wrong)
-            }
-        };
+        let (value, wrong, _) = run_protocol(op, &inst, cfg, coin_seed, Observe::default());
         let counterexample = wrong.map(|(result, end_round)| {
             let iv = inst.correct_interval(op, end_round);
             Counterexample { schedule: schedule.clone(), coin_seed, result, lo: iv.lo, hi: iv.hi }
@@ -363,19 +381,8 @@ fn traced_run<C: Caaf + Sync + 'static>(
     let inst =
         Instance::new(graph.clone(), NodeId(0), inputs.to_vec(), schedule.clone(), max_input)
             .expect("mining instances are valid");
-    match cfg.protocol {
-        MineProtocol::Tradeoff { f } => {
-            let tc = TradeoffConfig { b: cfg.b, c: cfg.c, f, seed: 0 };
-            run_tradeoff_traced(op, &inst, &tc).1
-        }
-        MineProtocol::Pair { t } => {
-            run_pair_traced(op, &inst, inst.schedule.clone(), cfg.c, t, true, 0, Tweaks::default())
-                .1
-        }
-        MineProtocol::Doubling { max_stages } => {
-            run_doubling_traced(op, &inst, &DoublingConfig { c: cfg.c, max_stages }).1
-        }
-    }
+    let (_, _, seen) = run_protocol(op, &inst, cfg, 0, Observe::trace());
+    seen.trace.expect("trace requested")
 }
 
 /// Mutation bias from the trace of the current best: the hottest non-root
@@ -587,9 +594,9 @@ pub fn corpus_entry<C: Caaf>(
 pub struct Replay {
     /// The re-measured objective total (must equal the recorded value).
     pub value: u64,
-    /// Whether the strict-capable monitored confirmation run was free of
-    /// watchdog violations.
-    pub clean: bool,
+    /// The watchdog's verdict on the strict-capable monitored
+    /// confirmation run.
+    pub monitor: MonitorReport,
     /// Correctness counterexamples hit during replay (always a failure).
     pub counterexamples: usize,
 }
@@ -674,21 +681,9 @@ fn replay_with<C: Caaf + Sync + 'static>(
         entry.max_input,
     )?
     .with_engine(engine);
-    let clean = match cfg.protocol {
-        MineProtocol::Tradeoff { f } => {
-            let tc = TradeoffConfig { b: cfg.b, c: cfg.c, f, seed: 0 };
-            run_tradeoff_monitored(op, &inst, &tc, strict).1.is_clean()
-        }
-        MineProtocol::Pair { t } => {
-            run_pair_monitored(op, &inst, inst.schedule.clone(), cfg.c, t, true, 0, strict)
-                .monitor
-                .is_clean()
-        }
-        // The doubling driver has no monitored variant; its stages are
-        // pair runs already covered above in pair-protocol entries.
-        MineProtocol::Doubling { .. } => true,
-    };
-    Ok(Replay { value, clean, counterexamples: cexs.len() })
+    let (_, _, seen) = run_protocol(op, &inst, cfg, 0, Observe::watchdog(strict));
+    let monitor = seen.monitor.expect("watchdog requested");
+    Ok(Replay { value, monitor, counterexamples: cexs.len() })
 }
 
 // ---------------------------------------------------------------------
@@ -904,25 +899,30 @@ mod tests {
     fn corpus_entry_replays_bit_for_bit() {
         let g = topology::caterpillar(6, 1);
         let inputs: Vec<u64> = (0..g.len() as u64).collect();
-        let mc = MineConfig {
-            iterations: 5,
-            coin_seeds: 2,
-            seed: 4,
-            threads: 1,
-            b: 42,
-            c: 2,
-            f_budget: 4,
-            objective: Objective::RootCc,
-            protocol: MineProtocol::Tradeoff { f: 4 },
-            acceptance: Acceptance::HillClimb,
-            mutate_topology: false,
-        };
-        let r = mine(&Sum, &g, &inputs, inputs.len() as u64 - 1, &mc, None, None);
-        let entry = corpus_entry("t", &Sum, &inputs, inputs.len() as u64 - 1, &mc, &r);
-        let parsed = CorpusEntry::from_text(&entry.to_text()).unwrap();
-        let replay = replay_entry(&parsed, true).unwrap();
-        assert_eq!(replay.value, r.value, "replay must reproduce the mined objective");
-        assert!(replay.clean);
-        assert_eq!(replay.counterexamples, 0);
+        for protocol in [MineProtocol::Tradeoff { f: 4 }, MineProtocol::Doubling { max_stages: 4 }]
+        {
+            let mc = MineConfig {
+                iterations: 5,
+                coin_seeds: 2,
+                seed: 4,
+                threads: 1,
+                b: 42,
+                c: 2,
+                f_budget: 4,
+                objective: Objective::RootCc,
+                protocol,
+                acceptance: Acceptance::HillClimb,
+                mutate_topology: false,
+            };
+            let r = mine(&Sum, &g, &inputs, inputs.len() as u64 - 1, &mc, None, None);
+            let entry = corpus_entry("t", &Sum, &inputs, inputs.len() as u64 - 1, &mc, &r);
+            let parsed = CorpusEntry::from_text(&entry.to_text()).unwrap();
+            let replay = replay_entry(&parsed, true).unwrap();
+            let tag = protocol.tag();
+            assert_eq!(replay.value, r.value, "{tag}: replay must reproduce the mined objective");
+            assert!(replay.monitor.is_clean(), "{tag}: {}", replay.monitor.render());
+            assert!(replay.monitor.sends > 0, "{tag}: the watchdog saw no traffic");
+            assert_eq!(replay.counterexamples, 0);
+        }
     }
 }

@@ -498,7 +498,7 @@ impl Snapshot {
             let _ = Runner::new(0).run(&trials, trial);
             best_plain = best_plain.min(t0.elapsed().as_secs_f64());
             let t0 = Instant::now();
-            let (_, tele) = Runner::new(0).run_instrumented(&trials, trial);
+            let (_, tele) = Runner::new(0).run_observed(&trials, |s, _| trial(s), None, None);
             best_instr = best_instr.min(t0.elapsed().as_secs_f64());
             instr_trials = tele.trials();
         }

@@ -26,11 +26,12 @@
 pub mod alloc_meter;
 pub mod spec;
 
-use caaf::Caaf;
+use caaf::{Caaf, Sum};
 use ftagg::baselines::{run_brute, run_folklore, run_tag_once};
 use ftagg::doubling::{run_doubling, DoublingConfig};
-use ftagg::tradeoff::{run_tradeoff, TradeoffConfig};
-use ftagg::{bounds, Instance};
+use ftagg::pair::Tweaks;
+use ftagg::tradeoff::{run_tradeoff, run_tradeoff_observed, TradeoffConfig};
+use ftagg::{bounds, run_pair_observed, Instance, Observe};
 use netsim::NodeId;
 use spec::OpSpec;
 use std::collections::BTreeMap;
@@ -382,46 +383,12 @@ fn run_protocol<C: Caaf + 'static>(
 }
 
 fn cmd_trace(args: &Args) -> Result<String, String> {
-    use caaf::Sum;
-    use ftagg::msg::Envelope;
-    use ftagg::pair::{PairNode, PairParams, Tweaks};
-    use netsim::AnyEngine;
-
-    let seed: u64 = args.num("seed", 0)?;
     let engine = netsim::EngineKind::parse(args.get("engine").unwrap_or("classic"))?;
-    let graph = spec::parse_topology(args.get("topology").unwrap_or("cycle:8"), seed)?;
-    let n = graph.len();
-    let schedule = spec::parse_crashes(args.get_all("crash"))?;
-    schedule.validate(&graph, NodeId(0))?;
-    let c: u32 = args.num("c", 2)?;
-    let t: u32 = args.num("t", 1)?;
-    let params = PairParams {
-        model: ftagg::Model {
-            n,
-            root: NodeId(0),
-            d: graph.diameter().max(1),
-            c,
-            max_input: n as u64,
-        },
-        t,
-        run_veri: true,
-        tweaks: Tweaks::default(),
-    };
+    let (inst, c, t) = pair_instance(args, engine, "cycle:8")?;
+    let (graph, schedule) = (&inst.graph, &inst.schedule);
     let dot = args.get("dot").is_some();
-    let mut eng: AnyEngine<Envelope, PairNode<Sum>> =
-        AnyEngine::new(engine, graph.clone(), schedule.clone(), |v| {
-            PairNode::new(params, Sum, v, u64::from(v.0))
-        });
-    eng.enable_trace();
-    eng.enter_phase("AGG");
-    eng.run(params.agg_rounds());
-    eng.exit_phase();
-    eng.enter_phase("VERI");
-    eng.run(params.total_rounds());
-    eng.exit_phase();
-    if let ftagg::pair::AggOutcome::Result(v) = eng.node(NodeId(0)).agg_outcome() {
-        eng.annotate(netsim::Event::Decide { round: eng.round(), node: NodeId(0), value: v });
-    }
+    let (s, obs) = (schedule.clone(), Observe::trace());
+    let (_, seen, eng) = run_pair_observed(&Sum, &inst, s, c, t, true, 0, Tweaks::default(), obs);
     let mut out = String::new();
     use std::fmt::Write as _;
     let root = eng.node(NodeId(0));
@@ -434,7 +401,7 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
     out.push_str("aggregation tree:\n");
     out.push_str(&tree.render_ascii(&crashed));
     out.push('\n');
-    let trace = eng.trace().expect("tracing enabled");
+    let trace = seen.trace.expect("trace requested");
     out.push_str(&trace.render());
     if let Some(path) = args.get("jsonl") {
         let file = std::fs::File::create(path)
@@ -479,44 +446,24 @@ fn run_observed_pair(
     extra: Option<Box<dyn FnMut(netsim::RoundFlow)>>,
     timeline: Option<(&netsim::Timeline, u32)>,
 ) -> Result<ObservedRun, String> {
-    use caaf::Sum;
-    use ftagg::msg::Envelope;
-    use ftagg::pair::{PairNode, PairParams, Tweaks};
-    use netsim::AnyEngine;
-    use std::sync::Arc;
-
-    let seed: u64 = args.num("seed", 0)?;
     let engine = netsim::EngineKind::parse(args.get("engine").unwrap_or("soa"))?;
-    let graph = spec::parse_topology(args.get("topology").unwrap_or("grid:16x16"), seed)?;
-    let n = graph.len();
-    let schedule = spec::parse_crashes(args.get_all("crash"))?;
-    schedule.validate(&graph, NodeId(0))?;
-    let c: u32 = args.num("c", 2)?;
-    let t: u32 = args.num("t", 1)?;
-    let params = PairParams {
-        model: ftagg::Model {
-            n,
-            root: NodeId(0),
-            d: graph.diameter().max(1),
-            c,
-            max_input: n as u64,
-        },
-        t,
-        run_veri: true,
-        tweaks: Tweaks::default(),
-    };
-    let mut eng: AnyEngine<Envelope, PairNode<Sum>> =
-        AnyEngine::new(engine, graph, schedule, |v| PairNode::new(params, Sum, v, u64::from(v.0)));
-    eng.use_lean_metrics();
-    let hub = Arc::new(netsim::TelemetryHub::new());
+    let (inst, c, t) = pair_instance(args, engine, "grid:16x16")?;
+    // The after-AGG heap sample needs AGG's last round, which costs a
+    // diameter pass: only worth it with the allocation meter built in.
+    let agg_end = crate::alloc_meter::live_mb().map(|_| {
+        let model = inst.model(c);
+        ftagg::PairParams { model, t, run_veri: true, tweaks: Tweaks::default() }.agg_rounds()
+    });
+    let hub = std::sync::Arc::new(netsim::TelemetryHub::new());
     let mut obs = netsim::round_observer(&hub);
+    let gauges = std::sync::Arc::clone(&hub);
     let mut extra = extra;
     // With a timeline installed, every round feeds the exact counter
     // tracks and (every TIMELINE_PROC_SAMPLE_ROUNDS rounds) the
     // process-wide RSS/heap samples. One branch per round otherwise.
     let tl_counters = timeline.map(|(tl, _)| tl.clone());
     let mut proc_tick: u64 = 0;
-    eng.stream_rounds(move |flow| {
+    let rounds = Box::new(move |flow: netsim::RoundFlow| {
         obs(flow);
         if let Some(tl) = &tl_counters {
             tl.counter("bits/round", flow.bits as f64);
@@ -532,21 +479,22 @@ fn run_observed_pair(
             }
             proc_tick += 1;
         }
+        if Some(flow.round) == agg_end {
+            if let Some(mb) = crate::alloc_meter::live_mb() {
+                gauges.gauge("alloc_live_mb_after_agg").set(mb.round().max(0.0) as u64);
+            }
+        }
         if let Some(cb) = extra.as_mut() {
             cb(flow);
         }
     });
-    if let Some((tl, lane)) = timeline {
-        eng.set_timeline(tl, lane);
-    }
-    let flight = if flight_rounds > 0 {
+    let (sink, flight): (Option<Box<dyn netsim::TraceSink>>, _) = if flight_rounds > 0 {
         let rec = netsim::FlightRecorder::new(flight_rounds).without_delivers();
         let handle = rec.handle();
         if let Some(path) = flight_out {
             handle.install_panic_hook(path.to_path_buf());
         }
-        eng.set_sink(Box::new(rec));
-        Some(handle)
+        (Some(Box::new(rec)), Some(handle))
     } else if let (Some((tl, lane)), true) = (timeline, args.get("flows").is_some()) {
         // `--flows yes` and no flight recorder competing for the sink
         // slot: sample causal send→deliver flows into the timeline
@@ -554,24 +502,34 @@ fn run_observed_pair(
         // Opt-in because any sink turns on the engine's per-delivery
         // event path, which the span profiler otherwise leaves cold.
         let seed: u64 = args.num("seed", 0)?;
-        eng.set_sink(Box::new(netsim::TimelineFlowSink::new(tl.clone(), lane, 64, seed)));
-        None
+        (Some(Box::new(netsim::TimelineFlowSink::new(tl.clone(), lane, 64, seed))), None)
     } else {
-        None
+        (None, None)
     };
-    eng.enter_phase("AGG");
-    eng.run(params.agg_rounds());
-    eng.exit_phase();
-    if let Some(mb) = crate::alloc_meter::live_mb() {
-        hub.gauge("alloc_live_mb_after_agg").set(mb.round().max(0.0) as u64);
-    }
-    eng.enter_phase("VERI");
-    eng.run(params.total_rounds());
-    eng.exit_phase();
+    let obs = Observe { sink, rounds: Some(rounds), timeline, ..Observe::default() };
+    let s = inst.schedule.clone();
+    let (report, _, _) = run_pair_observed(&Sum, &inst, s, c, t, true, 0, Tweaks::default(), obs);
     if let Some(mb) = crate::alloc_meter::peak_mb() {
         hub.gauge("alloc_peak_mb").set(mb.round().max(0.0) as u64);
     }
-    Ok(ObservedRun { hub, flight, n, rounds: eng.round() })
+    Ok(ObservedRun { hub, flight, n: inst.n(), rounds: report.rounds })
+}
+
+/// The pair workload `trace`, `top`, `telemetry` and `timeline` share:
+/// `--topology` (default `default_topology`), `--crash` schedules, node
+/// `v`'s input `v`, and the pair's `--c` and `--t`.
+fn pair_instance(
+    args: &Args,
+    engine: netsim::EngineKind,
+    default_topology: &str,
+) -> Result<(Instance, u32, u32), String> {
+    let seed: u64 = args.num("seed", 0)?;
+    let graph = spec::parse_topology(args.get("topology").unwrap_or(default_topology), seed)?;
+    let n = graph.len();
+    let schedule = spec::parse_crashes(args.get_all("crash"))?;
+    let inputs = (0..n as u64).collect();
+    let inst = Instance::new(graph, NodeId(0), inputs, schedule, n as u64)?.with_engine(engine);
+    Ok((inst, args.num("c", 2)?, args.num("t", 1)?))
 }
 
 /// `top` — one instrumented pair run with a throttled live stats line on
@@ -685,8 +643,12 @@ fn top_trials(args: &Args) -> Result<String, String> {
     let threads: usize = args.num("threads", 0)?;
     let seeds: Vec<u64> = (0..trials).collect();
     let runner = netsim::Runner::new(threads);
-    let (runs, tele) =
-        runner.run_instrumented(&seeds, |_s| run_observed_pair(args, 0, None, None, None));
+    let (runs, tele) = runner.run_observed(
+        &seeds,
+        |_s, _| run_observed_pair(args, 0, None, None, None),
+        None,
+        None,
+    );
     let total = netsim::TelemetryHub::new();
     let (mut n, mut rounds): (usize, netsim::Round) = (0, 0);
     for run in runs {
@@ -802,10 +764,11 @@ fn cmd_timeline(args: &Args) -> Result<CmdOutput, String> {
         let threads: usize = args.num("threads", 0)?;
         let run_t0 = tl.now_ns();
         let seeds: Vec<u64> = (0..trials).collect();
-        let (runs, tele) = netsim::Runner::new(threads).run_instrumented_timeline(
+        let (runs, tele) = netsim::Runner::new(threads).run_observed(
             &seeds,
             |_s, lane| run_observed_pair(args, 0, None, None, Some((&tl, lane))),
-            &tl,
+            None,
+            Some(&tl),
         );
         let total = netsim::TelemetryHub::new();
         let (mut n, mut rounds): (usize, netsim::Round) = (0, 0);
@@ -1384,8 +1347,6 @@ fn report_from_jsonl(args: &Args, path: &str, top: usize) -> Result<CmdOutput, S
 /// order, for any `--threads`). With `--monitor`, watchdog violations turn
 /// the exit code to 1.
 fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
-    use caaf::Sum;
-    use ftagg::tradeoff::{run_tradeoff, run_tradeoff_monitored, TradeoffConfig};
     use netsim::{Runner, TrialStats, TrialSummary};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1440,17 +1401,20 @@ fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
     // The instrumented runner returns identical seed-ordered results for
     // any thread count; the per-worker breakdown rides along for the
     // summary, the `--workers` table, and the run-ledger record.
-    let (results, tele) = Runner::new(threads).run_instrumented(&seeds, |s| {
-        let (inst, cfg) = make_trial(s);
-        let (r, violations) = if monitor {
-            let (r, m) = run_tradeoff_monitored(&Sum, &inst, &cfg, false);
-            (r, m.total)
-        } else {
-            (run_tradeoff(&Sum, &inst, &cfg), 0)
-        };
-        let stats = TrialStats::from_metrics(s, r.rounds, &r.metrics).with_violations(violations);
-        (stats, r.metrics.bits_per_node().to_vec(), r.correct)
-    });
+    let (results, tele) = Runner::new(threads).run_observed(
+        &seeds,
+        |s, _| {
+            let (inst, cfg) = make_trial(s);
+            let obs = Observe { watchdog: monitor.then_some(false), ..Observe::default() };
+            let (r, seen) = run_tradeoff_observed(&Sum, &inst, &cfg, obs);
+            let violations = seen.monitor.map_or(0, |m| m.total);
+            let stats =
+                TrialStats::from_metrics(s, r.rounds, &r.metrics).with_violations(violations);
+            (stats, r.metrics.bits_per_node().to_vec(), r.correct)
+        },
+        None,
+        None,
+    );
 
     let mut summary = TrialSummary::default();
     let mut node_bits = vec![0u64; n];
@@ -1522,13 +1486,13 @@ fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
         out.push_str(&tele.workers_table());
     }
     if args.get("sampled").is_some() {
-        use ftagg::tradeoff::run_tradeoff_traced;
         let k: u64 = args.num("sampled", 16)?;
         // One traced rerun of the first trial, replayed through the
         // sampler, so the scaled estimates sit next to exact meters the
         // reader can check them against.
         let (inst, cfg) = make_trial(seeds[0]);
-        let (_, trace) = run_tradeoff_traced(&Sum, &inst, &cfg);
+        let (_, seen) = run_tradeoff_observed(&Sum, &inst, &cfg, Observe::trace());
+        let trace = seen.trace.expect("trace requested");
         out.push_str(&sampled_section(trace.events(), k, seeds[0]));
     }
     let mut code = 0;
@@ -1579,8 +1543,6 @@ fn cmd_explain(args: &Args) -> Result<CmdOutput, String> {
             (trace, None)
         }
         None => {
-            use caaf::Sum;
-            use ftagg::tradeoff::run_tradeoff_traced;
             use rand::rngs::StdRng;
             use rand::{Rng, SeedableRng};
             let seed: u64 = args.num("seed", 0)?;
@@ -1612,7 +1574,8 @@ fn cmd_explain(args: &Args) -> Result<CmdOutput, String> {
             let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..100)).collect();
             let inst = Instance::new(graph, NodeId(0), inputs, schedule, 100)?;
             let cfg = TradeoffConfig { b, c, f, seed };
-            let (report, trace) = run_tradeoff_traced(&Sum, &inst, &cfg);
+            let (report, seen) = run_tradeoff_observed(&Sum, &inst, &cfg, Observe::trace());
+            let trace = seen.trace.expect("trace requested");
             let _ = writeln!(
                 out,
                 "explain: tradeoff over {topo_spec} (N = {n}, b = {b}, c = {c}, f = {f}, seed = {seed})"
@@ -1794,7 +1757,6 @@ fn wire_id_bits(n: usize) -> u32 {
 }
 
 fn cmd_sweep(args: &Args) -> Result<String, String> {
-    use caaf::Sum;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::fmt::Write as _;
@@ -1869,20 +1831,9 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
     // point on the executing worker's lane, exported as Chrome trace
     // JSON. The rows stay byte-identical either way.
     let tl = args.get("timeline").map(|_| netsim::Timeline::new());
-    let progress = args.get("progress").is_some();
-    let (rows, tele) = match (&tl, progress) {
-        (Some(tl), true) => runner.run_progress_instrumented_timeline(
-            &points_idx,
-            |i, _lane| point(i),
-            &netsim::ConsoleProgress::new(),
-            tl,
-        ),
-        (Some(tl), false) => runner.run_instrumented_timeline(&points_idx, |i, _lane| point(i), tl),
-        (None, true) => {
-            runner.run_progress_instrumented(&points_idx, point, &netsim::ConsoleProgress::new())
-        }
-        (None, false) => runner.run_instrumented(&points_idx, point),
-    };
+    let progress = args.get("progress").map(|_| netsim::ConsoleProgress::new());
+    let progress = progress.as_ref().map(|p| p as &dyn netsim::ProgressSink);
+    let (rows, tele) = runner.run_observed(&points_idx, |i, _lane| point(i), progress, tl.as_ref());
     for row in rows {
         out.push_str(&row);
     }
@@ -1955,9 +1906,7 @@ fn mine_with_op<C: Caaf + Sync + 'static>(
     progress: Option<&mut dyn FnMut(&ftagg_bench::search::MineProgress)>,
     name: &str,
 ) -> MineOutcome {
-    use ftagg::run_pair_monitored;
-    use ftagg::tradeoff::run_tradeoff_monitored;
-    use ftagg_bench::search::{corpus_entry, mine, MineProtocol};
+    use ftagg_bench::search::{corpus_entry, mine, run_protocol};
 
     let result = mine(op, graph, inputs, max_input, cfg, initial, progress);
     // Confirmation run of the best find under the (collecting) watchdog.
@@ -1969,18 +1918,8 @@ fn mine_with_op<C: Caaf + Sync + 'static>(
         max_input,
     )
     .expect("mined instances are valid");
-    let monitor_violations = match cfg.protocol {
-        MineProtocol::Tradeoff { f } => {
-            let tc = TradeoffConfig { b: cfg.b, c: cfg.c, f, seed: 0 };
-            run_tradeoff_monitored(op, &inst, &tc, false).1.total
-        }
-        MineProtocol::Pair { t } => {
-            run_pair_monitored(op, &inst, inst.schedule.clone(), cfg.c, t, true, 0, false)
-                .monitor
-                .total
-        }
-        MineProtocol::Doubling { .. } => 0,
-    };
+    let (_, _, seen) = run_protocol(op, &inst, cfg, 0, Observe::watchdog(false));
+    let monitor_violations = seen.monitor.expect("watchdog requested").total;
     let entry = corpus_entry(name, op, inputs, max_input, cfg, &result);
     MineOutcome { result, entry, monitor_violations }
 }
@@ -2911,7 +2850,7 @@ mod tests {
         assert_eq!(entry.value, mined_value);
         let replay = ftagg_bench::search::replay_entry(&entry, true).unwrap();
         assert_eq!(replay.value, entry.value, "corpus replay must be bit-for-bit");
-        assert!(replay.clean);
+        assert!(replay.monitor.is_clean());
         std::fs::remove_file(&path).ok();
     }
 

@@ -10,10 +10,11 @@
 //! at Line 6 of Algorithm 1, budgeted at `2c` flooding rounds.
 
 use crate::config::Instance;
+use crate::observe::{Observe, Observed};
 use caaf::Caaf;
 use netsim::{
-    Engine, EventId, FailureSchedule, FloodState, Message, Metrics, NodeId, NodeLogic, Round,
-    RoundCtx, TraceSink,
+    AnyEngine, EventId, FailureSchedule, FloodState, Message, Metrics, MonitorConfig, NodeId,
+    NodeLogic, Round, RoundCtx,
 };
 use std::collections::BTreeMap;
 
@@ -193,47 +194,32 @@ pub fn run_brute<C: Caaf>(
     c: u32,
     global_offset: Round,
 ) -> BruteReport {
-    run_brute_core(op, inst, schedule, c, global_offset, None).0
+    run_brute_observed(op, inst, schedule, c, global_offset, Observe::default()).0
 }
 
-/// [`run_brute`] with an in-memory [`netsim::Trace`] capturing the causal
-/// event log (every message carries kind `"fallback"`). Used by the traced
-/// tradeoff driver and `ftagg-cli explain`.
-pub fn run_brute_traced<C: Caaf>(
+/// [`run_brute`] with the observers in `obs` attached (every message
+/// carries kind `"fallback"`). The protocol has no bit budget, so a
+/// requested watchdog checks crash silence and delivery causality only.
+/// The run records no `Decide` event: the driver reads the root's
+/// aggregate at the horizon.
+pub fn run_brute_observed<C: Caaf>(
     op: &C,
     inst: &Instance,
     schedule: FailureSchedule,
     c: u32,
     global_offset: Round,
-) -> (BruteReport, netsim::Trace) {
-    let (report, sink) =
-        run_brute_core(op, inst, schedule, c, global_offset, Some(Box::new(netsim::Trace::new())));
-    let sink = sink.expect("engine returns the sink it was given");
-    let trace =
-        sink.as_any().downcast_ref::<netsim::Trace>().expect("we installed a Trace").clone();
-    (report, trace)
-}
-
-fn run_brute_core<C: Caaf>(
-    op: &C,
-    inst: &Instance,
-    schedule: FailureSchedule,
-    c: u32,
-    global_offset: Round,
-    sink: Option<Box<dyn TraceSink>>,
-) -> (BruteReport, Option<Box<dyn TraceSink>>) {
+    obs: Observe<'_>,
+) -> (BruteReport, Observed) {
     let model = inst.model(c);
     let id_bits = model.id_bits();
     let value_bits = op.value_bits(model.n, model.max_input);
     let inputs = inst.inputs.clone();
     let root = inst.root;
-    let mut eng: Engine<BruteEnvelope, BruteNode> =
-        Engine::new(inst.graph.clone(), schedule, |v| {
+    let mut eng: AnyEngine<BruteEnvelope, BruteNode> =
+        AnyEngine::new(inst.engine, inst.graph.clone(), schedule, |v| {
             BruteNode::new(v, root, inputs[v.index()], id_bits, value_bits)
         });
-    if let Some(sink) = sink {
-        eng.set_sink(sink);
-    }
+    let attached = obs.attach(&mut eng, || MonitorConfig::new(model.n));
     // Start bit spreads in ≤ cd rounds; the farthest report needs ≤ cd
     // more, arriving in round 2cd + 1; +1 slack for the boundary.
     let horizon = 2 * model.cd() + 2;
@@ -242,7 +228,7 @@ fn run_brute_core<C: Caaf>(
     let correct = inst.correct_interval(op, global_offset + run.rounds).contains(result);
     let report =
         BruteReport { result, rounds: run.rounds, metrics: eng.metrics().clone(), correct };
-    (report, eng.take_sink())
+    (report, attached.collect(&mut eng))
 }
 
 #[cfg(test)]

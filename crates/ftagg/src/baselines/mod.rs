@@ -9,5 +9,5 @@
 pub mod brute;
 pub mod folklore;
 
-pub use brute::{run_brute, run_brute_traced, BruteReport};
+pub use brute::{run_brute, run_brute_observed, BruteReport};
 pub use folklore::{run_folklore, run_tag_once, AttemptReport, FolkloreReport};

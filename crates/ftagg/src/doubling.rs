@@ -13,12 +13,12 @@
 //! failures the adversary still has left to spend, the stage must accept.
 //! A final brute-force fallback keeps the worst case bounded.
 
-use crate::baselines::brute::{run_brute, run_brute_traced};
 use crate::config::Instance;
+use crate::observe::{Merge, Observe, Observed};
 use crate::pair::Tweaks;
-use crate::run::{run_pair_traced, run_pair_with_schedule};
+use crate::run::run_pair_observed;
 use caaf::Caaf;
-use netsim::{Event, Metrics, Round, Trace};
+use netsim::{Metrics, Round};
 
 /// Configuration for the doubling wrapper.
 #[derive(Clone, Copy, Debug)]
@@ -68,120 +68,61 @@ pub struct DoublingReport {
 /// # Ok::<(), String>(())
 /// ```
 pub fn run_doubling<C: Caaf>(op: &C, inst: &Instance, cfg: &DoublingConfig) -> DoublingReport {
-    let mut metrics = Metrics::new(inst.n());
-    let mut offset: Round = 0;
-    for k in 0..cfg.max_stages {
-        let guess: u64 = 1 << k;
-        let t = guess.min(u32::MAX as u64) as u32;
-        let shifted = inst.schedule.shifted(offset);
-        let rep = run_pair_with_schedule(op, inst, shifted, cfg.c, t, true, offset);
-        // Each stage's round window becomes a phase; the pair's AGG/VERI
-        // spans nest inside it once the sub-metrics are absorbed.
-        metrics.push_span(format!("stage {k}"), offset + 1, offset + rep.rounds);
-        metrics.absorb_shifted(&rep.metrics, offset);
-        offset += rep.rounds;
-        if rep.accepted() {
-            let result = rep.result().expect("accepted implies a result");
-            return DoublingReport {
-                result,
-                correct: inst.correct_interval(op, offset).contains(result),
-                stages: k + 1,
-                final_guess: guess,
-                rounds: offset,
-                metrics,
-                used_fallback: false,
-            };
-        }
-    }
-    let shifted = inst.schedule.shifted(offset);
-    let rep = run_brute(op, inst, shifted, cfg.c, offset);
-    metrics.push_span("fallback", offset + 1, offset + rep.rounds);
-    metrics.absorb_shifted(&rep.metrics, offset);
-    offset += rep.rounds;
-    DoublingReport {
-        result: rep.result,
-        correct: rep.correct,
-        stages: cfg.max_stages,
-        final_guess: 0,
-        rounds: offset,
-        metrics,
-        used_fallback: true,
-    }
+    run_doubling_observed(op, inst, cfg, Observe::default()).0
 }
 
-/// [`run_doubling`] with every stage traced into one merged causal event
-/// log on the global timeline. Each stage's messages are re-tagged with the
-/// blanket kind `"doubling-stage"` (via [`Tweaks::kind_override`]) so the
-/// blame analysis attributes the wrapper's CC as a whole; stage windows
-/// appear as `PhaseEnter`/`PhaseExit` markers and rejected stages'
-/// `Decide` events are stripped, leaving exactly one decision.
-///
-/// Tracing is passive: the returned [`DoublingReport`] is identical to
-/// [`run_doubling`]'s for the same inputs.
-pub fn run_doubling_traced<C: Caaf>(
+/// The one doubling driver, with the observers in `obs` attached to every
+/// stage and merged onto the global timeline, as
+/// [`crate::tradeoff::run_tradeoff_observed`] merges Algorithm 1's
+/// intervals: stage windows become `PhaseEnter`/`PhaseExit` markers,
+/// rejected stages' `Decide` events are stripped, and every stage runs
+/// under the watchdog, the fallback excepted. Each stage's messages carry
+/// the blanket kind `"doubling-stage"` (via [`Tweaks::kind_override`]) so
+/// the blame analysis attributes the wrapper's CC as a whole.
+pub fn run_doubling_observed<C: Caaf>(
     op: &C,
     inst: &Instance,
     cfg: &DoublingConfig,
-) -> (DoublingReport, Trace) {
+    obs: Observe<'_>,
+) -> (DoublingReport, Observed) {
     let tweaks = Tweaks { kind_override: Some("doubling-stage"), ..Tweaks::default() };
-    let mut metrics = Metrics::new(inst.n());
-    let mut trace = Trace::new();
+    let mut merge = Merge::new(obs, inst.n());
     let mut offset: Round = 0;
+    let mut output = None;
     for k in 0..cfg.max_stages {
         let guess: u64 = 1 << k;
         let t = guess.min(u32::MAX as u64) as u32;
         let shifted = inst.schedule.shifted(offset);
-        let (rep, mut stage_trace) =
-            run_pair_traced(op, inst, shifted, cfg.c, t, true, offset, tweaks);
-        if !rep.accepted() {
-            stage_trace.retain(|e| !matches!(e, Event::Decide { .. }));
-        }
-        metrics.push_span(format!("stage {k}"), offset + 1, offset + rep.rounds);
-        metrics.absorb_shifted(&rep.metrics, offset);
-        trace.push(Event::PhaseEnter { round: offset + 1, label: format!("stage {k}") });
-        trace.absorb_shifted(&stage_trace, offset);
-        trace.push(Event::PhaseExit { round: offset + rep.rounds, label: format!("stage {k}") });
+        let sub = merge.stage(true);
+        let (rep, seen, _) =
+            run_pair_observed(op, inst, shifted, cfg.c, t, true, offset, tweaks, sub);
+        // Each stage's round window is a phase.
+        let window = (offset + 1, offset + rep.rounds);
+        merge.absorb(&rep.metrics, seen, offset, format!("stage {k}"), window, rep.accepted());
         offset += rep.rounds;
         if rep.accepted() {
             let result = rep.result().expect("accepted implies a result");
-            let report = DoublingReport {
-                result,
-                correct: inst.correct_interval(op, offset).contains(result),
-                stages: k + 1,
-                final_guess: guess,
-                rounds: offset,
-                metrics,
-                used_fallback: false,
-            };
-            return (report, trace);
+            let correct = inst.correct_interval(op, offset).contains(result);
+            output = Some((result, correct, k + 1, guess, offset));
+            break;
         }
     }
-    let shifted = inst.schedule.shifted(offset);
-    let (rep, brute_trace) = run_brute_traced(op, inst, shifted, cfg.c, offset);
-    metrics.push_span("fallback", offset + 1, offset + rep.rounds);
-    metrics.absorb_shifted(&rep.metrics, offset);
-    trace.push(Event::PhaseEnter { round: offset + 1, label: "fallback".into() });
-    trace.absorb_shifted(&brute_trace, offset);
-    trace.push(Event::PhaseExit { round: offset + rep.rounds, label: "fallback".into() });
-    offset += rep.rounds;
-    trace.push(Event::Decide { round: offset, node: inst.root, value: rep.result });
-    let report = DoublingReport {
-        result: rep.result,
-        correct: rep.correct,
-        stages: cfg.max_stages,
-        final_guess: 0,
-        rounds: offset,
-        metrics,
-        used_fallback: true,
-    };
-    (report, trace)
+    let (result, correct, stages, final_guess, rounds) = output.unwrap_or_else(|| {
+        let (result, correct, rounds) = merge.fallback(op, inst, cfg.c, offset);
+        (result, correct, cfg.max_stages, 0, rounds)
+    });
+    let (metrics, seen) = merge.finish();
+    let used_fallback = output.is_none();
+    let report =
+        DoublingReport { result, correct, stages, final_guess, rounds, metrics, used_fallback };
+    (report, seen)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use caaf::Sum;
-    use netsim::{topology, FailureSchedule, NodeId};
+    use netsim::{topology, Event, FailureSchedule, NodeId};
 
     fn inst(g: netsim::Graph, inputs: Vec<u64>, s: FailureSchedule) -> Instance {
         let max = inputs.iter().copied().max().unwrap_or(0).max(1);
@@ -231,7 +172,8 @@ mod tests {
         let i = inst(g, vec![1; 6], s);
         let cfg = DoublingConfig { c: 2, max_stages: 8 };
         let plain = run_doubling(&Sum, &i, &cfg);
-        let (rep, trace) = run_doubling_traced(&Sum, &i, &cfg);
+        let (rep, seen) = run_doubling_observed(&Sum, &i, &cfg, Observe::trace());
+        let trace = seen.trace.expect("trace requested");
         assert_eq!(rep.result, plain.result);
         assert_eq!(rep.rounds, plain.rounds);
         assert_eq!(rep.stages, plain.stages);

@@ -15,6 +15,9 @@
 //! - [`baselines`] — the comparison protocols of Figure 1: brute-force
 //!   flooding and the folklore retry-until-clean tree aggregation (plus the
 //!   non-fault-tolerant TAG-style aggregation);
+//! - [`observe`] — the observer bundle every driver takes: trace,
+//!   watchdog, timeline lane, and for the pair also an extra sink and a
+//!   round-flow callback;
 //! - [`bounds`] — closed forms of every bound in Figure 1;
 //! - [`analysis`] — offline oracles: fragment decomposition (Figure 2) and
 //!   long-failure-chain detection (Table 2's scenarios).
@@ -53,14 +56,13 @@ pub mod doubling;
 pub mod interval;
 pub mod monitored;
 pub mod msg;
+pub mod observe;
 pub mod pair;
 pub mod run;
 pub mod tradeoff;
 
 pub use config::{Instance, Model};
-pub use monitored::{
-    decide_envelope, pair_monitor_config, run_pair_engine_monitored, run_pair_monitored,
-    run_pair_recorded, MonitoredPair, RecordedPair,
-};
+pub use monitored::{decide_envelope, pair_monitor_config};
+pub use observe::{Observe, Observed};
 pub use pair::{AggOutcome, NodeSnapshot, PairNode, PairParams};
-pub use run::{run_pair, run_pair_traced, run_pair_with_schedule, run_pair_with_sink, PairReport};
+pub use run::{run_pair, run_pair_observed, run_pair_with_schedule, PairReport};

@@ -1,25 +1,20 @@
-//! Monitored drivers: run the paper's protocols under a live
-//! [`netsim::Watchdog`].
+//! The watchdog's protocol knowledge: what a live [`netsim::Watchdog`]
+//! checks on an AGG+VERI pair.
 //!
 //! The watchdog itself ([`netsim::monitor`]) knows nothing about the
 //! protocols — budgets are data and the decision judgment is a closure.
 //! This module is the bridge: it parameterizes a [`MonitorConfig`] with
 //! the paper's explicit formulas (the Theorem 3/6 wire ceilings exported
 //! by [`crate::msg`], windowed by [`PairParams`]'s round layout) and the
-//! CAAF correctness envelope of `caaf::oracle`, then runs the standard
-//! drivers with the watchdog installed as the engine's sink. The watchdog
-//! is passive, so a monitored execution is bit-identical to an
-//! unmonitored one — pinned by this module's tests.
+//! CAAF correctness envelope of `caaf::oracle`. The drivers install the
+//! watchdog through [`crate::observe::Observe::watchdog`]. The watchdog is
+//! passive, so a monitored execution is bit-identical to an unmonitored
+//! one — pinned by this module's tests.
 
-use crate::config::Instance;
-use crate::msg::{agg_wire_ceiling, veri_wire_ceiling, Envelope};
-use crate::pair::{PairNode, PairParams, Tweaks};
-use crate::run::{run_pair_with_sink, PairReport};
-use caaf::Caaf;
-use netsim::{
-    AnyEngine, DecideCheck, FailureSchedule, FlightRecorder, FlightRecorderHandle, MonitorConfig,
-    MonitorReport, Round, TeeSink, Watchdog,
-};
+use crate::msg::{agg_wire_ceiling, veri_wire_ceiling};
+use crate::pair::PairParams;
+use caaf::oracle::CorrectInterval;
+use netsim::{DecideCheck, MonitorConfig, NodeId};
 
 /// A [`MonitorConfig`] enforcing one AGG(+VERI) pair's invariants:
 ///
@@ -29,15 +24,14 @@ use netsim::{
 ///   within the Theorem 6 wire ceiling;
 /// - per-node bits over the whole pair within their sum — the per-interval
 ///   budget Theorem 1's CC accounting charges Algorithm 1 for each pair.
-pub fn pair_monitor_config(inst: &Instance, c: u32, t: u32, run_veri: bool) -> MonitorConfig {
-    let params = PairParams { model: inst.model(c), t, run_veri, tweaks: Tweaks::default() };
-    let n = inst.n();
+pub fn pair_monitor_config(params: &PairParams) -> MonitorConfig {
+    let (n, t) = (params.model.n, params.t);
     let mut cfg = MonitorConfig::new(n).budget(
         "AGG (Thm 3)",
         1..=params.agg_rounds(),
         agg_wire_ceiling(n, t),
     );
-    if run_veri {
+    if params.run_veri {
         cfg = cfg
             .budget(
                 "VERI (Thm 6)",
@@ -53,183 +47,31 @@ pub fn pair_monitor_config(inst: &Instance, c: u32, t: u32, run_veri: bool) -> M
     cfg
 }
 
-/// The CAAF correctness-envelope judgment for `Decide` events: only the
-/// root may decide, and the value must lie in the paper's correct interval
-/// for the surviving inputs at the decision round (shifted by
-/// `global_offset` when the pair runs inside a later Algorithm 1
-/// interval).
-pub fn decide_envelope<C: Caaf + 'static>(
-    op: &C,
-    inst: &Instance,
-    global_offset: Round,
-) -> DecideCheck {
-    let op = op.clone();
-    let inst = inst.clone();
-    Box::new(move |round, node, value| {
-        if node != inst.root {
+/// The CAAF correctness-envelope judgment for `Decide` events: only
+/// `root` may decide, and the value must lie in `interval`, the paper's
+/// correct interval for the surviving inputs at the decision round.
+pub fn decide_envelope(root: NodeId, interval: CorrectInterval) -> DecideCheck {
+    Box::new(move |_round, node, value| {
+        if node != root {
             return Err(format!("decision by non-root node {}", node.0));
         }
-        let iv = inst.correct_interval(&op, global_offset + round);
-        if iv.contains(value) {
+        if interval.contains(value) {
             Ok(())
         } else {
-            Err(format!("outside the CAAF envelope [{}, {}]", iv.lo, iv.hi))
+            Err(format!("outside the CAAF envelope [{}, {}]", interval.lo, interval.hi))
         }
     })
-}
-
-/// A pair execution plus the watchdog's verdict on it.
-#[derive(Clone, Debug)]
-pub struct MonitoredPair {
-    /// The ordinary driver report (identical to the unmonitored run).
-    pub report: PairReport,
-    /// What the watchdog observed.
-    pub monitor: MonitorReport,
-}
-
-/// [`crate::run::run_pair_with_schedule`] with a fully armed watchdog:
-/// Theorem 3/6 budgets, crash silence, delivery causality, phase
-/// discipline, and the CAAF envelope at the decision. `strict` panics on
-/// the first violation (tests/CI); otherwise violations are collected in
-/// the returned [`MonitorReport`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_pair_monitored<C: Caaf + 'static>(
-    op: &C,
-    inst: &Instance,
-    schedule: FailureSchedule,
-    c: u32,
-    t: u32,
-    run_veri: bool,
-    global_offset: Round,
-    strict: bool,
-) -> MonitoredPair {
-    let mut cfg = pair_monitor_config(inst, c, t, run_veri).decide_check(decide_envelope(
-        op,
-        inst,
-        global_offset,
-    ));
-    if strict {
-        cfg = cfg.strict();
-    }
-    let (report, mut sink) = run_pair_with_sink(
-        op,
-        inst,
-        schedule,
-        c,
-        t,
-        run_veri,
-        global_offset,
-        Box::new(Watchdog::new(cfg)),
-    );
-    let monitor = finish_watchdog(&mut sink);
-    MonitoredPair { report, monitor }
-}
-
-/// A monitored pair execution with a black box attached: the report, the
-/// watchdog's verdict, and a handle onto the flight recorder that rode
-/// along (dump it when `monitor` is dirty — see
-/// [`FlightRecorderHandle::dump_once`]).
-pub struct RecordedPair {
-    /// The ordinary driver report (identical to the unmonitored run).
-    pub report: PairReport,
-    /// What the watchdog observed.
-    pub monitor: MonitorReport,
-    /// The black box: the last `ring_rounds` rounds of events, dumpable
-    /// as replayable v2 JSONL.
-    pub flight: FlightRecorderHandle,
-}
-
-/// [`run_pair_monitored`] with a [`FlightRecorder`] teed alongside the
-/// watchdog: the recorder retains the last `ring_rounds` rounds of
-/// full-fidelity events, so a violating run leaves a replayable artifact.
-/// Never strict — a violation should dump the black box, not panic past
-/// it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pair_recorded<C: Caaf + 'static>(
-    op: &C,
-    inst: &Instance,
-    schedule: FailureSchedule,
-    c: u32,
-    t: u32,
-    run_veri: bool,
-    global_offset: Round,
-    ring_rounds: usize,
-) -> RecordedPair {
-    let cfg = pair_monitor_config(inst, c, t, run_veri).decide_check(decide_envelope(
-        op,
-        inst,
-        global_offset,
-    ));
-    let recorder = FlightRecorder::new(ring_rounds);
-    let flight = recorder.handle();
-    let tee = TeeSink::new().with(Box::new(Watchdog::new(cfg))).with(Box::new(recorder));
-    let (report, mut sink) =
-        run_pair_with_sink(op, inst, schedule, c, t, run_veri, global_offset, Box::new(tee));
-    let tee =
-        sink.as_any_mut().downcast_mut::<TeeSink>().expect("recorded drivers install a TeeSink");
-    let monitor = tee.sinks_mut()[0]
-        .as_any_mut()
-        .downcast_mut::<Watchdog>()
-        .expect("first teed sink is the Watchdog")
-        .finish();
-    RecordedPair { report, monitor, flight }
-}
-
-/// [`crate::run::run_pair_engine`] under a watchdog, for white-box
-/// harnesses (Table 2, the stress suite) that inspect node state after the
-/// run: returns the engine, the params, and the watchdog's verdict. The
-/// AGG/VERI windows are attributed as phases (as the sink-based driver
-/// does), so phase discipline is checked too; no `Decide` event exists on
-/// this path, so the envelope judgment does not apply.
-pub fn run_pair_engine_monitored<C: Caaf + 'static>(
-    op: &C,
-    inst: &Instance,
-    schedule: FailureSchedule,
-    c: u32,
-    t: u32,
-    run_veri: bool,
-    strict: bool,
-) -> (AnyEngine<Envelope, PairNode<C>>, PairParams, MonitorReport) {
-    let params = PairParams { model: inst.model(c), t, run_veri, tweaks: Tweaks::default() };
-    let mut cfg = pair_monitor_config(inst, c, t, run_veri);
-    if strict {
-        cfg = cfg.strict();
-    }
-    let op2 = op.clone();
-    let inputs = inst.inputs.clone();
-    let mut eng: AnyEngine<Envelope, PairNode<C>> =
-        AnyEngine::new(inst.engine, inst.graph.clone(), schedule, |v| {
-            PairNode::new(params, op2.clone(), v, inputs[v.index()])
-        });
-    eng.set_sink(Box::new(Watchdog::new(cfg)));
-    eng.enter_phase("AGG");
-    eng.run(params.agg_rounds());
-    eng.exit_phase();
-    if run_veri {
-        eng.enter_phase("VERI");
-        eng.run(params.total_rounds());
-        eng.exit_phase();
-    }
-    let mut sink = eng.take_sink().expect("the watchdog we installed");
-    let monitor = finish_watchdog(&mut sink);
-    (eng, params, monitor)
-}
-
-/// Downcasts a sink handed back by a driver to the [`Watchdog`] installed
-/// by this module and finishes it.
-fn finish_watchdog(sink: &mut Box<dyn netsim::TraceSink>) -> MonitorReport {
-    sink.as_any_mut()
-        .downcast_mut::<Watchdog>()
-        .expect("monitored drivers install a Watchdog sink")
-        .finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::run_pair_with_schedule;
+    use crate::config::Instance;
+    use crate::observe::Observe;
+    use crate::pair::Tweaks;
+    use crate::run::{run_pair_observed, run_pair_with_schedule, PairReport};
     use caaf::Sum;
-    use netsim::{adversary::schedules, topology, NodeId};
+    use netsim::{adversary::schedules, topology, FailureSchedule, MonitorReport};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -244,18 +86,25 @@ mod tests {
         .unwrap()
     }
 
+    fn monitored(i: &Instance, c: u32, t: u32, strict: bool) -> (PairReport, MonitorReport) {
+        let obs = Observe::watchdog(strict);
+        let (report, seen, _) =
+            run_pair_observed(&Sum, i, i.schedule.clone(), c, t, true, 0, Tweaks::default(), obs);
+        (report, seen.monitor.expect("watchdog requested"))
+    }
+
     #[test]
     fn clean_pair_run_is_clean_and_identical_to_unmonitored() {
         let i = inst(6);
-        let m = run_pair_monitored(&Sum, &i, i.schedule.clone(), 1, 1, true, 0, true);
-        assert!(m.monitor.is_clean(), "{}", m.monitor.render());
-        assert!(m.monitor.sends > 0 && m.monitor.delivers > 0);
-        assert_eq!(m.monitor.decides, 1);
+        let (report, monitor) = monitored(&i, 1, 1, true);
+        assert!(monitor.is_clean(), "{}", monitor.render());
+        assert!(monitor.sends > 0 && monitor.delivers > 0);
+        assert_eq!(monitor.decides, 1);
         let plain = run_pair_with_schedule(&Sum, &i, i.schedule.clone(), 1, 1, true, 0);
-        assert_eq!(m.report.result(), plain.result());
-        assert_eq!(m.report.rounds, plain.rounds);
-        assert_eq!(m.report.metrics.max_bits(), plain.metrics.max_bits());
-        assert_eq!(m.report.metrics.total_bits(), plain.metrics.total_bits());
+        assert_eq!(report.result(), plain.result());
+        assert_eq!(report.rounds, plain.rounds);
+        assert_eq!(report.metrics.max_bits(), plain.metrics.max_bits());
+        assert_eq!(report.metrics.total_bits(), plain.metrics.total_bits());
     }
 
     #[test]
@@ -267,37 +116,29 @@ mod tests {
             let g = topology::connected_gnp(16, 0.2, &mut rng);
             let s = schedules::random(&g, NodeId(0), 3, 200, &mut rng);
             let i = Instance::new(g, NodeId(0), vec![3; 16], s, 3).unwrap();
-            let m = run_pair_monitored(&Sum, &i, i.schedule.clone(), 2, 2, true, 0, false);
-            assert!(m.monitor.is_clean(), "seed {seed}: {}", m.monitor.render());
+            let (_, monitor) = monitored(&i, 2, 2, false);
+            assert!(monitor.is_clean(), "seed {seed}: {}", monitor.render());
         }
-    }
-
-    #[test]
-    fn engine_variant_matches_plain_engine_and_is_clean() {
-        use crate::run::run_pair_engine;
-        let i = inst(5);
-        let (eng, params, monitor) =
-            run_pair_engine_monitored(&Sum, &i, i.schedule.clone(), 1, 1, true, true);
-        assert!(monitor.is_clean(), "{}", monitor.render());
-        assert_eq!(eng.round(), params.total_rounds());
-        let (plain, _) = run_pair_engine(&Sum, &i, i.schedule.clone(), 1, 1, true);
-        assert_eq!(eng.metrics().max_bits(), plain.metrics().max_bits());
-        assert_eq!(eng.metrics().total_bits(), plain.metrics().total_bits());
     }
 
     #[test]
     fn recorded_pair_run_is_identical_and_its_dump_replays() {
         let i = inst(6);
-        let r = run_pair_recorded(&Sum, &i, i.schedule.clone(), 1, 1, true, 0, 8);
-        assert!(r.monitor.is_clean(), "{}", r.monitor.render());
+        let recorder = netsim::FlightRecorder::new(8);
+        let flight = recorder.handle();
+        let obs = Observe { sink: Some(Box::new(recorder)), ..Observe::watchdog(true) };
+        let (report, seen, _) =
+            run_pair_observed(&Sum, &i, i.schedule.clone(), 1, 1, true, 0, Tweaks::default(), obs);
+        let monitor = seen.monitor.expect("watchdog requested");
+        assert!(monitor.is_clean(), "{}", monitor.render());
         let plain = run_pair_with_schedule(&Sum, &i, i.schedule.clone(), 1, 1, true, 0);
-        assert_eq!(r.report.result(), plain.result());
-        assert_eq!(r.report.metrics.total_bits(), plain.metrics.total_bits());
+        assert_eq!(report.result(), plain.result());
+        assert_eq!(report.metrics.total_bits(), plain.metrics.total_bits());
         // The black box holds the tail of the run and replays as a trace.
-        let stats = r.flight.stats();
+        let stats = flight.stats();
         assert!(stats.rounds_buffered > 0 && stats.rounds_buffered <= 8);
         assert!(stats.events_buffered > 0);
-        let jsonl = r.flight.snapshot_jsonl().expect("segments decode");
+        let jsonl = flight.snapshot_jsonl().expect("segments decode");
         let trace = netsim::Trace::from_jsonl(jsonl.as_bytes()).expect("dump must replay");
         assert_eq!(trace.events().len() as u64, stats.events_buffered);
     }
@@ -305,7 +146,7 @@ mod tests {
     #[test]
     fn decide_envelope_rejects_wrong_values() {
         let i = inst(4);
-        let check = decide_envelope(&Sum, &i, 0);
+        let check = decide_envelope(i.root, i.correct_interval(&Sum, 20));
         // 1+2+3+4 = 10 is the failure-free aggregate.
         assert!(check(20, NodeId(0), 10).is_ok());
         assert!(check(20, NodeId(0), 11).unwrap_err().contains("envelope"));

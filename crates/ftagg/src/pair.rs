@@ -585,6 +585,11 @@ impl<C: Caaf> PairNode<C> {
 
     // ----- post-run accessors (root) -----
 
+    /// The parameters this node runs with.
+    pub fn params(&self) -> &PairParams {
+        &self.params
+    }
+
     /// AGG's outcome at the root (Algorithm 2's output phase).
     pub fn agg_outcome(&self) -> AggOutcome {
         if self.aborted {

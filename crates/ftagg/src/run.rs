@@ -1,11 +1,16 @@
 //! Drivers: run a protocol on an [`Instance`] and evaluate the outcome
 //! against the paper's correctness oracle.
 
+use crate::analysis::effective_edge_failures;
 use crate::config::Instance;
+use crate::monitored::{decide_envelope, pair_monitor_config};
 use crate::msg::Envelope;
+use crate::observe::{Observe, Observed};
 use crate::pair::{AggOutcome, PairNode, PairParams, Tweaks};
 use caaf::Caaf;
-use netsim::{AnyEngine, Event, FailureSchedule, Metrics, NodeId, Round, TraceSink};
+use netsim::{AnyEngine, Event, FailureSchedule, Metrics, NodeId, Round};
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Outcome of one AGG (+ optional VERI) pair execution.
 #[derive(Clone, Debug)]
@@ -74,14 +79,27 @@ pub fn run_pair_with_schedule<C: Caaf>(
     run_veri: bool,
     global_offset: Round,
 ) -> PairReport {
-    run_pair_with_tweaks(op, inst, schedule, c, t, run_veri, global_offset, Tweaks::default())
+    let obs = Observe::default();
+    run_pair_observed(op, inst, schedule, c, t, run_veri, global_offset, Tweaks::default(), obs).0
 }
 
-/// [`run_pair_with_schedule`] with explicit ablation [`Tweaks`] — used by
-/// the design-choice experiments (E12). The default tweaks give the
-/// faithful protocol.
+/// The one AGG (+ VERI) driver: builds the engine over `schedule` with
+/// ablation `tweaks` (the default gives the faithful protocol), attaches
+/// the observers in `obs`, attributes the AGG and VERI round windows as
+/// metrics phases (mirrored to the sinks as `PhaseEnter`/`PhaseExit`),
+/// runs to the pair's round budget, adds a `Decide` event if the root
+/// produced a result, and evaluates the paper's correctness oracle at
+/// global round `global_offset + rounds`. Returns the report, what the
+/// observers collected, and the engine for white-box inspection (tree
+/// snapshots, per-node flood state).
+///
+/// The watchdog enforces [`pair_monitor_config`]'s Theorem 3/6 budgets
+/// and the CAAF envelope at the decision. Per Table 2, AGG may be wrong
+/// only when the pair saw more than `t` edge failures, and VERI then says
+/// false; such a rejected value is exempt from the envelope, every other
+/// one is judged.
 #[allow(clippy::too_many_arguments)]
-pub fn run_pair_with_tweaks<C: Caaf>(
+pub fn run_pair_observed<C: Caaf>(
     op: &C,
     inst: &Instance,
     schedule: FailureSchedule,
@@ -90,90 +108,8 @@ pub fn run_pair_with_tweaks<C: Caaf>(
     run_veri: bool,
     global_offset: Round,
     tweaks: Tweaks,
-) -> PairReport {
-    run_pair_core(op, inst, schedule, c, t, run_veri, global_offset, tweaks, None).0
-}
-
-/// [`run_pair_with_schedule`] with an event sink observing the execution:
-/// the engine streams `Send`/`Deliver`/`Crash` events into it, the driver
-/// adds `PhaseEnter`/`PhaseExit` markers around AGG and VERI plus a
-/// `Decide` event if the root produced a result. Returns the report and
-/// the sink back (e.g. to downcast a [`netsim::Trace`] or finish a
-/// [`netsim::JsonlSink`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_pair_with_sink<C: Caaf>(
-    op: &C,
-    inst: &Instance,
-    schedule: FailureSchedule,
-    c: u32,
-    t: u32,
-    run_veri: bool,
-    global_offset: Round,
-    sink: Box<dyn TraceSink>,
-) -> (PairReport, Box<dyn TraceSink>) {
-    let (report, sink) = run_pair_core(
-        op,
-        inst,
-        schedule,
-        c,
-        t,
-        run_veri,
-        global_offset,
-        Tweaks::default(),
-        Some(sink),
-    );
-    (report, sink.expect("engine returns the sink it was given"))
-}
-
-/// [`run_pair_with_sink`] specialized to an in-memory [`netsim::Trace`]
-/// with explicit ablation [`Tweaks`]: returns the report plus the full
-/// causal event log (schema v2 — ids, kinds, lineage), ready for
-/// [`netsim::CausalDag`]. The tradeoff/doubling traced drivers and
-/// `ftagg-cli explain` build on this.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pair_traced<C: Caaf>(
-    op: &C,
-    inst: &Instance,
-    schedule: FailureSchedule,
-    c: u32,
-    t: u32,
-    run_veri: bool,
-    global_offset: Round,
-    tweaks: Tweaks,
-) -> (PairReport, netsim::Trace) {
-    let (report, sink) = run_pair_core(
-        op,
-        inst,
-        schedule,
-        c,
-        t,
-        run_veri,
-        global_offset,
-        tweaks,
-        Some(Box::new(netsim::Trace::new())),
-    );
-    let sink = sink.expect("engine returns the sink it was given");
-    let trace =
-        sink.as_any().downcast_ref::<netsim::Trace>().expect("we installed a Trace").clone();
-    (report, trace)
-}
-
-/// The one driver all `run_pair*` fronts share: builds the engine,
-/// attributes the AGG and VERI round windows as metrics phases (mirrored
-/// to the sink when one is installed), runs to the pair's round budget,
-/// and evaluates the paper's correctness oracle.
-#[allow(clippy::too_many_arguments)]
-fn run_pair_core<C: Caaf>(
-    op: &C,
-    inst: &Instance,
-    schedule: FailureSchedule,
-    c: u32,
-    t: u32,
-    run_veri: bool,
-    global_offset: Round,
-    tweaks: Tweaks,
-    sink: Option<Box<dyn TraceSink>>,
-) -> (PairReport, Option<Box<dyn TraceSink>>) {
+    obs: Observe<'_>,
+) -> (PairReport, Observed, AnyEngine<Envelope, PairNode<C>>) {
     let params = PairParams { model: inst.model(c), t, run_veri, tweaks };
     let op2 = op.clone();
     let inputs = inst.inputs.clone();
@@ -181,9 +117,23 @@ fn run_pair_core<C: Caaf>(
         AnyEngine::new(inst.engine, inst.graph.clone(), schedule, |v| {
             PairNode::new(params, op2.clone(), v, inputs[v.index()])
         });
-    if let Some(sink) = sink {
-        eng.set_sink(sink);
-    }
+    // The pair always ends at its round budget, so the correct interval
+    // at the decision round is known before the run.
+    let interval = inst.correct_interval(op, global_offset + params.total_rounds());
+    // Whether a rejected value is exempt; set after the run, before the
+    // decision is annotated.
+    let mut exempt = None;
+    let attached = obs.attach(&mut eng, || {
+        let (skip, envelope) = (Rc::new(Cell::new(false)), decide_envelope(inst.root, interval));
+        exempt = Some(Rc::clone(&skip));
+        pair_monitor_config(&params).decide_check(Box::new(move |round, node, value| {
+            if skip.get() {
+                Ok(())
+            } else {
+                envelope(round, node, value)
+            }
+        }))
+    });
     eng.enter_phase("AGG");
     eng.run(params.agg_rounds());
     eng.exit_phase();
@@ -197,16 +147,20 @@ fn run_pair_core<C: Caaf>(
     let outcome = root.agg_outcome();
     let verdict = run_veri.then(|| root.veri_verdict());
     let correct = match outcome {
-        AggOutcome::Result(v) => {
-            Some(inst.correct_interval(op, global_offset + rounds).contains(v))
-        }
+        AggOutcome::Result(v) => Some(interval.contains(v)),
         AggOutcome::Aborted => None,
     };
-    if let AggOutcome::Result(v) = outcome {
+    let report = PairReport { outcome, verdict, rounds, metrics: eng.metrics().clone(), correct };
+    if let Some(v) = report.result() {
+        if let (Some(exempt), false) = (&exempt, report.accepted()) {
+            // Failures counted as Table 2's classification counts them.
+            let failures = effective_edge_failures(eng.graph(), eng.schedule(), inst.root, rounds);
+            exempt.set(failures > t as usize);
+        }
         eng.annotate(Event::Decide { round: rounds, node: inst.root, value: v });
     }
-    let report = PairReport { outcome, verdict, rounds, metrics: eng.metrics().clone(), correct };
-    (report, eng.take_sink())
+    let seen = attached.collect(&mut eng);
+    (report, seen, eng)
 }
 
 /// Runs the pair and returns the whole engine for white-box inspection
@@ -220,14 +174,10 @@ pub fn run_pair_engine<C: Caaf>(
     t: u32,
     run_veri: bool,
 ) -> (AnyEngine<Envelope, PairNode<C>>, PairParams) {
-    let params = PairParams { model: inst.model(c), t, run_veri, tweaks: Tweaks::default() };
-    let op2 = op.clone();
-    let inputs = inst.inputs.clone();
-    let mut eng: AnyEngine<Envelope, PairNode<C>> =
-        AnyEngine::new(inst.engine, inst.graph.clone(), schedule, |v| {
-            PairNode::new(params, op2.clone(), v, inputs[v.index()])
-        });
-    eng.run(params.total_rounds());
+    let obs = Observe::default();
+    let (_, _, eng) =
+        run_pair_observed(op, inst, schedule, c, t, run_veri, 0, Tweaks::default(), obs);
+    let params = *eng.node(inst.root).params();
     (eng, params)
 }
 
@@ -297,18 +247,10 @@ mod tests {
     fn sink_returns_trace_with_phase_markers_and_decision() {
         use netsim::{Event, Trace};
         let i = inst(5);
-        let (r, sink) = crate::run::run_pair_with_sink(
-            &Sum,
-            &i,
-            i.schedule.clone(),
-            1,
-            1,
-            true,
-            0,
-            Box::new(Trace::new()),
-        );
+        let (s, obs) = (i.schedule.clone(), Observe::trace());
+        let (r, seen, _) = run_pair_observed(&Sum, &i, s, 1, 1, true, 0, Tweaks::default(), obs);
         assert_eq!(r.result(), Some(15));
-        let t = sink.as_any().downcast_ref::<Trace>().expect("we installed a Trace");
+        let t: Trace = seen.trace.expect("trace requested");
         let kinds: Vec<&str> = t.events().iter().map(Event::kind).collect();
         assert!(kinds.contains(&"phase_enter"));
         assert!(kinds.contains(&"phase_exit"));

@@ -14,14 +14,13 @@
 //! `min(x, f + 1, log N)` pairs run, each costing `O((t + 1) log N)` bits,
 //! plus an `O(log N)` expected contribution from the rare fallback.
 
-use crate::baselines::brute::{run_brute, run_brute_traced};
 use crate::config::Instance;
 use crate::interval::IntervalLayout;
-use crate::monitored::run_pair_monitored;
+use crate::observe::{Merge, Observe, Observed};
 use crate::pair::Tweaks;
-use crate::run::{run_pair_traced, run_pair_with_schedule};
+use crate::run::run_pair_observed;
 use caaf::Caaf;
-use netsim::{Event, Metrics, MonitorReport, Round, Trace};
+use netsim::{Metrics, MonitorReport, Round};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -90,16 +89,13 @@ pub fn run_tradeoff<C: Caaf + 'static>(
     inst: &Instance,
     cfg: &TradeoffConfig,
 ) -> TradeoffReport {
-    run_tradeoff_core(op, inst, cfg, None).0
+    run_tradeoff_observed(op, inst, cfg, Observe::default()).0
 }
 
 /// [`run_tradeoff`] with every AGG+VERI pair running under a live
 /// [`netsim::Watchdog`] (Theorem 3/6 budgets, the per-interval Theorem 1
 /// budget, crash silence, delivery causality, phase discipline, and the
-/// CAAF envelope at each decision). The per-pair verdicts are merged into
-/// one [`MonitorReport`] with violation rounds shifted into the global
-/// timeline. The brute-force fallback (the paper's unbudgeted last `2c`
-/// flooding rounds) runs outside the budget model and is not monitored.
+/// CAAF envelope at each decision); see [`run_tradeoff_observed`].
 ///
 /// The watchdog is passive: the returned [`TradeoffReport`] is identical
 /// to [`run_tradeoff`]'s for the same inputs.
@@ -109,108 +105,31 @@ pub fn run_tradeoff_monitored<C: Caaf + 'static>(
     cfg: &TradeoffConfig,
     strict: bool,
 ) -> (TradeoffReport, MonitorReport) {
-    let (report, monitor) = run_tradeoff_core(op, inst, cfg, Some(strict));
-    (report, monitor.expect("monitoring was requested"))
+    let (report, seen) = run_tradeoff_observed(op, inst, cfg, Observe::watchdog(strict));
+    (report, seen.monitor.expect("watchdog requested"))
 }
 
-/// [`run_tradeoff`] with every sub-execution traced into one merged causal
-/// event log on the global timeline (schema v2: event ids, message kinds,
-/// lineage). Interval windows appear as `PhaseEnter`/`PhaseExit` markers
-/// mirroring the metrics spans; a rejected pair's `Decide` event (AGG
-/// produced a value but VERI said no) is stripped so the merged trace
-/// carries exactly one decision — the run's actual output, at the run's
-/// actual termination round. Feed the trace to [`netsim::CausalDag`] or
-/// `ftagg-cli explain`.
+/// The one Algorithm 1 driver, with the observers in `obs` attached to
+/// every sub-execution and merged onto the global timeline. In the merged
+/// trace, interval windows appear as `PhaseEnter`/`PhaseExit` markers
+/// mirroring the metrics spans, and a rejected pair's `Decide` event (AGG
+/// produced a value but VERI said no) is stripped, so the trace carries
+/// exactly one decision — the run's actual output, at the run's actual
+/// termination round. Feed it to [`netsim::CausalDag`] or `ftagg-cli
+/// explain`. The per-pair watchdog verdicts are merged into one
+/// [`MonitorReport`] with violation rounds shifted into the global
+/// timeline; the brute-force fallback (the paper's unbudgeted last `2c`
+/// flooding rounds) runs outside the budget model and is not monitored.
 ///
-/// Tracing is passive: the returned [`TradeoffReport`] is identical to
-/// [`run_tradeoff`]'s for the same inputs.
-pub fn run_tradeoff_traced<C: Caaf + 'static>(
+/// # Panics
+///
+/// As [`run_tradeoff`].
+pub fn run_tradeoff_observed<C: Caaf>(
     op: &C,
     inst: &Instance,
     cfg: &TradeoffConfig,
-) -> (TradeoffReport, Trace) {
-    let model = inst.model(cfg.c);
-    let layout = IntervalLayout::new(cfg.b, cfg.c, model.d).unwrap_or_else(|e| panic!("{e}"));
-    let x = layout.x();
-    let t = layout.t(cfg.f);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let draws = u64::from(model.id_bits()).max(1);
-    let mut ys: Vec<u64> = (0..draws).map(|_| rng.gen_range(1..=x)).collect();
-    ys.sort_unstable();
-    ys.dedup();
-
-    let mut metrics = Metrics::new(inst.n());
-    let mut trace = Trace::new();
-    let mut pairs_run = 0;
-    for &y in &ys {
-        let offset: Round = layout.pair_offset(y);
-        let shifted = inst.schedule.shifted(offset);
-        let (rep, mut pair_trace) =
-            run_pair_traced(op, inst, shifted, cfg.c, t, true, offset, Tweaks::default());
-        if !rep.accepted() {
-            // AGG may have produced a value that VERI then rejected; that
-            // is not the run's decision, so it must not read as one.
-            pair_trace.retain(|e| !matches!(e, Event::Decide { .. }));
-        }
-        let (win_lo, win_hi) = layout.interval_window(y);
-        metrics.push_span(format!("interval {y}"), win_lo, win_hi);
-        metrics.absorb_shifted(&rep.metrics, offset);
-        trace.push(Event::PhaseEnter { round: win_lo, label: format!("interval {y}") });
-        trace.absorb_shifted(&pair_trace, offset);
-        trace.push(Event::PhaseExit { round: win_hi, label: format!("interval {y}") });
-        pairs_run += 1;
-        if rep.accepted() {
-            let result = rep.result().expect("accepted implies a result");
-            let rounds = offset + rep.rounds;
-            let report = TradeoffReport {
-                result,
-                correct: inst.correct_interval(op, rounds).contains(result),
-                rounds,
-                flooding_rounds: model.to_flooding_rounds(rounds),
-                metrics,
-                pairs_run,
-                used_fallback: false,
-                x,
-                t,
-            };
-            return (report, trace);
-        }
-    }
-
-    let offset: Round = layout.fallback_start() - 1;
-    let shifted = inst.schedule.shifted(offset);
-    let (rep, brute_trace) = run_brute_traced(op, inst, shifted, cfg.c, offset);
-    let rounds = offset + rep.rounds;
-    metrics.push_span("fallback", offset + 1, rounds);
-    metrics.absorb_shifted(&rep.metrics, offset);
-    trace.push(Event::PhaseEnter { round: offset + 1, label: "fallback".into() });
-    trace.absorb_shifted(&brute_trace, offset);
-    trace.push(Event::PhaseExit { round: rounds, label: "fallback".into() });
-    // The brute protocol has no in-protocol decide; the driver reads the
-    // root's aggregate at the horizon. Record that as the run's decision.
-    trace.push(Event::Decide { round: rounds, node: inst.root, value: rep.result });
-    let report = TradeoffReport {
-        result: rep.result,
-        correct: rep.correct,
-        rounds,
-        flooding_rounds: model.to_flooding_rounds(rounds),
-        metrics,
-        pairs_run,
-        used_fallback: true,
-        x,
-        t,
-    };
-    (report, trace)
-}
-
-/// The shared Algorithm 1 driver; `monitor` is `Some(strict)` to run every
-/// pair under a watchdog, `None` for the plain execution.
-fn run_tradeoff_core<C: Caaf + 'static>(
-    op: &C,
-    inst: &Instance,
-    cfg: &TradeoffConfig,
-    monitor: Option<bool>,
-) -> (TradeoffReport, Option<MonitorReport>) {
+    obs: Observe<'_>,
+) -> (TradeoffReport, Observed) {
     let model = inst.model(cfg.c);
     let layout = IntervalLayout::new(cfg.b, cfg.c, model.d).unwrap_or_else(|e| panic!("{e}"));
     let x = layout.x();
@@ -222,74 +141,51 @@ fn run_tradeoff_core<C: Caaf + 'static>(
     ys.sort_unstable();
     ys.dedup(); // Line 2's "i = 1 or y_i != y_{i-1}" skip.
 
-    let mut metrics = Metrics::new(inst.n());
-    let mut watch = monitor.map(|_| MonitorReport::default());
+    let mut merge = Merge::new(obs, inst.n());
     let mut pairs_run = 0;
+    let mut output = None;
     for &y in &ys {
         // Line 3: the pair starts at flooding round (y-1)·19c + 1.
         let offset: Round = layout.pair_offset(y);
         let shifted = inst.schedule.shifted(offset);
-        let rep = match monitor {
-            None => run_pair_with_schedule(op, inst, shifted, cfg.c, t, true, offset),
-            Some(strict) => {
-                let m = run_pair_monitored(op, inst, shifted, cfg.c, t, true, offset, strict);
-                // Place the pair watchdog's findings in the global timeline.
-                watch.as_mut().expect("monitoring on").absorb_shifted(&m.monitor, offset);
-                m.report
-            }
-        };
-        // Attribute the interval's full 19c-flooding-round window as a
-        // phase; the pair's own AGG/VERI spans nest inside it when the
-        // sub-metrics are absorbed below.
-        let (win_lo, win_hi) = layout.interval_window(y);
-        metrics.push_span(format!("interval {y}"), win_lo, win_hi);
-        metrics.absorb_shifted(&rep.metrics, offset);
+        let sub = merge.stage(true);
+        let (rep, seen, _) =
+            run_pair_observed(op, inst, shifted, cfg.c, t, true, offset, Tweaks::default(), sub);
+        // The interval's full 19c-flooding-round window is the phase.
+        let window = layout.interval_window(y);
+        merge.absorb(&rep.metrics, seen, offset, format!("interval {y}"), window, rep.accepted());
         pairs_run += 1;
         if rep.accepted() {
             // Line 4: output AGG's result and terminate.
             let result = rep.result().expect("accepted implies a result");
             let rounds = offset + rep.rounds;
-            let report = TradeoffReport {
-                result,
-                correct: inst.correct_interval(op, rounds).contains(result),
-                rounds,
-                flooding_rounds: model.to_flooding_rounds(rounds),
-                metrics,
-                pairs_run,
-                used_fallback: false,
-                x,
-                t,
-            };
-            return (report, watch);
+            output = Some((result, inst.correct_interval(op, rounds).contains(result), rounds));
+            break;
         }
     }
-
     // Line 6: brute force in the last 2c flooding rounds.
-    let offset: Round = layout.fallback_start() - 1;
-    let shifted = inst.schedule.shifted(offset);
-    let rep = run_brute(op, inst, shifted, cfg.c, offset);
-    let rounds = offset + rep.rounds;
-    metrics.push_span("fallback", offset + 1, rounds);
-    metrics.absorb_shifted(&rep.metrics, offset);
+    let (result, correct, rounds) =
+        output.unwrap_or_else(|| merge.fallback(op, inst, cfg.c, layout.fallback_start() - 1));
+    let (metrics, seen) = merge.finish();
     let report = TradeoffReport {
-        result: rep.result,
-        correct: rep.correct,
+        result,
+        correct,
         rounds,
         flooding_rounds: model.to_flooding_rounds(rounds),
         metrics,
         pairs_run,
-        used_fallback: true,
+        used_fallback: output.is_none(),
         x,
         t,
     };
-    (report, watch)
+    (report, seen)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use caaf::Sum;
-    use netsim::{adversary::schedules, topology, FailureSchedule, NodeId};
+    use netsim::{adversary::schedules, topology, Event, FailureSchedule, NodeId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -383,7 +279,8 @@ mod tests {
         let i = inst(topology::grid(3, 3), (1..=9).collect(), FailureSchedule::none());
         let cfg = TradeoffConfig { b: 42, c: 1, f: 4, seed: 9 };
         let plain = run_tradeoff(&Sum, &i, &cfg);
-        let (rep, trace) = run_tradeoff_traced(&Sum, &i, &cfg);
+        let (rep, seen) = run_tradeoff_observed(&Sum, &i, &cfg, Observe::trace());
+        let trace = seen.trace.expect("trace requested");
         // Tracing is passive: same execution, same numbers.
         assert_eq!(rep.result, plain.result);
         assert_eq!(rep.rounds, plain.rounds);

@@ -46,15 +46,13 @@ pub struct Progress {
     /// Watchdog violations the driver has fed into the sink so far (via
     /// [`ProgressSink::add_violations`]); 0 when unmonitored.
     pub violations: u64,
-    /// Median per-trial latency in microseconds so far (0 on the
-    /// uninstrumented paths — see [`Runner::run_instrumented`]).
+    /// Median per-trial latency in microseconds so far.
     pub p50_micros: u64,
-    /// 99th-percentile per-trial latency in microseconds so far (0 on
-    /// the uninstrumented paths).
+    /// 99th-percentile per-trial latency in microseconds so far.
     pub p99_micros: u64,
     /// The worker whose accumulated busy time exceeds twice the mean —
-    /// a straggler hint, populated by the instrumented paths once every
-    /// worker has had a fair chance (≥ 2 trials per worker overall).
+    /// a straggler hint, populated once every worker has had a fair
+    /// chance (≥ 2 trials per worker overall).
     pub straggler: Option<usize>,
 }
 
@@ -185,7 +183,7 @@ impl ProgressSink for ConsoleProgress {
 }
 
 /// One worker's share of an instrumented sweep (see
-/// [`Runner::run_instrumented`]). Wall-clock fields (`busy`, `idle`,
+/// [`Runner::run_observed`]). Wall-clock fields (`busy`, `idle`,
 /// latency quantiles) and `steals` depend on OS scheduling and are *not*
 /// deterministic; only the totals across workers (trial count, latency
 /// histogram count) are.
@@ -477,126 +475,57 @@ impl Runner {
         self.run_inner(seeds, |s, _| trial(s), None, false).0
     }
 
-    /// [`Runner::run`] with a live [`ProgressSink`] observing trial
-    /// completions. The sink is consulted behind one `Option` branch per
-    /// *trial* (not per round), mirroring the engine's trace-sink guard;
-    /// the returned results are bit-identical to [`Runner::run`]'s.
-    pub fn run_progress<T, F>(&self, seeds: &[u64], trial: F, sink: &dyn ProgressSink) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(u64) -> T + Sync,
-    {
-        self.run_inner(seeds, |s, _| trial(s), Some(sink), false).0
-    }
-
-    /// [`Runner::run`] with per-worker telemetry: each worker owns a
-    /// private [`TelemetryHub`] (trials, steals, busy/idle wall time, a
-    /// per-trial latency log₂ histogram), merged deterministically in
-    /// worker order at join. The results vector is bit-identical to
-    /// [`Runner::run`]'s — telemetry never touches the seed-ordered
-    /// results.
-    pub fn run_instrumented<T, F>(&self, seeds: &[u64], trial: F) -> (Vec<T>, RunnerTelemetry)
-    where
-        T: Send,
-        F: Fn(u64) -> T + Sync,
-    {
-        let (results, tele) = self.run_inner(seeds, |s, _| trial(s), None, true);
-        (results, tele.expect("instrumented run always yields telemetry"))
-    }
-
-    /// [`Runner::run_instrumented`] with a live [`ProgressSink`]; the
-    /// progress line additionally carries running p50/p99 trial latency
-    /// and a straggler flag.
-    pub fn run_progress_instrumented<T, F>(
+    /// [`Runner::run`] with everything a sweep can observe. Each worker
+    /// owns a private [`TelemetryHub`] (trials, steals, busy/idle wall
+    /// time, a per-trial latency log₂ histogram), merged deterministically
+    /// in worker order at join into the returned [`RunnerTelemetry`]. A
+    /// `progress` sink sees every completion, with running p50/p99 trial
+    /// latency and a straggler flag; it is consulted behind one `Option`
+    /// branch per *trial* (not per round), mirroring the engine's
+    /// trace-sink guard. A `timeline` records one `Trial` span per seed on
+    /// the executing worker's lane.
+    ///
+    /// `trial` receives `(seed, lane)`: worker `w` owns lane `w + 1`
+    /// (lane 0 is left to the driver's own spans), so the closure can
+    /// forward it to [`crate::engine::Engine::set_timeline`] and nested
+    /// round/stage spans land on the same track as the enclosing trial.
+    /// The results vector is bit-identical to [`Runner::run`]'s —
+    /// observation never touches the seed-ordered results.
+    pub fn run_observed<T, F>(
         &self,
         seeds: &[u64],
         trial: F,
-        sink: &dyn ProgressSink,
-    ) -> (Vec<T>, RunnerTelemetry)
-    where
-        T: Send,
-        F: Fn(u64) -> T + Sync,
-    {
-        let (results, tele) = self.run_inner(seeds, |s, _| trial(s), Some(sink), true);
-        (results, tele.expect("instrumented run always yields telemetry"))
-    }
-
-    /// [`Runner::run_instrumented`] with a wall-clock
-    /// [`crate::timeline::Timeline`] recording one `Trial` span per seed
-    /// on the executing worker's lane. Worker `w` owns lane `w + 1`
-    /// (lane 0 is left to the driver's own spans), and the trial closure
-    /// receives that lane so it can forward it to
-    /// [`crate::engine::Engine::set_timeline`] — nested round/stage
-    /// spans then land on the same track as the enclosing trial.
-    pub fn run_instrumented_timeline<T, F>(
-        &self,
-        seeds: &[u64],
-        trial: F,
-        tl: &crate::timeline::Timeline,
+        progress: Option<&dyn ProgressSink>,
+        timeline: Option<&crate::timeline::Timeline>,
     ) -> (Vec<T>, RunnerTelemetry)
     where
         T: Send,
         F: Fn(u64, u32) -> T + Sync,
     {
-        let (results, tele) = self.run_inner(seeds, self.timeline_trial(trial, tl), None, true);
-        (results, tele.expect("instrumented run always yields telemetry"))
-    }
-
-    /// [`Runner::run_instrumented_timeline`] with a live
-    /// [`ProgressSink`].
-    pub fn run_progress_instrumented_timeline<T, F>(
-        &self,
-        seeds: &[u64],
-        trial: F,
-        sink: &dyn ProgressSink,
-        tl: &crate::timeline::Timeline,
-    ) -> (Vec<T>, RunnerTelemetry)
-    where
-        T: Send,
-        F: Fn(u64, u32) -> T + Sync,
-    {
-        let (results, tele) =
-            self.run_inner(seeds, self.timeline_trial(trial, tl), Some(sink), true);
-        (results, tele.expect("instrumented run always yields telemetry"))
-    }
-
-    /// Wraps a lane-aware trial closure so each invocation is bracketed
-    /// by a `Trial` span on the executing worker's lane. Also names the
-    /// worker lanes up front so the export carries readable tracks even
-    /// if a worker never claims a seed.
-    fn timeline_trial<'a, T, F>(
-        &self,
-        trial: F,
-        tl: &crate::timeline::Timeline,
-    ) -> impl Fn(u64, usize) -> T + Sync + 'a
-    where
-        T: Send,
-        F: Fn(u64, u32) -> T + Sync + 'a,
-    {
-        for w in 0..self.threads.max(1) {
-            tl.name_lane(w as u32 + 1, &format!("worker {w}"));
+        if let Some(tl) = timeline {
+            // Name the worker lanes up front so the export carries
+            // readable tracks even if a worker never claims a seed.
+            for w in 0..self.threads.max(1) {
+                tl.name_lane(w as u32 + 1, &format!("worker {w}"));
+            }
         }
-        let tl = tl.clone();
-        move |seed: u64, worker: usize| {
+        let trial = |seed: u64, worker: usize| {
             let lane = worker as u32 + 1;
+            let Some(tl) = timeline else { return trial(seed, lane) };
             let t0 = tl.now_ns();
             let out = trial(seed, lane);
             let dur = tl.now_ns().saturating_sub(t0);
-            tl.record_span(
-                crate::timeline::SpanKind::Trial,
-                &format!("seed {seed}"),
-                lane,
-                t0,
-                dur,
-                Some(seed),
-            );
+            let kind = crate::timeline::SpanKind::Trial;
+            tl.record_span(kind, &format!("seed {seed}"), lane, t0, dur, Some(seed));
             out
-        }
+        };
+        let (results, tele) = self.run_inner(seeds, trial, progress, true);
+        (results, tele.expect("instrumented run always yields telemetry"))
     }
 
     /// The shared trial loop. `trial` receives `(seed, worker)` — the
-    /// public entry points either discard the worker index or use it to
-    /// route timeline spans onto per-worker lanes.
+    /// public entry points either discard the worker index or map it to
+    /// the worker's timeline lane.
     fn run_inner<T, F>(
         &self,
         seeds: &[u64],
@@ -614,7 +543,7 @@ impl Runner {
         let serial = self.threads <= 1 || seeds.len() <= 1;
         let workers = if serial { 1 } else { self.threads.min(seeds.len()) };
         // Live latency/straggler state exists only when someone watches.
-        let live = (instrument && progress.is_some()).then(|| LiveLoad::new(workers));
+        let live = progress.map(|_| LiveLoad::new(workers));
         let live = live.as_ref();
         // The per-trial observation both paths share: bump the shared
         // counter, snapshot, hand to the sink. One branch when no sink.
@@ -704,36 +633,6 @@ impl Runner {
             slots.into_iter().map(|s| s.expect("every claimed seed produces a result")).collect();
         let tele = instrument.then(|| RunnerTelemetry::from_parts(worker_parts, started.elapsed()));
         (results, tele)
-    }
-
-    /// Runs `trial` per seed, then folds the results serially **in seed
-    /// order** — the parallel equivalent of
-    /// `seeds.iter().fold(init, |acc, &s| reduce(acc, trial(s)))`.
-    pub fn run_reduce<T, A, F, R>(&self, seeds: &[u64], trial: F, init: A, mut reduce: R) -> A
-    where
-        T: Send,
-        F: Fn(u64) -> T + Sync,
-        R: FnMut(A, T) -> A,
-    {
-        self.run(seeds, trial).into_iter().fold(init, &mut reduce)
-    }
-
-    /// [`Runner::run_reduce`] with a live [`ProgressSink`] — same
-    /// seed-order fold, progress streamed as trials complete.
-    pub fn run_reduce_progress<T, A, F, R>(
-        &self,
-        seeds: &[u64],
-        trial: F,
-        init: A,
-        mut reduce: R,
-        sink: &dyn ProgressSink,
-    ) -> A
-    where
-        T: Send,
-        F: Fn(u64) -> T + Sync,
-        R: FnMut(A, T) -> A,
-    {
-        self.run_progress(seeds, trial, sink).into_iter().fold(init, &mut reduce)
     }
 }
 
@@ -1077,16 +976,6 @@ mod tests {
     }
 
     #[test]
-    fn run_reduce_matches_serial_fold() {
-        let seeds: Vec<u64> = (0..50).collect();
-        let serial = seeds.iter().fold(0u64, |acc, &s| acc.wrapping_mul(3) ^ s);
-        // A non-commutative fold: only seed-order reduction matches.
-        let par =
-            Runner::exact(8).run_reduce(&seeds, |s| s, 0u64, |acc, s| acc.wrapping_mul(3) ^ s);
-        assert_eq!(par, serial);
-    }
-
-    #[test]
     fn empty_and_singleton_seed_lists() {
         let r = Runner::exact(8);
         assert_eq!(r.run(&[], |s| s), Vec::<u64>::new());
@@ -1200,7 +1089,8 @@ mod tests {
         let expect = Runner::exact(4).run(&seeds, |s| s * 3);
         for threads in [1, 4] {
             let sink = CountingSink::default();
-            let got = Runner::new(threads).run_progress(&seeds, |s| s * 3, &sink);
+            let (got, _) =
+                Runner::new(threads).run_observed(&seeds, |s, _| s * 3, Some(&sink), None);
             assert_eq!(got, expect, "threads = {threads}");
             let calls = sink.calls.lock().unwrap();
             assert_eq!(calls.len(), seeds.len());
@@ -1212,22 +1102,6 @@ mod tests {
             let max_worker = calls.iter().map(|c| c.2).max().unwrap();
             assert!(max_worker < threads.max(1), "worker {max_worker} at {threads} threads");
         }
-    }
-
-    #[test]
-    fn run_reduce_progress_matches_run_reduce() {
-        let seeds: Vec<u64> = (0..40).collect();
-        let plain = Runner::exact(8).run_reduce(&seeds, |s| s, 1u64, |a, s| a.wrapping_mul(3) ^ s);
-        let sink = CountingSink::default();
-        let with = Runner::exact(8).run_reduce_progress(
-            &seeds,
-            |s| s,
-            1u64,
-            |a, s| a.wrapping_mul(3) ^ s,
-            &sink,
-        );
-        assert_eq!(with, plain);
-        assert_eq!(sink.calls.lock().unwrap().len(), 40);
     }
 
     #[test]
@@ -1376,8 +1250,12 @@ mod tests {
         let seeds: Vec<u64> = (0..37).collect();
         let plain = Runner::exact(4).run(&seeds, |s| s.wrapping_mul(7) ^ 1);
         for threads in [1, 2, 4] {
-            let (got, tele) =
-                Runner::exact(threads).run_instrumented(&seeds, |s| s.wrapping_mul(7) ^ 1);
+            let (got, tele) = Runner::exact(threads).run_observed(
+                &seeds,
+                |s, _| s.wrapping_mul(7) ^ 1,
+                None,
+                None,
+            );
             assert_eq!(got, plain, "threads = {threads}");
             // Deterministic totals: every seed ran exactly once.
             assert_eq!(tele.trials(), seeds.len() as u64);
@@ -1424,7 +1302,7 @@ mod tests {
         };
         let plain = Runner::exact(2).run(&seeds, slow);
         let sink = LatencySink::default();
-        let (got, tele) = Runner::exact(2).run_progress_instrumented(&seeds, slow, &sink);
+        let (got, tele) = Runner::exact(2).run_observed(&seeds, |s, _| slow(s), Some(&sink), None);
         assert_eq!(got, plain);
         assert_eq!(sink.calls.load(Ordering::Relaxed), 16);
         // A 1 ms trial always lands at >= 1000 us, so every progress
@@ -1439,8 +1317,7 @@ mod tests {
         use crate::timeline::{SpanKind, Timeline};
         let tl = Timeline::new();
         let seeds: Vec<u64> = (0..8).collect();
-        let (got, _tele) =
-            Runner::exact(2).run_instrumented_timeline(&seeds, |s, _lane| s * 3, &tl);
+        let (got, _tele) = Runner::exact(2).run_observed(&seeds, |s, _lane| s * 3, None, Some(&tl));
         assert_eq!(got, seeds.iter().map(|s| s * 3).collect::<Vec<_>>());
         let data = tl.snapshot();
         let trials: Vec<_> = data.spans.iter().filter(|s| s.kind == SpanKind::Trial).collect();
@@ -1485,7 +1362,7 @@ mod tests {
         };
         let mut s: TrialSummary = [&t].into_iter().collect();
         assert!(s.workers.is_empty(), "absorbing trials must not invent workers");
-        let (_, tele) = Runner::exact(2).run_instrumented(&[1, 2, 3, 4], |s| s);
+        let (_, tele) = Runner::exact(2).run_observed(&[1, 2, 3, 4], |s, _| s, None, None);
         s.set_workers(tele.workers.clone());
         assert_eq!(s.workers.len(), 2);
     }

@@ -35,7 +35,7 @@
 use crate::adversary::Round;
 use crate::trace::{Event, TraceSink};
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -640,13 +640,14 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Parser<'a> {
-        Parser { bytes: s.as_bytes(), pos: 0 }
+        Parser { text: s, bytes: s.as_bytes(), pos: 0 }
     }
 
     fn skip_ws(&mut self) {
@@ -752,13 +753,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from a
-                    // &str, so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote or escape. Every token boundary is ASCII, so
+                    // `pos` sits on a char boundary of the input &str.
+                    let rest = self.text.get(self.pos..).ok_or("invalid utf-8")?;
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -863,7 +864,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
     let mut tracks: Vec<String> = Vec::new();
     let mut lanes: Vec<u64> = Vec::new();
     let mut cats: Vec<String> = Vec::new();
-    let mut flow_starts: Vec<u64> = Vec::new();
+    let mut flow_starts: HashSet<u64> = HashSet::new();
     let mut flow_ends: Vec<u64> = Vec::new();
     for (i, e) in events.iter().enumerate() {
         let ph = e
@@ -923,7 +924,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
                 let id = need_num("id")? as u64;
                 need_num("ts")?;
                 if ph == "s" {
-                    flow_starts.push(id);
+                    flow_starts.insert(id);
                 } else {
                     flow_ends.push(id);
                 }
@@ -1122,6 +1123,24 @@ mod tests {
             "flow finish without start"
         );
         assert!(validate_chrome_trace("not json").is_err());
+    }
+
+    #[test]
+    fn validator_is_linear_on_multi_megabyte_traces() {
+        let tl = Timeline::with_capacity(1 << 16);
+        for i in 0..40_000u64 {
+            tl.record_span(SpanKind::Round, "round \u{e9}tape", (i % 4) as u32, i * 10, 5, Some(i));
+        }
+        for id in 0..8_000u64 {
+            tl.flow_at(id, 0, id * 10, true);
+            tl.flow_at(id, 1, id * 10 + 5, false);
+        }
+        let json = chrome_trace_json(&tl.snapshot(), "big");
+        assert!(json.len() > 4 << 20, "only {} bytes", json.len());
+        let check = validate_chrome_trace(&json).expect("valid trace");
+        assert_eq!(check.duration_events, 40_000);
+        assert_eq!(check.flows, 8_000);
+        assert_eq!(check.lanes, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn every_entry_replays_bit_for_bit_under_strict_watchdog() {
             replay.value,
             entry.value,
         );
-        assert!(replay.clean, "{}: strict watchdog flagged the replay", p.display());
+        assert!(replay.monitor.is_clean(), "{}: strict watchdog flagged the replay", p.display());
         assert_eq!(replay.counterexamples, 0, "{}: replay produced wrong results", p.display());
     }
 }
@@ -100,7 +100,7 @@ fn every_entry_replays_identically_on_the_soa_engine() {
             soa.value,
             entry.value,
         );
-        assert!(soa.clean, "{}: strict watchdog flagged the soa replay", p.display());
+        assert!(soa.monitor.is_clean(), "{}: strict watchdog flagged the soa replay", p.display());
         assert_eq!(soa.counterexamples, 0, "{}: soa replay produced wrong results", p.display());
     }
 }

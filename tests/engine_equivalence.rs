@@ -14,10 +14,10 @@
 //! the guilty round and node directly.
 
 use caaf::{Caaf, Max, Sum};
-use ftagg::doubling::{run_doubling_traced, DoublingConfig};
+use ftagg::doubling::{run_doubling_observed, DoublingConfig, DoublingReport};
 use ftagg::pair::Tweaks;
-use ftagg::tradeoff::{run_tradeoff_traced, TradeoffConfig};
-use ftagg::{run_pair_traced, Instance};
+use ftagg::tradeoff::{run_tradeoff_observed, TradeoffConfig, TradeoffReport};
+use ftagg::{run_pair_observed, Instance, Observe, PairReport};
 use netsim::testkit::{assert_equivalent, capture_parts, RunArtifacts};
 use netsim::{
     adversary::schedules, topology, CorpusEntry, EngineKind, FailureSchedule, Metrics, NodeId,
@@ -34,6 +34,23 @@ const C: u32 = 2;
 /// subset is compared (trace bytes already pin every send and delivery).
 fn artifacts(engine: EngineKind, trace: &Trace, metrics: &Metrics, rounds: Round) -> RunArtifacts {
     capture_parts(engine.name(), Some(trace), metrics, &Telemetry::default(), rounds)
+}
+
+fn traced_pair<C2: Caaf>(op: &C2, inst: &Instance, t: u32) -> (PairReport, Trace) {
+    let s = inst.schedule.clone();
+    let (r, seen, _) =
+        run_pair_observed(op, inst, s, C, t, true, 0, Tweaks::default(), Observe::trace());
+    (r, seen.trace.expect("trace requested"))
+}
+
+fn traced_tradeoff(inst: &Instance, cfg: &TradeoffConfig) -> (TradeoffReport, Trace) {
+    let (r, seen) = run_tradeoff_observed(&Sum, inst, cfg, Observe::trace());
+    (r, seen.trace.expect("trace requested"))
+}
+
+fn traced_doubling(inst: &Instance, cfg: &DoublingConfig) -> (DoublingReport, Trace) {
+    let (r, seen) = run_doubling_observed(&Sum, inst, cfg, Observe::trace());
+    (r, seen.trace.expect("trace requested"))
 }
 
 /// The schedule matrix every topology runs under: clean, one clean crash,
@@ -80,10 +97,8 @@ fn both_engines(inst: &Instance) -> [Instance; 2] {
 
 fn assert_pair_equivalent<C2: Caaf>(op: &C2, inst: &Instance, t: u32, context: &str) {
     let [classic, soa] = both_engines(inst);
-    let (rc, tc) =
-        run_pair_traced(op, &classic, classic.schedule.clone(), C, t, true, 0, Tweaks::default());
-    let (rs, ts) =
-        run_pair_traced(op, &soa, soa.schedule.clone(), C, t, true, 0, Tweaks::default());
+    let (rc, tc) = traced_pair(op, &classic, t);
+    let (rs, ts) = traced_pair(op, &soa, t);
     assert_eq!(rc.outcome, rs.outcome, "{context}: AGG outcome");
     assert_eq!(rc.verdict, rs.verdict, "{context}: VERI verdict");
     assert_eq!(rc.rounds, rs.rounds, "{context}: rounds");
@@ -166,8 +181,8 @@ fn tradeoff_runs_are_byte_identical_across_engines() {
         let inst = Instance::new(g, NodeId(0), inputs, s, 63).unwrap();
         let cfg = TradeoffConfig { b, c: C, f: inst.edge_failures().max(1), seed };
         let [classic, soa] = both_engines(&inst);
-        let (rc, tc) = run_tradeoff_traced(&Sum, &classic, &cfg);
-        let (rs, ts) = run_tradeoff_traced(&Sum, &soa, &cfg);
+        let (rc, tc) = traced_tradeoff(&classic, &cfg);
+        let (rs, ts) = traced_tradeoff(&soa, &cfg);
         let context = format!("tradeoff seed {seed}");
         assert_eq!(rc.result, rs.result, "{context}: result");
         assert_eq!(rc.correct, rs.correct, "{context}: oracle");
@@ -197,22 +212,27 @@ fn doubling_runs_are_byte_identical_across_engines() {
         let s = schedules::random(&g, NodeId(0), 1 + (seed % 3) as usize, 60, &mut rng);
         let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..32)).collect();
         let inst = Instance::new(g, NodeId(0), inputs, s, 31).unwrap();
-        let cfg = DoublingConfig { c: C, max_stages: 4 };
         let [classic, soa] = both_engines(&inst);
-        let (rc, tc) = run_doubling_traced(&Sum, &classic, &cfg);
-        let (rs, ts) = run_doubling_traced(&Sum, &soa, &cfg);
-        let context = format!("doubling seed {seed}");
-        assert_eq!(rc.result, rs.result, "{context}: result");
-        assert_eq!(rc.correct, rs.correct, "{context}: oracle");
-        assert_eq!(rc.stages, rs.stages, "{context}: stages");
-        assert_eq!(rc.final_guess, rs.final_guess, "{context}: final guess");
-        assert_eq!(rc.rounds, rs.rounds, "{context}: rounds");
-        assert_eq!(rc.used_fallback, rs.used_fallback, "{context}: fallback");
-        assert_equivalent(
-            &artifacts(EngineKind::Classic, &tc, &rc.metrics, rc.rounds),
-            &artifacts(EngineKind::Soa, &ts, &rs.metrics, rs.rounds),
-            &context,
-        );
+        // No stages at all forces the brute-force fallback, which must
+        // run on the instance's engine too.
+        for max_stages in [4, 0] {
+            let cfg = DoublingConfig { c: C, max_stages };
+            let (rc, tc) = traced_doubling(&classic, &cfg);
+            let (rs, ts) = traced_doubling(&soa, &cfg);
+            let context = format!("doubling seed {seed}, {max_stages} stages");
+            assert_eq!(rc.result, rs.result, "{context}: result");
+            assert_eq!(rc.correct, rs.correct, "{context}: oracle");
+            assert_eq!(rc.stages, rs.stages, "{context}: stages");
+            assert_eq!(rc.final_guess, rs.final_guess, "{context}: final guess");
+            assert_eq!(rc.rounds, rs.rounds, "{context}: rounds");
+            assert_eq!(rc.used_fallback, rs.used_fallback, "{context}: fallback");
+            assert!(rc.used_fallback || max_stages > 0, "{context}: no stage, no fallback");
+            assert_equivalent(
+                &artifacts(EngineKind::Classic, &tc, &rc.metrics, rc.rounds),
+                &artifacts(EngineKind::Soa, &ts, &rs.metrics, rs.rounds),
+                &context,
+            );
+        }
     }
 }
 
@@ -259,8 +279,8 @@ fn mined_corpus_runs_are_byte_identical_across_engines() {
         )
         .unwrap();
         let [classic, soa] = both_engines(&inst);
-        let (rc, tc) = run_tradeoff_traced(&Sum, &classic, &cfg);
-        let (rs, ts) = run_tradeoff_traced(&Sum, &soa, &cfg);
+        let (rc, tc) = traced_tradeoff(&classic, &cfg);
+        let (rs, ts) = traced_tradeoff(&soa, &cfg);
         let context = format!("corpus {}", p.display());
         assert_eq!(rc.result, rs.result, "{context}: result");
         assert_eq!(rc.rounds, rs.rounds, "{context}: rounds");

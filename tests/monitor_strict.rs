@@ -8,11 +8,11 @@
 //! `cargo test` too, not only by running the bins.
 
 use caaf::Sum;
-use ftagg::monitored::run_pair_engine_monitored;
+use ftagg::pair::Tweaks;
 use ftagg::tradeoff::{run_tradeoff_monitored, TradeoffConfig};
-use ftagg::Instance;
+use ftagg::{run_pair_observed, Instance, Observe};
 use ftagg_bench::Env;
-use netsim::{adversary::schedules, topology, NodeId, Runner};
+use netsim::{adversary::schedules, topology, FailureSchedule, NodeId, Runner};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -21,9 +21,9 @@ const C: u32 = 2;
 /// Reduced table2-style pair slice: random G(n,p) / cycle / caterpillar
 /// instances with random crash schedules, AGG + VERI both monitored in
 /// strict mode (a violation panics), lenient report asserted clean too.
-/// Uses the engine variant, as the Table 2 bin does: with more failures
-/// than `t` the paper gives no correctness guarantee, so the CAAF
-/// envelope is not an invariant on this slice.
+/// As in the Table 2 bin, the envelope judges every value except one VERI
+/// rejected with more failures than `t`: there the paper lets AGG be
+/// wrong, but then VERI must say false.
 #[test]
 fn strict_watchdog_clean_on_table2_style_pairs() {
     let seeds: Vec<u64> = (0..60).collect();
@@ -60,8 +60,19 @@ fn strict_watchdog_clean_on_table2_style_pairs() {
             return false;
         }
         let t = rng.gen_range(0..5);
-        let (_eng, _params, monitor) =
-            run_pair_engine_monitored(&Sum, &inst, inst.schedule.clone(), C, t, true, true);
+        let obs = Observe::watchdog(true);
+        let (_, seen, _) = run_pair_observed(
+            &Sum,
+            &inst,
+            inst.schedule.clone(),
+            C,
+            t,
+            true,
+            0,
+            Tweaks::default(),
+            obs,
+        );
+        let monitor = seen.monitor.expect("watchdog requested");
         assert!(monitor.is_clean(), "trial {trial}: {}", monitor.render());
         true
     });
@@ -71,6 +82,31 @@ fn strict_watchdog_clean_on_table2_style_pairs() {
 
 /// Reduced fig1-style tradeoff slice: caterpillar instances across a few
 /// TC budgets, the full Algorithm 1 regeneration loop monitored strict.
+/// The one value the envelope exempts: AGG wrong, VERI false, and more
+/// edge failures in the pair's window than `t` (Table 2's third row).
+#[test]
+fn strict_watchdog_exempts_a_rejected_value_beyond_t_failures() {
+    // Two crashes on a 9-cycle cost 3 edge failures, more than t = 0.
+    let mut s = FailureSchedule::none();
+    s.crash(NodeId(2), 16).crash(NodeId(3), 18);
+    let inputs = vec![3, 7, 4, 1, 1, 1, 0, 3, 3];
+    let inst = Instance::new(topology::cycle(9), NodeId(0), inputs, s, 7).unwrap();
+    let (obs, s) = (Observe::watchdog(true), inst.schedule.clone());
+    let (report, seen, _) =
+        run_pair_observed(&Sum, &inst, s, C, 0, true, 0, Tweaks::default(), obs);
+    assert_eq!((report.verdict, report.correct), (Some(false), Some(false)));
+    let failures = ftagg::analysis::effective_edge_failures(
+        &inst.graph,
+        &inst.schedule,
+        inst.root,
+        report.rounds,
+    );
+    assert_eq!(failures, 3);
+    let monitor = seen.monitor.expect("watchdog requested");
+    assert_eq!(monitor.decides, 1);
+    assert!(monitor.is_clean(), "{}", monitor.render());
+}
+
 #[test]
 fn strict_watchdog_clean_on_fig1_style_tradeoff_slice() {
     let f_bound = 12;

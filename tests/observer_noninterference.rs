@@ -10,7 +10,8 @@ use std::any::Any;
 use std::sync::Arc;
 
 use caaf::Sum;
-use ftagg::{run_pair, run_pair_with_sink, Instance, PairReport};
+use ftagg::pair::Tweaks;
+use ftagg::{run_pair, run_pair_observed, Instance, Observe, PairReport};
 use netsim::{
     adversary::schedules, round_observer, topology, Engine, FailureSchedule, FlightRecorder, Graph,
     JsonlSink, Message, Metrics, NodeId, NodeLogic, PhaseStats, Received, Round, RoundCtx,
@@ -390,26 +391,15 @@ fn pair_reports_and_metrics_are_identical_across_sinks() {
     for seed in 0..10u64 {
         let (inst, c, t) = pair_scenario(seed);
         let quiet = run_pair(&Sum, &inst, c, t, true);
-        let (traced, sink_t) = run_pair_with_sink(
-            &Sum,
-            &inst,
-            inst.schedule.clone(),
-            c,
-            t,
-            true,
-            0,
-            Box::new(Trace::new()),
-        );
-        let (streamed, sink_j) = run_pair_with_sink(
-            &Sum,
-            &inst,
-            inst.schedule.clone(),
-            c,
-            t,
-            true,
-            0,
-            Box::new(JsonlSink::new(Vec::<u8>::new())),
-        );
+        let with_sink = |sink: Box<dyn TraceSink>| {
+            let obs = Observe { sink: Some(sink), ..Observe::default() };
+            let s = inst.schedule.clone();
+            let (report, seen, _) =
+                run_pair_observed(&Sum, &inst, s, c, t, true, 0, Tweaks::default(), obs);
+            (report, seen.sink.expect("the sink comes back"))
+        };
+        let (traced, sink_t) = with_sink(Box::new(Trace::new()));
+        let (streamed, sink_j) = with_sink(Box::new(JsonlSink::new(Vec::<u8>::new())));
 
         assert_eq!(
             report_fingerprint(&traced),
@@ -446,4 +436,58 @@ fn pair_reports_and_metrics_are_identical_across_sinks() {
         assert_eq!(replayed.per_round, reference.per_round, "seed {seed}");
         assert_eq!(replayed.phases, reference.phases, "seed {seed}");
     }
+}
+
+/// The multi-engine drivers carry their whole bundle at once — trace,
+/// watchdog and a timeline lane — and still report exactly what the quiet
+/// run reports; the merged trace replays to the merged metrics.
+#[test]
+fn tradeoff_and_doubling_carry_every_observer_without_perturbing() {
+    use ftagg::doubling::{run_doubling_observed, DoublingConfig};
+    use ftagg::tradeoff::{run_tradeoff_observed, TradeoffConfig};
+
+    for seed in 0..6u64 {
+        let (inst, c, _) = pair_scenario(seed);
+        let tl = Timeline::new();
+        let observe = || Observe {
+            trace: true,
+            watchdog: Some(false),
+            timeline: Some((&tl, 1)),
+            ..Observe::default()
+        };
+        let check = |what: &str, metrics: &Metrics, seen: ftagg::Observed| {
+            let trace = seen.trace.expect("trace requested");
+            assert!(seen.monitor.expect("watchdog requested").is_clean(), "{what}");
+            assert_eq!(trace.replay_metrics().bits_per_node(), metrics.bits_per_node(), "{what}");
+        };
+
+        let cfg = TradeoffConfig { b: 42, c, f: inst.edge_failures().max(1), seed };
+        let quiet = ftagg::tradeoff::run_tradeoff(&Sum, &inst, &cfg);
+        let (r, seen) = run_tradeoff_observed(&Sum, &inst, &cfg, observe());
+        let what = format!("tradeoff seed {seed}");
+        assert_eq!(
+            (r.result, r.rounds, r.pairs_run),
+            (quiet.result, quiet.rounds, quiet.pairs_run)
+        );
+        assert_eq!(fingerprint(&r.metrics), fingerprint(&quiet.metrics), "{what}");
+        check(&what, &r.metrics, seen);
+
+        let cfg = DoublingConfig { c, max_stages: 4 };
+        let quiet = ftagg::doubling::run_doubling(&Sum, &inst, &cfg);
+        let (r, seen) = run_doubling_observed(&Sum, &inst, &cfg, observe());
+        let what = format!("doubling seed {seed}");
+        assert_eq!((r.result, r.rounds, r.stages), (quiet.result, quiet.rounds, quiet.stages));
+        assert_eq!(fingerprint(&r.metrics), fingerprint(&quiet.metrics), "{what}");
+        check(&what, &r.metrics, seen);
+    }
+}
+
+#[test]
+#[should_panic(expected = "takes no extra sink or round callback")]
+fn multi_engine_runs_reject_an_extra_sink() {
+    use ftagg::tradeoff::{run_tradeoff_observed, TradeoffConfig};
+    let (inst, c, _) = pair_scenario(0);
+    let cfg = TradeoffConfig { b: 42, c, f: 1, seed: 0 };
+    let obs = Observe { sink: Some(Box::new(Trace::new())), ..Observe::default() };
+    run_tradeoff_observed(&Sum, &inst, &cfg, obs);
 }

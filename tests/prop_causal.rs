@@ -10,9 +10,9 @@
 //!    round, for single pairs and for full Algorithm 1 executions.
 
 use ftagg::pair::Tweaks;
-use ftagg::tradeoff::{run_tradeoff_traced, TradeoffConfig};
-use ftagg::{run_pair_traced, Instance};
-use netsim::{adversary::schedules, topology, Blame, CausalDag, FailureSchedule, NodeId};
+use ftagg::tradeoff::{run_tradeoff_observed, TradeoffConfig, TradeoffReport};
+use ftagg::{run_pair_observed, Instance, Observe, PairReport};
+use netsim::{adversary::schedules, topology, Blame, CausalDag, FailureSchedule, NodeId, Trace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,6 +50,18 @@ fn random_instance(seed: u64, c: u32) -> Instance {
     Instance::new(g, NodeId(0), inputs, schedule, 50).unwrap()
 }
 
+fn traced_pair(inst: &Instance, schedule: FailureSchedule, c: u32) -> (PairReport, Trace) {
+    let obs = Observe::trace();
+    let (r, seen, _) =
+        run_pair_observed(&caaf::Sum, inst, schedule, c, 2, true, 0, Tweaks::default(), obs);
+    (r, seen.trace.expect("trace requested"))
+}
+
+fn traced_tradeoff(inst: &Instance, cfg: &TradeoffConfig) -> (TradeoffReport, Trace) {
+    let (r, seen) = run_tradeoff_observed(&caaf::Sum, inst, cfg, Observe::trace());
+    (r, seen.trace.expect("trace requested"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -61,7 +73,7 @@ proptest! {
         let c = 2;
         let inst = random_instance(seed, c);
         let (_rep, trace) =
-            run_pair_traced(&caaf::Sum, &inst, inst.schedule.clone(), c, 2, true, 0, Tweaks::default());
+            traced_pair(&inst, inst.schedule.clone(), c);
         let dag = CausalDag::from_trace(&trace);
         for (p, ch) in dag.edges() {
             prop_assert!(p < ch, "parent {} not before child {} in vertex order", p, ch);
@@ -80,7 +92,7 @@ proptest! {
         let c = 2;
         let inst = random_instance(seed, c);
         let (rep, trace) =
-            run_pair_traced(&caaf::Sum, &inst, inst.schedule.clone(), c, 2, true, 0, Tweaks::default());
+            traced_pair(&inst, inst.schedule.clone(), c);
         let blame = Blame::from_trace(&trace);
         for v in inst.graph.nodes() {
             prop_assert_eq!(
@@ -103,7 +115,7 @@ proptest! {
         let c = 2;
         let inst = random_instance(seed, c);
         let (rep, trace) =
-            run_pair_traced(&caaf::Sum, &inst, inst.schedule.clone(), c, 2, true, 0, Tweaks::default());
+            traced_pair(&inst, inst.schedule.clone(), c);
         let dag = CausalDag::from_trace(&trace);
         match (rep.result(), dag.critical_path()) {
             (Some(_), Some(cp)) => {
@@ -130,7 +142,7 @@ proptest! {
         let c = 2;
         let inst = random_instance(seed, c);
         let cfg = TradeoffConfig { b: 42, c, f: 4, seed };
-        let (rep, trace) = run_tradeoff_traced(&caaf::Sum, &inst, &cfg);
+        let (rep, trace) = traced_tradeoff(&inst, &cfg);
         prop_assert!(rep.correct);
         let dag = CausalDag::from_trace(&trace);
         let cp = dag.critical_path().expect("a tradeoff run always decides");
@@ -162,7 +174,7 @@ fn pinned_theorem1_run_is_fully_explained() {
     let inputs: Vec<u64> = (0..20).map(|_| rng.gen_range(0..50)).collect();
     let inst = Instance::new(g, NodeId(0), inputs, s, 50).unwrap();
     let cfg = TradeoffConfig { b: 42, c: 2, f: 5, seed: 1014 };
-    let (rep, trace) = run_tradeoff_traced(&caaf::Sum, &inst, &cfg);
+    let (rep, trace) = traced_tradeoff(&inst, &cfg);
     assert!(rep.correct);
 
     let dag = CausalDag::from_trace(&trace);

@@ -11,9 +11,9 @@
 
 use caaf::Sum;
 use ftagg::pair::Tweaks;
-use ftagg::tradeoff::{run_tradeoff_traced, TradeoffConfig};
-use ftagg::{run_pair_traced, Instance};
-use netsim::{adversary::schedules, diff, topology, FailureSchedule, NodeId};
+use ftagg::tradeoff::{run_tradeoff_observed, TradeoffConfig, TradeoffReport};
+use ftagg::{run_pair_observed, Instance, Observe, PairReport};
+use netsim::{adversary::schedules, diff, topology, FailureSchedule, NodeId, Trace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,6 +39,18 @@ fn random_instance(seed: u64, c: u32) -> Instance {
     Instance::new(g, NodeId(0), inputs, schedule, 50).unwrap()
 }
 
+fn traced_pair(inst: &Instance, schedule: FailureSchedule, c: u32) -> (PairReport, Trace) {
+    let obs = Observe::trace();
+    let (r, seen, _) =
+        run_pair_observed(&Sum, inst, schedule, c, 2, true, 0, Tweaks::default(), obs);
+    (r, seen.trace.expect("trace requested"))
+}
+
+fn traced_tradeoff(inst: &Instance, cfg: &TradeoffConfig) -> (TradeoffReport, Trace) {
+    let (r, seen) = run_tradeoff_observed(&Sum, inst, cfg, Observe::trace());
+    (r, seen.trace.expect("trace requested"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -47,17 +59,13 @@ proptest! {
     fn pair_self_diff_is_empty(seed in 0u64..100_000) {
         let c = 2;
         let inst = random_instance(seed, c);
-        let (_r, t) = run_pair_traced(
-            &Sum, &inst, inst.schedule.clone(), c, 2, true, 0, Tweaks::default(),
-        );
+        let (_r, t) = traced_pair(&inst, inst.schedule.clone(), c);
         let d = diff(&t, &t);
         prop_assert!(d.is_empty(), "self-diff must be empty: {:?}", d.divergence);
         prop_assert_eq!(d.events.0, t.events().len());
         // Determinism, witnessed through the diff: an independent rerun
         // of the same configuration is observationally identical.
-        let (_r2, t2) = run_pair_traced(
-            &Sum, &inst, inst.schedule.clone(), c, 2, true, 0, Tweaks::default(),
-        );
+        let (_r2, t2) = traced_pair(&inst, inst.schedule.clone(), c);
         prop_assert!(diff(&t, &t2).is_empty(), "rerun must diff empty");
     }
 
@@ -67,9 +75,9 @@ proptest! {
         let c = 2;
         let inst = random_instance(seed, c);
         let cfg = TradeoffConfig { b: 42, c, f: 4, seed };
-        let (_r, t) = run_tradeoff_traced(&Sum, &inst, &cfg);
+        let (_r, t) = traced_tradeoff(&inst, &cfg);
         prop_assert!(diff(&t, &t).is_empty());
-        let (_r2, t2) = run_tradeoff_traced(&Sum, &inst, &cfg);
+        let (_r2, t2) = traced_tradeoff(&inst, &cfg);
         prop_assert!(diff(&t, &t2).is_empty(), "rerun must diff empty");
     }
 
@@ -93,8 +101,8 @@ proptest! {
         let mut s2 = FailureSchedule::none();
         s2.crash(node, r2);
         let inst = Instance::new(g, NodeId(0), inputs, s1.clone(), 50).unwrap();
-        let (_ra, ta) = run_pair_traced(&Sum, &inst, s1, c, 2, true, 0, Tweaks::default());
-        let (_rb, tb) = run_pair_traced(&Sum, &inst, s2, c, 2, true, 0, Tweaks::default());
+        let (_ra, ta) = traced_pair(&inst, s1, c);
+        let (_rb, tb) = traced_pair(&inst, s2, c);
         let d = diff(&ta, &tb);
         let dv = d.divergence.as_ref().expect("a moved crash must diverge");
         prop_assert!(
@@ -122,8 +130,8 @@ fn pinned_crash_move_is_classified_and_bounded() {
     let mut s2 = FailureSchedule::none();
     s2.crash(NodeId(5), 5);
     let inst = Instance::new(g, NodeId(0), inputs.clone(), s1.clone(), n as u64).unwrap();
-    let (_ra, ta) = run_pair_traced(&Sum, &inst, s1, 2, 2, true, 0, Tweaks::default());
-    let (_rb, tb) = run_pair_traced(&Sum, &inst, s2, 2, 2, true, 0, Tweaks::default());
+    let (_ra, ta) = traced_pair(&inst, s1, 2);
+    let (_rb, tb) = traced_pair(&inst, s2, 2);
     let d = diff(&ta, &tb);
     let dv = d.divergence.expect("moved crash diverges");
     assert!((4..=5).contains(&dv.round), "round {}", dv.round);

@@ -171,7 +171,7 @@ proptest! {
         prop_assert_eq!(parsed.graph.edges(), entry.graph.edges());
         let replay = replay_entry(&parsed, true).expect("replay runs");
         prop_assert_eq!(replay.value, entry.value, "replayed CC drifted");
-        prop_assert!(replay.clean, "strict watchdog flagged the replay");
+        prop_assert!(replay.monitor.is_clean(), "strict watchdog flagged the replay");
         prop_assert_eq!(replay.counterexamples, 0usize);
     }
 }

@@ -185,7 +185,7 @@ fn soa_runner_matches_classic_serial_loop_at_1_2_4_threads() {
     }
 }
 
-/// Per-worker instrumentation is observation only: `run_instrumented`
+/// Per-worker instrumentation is observation only: `run_observed`
 /// returns the same seed-ordered records as the plain runner at every
 /// thread count, and the merged per-worker hubs land on exact totals —
 /// the trial counter and the latency histogram population both equal the
@@ -196,7 +196,8 @@ fn instrumented_runner_observes_without_perturbing_at_1_2_4_threads() {
     let seeds: Vec<u64> = (0..12).collect();
     let reference: Vec<Record> = seeds.iter().map(|&s| tradeoff_trial(s)).collect();
     for threads in [1usize, 2, 4] {
-        let (records, tele) = Runner::exact(threads).run_instrumented(&seeds, tradeoff_trial);
+        let (records, tele) =
+            Runner::exact(threads).run_observed(&seeds, |s, _| tradeoff_trial(s), None, None);
         assert_eq!(records, reference, "instrumented threads = {threads}");
         assert_eq!(
             tele.hub.counter("runner_trials_total").get(),

@@ -11,11 +11,10 @@
 
 use caaf::Sum;
 use ftagg::analysis::{classify, Scenario};
-use ftagg::monitored::run_pair_engine_monitored;
 use ftagg::msg::{agg_bit_budget, veri_bit_budget};
-use ftagg::pair::AggOutcome;
+use ftagg::pair::{AggOutcome, Tweaks};
 use ftagg::tradeoff::{run_tradeoff, TradeoffConfig};
-use ftagg::Instance;
+use ftagg::{run_pair_observed, Instance, Observe};
 use ftagg_bench::search::replay_entry;
 use netsim::{adversary::schedules, topology, CorpusEntry, NodeId, Runner};
 use rand::rngs::StdRng;
@@ -48,8 +47,20 @@ fn pair_trial(seed: u64) -> Option<usize> {
     let inst = Instance::new(g, NodeId(0), inputs, s, 63).unwrap();
     // Strict watchdog: any budget / crash-silence / causality / phase
     // violation panics the trial on the spot.
-    let (eng, params, monitor) =
-        run_pair_engine_monitored(&Sum, &inst, inst.schedule.clone(), C, t, true, true);
+    let obs = Observe::watchdog(true);
+    let (_, seen, eng) = run_pair_observed(
+        &Sum,
+        &inst,
+        inst.schedule.clone(),
+        C,
+        t,
+        true,
+        0,
+        Tweaks::default(),
+        obs,
+    );
+    let monitor = seen.monitor.expect("watchdog requested");
+    let params = *eng.node(inst.root).params();
     assert!(monitor.is_clean(), "seed {seed}: {}", monitor.render());
     let (scenario, _) = classify(&inst, &inst.schedule, &eng, &params);
     let root = eng.node(inst.root);
@@ -116,7 +127,7 @@ fn stress_fast_slice_corpus_replay() {
             .unwrap_or_else(|e| panic!("{} does not parse: {e}", p.display()));
         let replay = replay_entry(&entry, true).expect("corpus entry replays");
         assert_eq!(replay.value, entry.value, "{}: mined CC drifted", p.display());
-        assert!(replay.clean, "{}: watchdog violations", p.display());
+        assert!(replay.monitor.is_clean(), "{}: watchdog violations", p.display());
         replayed += 1;
     }
     assert!(replayed >= 3, "expected the promoted corpus, found {replayed} entries");
