@@ -3,7 +3,7 @@
 //! sweep executed at that scale.
 //!
 //! ```text
-//! fig1_e6 [--quick] [--force-violation] [--flight-out PATH] [--ledger PATH|off]
+//! fig1_e6 [--quick] [--force-violation] [--flight-out PATH]
 //! ```
 //!
 //! Part 1 is the engine-scaling table: a single-origin flood (node 0's
@@ -33,13 +33,9 @@
 //! (`ftagg-cli explain --input PATH`) and the bin exits 1.
 //!
 //! `--quick` shrinks both parts (dim 12, f = 64) for CI smoke; the full
-//! run completes at N = 1,048,576 on one box. Every run appends one
-//! record to the run ledger (default `.ftagg/ledger.jsonl`; `--ledger
-//! off` disables) with the SoA throughput, summed hub counters, and
-//! violation counts, so `ftagg-cli trend` can gate e6 throughput drift.
+//! run completes at N = 1,048,576 on one box.
 
 use ftagg::bounds;
-use ftagg_bench::ledger::{self, LedgerRecord};
 use ftagg_bench::{f, Table};
 use netsim::{
     round_observer, topology, AnyEngine, BitFlood, EngineKind, FailureSchedule, FlightRecorder,
@@ -147,7 +143,6 @@ fn main() {
     let mut quick = false;
     let mut force_violation = false;
     let mut flight_out: Option<String> = None;
-    let mut ledger_arg: Option<String> = None;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -161,25 +156,13 @@ fn main() {
                 };
                 flight_out = Some(p.clone());
             }
-            "--ledger" => {
-                i += 1;
-                let Some(p) = argv.get(i) else {
-                    eprintln!("--ledger needs a path (or 'off')");
-                    std::process::exit(2);
-                };
-                ledger_arg = Some(p.clone());
-            }
             _ => {
-                eprintln!(
-                    "usage: fig1_e6 [--quick] [--force-violation] [--flight-out PATH] \
-                     [--ledger PATH|off]"
-                );
+                eprintln!("usage: fig1_e6 [--quick] [--force-violation] [--flight-out PATH]");
                 std::process::exit(2);
             }
         }
         i += 1;
     }
-    let run_start = Instant::now();
 
     // ── Part 1: engine scaling on hypercubes ──────────────────────────
     let dims: &[u32] = if quick { &[10, 12] } else { &[14, 16, 18, 20] };
@@ -267,7 +250,6 @@ fn main() {
     let mut forced_violations = 0u64;
     let mut flight_dumped = false;
     let mut tele_lines: Vec<String> = Vec::new();
-    let (mut tot_rounds, mut tot_deliveries, mut tot_bits) = (0u64, 0u64, 0u64);
     for &b in bs {
         let groups = (f_bound as u64).div_ceil(b) as usize;
         assert!(groups <= 64, "group mask is a u64");
@@ -301,8 +283,8 @@ fn main() {
         // (O(1) per round), and a deterministic 1-in-16 sampler feeds a
         // flight recorder keeping the last 8 rounds of sampled send
         // events (deliveries excluded, so the hot delivery loop stays
-        // untouched) — the < 5% overhead configuration the snapshot's
-        // interleaved A/B pins.
+        // untouched) — the configuration whose overhead the snapshot's
+        // `perf.telemetry.recorded_ratio` lane measures.
         let hub = Arc::new(TelemetryHub::new());
         eng.stream_rounds(round_observer(&hub));
         let recorder = FlightRecorder::new(8).without_delivers();
@@ -357,9 +339,6 @@ fn main() {
                 }
             }
         }
-        tot_rounds += hub.counter("engine_rounds_total").get();
-        tot_deliveries += hub.counter("engine_deliveries_total").get();
-        tot_bits += hub.counter("engine_bits_total").get();
         let fs = flight.stats();
         tele_lines.push(format!(
             "b = {b:>4}: rounds = {}, deliveries = {}, bits = {}, in-flight peak = {}; \
@@ -394,23 +373,6 @@ fn main() {
     println!("\nrecorded telemetry (hub counters + flight-recorder ring, per budget):");
     for line in &tele_lines {
         println!("  {line}");
-    }
-
-    // One ledger record per e6 run — appended before the exit-code
-    // decision so violating runs are recorded too.
-    if let Some(lpath) = ledger::resolve_path(ledger_arg.as_deref()) {
-        let mut rec = LedgerRecord::new("e6");
-        rec.note("workload", if quick { "quick" } else { "full" })
-            .note("n", n.to_string())
-            .note("f", f_bound.to_string())
-            .metric("perf.e6.soa_mdel_per_s", soa_e6)
-            .metric("engine_rounds_total", tot_rounds as f64)
-            .metric("engine_deliveries_total", tot_deliveries as f64)
-            .metric("engine_bits_total", tot_bits as f64)
-            .metric("violations", violations as f64)
-            .metric("forced_violations", forced_violations as f64)
-            .record_resources(run_start.elapsed());
-        ledger::append_soft(&lpath, &rec);
     }
 
     if force_violation {

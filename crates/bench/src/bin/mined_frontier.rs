@@ -14,16 +14,11 @@
 //! seeds the miner with the cell's own random-sweep schedule (so the
 //! result can only improve on it) and writes entries that strictly beat
 //! the random-sweep worst. `--iterations K` tunes the budget.
-//!
-//! Both modes append one record to the run ledger (default
-//! `.ftagg/ledger.jsonl`; `--ledger off` disables, `--ledger PATH`
-//! redirects) for `ftagg-cli trend`.
 
 use caaf::Sum;
 use ftagg::bounds;
 use ftagg::tradeoff::{run_tradeoff, TradeoffConfig};
 use ftagg_bench::chart::BarChart;
-use ftagg_bench::ledger::{self, LedgerRecord};
 use ftagg_bench::radar::{fit_envelope, Cell, DEFAULT_TOLERANCE};
 use ftagg_bench::search::{
     corpus_entry, mine, replay_entry, Acceptance, MineConfig, MineProtocol, Objective,
@@ -31,7 +26,6 @@ use ftagg_bench::search::{
 use ftagg_bench::{f, threads_from_args, Env, Table};
 use netsim::{CorpusEntry, NodeId, Runner};
 use std::path::PathBuf;
-use std::time::Instant;
 
 const C: u32 = 2;
 const TRIALS: u64 = 4;
@@ -145,7 +139,6 @@ fn mine_cell(spine: usize, ff: usize, b: u64, iterations: usize) -> (CorpusEntry
 }
 
 fn run_mine_mode(iterations: usize) {
-    let start = Instant::now();
     let dir = corpus_dir();
     std::fs::create_dir_all(&dir).expect("create tests/corpus");
     let mut promoted = 0usize;
@@ -166,15 +159,6 @@ fn run_mine_mode(iterations: usize) {
         }
     }
     println!("\n{promoted}/{} cells promoted.", MINE_CELLS.len());
-    if let Some(lpath) = ledger::resolve_path(arg_value("--ledger").as_deref()) {
-        let mut rec = LedgerRecord::new("frontier");
-        rec.note("mode", "mine")
-            .metric("iterations", iterations as f64)
-            .metric("cells", MINE_CELLS.len() as f64)
-            .metric("promoted", promoted as f64)
-            .record_resources(start.elapsed());
-        ledger::append_soft(&lpath, &rec);
-    }
     if promoted < 3 {
         eprintln!("FAILED: fewer than 3 mined cells beat the random sweep");
         std::process::exit(1);
@@ -187,7 +171,6 @@ fn main() {
         run_mine_mode(iterations);
         return;
     }
-    let start = Instant::now();
 
     let dir = corpus_dir();
     let mut entries: Vec<CorpusEntry> = Vec::new();
@@ -293,14 +276,6 @@ fn main() {
         ]);
     }
     t.print();
-    if let Some(lpath) = ledger::resolve_path(arg_value("--ledger").as_deref()) {
-        let mut rec = LedgerRecord::new("frontier");
-        rec.note("mode", "replay")
-            .metric("entries", entries.len() as f64)
-            .metric("failures", failures as f64)
-            .record_resources(start.elapsed());
-        ledger::append_soft(&lpath, &rec);
-    }
     if failures > 0 {
         eprintln!(
             "\nFAILED: {failures} corpus entr{} regressed.",

@@ -164,53 +164,6 @@ pub fn histogram_lines(hist: &Histogram) -> String {
     out
 }
 
-/// A time series compressed into one line of block glyphs (`▁▂▃▄▅▆▇█`),
-/// scaled min→max; a flat series renders as a run of the lowest block.
-/// The trend engine prints one sparkline per metric series.
-pub fn sparkline(values: &[f64]) -> String {
-    const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &v in values {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    let span = hi - lo;
-    values
-        .iter()
-        .map(|&v| {
-            let level = if span > 0.0 { (((v - lo) / span) * 7.0).round() as usize } else { 0 };
-            BLOCKS[level.min(7)]
-        })
-        .collect()
-}
-
-/// The `min → mean → max` band line printed under a [`sparkline`], with
-/// short-form numbers (`1.23e7` above 10⁶, plain below).
-pub fn band_line(values: &[f64]) -> String {
-    if values.is_empty() {
-        return "(no data)".into();
-    }
-    let (mut lo, mut hi, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
-    for &v in values {
-        lo = lo.min(v);
-        hi = hi.max(v);
-        sum += v;
-    }
-    let mean = sum / values.len() as f64;
-    format!("min {} · mean {} · max {}", short_num(lo), short_num(mean), short_num(hi))
-}
-
-/// Compact numeric rendering for chart annotations.
-pub fn short_num(v: f64) -> String {
-    if v.abs() >= 1e6 {
-        format!("{v:.3e}")
-    } else if v.abs() >= 100.0 || v.fract() == 0.0 {
-        format!("{v:.0}")
-    } else {
-        format!("{v:.3}")
-    }
-}
-
 /// A labeled series rendered as horizontal bars.
 #[derive(Clone, Debug, Default)]
 pub struct BarChart {
@@ -352,27 +305,6 @@ mod tests {
         let lines = histogram_lines(&h);
         assert!(lines.contains("##"), "{lines}");
         assert_eq!(indent_label(2, "x"), "    x");
-    }
-
-    #[test]
-    fn sparkline_scales_min_to_max() {
-        let s = sparkline(&[0.0, 3.0, 7.0]);
-        assert_eq!(s, "▁▄█");
-        // A flat series is all-low, not a divide-by-zero.
-        assert_eq!(sparkline(&[5.0, 5.0, 5.0]), "▁▁▁");
-        assert_eq!(sparkline(&[]), "");
-        // A regression shows as a visible step down.
-        assert_eq!(sparkline(&[10.0, 10.0, 10.0, 4.0, 4.0]), "███▁▁");
-    }
-
-    #[test]
-    fn band_line_summarizes() {
-        let b = band_line(&[1.0, 2.0, 3.0]);
-        assert!(b.contains("min 1"), "{b}");
-        assert!(b.contains("mean 2"), "{b}");
-        assert!(b.contains("max 3"), "{b}");
-        assert_eq!(band_line(&[]), "(no data)");
-        assert!(band_line(&[25_300_000.0]).contains("2.530e7"), "{}", band_line(&[25_300_000.0]));
     }
 
     #[test]

@@ -21,11 +21,9 @@
 #![warn(missing_docs)]
 
 pub mod chart;
-pub mod ledger;
 pub mod radar;
 pub mod search;
 pub mod snapshot;
-pub mod trend;
 
 use netsim::{adversary::schedules, FailureSchedule, Graph, NodeId, Round};
 use rand::rngs::StdRng;

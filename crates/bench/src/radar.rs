@@ -1,5 +1,5 @@
 //! Sweep-level envelope radar: fit measured CC against Theorem 1's
-//! envelope and watch benchmark snapshots for drift.
+//! envelope.
 //!
 //! Single runs are validated by the watchdog and explained by the causal
 //! layer; the paper's *claims*, though, quantify over a family of runs —
@@ -10,13 +10,7 @@
 //! ([`fit_envelope`]), and flags cells whose relative residual exceeds a
 //! tolerance — a sweep-level regression detector surfaced as
 //! `ftagg-cli radar` and run in CI.
-//!
-//! The second half ([`drift`]) diffs two `BENCH_*.json` snapshots
-//! ([`crate::snapshot`]) into a drift report: `exact.*` keys must match
-//! bit for bit, `perf.*` keys are enforced within a relative tolerance
-//! when the machine fingerprints agree.
 
-use crate::snapshot::Snapshot;
 use crate::{f as fmt_f, geomean, Env, Table};
 use caaf::Sum;
 use ftagg::bounds::log2c;
@@ -239,142 +233,6 @@ pub fn measure_grid(quick: bool, threads: usize, progress: Option<&dyn ProgressS
         .collect()
 }
 
-/// A snapshot-to-snapshot drift report (see [`drift`]).
-#[derive(Clone, Debug)]
-pub struct Drift {
-    /// The rendered report.
-    pub report: String,
-    /// `exact.*` keys that changed or went missing — always failures.
-    pub exact_drifts: usize,
-    /// `perf.*` keys that regressed beyond tolerance while enforced.
-    pub perf_regressions: usize,
-}
-
-impl Drift {
-    /// True when nothing enforced drifted.
-    pub fn is_clean(&self) -> bool {
-        self.exact_drifts == 0 && self.perf_regressions == 0
-    }
-}
-
-/// Diffs two benchmark snapshots into a drift report: every `exact.*`
-/// key must match bit for bit; `perf.*` ratios are enforced within
-/// `tolerance` when the machine fingerprints agree (or `enforce_perf` is
-/// set), advisory otherwise — the same contract as
-/// [`crate::snapshot::compare`], rendered as a radar table.
-///
-/// # Errors
-///
-/// Returns a one-line message when the snapshots were collected at
-/// different workload sizes (their numbers are not comparable).
-pub fn drift(
-    baseline: &Snapshot,
-    candidate: &Snapshot,
-    tolerance: f64,
-    enforce_perf: bool,
-) -> Result<Drift, String> {
-    use std::fmt::Write as _;
-    let (bw, cw) = (baseline.info.get("info.workload"), candidate.info.get("info.workload"));
-    if bw != cw {
-        return Err(format!(
-            "snapshots are not comparable: baseline workload {bw:?} vs candidate {cw:?}"
-        ));
-    }
-    let fingerprint = |s: &Snapshot| -> Vec<Option<String>> {
-        ["info.os", "info.arch", "info.cpus"].iter().map(|k| s.info.get(*k).cloned()).collect()
-    };
-    let same_machine = fingerprint(baseline) == fingerprint(candidate);
-    let enforce = enforce_perf || same_machine;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "radar drift: {} baseline vs {} candidate (fingerprint {}, perf {})",
-        baseline.info.get("info.date").map_or("?", String::as_str),
-        candidate.info.get("info.date").map_or("?", String::as_str),
-        if same_machine { "match" } else { "differs" },
-        if enforce {
-            format!("enforced at {:.0}% tolerance", tolerance * 100.0)
-        } else {
-            "advisory".into()
-        },
-    );
-    let mut t = Table::new(vec!["key", "baseline", "candidate", "drift", "verdict"]);
-    let mut exact_drifts = 0usize;
-    for (k, bv) in &baseline.exact {
-        match candidate.exact.get(k) {
-            Some(cv) if cv == bv => {
-                t.row(vec![k.clone(), bv.to_string(), cv.to_string(), "0".into(), "ok".into()]);
-            }
-            Some(cv) => {
-                exact_drifts += 1;
-                let d = i128::from(*cv) - i128::from(*bv);
-                t.row(vec![
-                    k.clone(),
-                    bv.to_string(),
-                    cv.to_string(),
-                    format!("{d:+}"),
-                    "DRIFT".into(),
-                ]);
-            }
-            None => {
-                exact_drifts += 1;
-                t.row(vec![k.clone(), bv.to_string(), "-".into(), String::new(), "MISSING".into()]);
-            }
-        }
-    }
-    let mut perf_regressions = 0usize;
-    for (k, bv) in &baseline.perf {
-        match candidate.perf.get(k) {
-            Some(cv) => {
-                let ratio = if *bv > 0.0 { cv / bv } else { 1.0 };
-                let regressed = ratio < 1.0 - tolerance;
-                let verdict = match (regressed, enforce) {
-                    (false, _) => "ok",
-                    (true, true) => {
-                        perf_regressions += 1;
-                        "SLOWER"
-                    }
-                    (true, false) => "advisory",
-                };
-                t.row(vec![
-                    k.clone(),
-                    format!("{bv:.1}"),
-                    format!("{cv:.1}"),
-                    format!("{:+.1}%", (ratio - 1.0) * 100.0),
-                    verdict.into(),
-                ]);
-            }
-            None => {
-                exact_drifts += 1;
-                t.row(vec![
-                    k.clone(),
-                    format!("{bv:.1}"),
-                    "-".into(),
-                    String::new(),
-                    "MISSING".into(),
-                ]);
-            }
-        }
-    }
-    for k in candidate.exact.keys().filter(|k| !baseline.exact.contains_key(*k)) {
-        t.row(vec![
-            k.clone(),
-            "-".into(),
-            candidate.exact[k].to_string(),
-            String::new(),
-            "new".into(),
-        ]);
-    }
-    out.push_str(&t.render());
-    if exact_drifts == 0 && perf_regressions == 0 {
-        let _ = writeln!(out, "no drift.");
-    } else {
-        let _ =
-            writeln!(out, "{exact_drifts} exact drift(s), {perf_regressions} perf regression(s).");
-    }
-    Ok(Drift { report: out, exact_drifts, perf_regressions })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,61 +324,5 @@ mod tests {
         let with = measure_grid(true, 2, Some(&sink));
         assert_eq!(sink.0.load(Ordering::Relaxed), 8);
         assert_eq!(with, measure_grid(true, 2, None), "progress must not perturb results");
-    }
-
-    fn snap(workload: &str) -> Snapshot {
-        let mut s = Snapshot::default();
-        s.info.insert("info.os".into(), "linux".into());
-        s.info.insert("info.arch".into(), "x86_64".into());
-        s.info.insert("info.cpus".into(), "8".into());
-        s.info.insert("info.date".into(), "2026-08-01".into());
-        s.info.insert("info.workload".into(), workload.into());
-        s.exact.insert("exact.sweep.sum_cc".into(), 1000);
-        s.perf.insert("perf.engine.rounds_per_sec".into(), 4000.0);
-        s
-    }
-
-    #[test]
-    fn drift_reports_exact_changes_and_perf_regressions() {
-        let base = snap("quick");
-        let clean = drift(&base, &base.clone(), 0.1, false).unwrap();
-        assert!(clean.is_clean());
-        assert!(clean.report.contains("no drift"), "{}", clean.report);
-
-        let mut changed = base.clone();
-        changed.exact.insert("exact.sweep.sum_cc".into(), 990);
-        let d = drift(&base, &changed, 0.1, false).unwrap();
-        assert_eq!(d.exact_drifts, 1);
-        assert!(d.report.contains("DRIFT"), "{}", d.report);
-        assert!(d.report.contains("-10"), "{}", d.report);
-
-        // Same fingerprint: 50% slower beyond 10% tolerance regresses.
-        let mut slow = base.clone();
-        slow.perf.insert("perf.engine.rounds_per_sec".into(), 2000.0);
-        let d = drift(&base, &slow, 0.1, false).unwrap();
-        assert_eq!(d.perf_regressions, 1);
-        assert!(d.report.contains("SLOWER"), "{}", d.report);
-        // Different machine: advisory unless enforced.
-        let mut other = slow.clone();
-        other.info.insert("info.cpus".into(), "2".into());
-        let d = drift(&base, &other, 0.1, false).unwrap();
-        assert!(d.is_clean());
-        assert!(d.report.contains("advisory"), "{}", d.report);
-        assert!(!drift(&base, &other, 0.1, true).unwrap().is_clean());
-
-        // Missing and new keys.
-        let mut missing = base.clone();
-        missing.exact.clear();
-        missing.exact.insert("exact.other".into(), 5);
-        let d = drift(&base, &missing, 0.1, false).unwrap();
-        assert!(d.report.contains("MISSING"), "{}", d.report);
-        assert!(d.report.contains("new"), "{}", d.report);
-        assert!(!d.is_clean());
-    }
-
-    #[test]
-    fn drift_refuses_mismatched_workloads() {
-        let err = drift(&snap("quick"), &snap("full"), 0.1, false).unwrap_err();
-        assert!(err.contains("not comparable"), "{err}");
     }
 }

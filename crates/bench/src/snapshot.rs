@@ -1,26 +1,22 @@
 //! Machine-readable benchmark snapshots (`BENCH_<date>.json`).
 //!
-//! A snapshot is one flat, versioned JSON object capturing both **exact**
-//! behavioral statistics (deterministic for fixed seeds on any machine:
-//! simulated bit counts, delivery counts, watchdog violation totals) and
-//! **perf** figures (wall-clock throughput and thread-scaling, valid only
-//! on the machine whose fingerprint is recorded under `info.*`). The
-//! `bench_snapshot` binary and `ftagg-cli bench snapshot` emit one;
-//! `ftagg-cli bench compare` diffs two:
+//! A snapshot is one flat, versioned JSON object holding two groups of
+//! numbers. `ftagg-cli bench snapshot` emits one; `ftagg-cli bench
+//! compare` diffs two.
 //!
-//! - `exact.*` keys must match **bit for bit** — any drift is a behavioral
-//!   regression and fails the comparison;
-//! - `perf.*` keys are oriented higher-is-better and are enforced within a
-//!   relative tolerance only when the two machine fingerprints agree (or
-//!   `--enforce-perf` is passed); across different machines they are
-//!   reported as advisory.
+//! - `exact.*` keys are behaviour digests: simulated bit counts, delivery
+//!   counts and watchdog verdicts of fixed workloads. They are the same
+//!   on every machine, and `compare` requires them to match bit for bit.
+//! - `perf.*` keys are observer-overhead A/B ratios. Each lane runs a
+//!   bare arm and an instrumented arm in interleaved reps and takes one
+//!   ratio per rep (bare seconds over instrumented seconds, so 1.0 means
+//!   the observer is free). The key holds the median ratio and its
+//!   `<key>_iqr` partner holds IQR/median. They describe the host the
+//!   snapshot ran on, so `compare` does not check them.
 //!
-//! The workloads behind the numbers: the `bench_engine` flooding
-//! micro-benchmark (engine throughput, with and without a [`Watchdog`]
-//! sink — the monitored-vs-off overhead), a deterministic Algorithm 1
-//! mini-sweep under `run_tradeoff_monitored` (CC statistics + violation
-//! totals), and the work-stealing [`Runner`] at 1/2/4 threads
-//! (thread-scaling speedups).
+//! Simulator speed is measured by `perfbench/` (medians with spreads,
+//! bounds in `BENCHMARK.json`). Workloads that no overhead lane times
+//! run once, for their `exact.*` keys.
 
 use crate::Env;
 use caaf::Sum;
@@ -54,8 +50,7 @@ impl Message for Token {
     }
 }
 
-/// Every node originates one token in round 1; everyone floods everything
-/// (shared with the `bench_engine` criterion bench).
+/// Every node originates one token in round 1; everyone floods everything.
 pub struct Flooder {
     me: NodeId,
     flood: FloodState<Token>,
@@ -86,16 +81,11 @@ impl NodeLogic<Token> for Flooder {
     }
 }
 
-/// One all-to-all flood on a `side × side` grid, optionally under a
-/// budget-less [`Watchdog`]; returns the engine telemetry, the total bits
-/// sent, and the watchdog's violation count (0 when unmonitored).
-pub fn flood_grid(side: usize, monitored: bool) -> (Telemetry, u64, u64) {
-    flood_grid_on(side, monitored, EngineKind::Classic)
-}
-
-/// [`flood_grid`] on an explicit engine implementation — the SoA run of
-/// the identical workload must reproduce the classic `exact.*` statistics
-/// bit for bit (the snapshot-level equivalence pin).
+/// One all-to-all flood on a `side × side` grid on the given engine,
+/// optionally under a budget-less [`Watchdog`]; returns the engine
+/// telemetry, the total bits sent, and the watchdog's violation count (0
+/// when unmonitored). The SoA run of the identical workload must
+/// reproduce the classic `exact.*` statistics bit for bit.
 pub fn flood_grid_on(side: usize, monitored: bool, kind: EngineKind) -> (Telemetry, u64, u64) {
     let g = topology::grid(side, side);
     let n = g.len();
@@ -218,16 +208,57 @@ pub fn flood_hypercube_soa_timed(dim: u32) -> (Telemetry, u64, TimelineData) {
     (eng.telemetry().clone(), bits, tl.snapshot())
 }
 
+/// Interleaved reps per overhead lane on the full workload.
+const FULL_REPS: usize = 7;
+/// Interleaved reps per overhead lane on the `--quick` workload.
+const QUICK_REPS: usize = 3;
+
+/// One observer-overhead A/B lane. Runs the bare arm (`off`) and the
+/// instrumented arm (`on`) `reps` times each, alternating which goes
+/// first so drift in host speed hits both arms alike, and takes one
+/// ratio per rep: bare seconds over instrumented seconds (1.0 = free,
+/// 0.9 = the observer costs 10% of throughput). Each arm returns the
+/// seconds it measured. Returns the median ratio and IQR/median.
+fn overhead_ratio(
+    reps: usize,
+    mut off: impl FnMut() -> f64,
+    mut on: impl FnMut() -> f64,
+) -> (f64, f64) {
+    let mut ratios: Vec<f64> = (0..reps)
+        .map(|rep| {
+            let (off_s, on_s) = if rep % 2 == 0 {
+                let off_s = off();
+                (off_s, on())
+            } else {
+                let on_s = on();
+                (off(), on_s)
+            };
+            off_s / on_s
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let median = quantile(&ratios, 0.5);
+    (median, (quantile(&ratios, 0.75) - quantile(&ratios, 0.25)) / median)
+}
+
+/// The `p`-quantile of a non-empty ascending sample set, interpolating
+/// linearly between the closest ranks.
+fn quantile(sorted: &[f64], p: f64) -> f64 {
+    let h = (sorted.len() - 1) as f64 * p;
+    let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
+    sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
+}
+
 /// One parsed (or freshly collected) benchmark snapshot.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
-    /// Machine fingerprint and provenance (`info.*`): host, os, arch,
-    /// cpus, date, workload size.
+    /// Provenance (`info.*`): host, os, arch, cpus, date, workload size.
     pub info: BTreeMap<String, String>,
     /// Deterministic behavioral statistics (`exact.*`), equal across
     /// machines for a fixed workload.
     pub exact: BTreeMap<String, u64>,
-    /// Wall-clock figures (`perf.*`), oriented higher-is-better.
+    /// Observer-overhead ratios (`perf.*`): per-lane medians and their
+    /// `_iqr` spreads.
     pub perf: BTreeMap<String, f64>,
 }
 
@@ -247,44 +278,55 @@ impl Snapshot {
         s.info.insert("info.date".into(), today_utc());
         s.info.insert("info.workload".into(), if quick { "quick" } else { "full" }.into());
 
-        s.collect_engine(quick);
-        s.collect_soa(quick);
-        s.collect_telemetry(quick);
-        s.collect_timeline(quick);
-        s.collect_sweep(quick);
-        s.collect_runner(quick);
+        let reps = if quick { QUICK_REPS } else { FULL_REPS };
+        s.collect_floods(quick, reps);
+        s.collect_telemetry(quick, reps);
+        s.collect_timeline(quick, reps);
+        s.collect_sweep(quick, reps);
+        s.collect_runner(quick, reps);
         s
+    }
+
+    /// Records one overhead lane: the median under `key`, IQR/median
+    /// under `<key>_iqr`.
+    fn record_ratio(&mut self, key: &str, (median, iqr): (f64, f64)) {
+        self.perf.insert(key.into(), median);
+        self.perf.insert(format!("{key}_iqr"), iqr);
     }
 
     /// Telemetry overhead A/B: the production recording rig (hub on the
     /// round stream + 1-in-16 sampled tracing into a deliver-less flight
     /// recorder) against the plain engine on the identical single-origin
-    /// hypercube flood, with the arms interleaved inside each rep so
-    /// thermal and cache drift hit both equally. `exact.telemetry.*`
-    /// pins the deterministic instrument readings (the hub must agree
-    /// with the engine's own meters bit for bit; the sampler's full-
-    /// stream meters and deterministic admission are pinned too);
-    /// `perf.telemetry.recorded_ratio` is recorded-on / off throughput —
-    /// the < 5% overhead acceptance at N = 2²⁰ reads as ratio ≥ 0.95 on
-    /// the full workload.
-    fn collect_telemetry(&mut self, quick: bool) {
+    /// hypercube flood. The bare arm is the million-node flood itself
+    /// (`exact.e6.*`). `exact.telemetry.*` pins the deterministic
+    /// instrument readings: the hub must agree with the engine's own
+    /// meters bit for bit, and the sampler's full-stream meters and
+    /// deterministic admission are pinned too.
+    /// `perf.telemetry.recorded_ratio` is recorded-on / off throughput.
+    fn collect_telemetry(&mut self, quick: bool, reps: usize) {
         let dim = if quick { 12 } else { 20 };
-        // More reps than the other lanes: the overhead gate reads a
-        // ratio of two ~0.8 s arms, so both maxes need to converge.
-        let reps = if quick { 2 } else { 5 };
-        let (mut off_dps, mut on_dps) = (0.0f64, 0.0f64);
-        let mut readings = None;
-        for _ in 0..reps {
-            let (t, _) = flood_hypercube_soa(dim);
-            off_dps = off_dps.max(t.deliveries_per_sec());
-            let (t, bits, hub, fs, factors) = flood_hypercube_soa_recorded(dim);
-            on_dps = on_dps.max(t.deliveries_per_sec());
-            readings = Some((t.deliveries, bits, hub, fs, factors));
-        }
-        let (deliveries, bits, hub, fs, factors) = readings.expect("at least one rep ran");
+        let (mut bare, mut recorded) = (None, None);
+        let ratio = overhead_ratio(
+            reps,
+            || {
+                let (t, bits) = flood_hypercube_soa(dim);
+                bare = Some((t.deliveries, bits));
+                t.busy.as_secs_f64()
+            },
+            || {
+                let run = flood_hypercube_soa_recorded(dim);
+                let secs = run.0.busy.as_secs_f64();
+                recorded = Some(run);
+                secs
+            },
+        );
+        let (bare_deliveries, bare_bits) = bare.expect("at least one rep ran");
+        self.exact.insert("exact.e6.deliveries".into(), bare_deliveries);
+        self.exact.insert("exact.e6.total_bits".into(), bare_bits);
+        let (t, bits, hub, fs, factors) = recorded.expect("at least one rep ran");
         let hub_deliveries = hub.counter("engine_deliveries_total").get();
         let hub_bits = hub.counter("engine_bits_total").get();
-        assert_eq!(hub_deliveries, deliveries, "hub must agree with the engine's meters");
+        assert_eq!(hub_deliveries, t.deliveries, "hub must agree with the engine's meters");
         assert_eq!(hub_bits, bits, "hub must agree with the engine's meters");
         // The sampler meters the full stream, so its per-stratum totals
         // are exact even though only 1-in-k nodes reach the black box.
@@ -298,167 +340,142 @@ impl Snapshot {
         self.exact.insert("exact.telemetry.sampled_events".into(), sends_sampled);
         self.exact.insert("exact.telemetry.flight_rounds".into(), fs.rounds_buffered);
         self.exact.insert("exact.telemetry.flight_events".into(), fs.events_buffered);
-        self.perf.insert(
-            "perf.telemetry.recorded_ratio".into(),
-            if off_dps > 0.0 { on_dps / off_dps } else { 0.0 },
-        );
+        self.record_ratio("perf.telemetry.recorded_ratio", ratio);
     }
 
     /// Timeline profiler overhead A/B: the SoA engine with per-round
     /// stage spans recorded into the bounded ring (the default
     /// `ftagg-cli timeline` rig — no flow sink, so the per-delivery
     /// tracing path stays cold) against the bare engine on the identical
-    /// single-origin hypercube flood, arms interleaved inside each rep.
-    /// `exact.timeline.*` pins the deterministic span inventory — one
-    /// `Round` span per simulated round, nothing evicted — and the
-    /// instrumented run's meters bit-identical to the bare run's (the
-    /// profiler is a pure observer). `perf.timeline.recorded_ratio` is
-    /// timeline-on / off throughput; the ≥ 0.95 acceptance reads
-    /// directly off the full workload.
-    fn collect_timeline(&mut self, quick: bool) {
+    /// single-origin hypercube flood. `exact.timeline.*` pins the
+    /// deterministic span inventory — one `Round` span per simulated
+    /// round, nothing evicted — and the instrumented run's meters
+    /// bit-identical to the bare run's (the profiler is a pure observer).
+    /// `perf.timeline.recorded_ratio` is timeline-on / off throughput.
+    fn collect_timeline(&mut self, quick: bool, reps: usize) {
         let dim = if quick { 12 } else { 20 };
-        let reps = if quick { 2 } else { 5 };
-        let (mut off_dps, mut on_dps) = (0.0f64, 0.0f64);
-        let mut captured = None;
-        for _ in 0..reps {
-            let (t, bits_off) = flood_hypercube_soa(dim);
-            off_dps = off_dps.max(t.deliveries_per_sec());
-            let (t, bits, data) = flood_hypercube_soa_timed(dim);
-            on_dps = on_dps.max(t.deliveries_per_sec());
-            captured = Some((t.deliveries, bits, bits_off, data));
-        }
-        let (deliveries, bits, bits_off, data) = captured.expect("at least one rep ran");
+        let (mut bits_off, mut timed) = (0, None);
+        let ratio = overhead_ratio(
+            reps,
+            || {
+                let (t, bits) = flood_hypercube_soa(dim);
+                bits_off = bits;
+                t.busy.as_secs_f64()
+            },
+            || {
+                let (t, bits, data) = flood_hypercube_soa_timed(dim);
+                timed = Some((t.deliveries, bits, data));
+                t.busy.as_secs_f64()
+            },
+        );
+        let (deliveries, bits, data) = timed.expect("at least one rep ran");
         assert_eq!(bits, bits_off, "the timeline must not change simulated behavior");
         let round_spans = data.spans.iter().filter(|s| s.kind == SpanKind::Round).count() as u64;
         self.exact.insert("exact.timeline.round_spans".into(), round_spans);
         self.exact.insert("exact.timeline.deliveries".into(), deliveries);
         self.exact.insert("exact.timeline.bits".into(), bits);
         self.exact.insert("exact.timeline.dropped_spans".into(), data.dropped_spans);
-        self.perf.insert(
-            "perf.timeline.recorded_ratio".into(),
-            if off_dps > 0.0 { on_dps / off_dps } else { 0.0 },
+        self.record_ratio("perf.timeline.recorded_ratio", ratio);
+    }
+
+    /// The flood workloads. (a) The all-to-all grid flood, plain against
+    /// watchdog-monitored on the classic engine: the plain arm gives
+    /// `exact.engine.*`, the monitored arm `exact.monitor.*`, and the
+    /// pair the `perf.monitor.flood_ratio` lane. (b) The SoA engine on
+    /// the same flood, whose `exact.soa.*` must match `exact.engine.*` bit
+    /// for bit. (c) The bit-packed [`BitFlood`] lane on a larger grid.
+    fn collect_floods(&mut self, quick: bool, reps: usize) {
+        let side = if quick { 8 } else { 16 };
+        let (mut plain, mut violations) = (None, 0);
+        let ratio = overhead_ratio(
+            reps,
+            || {
+                let (t, bits, _) = flood_grid_on(side, false, EngineKind::Classic);
+                let secs = t.busy.as_secs_f64();
+                plain = Some((t, bits));
+                secs
+            },
+            || {
+                let (t, _, v) = flood_grid_on(side, true, EngineKind::Classic);
+                violations = v;
+                t.busy.as_secs_f64()
+            },
         );
-    }
-
-    /// Engine flood throughput, plain and monitored (best of `reps`).
-    fn collect_engine(&mut self, quick: bool) {
-        let side = if quick { 8 } else { 16 };
-        let reps = if quick { 2 } else { 3 };
-        let (mut rps, mut dps, mut mon_dps) = (0.0f64, 0.0f64, 0.0f64);
-        let (mut bits, mut deliveries, mut peak, mut violations) = (0, 0, 0, 0);
-        for _ in 0..reps {
-            let (t, b, _) = flood_grid(side, false);
-            rps = rps.max(t.rounds_per_sec());
-            dps = dps.max(t.deliveries_per_sec());
-            bits = b;
-            deliveries = t.deliveries;
-            peak = t.peak_inflight;
-        }
-        for _ in 0..reps {
-            let (t, _, v) = flood_grid(side, true);
-            mon_dps = mon_dps.max(t.deliveries_per_sec());
-            violations = v;
-        }
+        let (t, bits) = plain.expect("at least one rep ran");
         self.exact.insert("exact.engine.total_bits".into(), bits);
-        self.exact.insert("exact.engine.deliveries".into(), deliveries);
-        self.exact.insert("exact.engine.peak_inflight".into(), peak);
+        self.exact.insert("exact.engine.deliveries".into(), t.deliveries);
+        self.exact.insert("exact.engine.peak_inflight".into(), t.peak_inflight);
         self.exact.insert("exact.monitor.flood_violations".into(), violations);
-        self.perf.insert("perf.engine.rounds_per_sec".into(), rps);
-        self.perf.insert("perf.engine.deliveries_per_sec".into(), dps);
-        self.perf
-            .insert("perf.monitor.flood_ratio".into(), if dps > 0.0 { mon_dps / dps } else { 0.0 });
-    }
+        self.record_ratio("perf.monitor.flood_ratio", ratio);
 
-    /// The struct-of-arrays engine lane: (a) the SoA engine on the exact
-    /// classic flood workload — its `exact.*` statistics must match
-    /// `exact.engine.*` bit for bit; (b) the bit-packed [`BitFlood`] lane
-    /// on a larger grid (the ≥ 10× flood microbench); (c) a single-origin
-    /// flood on `hypercube(20)` (N = 2²⁰; `dim = 12` under `--quick`) —
-    /// the million-node sweep the tentpole targets.
-    fn collect_soa(&mut self, quick: bool) {
-        // (a) SoA mirror of the classic flood.
-        let side = if quick { 8 } else { 16 };
-        let reps = if quick { 2 } else { 3 };
-        let (mut dps, mut bits, mut deliveries, mut peak) = (0.0f64, 0, 0, 0);
-        for _ in 0..reps {
-            let (t, b, _) = flood_grid_on(side, false, EngineKind::Soa);
-            dps = dps.max(t.deliveries_per_sec());
-            bits = b;
-            deliveries = t.deliveries;
-            peak = t.peak_inflight;
-        }
+        let (t, bits, _) = flood_grid_on(side, false, EngineKind::Soa);
         self.exact.insert("exact.soa.total_bits".into(), bits);
-        self.exact.insert("exact.soa.deliveries".into(), deliveries);
-        self.exact.insert("exact.soa.peak_inflight".into(), peak);
-        self.perf.insert("perf.soa.deliveries_per_sec".into(), dps);
+        self.exact.insert("exact.soa.deliveries".into(), t.deliveries);
+        self.exact.insert("exact.soa.peak_inflight".into(), t.peak_inflight);
 
-        // (b) Bit-packed all-to-all flood: same workload family at a size
-        // where the word-parallel lane can show its throughput.
         let side = if quick { 24 } else { 48 };
         let g = topology::grid(side, side);
         let d = Round::from(g.diameter());
         let origins: Vec<NodeId> = g.nodes().collect();
-        let (mut fdps, mut freport) = (0.0f64, None);
-        for _ in 0..reps {
-            let mut lane = BitFlood::new(g.clone(), &FailureSchedule::none(), &origins, 32);
-            let r = lane.run(2 * d + 2);
-            fdps = fdps.max(r.deliveries_per_sec());
-            freport = Some(r);
-        }
-        let r = freport.expect("at least one flood rep ran");
+        let r = BitFlood::new(g, &FailureSchedule::none(), &origins, 32).run(2 * d + 2);
         self.exact.insert("exact.flood.deliveries".into(), r.deliveries);
         self.exact.insert("exact.flood.total_bits".into(), r.total_bits);
         self.exact.insert("exact.flood.max_bits".into(), r.max_bits);
-        self.perf.insert("perf.flood.deliveries_per_sec".into(), fdps);
-
-        // (c) Million-node single-origin flood (SoA, lean metrics).
-        let dim = if quick { 12 } else { 20 };
-        let (t, bits) = flood_hypercube_soa(dim);
-        self.exact.insert("exact.e6.total_bits".into(), bits);
-        self.exact.insert("exact.e6.deliveries".into(), t.deliveries);
-        self.perf.insert("perf.e6.deliveries_per_sec".into(), t.deliveries_per_sec());
     }
 
-    /// Deterministic Algorithm 1 mini-sweep, plain then monitored: CC
-    /// statistics come from the monitored runs (identical to plain by the
-    /// watchdog's passivity); the two timed loops give the monitored
-    /// overhead on a real protocol.
-    fn collect_sweep(&mut self, quick: bool) {
+    /// Deterministic Algorithm 1 mini-sweep, plain against monitored:
+    /// CC statistics come from the monitored runs (identical to plain by
+    /// the watchdog's passivity); the pair gives the monitored overhead
+    /// on a real protocol as `perf.monitor.sweep_ratio`.
+    fn collect_sweep(&mut self, quick: bool, reps: usize) {
         let trials = if quick { 4 } else { 8 };
         let (b, c, f) = (84u64, 2u32, 5usize);
         let env = Env::random(17, if quick { 20 } else { 28 }, f, b, c);
         let inst = env.instance();
-        let t_plain = Instant::now();
-        for seed in 0..trials {
-            let r = run_tradeoff(&Sum, &inst, &TradeoffConfig { b, c, f, seed });
-            assert!(r.correct, "snapshot sweep must be correct (seed {seed})");
-        }
-        let plain = t_plain.elapsed().as_secs_f64();
-        let (mut sum_cc, mut worst_cc, mut sum_rounds, mut correct, mut violations) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
-        let t_mon = Instant::now();
-        for seed in 0..trials {
-            let (r, m) =
-                run_tradeoff_monitored(&Sum, &inst, &TradeoffConfig { b, c, f, seed }, false);
-            sum_cc += r.metrics.max_bits();
-            worst_cc = worst_cc.max(r.metrics.max_bits());
-            sum_rounds += r.rounds;
-            correct += u64::from(r.correct);
-            violations += m.total;
-        }
-        let mon = t_mon.elapsed().as_secs_f64();
+        let mut totals = None;
+        let ratio = overhead_ratio(
+            reps,
+            || {
+                let t0 = Instant::now();
+                for seed in 0..trials {
+                    let r = run_tradeoff(&Sum, &inst, &TradeoffConfig { b, c, f, seed });
+                    assert!(r.correct, "snapshot sweep must be correct (seed {seed})");
+                }
+                t0.elapsed().as_secs_f64()
+            },
+            || {
+                let t0 = Instant::now();
+                let (mut sum_cc, mut worst_cc, mut sum_rounds, mut correct, mut violations) =
+                    (0u64, 0u64, 0u64, 0u64, 0u64);
+                for seed in 0..trials {
+                    let cfg = TradeoffConfig { b, c, f, seed };
+                    let (r, m) = run_tradeoff_monitored(&Sum, &inst, &cfg, false);
+                    sum_cc += r.metrics.max_bits();
+                    worst_cc = worst_cc.max(r.metrics.max_bits());
+                    sum_rounds += r.rounds;
+                    correct += u64::from(r.correct);
+                    violations += m.total;
+                }
+                let secs = t0.elapsed().as_secs_f64();
+                totals = Some((sum_cc, worst_cc, sum_rounds, correct, violations));
+                secs
+            },
+        );
+        let (sum_cc, worst_cc, sum_rounds, correct, violations) =
+            totals.expect("at least one rep ran");
         self.exact.insert("exact.sweep.trials".into(), trials);
         self.exact.insert("exact.sweep.sum_cc".into(), sum_cc);
         self.exact.insert("exact.sweep.worst_cc".into(), worst_cc);
         self.exact.insert("exact.sweep.sum_rounds".into(), sum_rounds);
         self.exact.insert("exact.sweep.correct".into(), correct);
         self.exact.insert("exact.sweep.violations".into(), violations);
-        self.perf
-            .insert("perf.monitor.sweep_ratio".into(), if mon > 0.0 { plain / mon } else { 0.0 });
+        self.record_ratio("perf.monitor.sweep_ratio", ratio);
     }
 
-    /// Work-stealing runner thread-scaling over a fixed trial set.
-    fn collect_runner(&mut self, quick: bool) {
+    /// Per-worker runner telemetry overhead A/B: a fixed trial set
+    /// through the plain runner against the instrumented one
+    /// (`run_observed`), as `perf.runner.telemetry_ratio`.
+    fn collect_runner(&mut self, quick: bool, reps: usize) {
         let trials: Vec<u64> = (0..if quick { 8 } else { 16 }).collect();
         let (b, c, f) = (63u64, 2u32, 4usize);
         let env = Env::random(23, 24, f, b, c);
@@ -474,39 +491,28 @@ impl Snapshot {
                 .expect("snapshot trial instances are valid");
             run_tradeoff(&Sum, &inst, &TradeoffConfig { b, c, f, seed: s }).metrics.max_bits()
         };
-        let time_at = |threads: usize| -> (f64, Vec<u64>) {
-            let t0 = Instant::now();
-            let out = Runner::new(threads).run(&trials, trial);
-            (t0.elapsed().as_secs_f64(), out)
-        };
-        let (t1, ccs) = time_at(1);
-        let (t2, _) = time_at(2);
-        let (t4, _) = time_at(4);
+        let (mut ccs, mut instr_trials) = (Vec::new(), 0);
+        let ratio = overhead_ratio(
+            reps,
+            || {
+                let t0 = Instant::now();
+                let out = Runner::new(0).run(&trials, trial);
+                let secs = t0.elapsed().as_secs_f64();
+                ccs = out;
+                secs
+            },
+            || {
+                let t0 = Instant::now();
+                let (_, tele) = Runner::new(0).run_observed(&trials, |s, _| trial(s), None, None);
+                let secs = t0.elapsed().as_secs_f64();
+                instr_trials = tele.trials();
+                secs
+            },
+        );
         self.exact.insert("exact.runner.trials".into(), trials.len() as u64);
         self.exact.insert("exact.runner.sum_cc".into(), ccs.iter().sum());
-        self.perf.insert("perf.runner.speedup_2t".into(), if t2 > 0.0 { t1 / t2 } else { 0.0 });
-        self.perf.insert("perf.runner.speedup_4t".into(), if t4 > 0.0 { t1 / t4 } else { 0.0 });
-
-        // Per-worker telemetry overhead: plain vs instrumented runs
-        // interleaved within each rep, best-of-reps each arm, ratio
-        // plain/instrumented (1.0 = free, < 1.0 = instrumented slower).
-        let reps = if quick { 2 } else { 3 };
-        let (mut best_plain, mut best_instr) = (f64::INFINITY, f64::INFINITY);
-        let mut instr_trials = 0u64;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let _ = Runner::new(0).run(&trials, trial);
-            best_plain = best_plain.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            let (_, tele) = Runner::new(0).run_observed(&trials, |s, _| trial(s), None, None);
-            best_instr = best_instr.min(t0.elapsed().as_secs_f64());
-            instr_trials = tele.trials();
-        }
         self.exact.insert("exact.runner.telemetry_trials".into(), instr_trials);
-        self.perf.insert(
-            "perf.runner.telemetry_ratio".into(),
-            if best_instr > 0.0 { best_plain / best_instr } else { 0.0 },
-        );
+        self.record_ratio("perf.runner.telemetry_ratio", ratio);
     }
 
     /// Renders the snapshot as its canonical JSON form: one flat object,
@@ -581,47 +587,19 @@ impl Snapshot {
             (got, _) => Err(format!("not a {BENCH_SCHEMA} snapshot (schema tag {got:?})")),
         }
     }
-
-    /// The machine fingerprint relevant to perf comparability.
-    fn fingerprint(&self) -> Vec<Option<&String>> {
-        ["info.os", "info.arch", "info.cpus"].iter().map(|k| self.info.get(*k)).collect()
-    }
-
-    /// The recorded `info.cpus` (available parallelism at collection
-    /// time), if present and numeric.
-    pub fn cpus(&self) -> Option<u64> {
-        self.info.get("info.cpus").and_then(|c| c.parse().ok())
-    }
 }
 
-/// The thread count a thread-scaling perf key measures
-/// (`perf.runner.speedup_4t` → 4), or `None` for ordinary perf keys.
-/// Scaling figures measured on a host with fewer cores than the thread
-/// count are scheduler noise, not signal — `compare` and the trend
-/// engine skip them with a soft warning instead of failing.
-pub fn scaling_threads(key: &str) -> Option<u64> {
-    key.strip_prefix("perf.runner.speedup_")?.strip_suffix('t')?.parse().ok()
-}
-
-/// Diffs `candidate` against `baseline`.
-///
-/// Every `exact.*` statistic present in the baseline must match the
-/// candidate exactly. `perf.*` figures must stay within `tolerance`
-/// (relative, e.g. `0.15` = up to 15% slower) when the machine
-/// fingerprints agree or `enforce_perf` is set; otherwise they are
-/// reported as advisory. Returns the rendered comparison on success.
+/// Diffs `candidate` against `baseline` on the behaviour digests: every
+/// `exact.*` key of the baseline must be in the candidate with the same
+/// value. `perf.*` keys measure the host and are not compared. Returns
+/// the rendered comparison on success.
 ///
 /// # Errors
 ///
-/// Returns the rendered comparison plus a regression summary when any
-/// enforced statistic regressed, or a one-line message when the two
-/// snapshots were collected at different workload sizes.
-pub fn compare(
-    baseline: &Snapshot,
-    candidate: &Snapshot,
-    tolerance: f64,
-    enforce_perf: bool,
-) -> Result<String, String> {
+/// Returns the rendered comparison plus a summary when an `exact.*` key
+/// changed or went missing, or a one-line message when the two snapshots
+/// were collected at different workload sizes.
+pub fn compare(baseline: &Snapshot, candidate: &Snapshot) -> Result<String, String> {
     use std::fmt::Write as _;
     let (bw, cw) = (baseline.info.get("info.workload"), candidate.info.get("info.workload"));
     if bw != cw {
@@ -629,21 +607,13 @@ pub fn compare(
             "snapshots are not comparable: baseline workload {bw:?} vs candidate {cw:?}"
         ));
     }
-    let same_machine = baseline.fingerprint() == candidate.fingerprint();
-    let enforce = enforce_perf || same_machine;
     let mut out = String::new();
     let mut failures: Vec<String> = Vec::new();
     let _ = writeln!(
         out,
-        "bench compare: {} baseline vs {} candidate (fingerprint {}, perf {})",
+        "bench compare: {} baseline vs {} candidate (exact.* keys)",
         baseline.info.get("info.date").map_or("?", String::as_str),
         candidate.info.get("info.date").map_or("?", String::as_str),
-        if same_machine { "match" } else { "differs" },
-        if enforce {
-            format!("enforced at {:.0}% tolerance", tolerance * 100.0)
-        } else {
-            "advisory".into()
-        },
     );
     for (k, bv) in &baseline.exact {
         match candidate.exact.get(k) {
@@ -653,43 +623,6 @@ pub fn compare(
             Some(cv) => {
                 failures.push(format!("{k} changed: {bv} -> {cv}"));
                 let _ = writeln!(out, "  CHANGED  {k}: {bv} -> {cv}");
-            }
-            None => {
-                failures.push(format!("{k} missing from candidate"));
-                let _ = writeln!(out, "  MISSING  {k}");
-            }
-        }
-    }
-    let host_cpus = candidate.cpus();
-    for (k, bv) in &baseline.perf {
-        match candidate.perf.get(k) {
-            Some(cv) => {
-                if let Some(n) = scaling_threads(k) {
-                    if host_cpus.is_none_or(|c| c < n) {
-                        let _ = writeln!(
-                            out,
-                            "  skipped  {k}: {bv:.2} -> {cv:.2} (host has {} cores, \
-                             {n}-thread scaling not meaningful)",
-                            host_cpus.map_or("?".into(), |c| c.to_string()),
-                        );
-                        continue;
-                    }
-                }
-                let ratio = if *bv > 0.0 { cv / bv } else { 1.0 };
-                let regressed = ratio < 1.0 - tolerance;
-                let verdict = match (regressed, enforce) {
-                    (false, _) => "ok      ",
-                    (true, true) => "SLOWER  ",
-                    (true, false) => "advisory",
-                };
-                let _ = writeln!(
-                    out,
-                    "  {verdict} {k}: {bv:.1} -> {cv:.1} ({:+.1}%)",
-                    (ratio - 1.0) * 100.0
-                );
-                if regressed && enforce {
-                    failures.push(format!("{k} regressed by {:.1}%", (1.0 - ratio) * 100.0));
-                }
             }
             None => {
                 failures.push(format!("{k} missing from candidate"));
@@ -717,7 +650,7 @@ pub fn default_snapshot_name() -> String {
     format!("BENCH_{}.json", today_utc())
 }
 
-pub(crate) fn hostname() -> String {
+fn hostname() -> String {
     if let Ok(h) = std::env::var("HOSTNAME") {
         if !h.trim().is_empty() {
             return h.trim().to_string();
@@ -731,7 +664,7 @@ pub(crate) fn hostname() -> String {
 }
 
 /// Today's UTC date as `yyyy-mm-dd` (civil-from-days; no external crates).
-pub(crate) fn today_utc() -> String {
+fn today_utc() -> String {
     let secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -754,7 +687,7 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
-pub(crate) fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
             '"' => vec!['\\', '"'],
@@ -766,7 +699,7 @@ pub(crate) fn escape(s: &str) -> String {
 
 /// Splits a JSON object body into `"key": value` entries at top level
 /// (commas inside quoted strings do not split).
-pub(crate) fn split_top_level(body: &str) -> Vec<String> {
+fn split_top_level(body: &str) -> Vec<String> {
     let mut entries = Vec::new();
     let mut cur = String::new();
     let (mut in_str, mut esc) = (false, false);
@@ -799,7 +732,7 @@ pub(crate) fn split_top_level(body: &str) -> Vec<String> {
 
 /// Parses one `"key": value` entry; string values are unquoted and
 /// unescaped, numeric values returned as their raw text.
-pub(crate) fn parse_entry(entry: &str) -> Result<(String, String), String> {
+fn parse_entry(entry: &str) -> Result<(String, String), String> {
     let rest = entry.trim().strip_prefix('"').ok_or_else(|| format!("bad entry {entry:?}"))?;
     let end = rest.find('"').ok_or_else(|| format!("unterminated key in {entry:?}"))?;
     let key = rest[..end].to_string();
@@ -829,7 +762,9 @@ mod tests {
         s.info.insert("info.date".into(), "2026-08-06".into());
         s.info.insert("info.workload".into(), "quick".into());
         s.exact.insert("exact.sweep.sum_cc".into(), 1234);
-        s.perf.insert("perf.engine.rounds_per_sec".into(), 5000.5);
+        s.exact.insert("exact.sweep.trials".into(), 8);
+        s.perf.insert("perf.telemetry.recorded_ratio".into(), 0.93);
+        s.perf.insert("perf.telemetry.recorded_ratio_iqr".into(), 0.04);
         s
     }
 
@@ -854,57 +789,34 @@ mod tests {
     }
 
     #[test]
-    fn compare_flags_exact_drift_and_perf_regressions() {
+    fn compare_checks_exact_keys_only() {
         let base = tiny();
-        assert!(compare(&base, &base.clone(), 0.1, false).is_ok());
+        assert!(compare(&base, &base.clone()).is_ok());
+
+        // Perf keys and the host fingerprint are not compared: a halved
+        // ratio, a new perf key and a different machine all pass.
+        let mut other_host = base.clone();
+        other_host.perf.insert("perf.telemetry.recorded_ratio".into(), 0.4);
+        other_host.perf.insert("perf.monitor.flood_ratio".into(), 0.7);
+        other_host.info.insert("info.cpus".into(), "1".into());
+        let report = compare(&base, &other_host).unwrap();
+        assert!(report.contains("no regressions"), "{report}");
 
         let mut drift = base.clone();
         drift.exact.insert("exact.sweep.sum_cc".into(), 999);
-        let err = compare(&base, &drift, 0.1, false).unwrap_err();
+        let err = compare(&base, &drift).unwrap_err();
         assert!(err.contains("1234 -> 999"), "{err}");
 
-        // Same fingerprint: a 50% perf drop beyond 10% tolerance fails...
-        let mut slow = base.clone();
-        slow.perf.insert("perf.engine.rounds_per_sec".into(), 2500.0);
-        assert!(compare(&base, &slow, 0.1, false).is_err());
-        // ...but a drop within tolerance passes.
-        let mut ok = base.clone();
-        ok.perf.insert("perf.engine.rounds_per_sec".into(), 4800.0);
-        assert!(compare(&base, &ok, 0.1, false).is_ok());
+        let mut missing = base.clone();
+        missing.exact.remove("exact.sweep.trials");
+        let err = compare(&base, &missing).unwrap_err();
+        assert!(err.contains("exact.sweep.trials missing"), "{err}");
 
-        // Different fingerprint: perf is advisory unless enforced.
-        let mut other_machine = slow.clone();
-        other_machine.info.insert("info.cpus".into(), "2".into());
-        let report = compare(&base, &other_machine, 0.1, false).unwrap();
-        assert!(report.contains("advisory"), "{report}");
-        assert!(compare(&base, &other_machine, 0.1, true).is_err());
-    }
-
-    #[test]
-    fn compare_skips_thread_scaling_beyond_host_cores() {
-        assert_eq!(scaling_threads("perf.runner.speedup_4t"), Some(4));
-        assert_eq!(scaling_threads("perf.runner.speedup_2t"), Some(2));
-        assert_eq!(scaling_threads("perf.engine.rounds_per_sec"), None);
-        assert_eq!(scaling_threads("perf.runner.telemetry_ratio"), None);
-
-        // A 1-cpu host reporting speedup_4t = 0.5 would fail the tolerance
-        // band, but the guard downgrades it to a skip: thread scaling on a
-        // single core is scheduler noise.
-        let mut base = tiny();
-        base.info.insert("info.cpus".into(), "1".into());
-        base.perf.insert("perf.runner.speedup_4t".into(), 1.0);
-        let mut cand = base.clone();
-        cand.perf.insert("perf.runner.speedup_4t".into(), 0.5);
-        let report = compare(&base, &cand, 0.1, false).unwrap();
-        assert!(report.contains("skipped"), "{report}");
-        assert!(report.contains("4-thread scaling not meaningful"), "{report}");
-
-        // On a host with enough cores the same drop still fails.
-        let mut big_base = tiny();
-        big_base.perf.insert("perf.runner.speedup_4t".into(), 1.0);
-        let mut big_cand = big_base.clone();
-        big_cand.perf.insert("perf.runner.speedup_4t".into(), 0.5);
-        assert!(compare(&big_base, &big_cand, 0.1, false).is_err());
+        // A key only the candidate has is reported, not failed.
+        let mut extra = base.clone();
+        extra.exact.insert("exact.sweep.new_digest".into(), 7);
+        let report = compare(&base, &extra).unwrap();
+        assert!(report.contains("new      exact.sweep.new_digest"), "{report}");
     }
 
     #[test]
@@ -912,7 +824,42 @@ mod tests {
         let base = tiny();
         let mut full = base.clone();
         full.info.insert("info.workload".into(), "full".into());
-        assert!(compare(&base, &full, 0.1, false).unwrap_err().contains("not comparable"));
+        assert!(compare(&base, &full).unwrap_err().contains("not comparable"));
+    }
+
+    #[test]
+    fn overhead_lane_alternates_arms_and_takes_median_and_iqr() {
+        use std::cell::RefCell;
+        // Off is always 1 s; on varies, so the per-rep ratios are
+        // 0.8, 2.0, 0.5, 1.0, 1.25 — sorted 0.5, 0.8, 1.0, 1.25, 2.0.
+        let on_secs = [1.25, 0.5, 2.0, 1.0, 0.8];
+        let calls = RefCell::new(Vec::new());
+        let mut on_rep = 0;
+        let (median, iqr) = overhead_ratio(
+            on_secs.len(),
+            || {
+                calls.borrow_mut().push("off");
+                1.0
+            },
+            || {
+                calls.borrow_mut().push("on");
+                on_rep += 1;
+                on_secs[on_rep - 1]
+            },
+        );
+        assert_eq!(
+            calls.into_inner(),
+            ["off", "on", "on", "off", "off", "on", "on", "off", "off", "on"],
+            "the arm that runs first alternates rep by rep"
+        );
+        assert_eq!(median, 1.0);
+        // Quartiles at ranks 1 and 3 of five: 0.8 and 1.25.
+        assert!((iqr - 0.45).abs() < 1e-12, "iqr/median = {iqr}");
+        // Quartiles interpolate between ranks on an even-sized set.
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.5), 2.5);
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.25), 1.75);
+        // An observer that costs nothing reads 1.0 with no spread.
+        assert_eq!(overhead_ratio(3, || 2.0, || 2.0), (1.0, 0.0));
     }
 
     #[test]
@@ -922,17 +869,13 @@ mod tests {
         assert_eq!(s.exact["exact.sweep.violations"], 0);
         assert_eq!(s.exact["exact.sweep.correct"], s.exact["exact.sweep.trials"]);
         assert!(s.exact["exact.engine.total_bits"] > 0);
-        assert!(s.perf["perf.engine.rounds_per_sec"] > 0.0);
-        assert!(s.perf["perf.monitor.flood_ratio"] > 0.0);
         // The SoA engine ran the identical workload: exact statistics must
         // agree with the classic engine's bit for bit.
         assert_eq!(s.exact["exact.soa.total_bits"], s.exact["exact.engine.total_bits"]);
         assert_eq!(s.exact["exact.soa.deliveries"], s.exact["exact.engine.deliveries"]);
         assert_eq!(s.exact["exact.soa.peak_inflight"], s.exact["exact.engine.peak_inflight"]);
         assert!(s.exact["exact.flood.deliveries"] > 0);
-        assert!(s.perf["perf.flood.deliveries_per_sec"] > 0.0);
         assert!(s.exact["exact.e6.deliveries"] > 0);
-        assert!(s.perf["perf.e6.deliveries_per_sec"] > 0.0);
         // The recorded run's instruments agree with the plain run's meters.
         assert_eq!(s.exact["exact.telemetry.deliveries"], s.exact["exact.e6.deliveries"]);
         assert_eq!(s.exact["exact.telemetry.bits"], s.exact["exact.e6.total_bits"]);
@@ -944,7 +887,6 @@ mod tests {
         assert!(s.exact["exact.telemetry.sampled_events"] < s.exact["exact.telemetry.send_events"]);
         assert!(s.exact["exact.telemetry.flight_events"] > 0);
         assert!(s.exact["exact.telemetry.flight_rounds"] > 0);
-        assert!(s.perf["perf.telemetry.recorded_ratio"] > 0.0);
         // The timeline profiler is a pure observer: the instrumented run
         // reproduces the bare run's meters bit for bit, records exactly
         // one Round span per simulated round, and evicts nothing.
@@ -952,10 +894,26 @@ mod tests {
         assert_eq!(s.exact["exact.timeline.bits"], s.exact["exact.e6.total_bits"]);
         assert_eq!(s.exact["exact.timeline.round_spans"], s.exact["exact.telemetry.rounds"]);
         assert_eq!(s.exact["exact.timeline.dropped_spans"], 0);
-        assert!(s.perf["perf.timeline.recorded_ratio"] > 0.0);
         // The instrumented runner ran the same trial set as the plain one.
         assert_eq!(s.exact["exact.runner.telemetry_trials"], s.exact["exact.runner.trials"]);
-        assert!(s.perf["perf.runner.telemetry_ratio"] > 0.0);
+        // The only perf keys are the five overhead lanes, each a positive
+        // median with a finite, non-negative spread.
+        let lanes = [
+            "perf.monitor.flood_ratio",
+            "perf.monitor.sweep_ratio",
+            "perf.runner.telemetry_ratio",
+            "perf.telemetry.recorded_ratio",
+            "perf.timeline.recorded_ratio",
+        ];
+        let mut want: Vec<String> =
+            lanes.iter().flat_map(|k| [k.to_string(), format!("{k}_iqr")]).collect();
+        want.sort();
+        assert_eq!(s.perf.keys().cloned().collect::<Vec<_>>(), want);
+        for k in lanes {
+            assert!(s.perf[k] > 0.0, "{k} = {}", s.perf[k]);
+            let iqr = s.perf[&format!("{k}_iqr")];
+            assert!(iqr.is_finite() && iqr >= 0.0, "{k}_iqr = {iqr}");
+        }
         // The exact group must be reproducible within one process.
         let again = Snapshot::collect(true);
         assert_eq!(s.exact, again.exact);

@@ -1,20 +1,22 @@
-//! Optional allocation telemetry: a counting [`GlobalAlloc`] wrapper
-//! around the system allocator, compiled in only under the
-//! `alloc-telemetry` feature.
+//! Memory probes for the telemetry hub and the timeline's counter
+//! tracks: the process's resident set size ([`rss_mb`], always on where
+//! `/proc` exists) and optional allocation telemetry — a counting
+//! [`GlobalAlloc`](std::alloc::GlobalAlloc) wrapper around the system
+//! allocator, compiled in only under the `alloc-telemetry` feature.
 //!
 //! The wrapper adds two relaxed atomic updates per allocation and
 //! deallocation — cheap, but not free, so the default build keeps the
 //! plain system allocator (and the crate-wide `forbid(unsafe_code)`).
 //! With the feature on, [`live_mb`]/[`peak_mb`]/[`allocations`] feed
-//! heap gauges into the telemetry hub, the run ledger, and the timeline
-//! profiler's counter tracks (`ftagg-cli timeline`).
+//! heap gauges into the telemetry hub and the timeline profiler's
+//! counter tracks (`ftagg-cli timeline`).
 //!
 //! ```text
 //! cargo run -p ftagg-cli --features alloc-telemetry -- timeline ...
 //! ```
 //!
-//! Without the feature every probe returns `None` and callers skip the
-//! gauges behind one branch.
+//! Without the feature every heap probe returns `None` and callers skip
+//! the gauges behind one branch.
 
 #[cfg(feature = "alloc-telemetry")]
 mod counting {
@@ -84,6 +86,15 @@ mod counting {
     static GLOBAL: CountingAlloc = CountingAlloc;
 }
 
+/// Resident set size of this process in MB (`VmRSS` in
+/// `/proc/self/status`), or `None` where that file is unavailable.
+pub fn rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Live heap in MB, or `None` when built without `alloc-telemetry`.
 pub fn live_mb() -> Option<f64> {
     #[cfg(feature = "alloc-telemetry")]
@@ -144,6 +155,9 @@ mod tests {
             assert!(super::peak_mb().unwrap() >= super::live_mb().unwrap());
         } else {
             assert_eq!(probes, (false, false, false));
+        }
+        if cfg!(target_os = "linux") {
+            assert!(super::rss_mb().is_some_and(|mb| mb > 0.0));
         }
     }
 }

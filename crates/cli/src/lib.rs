@@ -32,6 +32,7 @@ use ftagg::doubling::{run_doubling, DoublingConfig};
 use ftagg::pair::Tweaks;
 use ftagg::tradeoff::{run_tradeoff, run_tradeoff_observed, TradeoffConfig};
 use ftagg::{bounds, run_pair_observed, Instance, Observe};
+use ftagg_bench::stretch_respecting_schedule;
 use netsim::NodeId;
 use spec::OpSpec;
 use std::collections::BTreeMap;
@@ -61,7 +62,7 @@ impl Args {
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, String> {
         let mut it = raw.into_iter().peekable();
         let command = it.next().ok_or(
-            "missing subcommand (run | topo | trace | sweep | report | explain | diff | radar | bench | bounds | mine | top | telemetry | timeline | trend)",
+            "missing subcommand (run | topo | trace | sweep | report | explain | diff | radar | bench | bounds | mine | top | telemetry | timeline)",
         )?;
         // `bench` and `telemetry` take one sub-action positional
         // (`bench snapshot | compare`, `telemetry export`).
@@ -162,7 +163,6 @@ pub fn dispatch_full(args: &Args) -> Result<CmdOutput, String> {
         "top" => cmd_top(args).map(CmdOutput::ok),
         "telemetry" => cmd_telemetry(args).map(CmdOutput::ok),
         "timeline" => cmd_timeline(args),
-        "trend" => cmd_trend(args),
         "help" | "--help" | "-h" => Ok(CmdOutput::ok(USAGE.to_string())),
         other => Err(format!("unknown subcommand '{other}'\n{USAGE}")),
     }
@@ -216,15 +216,13 @@ commands:
           exits 1 on divergence; identical traces print nothing, exit 0
   radar   fit measured CC across the (N, f, b) grid against the Theorem 1
           envelope a*(f/b)*log^2(N) + b*log^2(N); flag residual outliers
-          live:  [--quick yes] [--tolerance 0.6] [--threads T]
-                 [--progress yes]
-          drift: --baseline BENCH_A.json --candidate BENCH_B.json
-                 [--tolerance 0.25] [--enforce-perf yes]
-          exits 1 on envelope violations or snapshot drift
-  bench   machine-readable benchmark snapshots (BENCH_<date>.json)
+          [--quick yes] [--tolerance 0.6] [--threads T] [--progress yes]
+          exits 1 on envelope violations
+  bench   machine-readable benchmark snapshots (BENCH_<date>.json):
+          exact.* behaviour digests plus observer-overhead ratios
           bench snapshot [--out PATH] [--quick yes]
           bench compare --baseline A.json --candidate B.json
-                [--tolerance 0.25] [--enforce-perf yes]
+          (fails when an exact.* key changed or is missing)
   bounds  print the paper's bound curves       --n N --f F --b B
   mine    search for a worst-case oblivious adversary (schedule mutation,
           optionally topology too) and emit a JSON result with the
@@ -269,20 +267,6 @@ commands:
                  on a malformed or under-covered trace)
           --out PATH (default timeline.trace.json)
           --top K (self-time table)  --cap N (span ring capacity)
-  trend   chart per-fingerprint metric series over the run ledger plus
-          every BENCH_*.json in a directory, and run a sliding-window
-          mean-shift changepoint detector per metric; perf.* downshifts
-          beyond tolerance gate (thread-scaling series are skipped on
-          hosts with fewer cores than the measured thread count)
-          --ledger PATH (default .ftagg/ledger.jsonl) --bench-dir DIR
-          --window K (default 3) --tolerance T (default 0.15)
-          --metric PREFIX (only series with this prefix)
-          exits 1 on a detected regression; 0 on flat or short history
-
-run ledger: sweep, report, mine, top, and bench snapshot append one
-JSONL record per invocation (run id, fingerprint, telemetry summary,
-resources) to .ftagg/ledger.jsonl — --ledger PATH redirects it,
---ledger off disables recording. `trend` reads it back.
 ";
 
 fn cmd_run(args: &Args) -> Result<String, String> {
@@ -325,6 +309,15 @@ fn cmd_run(args: &Args) -> Result<String, String> {
     }
 }
 
+/// Algorithm 1's preconditions on the budget and the stretch constant
+/// (`c >= 1`, `b >= 21c`), checked before a run so a bad flag gets
+/// [`ftagg::interval::IntervalLayout::new`]'s one-line error instead of a
+/// panic. `Instance::model` clamps the diameter to at least 1, so `d = 1`
+/// stands in for any topology.
+fn check_layout(b: u64, c: u32) -> Result<(), String> {
+    ftagg::interval::IntervalLayout::new(b, c, 1).map(|_| ())
+}
+
 fn run_protocol<C: Caaf + 'static>(
     protocol: &str,
     op: &C,
@@ -347,6 +340,7 @@ fn run_protocol<C: Caaf + 'static>(
     );
     let (result, correct, cc, rounds): (u64, bool, u64, u64) = match protocol {
         "tradeoff" => {
+            check_layout(b, c)?;
             let r = run_tradeoff(op, inst, &TradeoffConfig { b, c, f, seed });
             let _ = writeln!(
                 out,
@@ -470,7 +464,7 @@ fn run_observed_pair(
             tl.counter("messages/round", flow.logical as f64);
             tl.counter("in-flight", flow.deliveries as f64);
             if proc_tick.is_multiple_of(TIMELINE_PROC_SAMPLE_ROUNDS) {
-                if let Some(mb) = ftagg_bench::ledger::current_rss_mb() {
+                if let Some(mb) = crate::alloc_meter::rss_mb() {
                     tl.counter("rss_mb", mb);
                 }
                 if let Some(mb) = crate::alloc_meter::live_mb() {
@@ -542,7 +536,6 @@ fn cmd_top(args: &Args) -> Result<String, String> {
     if args.get("trials").is_some() {
         return top_trials(args);
     }
-    let t0 = std::time::Instant::now();
     let refresh: u64 = args.num("refresh-ms", 200)?;
     let ring: usize = args.num("ring", 64)?;
     if ring == 0 {
@@ -620,11 +613,6 @@ fn cmd_top(args: &Args) -> Result<String, String> {
             }
         }
     }
-    if let Some(path) = ledger_path(args) {
-        let mut rec = ftagg_bench::ledger::LedgerRecord::new("top");
-        rec.record_hub(hub).record_resources(t0.elapsed());
-        ftagg_bench::ledger::append_soft(&path, &rec);
-    }
     Ok(out)
 }
 
@@ -635,7 +623,6 @@ fn cmd_top(args: &Args) -> Result<String, String> {
 /// latency quantiles) shows how the pool divided them.
 fn top_trials(args: &Args) -> Result<String, String> {
     use std::fmt::Write as _;
-    let t0 = std::time::Instant::now();
     let trials: u64 = args.num("trials", 4)?;
     if trials == 0 {
         return Err("need --trials >= 1".into());
@@ -674,15 +661,6 @@ fn top_trials(args: &Args) -> Result<String, String> {
     out.push_str(&tele.workers_table());
     if let Some(w) = tele.straggler() {
         let _ = writeln!(out, "straggler: worker {w} (busy > 2x the mean)");
-    }
-    if let Some(path) = ledger_path(args) {
-        let mut rec = ftagg_bench::ledger::LedgerRecord::new("top");
-        rec.note("trials", trials.to_string())
-            .record_hub(&total)
-            .record_hub(&tele.hub)
-            .record_workers(&tele.workers)
-            .record_resources(t0.elapsed());
-        ftagg_bench::ledger::append_soft(&path, &rec);
     }
     Ok(out)
 }
@@ -735,7 +713,6 @@ fn cmd_timeline(args: &Args) -> Result<CmdOutput, String> {
     if let Some(path) = args.get("validate") {
         return timeline_validate(args, path);
     }
-    let t0 = std::time::Instant::now();
     let top_k: usize = args.num("top", 0)?;
     let cap: usize = args.num("cap", 1usize << 18)?;
     let out_path =
@@ -744,7 +721,7 @@ fn cmd_timeline(args: &Args) -> Result<CmdOutput, String> {
     tl.name_lane(0, "main");
 
     let mut out = String::new();
-    let (process_name, hub) = if let Some(input) = args.get("input") {
+    let process_name = if let Some(input) = args.get("input") {
         let file = std::fs::File::open(input)
             .map_err(|e| format!("cannot open --input '{input}': {e}"))?;
         let trace = netsim::Trace::from_jsonl(std::io::BufReader::new(file))
@@ -755,7 +732,7 @@ fn cmd_timeline(args: &Args) -> Result<CmdOutput, String> {
             "timeline: replayed {} saved events from {input} (synthetic 1us-per-event timebase)",
             trace.events().len()
         );
-        (format!("ftagg replay {input}"), None)
+        format!("ftagg replay {input}")
     } else {
         let trials: u64 = args.num("trials", 1)?;
         if trials == 0 {
@@ -770,11 +747,9 @@ fn cmd_timeline(args: &Args) -> Result<CmdOutput, String> {
             None,
             Some(&tl),
         );
-        let total = netsim::TelemetryHub::new();
         let (mut n, mut rounds): (usize, netsim::Round) = (0, 0);
         for run in runs {
             let run = run?;
-            total.merge_from(&run.hub);
             n = run.n;
             rounds = run.rounds;
         }
@@ -792,7 +767,7 @@ fn cmd_timeline(args: &Args) -> Result<CmdOutput, String> {
              {} worker(s)",
             tele.workers.len()
         );
-        (format!("ftagg {}", args.get("topology").unwrap_or("grid:16x16")), Some(total))
+        format!("ftagg {}", args.get("topology").unwrap_or("grid:16x16"))
     };
 
     let data = tl.snapshot();
@@ -824,17 +799,6 @@ fn cmd_timeline(args: &Args) -> Result<CmdOutput, String> {
         let rows = netsim::self_time(&data);
         out.push_str("\nself time (wall time outside direct children):\n");
         out.push_str(&ftagg_bench::chart::self_time_table(&rows, top_k).render());
-    }
-    if let (Some(hub), Some(path)) = (&hub, ledger_path(args)) {
-        let mut rec = ftagg_bench::ledger::LedgerRecord::new("timeline");
-        rec.metric("timeline_spans", data.spans.len() as f64)
-            .metric("timeline_dropped_spans", data.dropped_spans as f64)
-            .record_hub(hub)
-            .record_resources(t0.elapsed());
-        if let Some(mb) = alloc_meter::peak_mb() {
-            rec.metric("alloc_peak_mb", mb);
-        }
-        ftagg_bench::ledger::append_soft(&path, &rec);
     }
     Ok(CmdOutput::ok(out))
 }
@@ -1018,74 +982,28 @@ fn cmd_bench(args: &Args) -> Result<String, String> {
     use ftagg_bench::snapshot::{compare, default_snapshot_name, Snapshot};
     match args.sub.as_deref() {
         Some("snapshot") => {
-            let start = std::time::Instant::now();
             let quick = args.get("quick").is_some();
             let path = args.get("out").map(str::to_string).unwrap_or_else(default_snapshot_name);
             let snap = Snapshot::collect(quick);
             let json = snap.to_json();
             std::fs::write(&path, &json)
                 .map_err(|e| format!("cannot write snapshot '{path}': {e}"))?;
-            if let Some(ledger) = ledger_path(args) {
-                let mut rec = ftagg_bench::ledger::LedgerRecord::new("bench");
-                rec.note("workload", if quick { "quick" } else { "full" }).note("out", &path);
-                for (k, v) in &snap.perf {
-                    rec.metric(k, *v);
-                }
-                for (k, v) in &snap.exact {
-                    rec.metric(k, *v as f64);
-                }
-                rec.record_resources(start.elapsed());
-                ftagg_bench::ledger::append_soft(&ledger, &rec);
-            }
             Ok(format!("{json}wrote {path}\n"))
         }
         Some("compare") => {
             let base_path = args.get("baseline").ok_or("bench compare needs --baseline")?;
             let cand_path = args.get("candidate").ok_or("bench compare needs --candidate")?;
-            let tolerance: f64 = args.num("tolerance", 0.25)?;
-            let enforce = args.get("enforce-perf").is_some();
             let load = |p: &str| -> Result<Snapshot, String> {
                 let text = std::fs::read_to_string(p)
                     .map_err(|e| format!("cannot read snapshot '{p}': {e}"))?;
                 Snapshot::from_json(&text).map_err(|e| format!("parsing '{p}': {e}"))
             };
-            compare(&load(base_path)?, &load(cand_path)?, tolerance, enforce)
+            compare(&load(base_path)?, &load(cand_path)?)
         }
         other => {
             Err(format!("bench needs a sub-action: snapshot | compare (got {other:?})\n{USAGE}"))
         }
     }
-}
-
-/// Where run-ledger records go: `--ledger off` disables recording,
-/// `--ledger PATH` redirects, default [`ftagg_bench::ledger::DEFAULT_LEDGER_PATH`].
-fn ledger_path(args: &Args) -> Option<std::path::PathBuf> {
-    ftagg_bench::ledger::resolve_path(args.get("ledger"))
-}
-
-/// `trend` — the cross-run trend engine over the ledger plus a directory
-/// of `BENCH_*.json` snapshots (see `ftagg_bench::trend`). Exits 1 when a
-/// `perf.*` series shows a mean downshift beyond tolerance; flat series
-/// and too-short history exit 0.
-fn cmd_trend(args: &Args) -> Result<CmdOutput, String> {
-    use ftagg_bench::trend::{analyze, load_history, TrendConfig};
-    let ledger: std::path::PathBuf =
-        args.get("ledger").unwrap_or(ftagg_bench::ledger::DEFAULT_LEDGER_PATH).into();
-    let bench_dir = args.get("bench-dir").map(std::path::PathBuf::from);
-    let cfg = TrendConfig {
-        window: args.num("window", 3usize)?,
-        tolerance: args.num("tolerance", 0.15f64)?,
-        metric_prefix: args.get("metric").map(str::to_string),
-    };
-    if cfg.window < 2 {
-        return Err("--window needs at least 2 points per side".into());
-    }
-    if !(0.0..1.0).contains(&cfg.tolerance) {
-        return Err("--tolerance must be in [0, 1)".into());
-    }
-    let runs = load_history(&ledger, bench_dir.as_deref())?;
-    let report = analyze(&runs, &cfg);
-    Ok(CmdOutput { text: report.text, code: i32::from(!report.regressions.is_empty()) })
 }
 
 fn cmd_report(args: &Args) -> Result<CmdOutput, String> {
@@ -1200,26 +1118,9 @@ fn cmd_diff(args: &Args) -> Result<CmdOutput, String> {
 }
 
 /// `radar` — fit measured CC across the (N, f, b) grid against the
-/// Theorem 1 envelope (live mode), or diff two `BENCH_*.json` snapshots
-/// into a drift report (`--baseline`/`--candidate` mode). Exits 1 on
-/// envelope-residual violations or enforced drift.
+/// Theorem 1 envelope. Exits 1 on envelope-residual violations.
 fn cmd_radar(args: &Args) -> Result<CmdOutput, String> {
     use ftagg_bench::radar;
-    if args.get("baseline").is_some() || args.get("candidate").is_some() {
-        let base_path = args.get("baseline").ok_or("radar drift mode needs --baseline")?;
-        let cand_path = args.get("candidate").ok_or("radar drift mode needs --candidate")?;
-        let tolerance: f64 = args.num("tolerance", 0.25)?;
-        let enforce = args.get("enforce-perf").is_some();
-        let load = |p: &str| -> Result<ftagg_bench::snapshot::Snapshot, String> {
-            let text = std::fs::read_to_string(p)
-                .map_err(|e| format!("cannot read snapshot '{p}': {e}"))?;
-            ftagg_bench::snapshot::Snapshot::from_json(&text)
-                .map_err(|e| format!("parsing '{p}': {e}"))
-        };
-        let d = radar::drift(&load(base_path)?, &load(cand_path)?, tolerance, enforce)?;
-        let code = i32::from(!d.is_clean());
-        return Ok(CmdOutput { text: d.report, code });
-    }
     let tolerance: f64 = args.num("tolerance", radar::DEFAULT_TOLERANCE)?;
     let quick = args.get("quick").is_some();
     let threads: usize = args.num("threads", 0)?;
@@ -1352,7 +1253,6 @@ fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
     use rand::{Rng, SeedableRng};
     use std::fmt::Write as _;
 
-    let start = std::time::Instant::now();
     let monitor = args.get("monitor").is_some();
     let seed: u64 = args.num("seed", 0)?;
     let topo_spec = args.get("topology").unwrap_or("grid:5x5").to_string();
@@ -1361,6 +1261,7 @@ fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
     let c: u32 = args.num("c", 2)?;
     let b: u64 = args.num("b", 42 * u64::from(c))?;
     let f: usize = args.num("f", n / 8)?;
+    check_layout(b, c)?;
     let trials: u64 = args.num("trials", 16)?;
     if trials == 0 {
         return Err("need --trials >= 1".into());
@@ -1378,20 +1279,7 @@ fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
     let seeds: Vec<u64> = (0..trials).map(|i| seed.wrapping_add(i)).collect();
     let make_trial = |s: u64| {
         let mut rng = StdRng::seed_from_u64(s);
-        let mut schedule = netsim::FailureSchedule::none();
-        for _ in 0..50 {
-            let cand = netsim::adversary::schedules::random_with_edge_budget(
-                &graph,
-                NodeId(0),
-                f,
-                horizon,
-                &mut rng,
-            );
-            if cand.stretch_factor(&graph, NodeId(0)) <= f64::from(c) {
-                schedule = cand;
-                break;
-            }
-        }
+        let schedule = stretch_respecting_schedule(&graph, NodeId(0), f, horizon, c, 50, &mut rng);
         let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..100)).collect();
         let inst = Instance::new(graph.clone(), NodeId(0), inputs, schedule, 100)
             .expect("topology and inputs are valid by construction")
@@ -1400,7 +1288,7 @@ fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
     };
     // The instrumented runner returns identical seed-ordered results for
     // any thread count; the per-worker breakdown rides along for the
-    // summary, the `--workers` table, and the run-ledger record.
+    // summary and the `--workers` table.
     let (results, tele) = Runner::new(threads).run_observed(
         &seeds,
         |s, _| {
@@ -1504,17 +1392,6 @@ fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
         );
         code = 1;
     }
-    if let Some(path) = ledger_path(args) {
-        let mut rec = ftagg_bench::ledger::LedgerRecord::new("report");
-        rec.note("topology", &topo_spec)
-            .note("seed", seed.to_string())
-            .note("trials", trials.to_string())
-            .metric("violations", summary.sum_violations as f64)
-            .record_hub(&tele.hub)
-            .record_workers(&tele.workers)
-            .record_resources(start.elapsed());
-        ftagg_bench::ledger::append_soft(&path, &rec);
-    }
     Ok(CmdOutput { text: out, code })
 }
 
@@ -1552,25 +1429,14 @@ fn cmd_explain(args: &Args) -> Result<CmdOutput, String> {
             let c: u32 = args.num("c", 2)?;
             let b: u64 = args.num("b", 42 * u64::from(c))?;
             let f: usize = args.num("f", n / 8)?;
+            check_layout(b, c)?;
             // The same seeded instance construction as `report` live mode,
             // restricted to one trial, so a report anomaly can be explained
             // by rerunning its seed here.
             let horizon = b * u64::from(graph.diameter().max(1));
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut schedule = netsim::FailureSchedule::none();
-            for _ in 0..50 {
-                let cand = netsim::adversary::schedules::random_with_edge_budget(
-                    &graph,
-                    NodeId(0),
-                    f,
-                    horizon,
-                    &mut rng,
-                );
-                if cand.stretch_factor(&graph, NodeId(0)) <= f64::from(c) {
-                    schedule = cand;
-                    break;
-                }
-            }
+            let schedule =
+                stretch_respecting_schedule(&graph, NodeId(0), f, horizon, c, 50, &mut rng);
             let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..100)).collect();
             let inst = Instance::new(graph, NodeId(0), inputs, schedule, 100)?;
             let cfg = TradeoffConfig { b, c, f, seed };
@@ -1761,7 +1627,6 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
     use rand::{Rng, SeedableRng};
     use std::fmt::Write as _;
 
-    let start = std::time::Instant::now();
     let seed: u64 = args.num("seed", 0)?;
     let topo_spec = args.get("topology").unwrap_or("caterpillar:20x1").to_string();
     let graph = spec::parse_topology(&topo_spec, seed)?;
@@ -1771,28 +1636,13 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
     let from: u64 = args.num("from", 21 * u64::from(c))?;
     let to: u64 = args.num("to", from * 8)?;
     let points: u32 = args.num("points", 5)?;
-    if from < 21 * u64::from(c) || to < from || points == 0 {
-        return Err("need 21c <= from <= to and points >= 1".into());
+    check_layout(from, c)?;
+    if to < from || points == 0 {
+        return Err("need from <= to and points >= 1".into());
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let horizon = to * u64::from(graph.diameter().max(1));
-    let schedule = {
-        let mut best = netsim::FailureSchedule::none();
-        for _ in 0..50 {
-            let s = netsim::adversary::schedules::random_with_edge_budget(
-                &graph,
-                NodeId(0),
-                f,
-                horizon,
-                &mut rng,
-            );
-            if s.stretch_factor(&graph, NodeId(0)) <= f64::from(c) {
-                best = s;
-                break;
-            }
-        }
-        best
-    };
+    let schedule = stretch_respecting_schedule(&graph, NodeId(0), f, horizon, c, 50, &mut rng);
     let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..100)).collect();
     let engine = netsim::EngineKind::parse(args.get("engine").unwrap_or("classic"))?;
     let inst = Instance::new(graph, NodeId(0), inputs, schedule, 100)?.with_engine(engine);
@@ -1822,10 +1672,9 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
             r.correct
         )
     };
-    // The instrumented runner returns the identical seed-ordered rows and
-    // additionally hands back the merged per-worker telemetry for the
-    // run-ledger record; the `--progress` line gains p50/p99 trial
-    // latency and a straggler flag from the same instruments.
+    // The instrumented runner returns the identical seed-ordered rows;
+    // its per-worker instruments give the `--progress` line p50/p99
+    // trial latency and a straggler flag.
     let runner = netsim::Runner::new(threads);
     // `--timeline PATH` profiles the sweep itself: one Trial span per
     // point on the executing worker's lane, exported as Chrome trace
@@ -1833,7 +1682,7 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
     let tl = args.get("timeline").map(|_| netsim::Timeline::new());
     let progress = args.get("progress").map(|_| netsim::ConsoleProgress::new());
     let progress = progress.as_ref().map(|p| p as &dyn netsim::ProgressSink);
-    let (rows, tele) = runner.run_observed(&points_idx, |i, _lane| point(i), progress, tl.as_ref());
+    let (rows, _) = runner.run_observed(&points_idx, |i, _lane| point(i), progress, tl.as_ref());
     for row in rows {
         out.push_str(&row);
     }
@@ -1845,16 +1694,6 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
         std::fs::write(path, &json)
             .map_err(|e| format!("cannot write timeline file '{path}': {e}"))?;
         let _ = writeln!(out, "wrote sweep timeline ({} spans) to {path}", data.spans.len());
-    }
-    if let Some(path) = ledger_path(args) {
-        let mut rec = ftagg_bench::ledger::LedgerRecord::new("sweep");
-        rec.note("topology", &topo_spec)
-            .note("seed", seed.to_string())
-            .note("b_range", format!("{from}..{to}x{points}"))
-            .record_hub(&tele.hub)
-            .record_workers(&tele.workers)
-            .record_resources(start.elapsed());
-        ftagg_bench::ledger::append_soft(&path, &rec);
     }
     Ok(out)
 }
@@ -1928,7 +1767,6 @@ fn cmd_mine(args: &Args) -> Result<CmdOutput, String> {
     use ftagg_bench::search::{Acceptance, MineConfig, MineProgress, MineProtocol, Objective};
     use std::fmt::Write as _;
 
-    let start = std::time::Instant::now();
     let seed: u64 = args.num("seed", 0)?;
     let graph = spec::parse_topology(args.get("topology").unwrap_or("caterpillar:30x1"), seed)?;
     let n = graph.len();
@@ -1952,6 +1790,9 @@ fn cmd_mine(args: &Args) -> Result<CmdOutput, String> {
         "doubling" => MineProtocol::Doubling { max_stages: 8 },
         other => MineProtocol::parse(other)?,
     };
+    if matches!(protocol, MineProtocol::Tradeoff { .. }) {
+        check_layout(b, c)?;
+    }
     let acceptance = Acceptance::parse(args.get("accept").unwrap_or("hill"))?;
     let cfg = MineConfig {
         iterations: args.num("iterations", 40)?,
@@ -2130,19 +1971,6 @@ fn cmd_mine(args: &Args) -> Result<CmdOutput, String> {
     );
     let _ = writeln!(out, "}}");
 
-    if let Some(path) = ledger_path(args) {
-        let mut rec = ftagg_bench::ledger::LedgerRecord::new("mine");
-        rec.note("objective", cfg.objective.tag())
-            .note("protocol", cfg.protocol.tag())
-            .note("seed", seed.to_string())
-            .metric("iterations", cfg.iterations as f64)
-            .metric("evaluations", r.evaluations as f64)
-            .metric("best_value", r.value as f64)
-            .metric("counterexamples", r.counterexamples.len() as f64)
-            .metric("violations", outcome.monitor_violations as f64)
-            .record_resources(start.elapsed());
-        ftagg_bench::ledger::append_soft(&path, &rec);
-    }
     let code = i32::from(!r.counterexamples.is_empty() || outcome.monitor_violations > 0);
     Ok(CmdOutput { text: out, code })
 }
@@ -2568,6 +2396,35 @@ mod tests {
         let cmp = dispatch(&args(&["bench", "compare", "--baseline", path, "--candidate", path]))
             .unwrap();
         assert!(cmp.contains("no regressions"), "{cmp}");
+
+        // Candidates edited line by line from the snapshot file: only the
+        // exact.* keys are compared.
+        let text = std::fs::read_to_string(path).unwrap();
+        let compare_with = |edit: &dyn Fn(&str) -> Option<String>| {
+            let cand = dir.join("bench_cli_candidate.json");
+            let body: Vec<String> = text.lines().filter_map(edit).collect();
+            std::fs::write(&cand, body.join("\n")).unwrap();
+            let cand = cand.to_str().unwrap();
+            dispatch(&args(&["bench", "compare", "--baseline", path, "--candidate", cand]))
+        };
+        let perf_only = compare_with(&|l| {
+            Some(match l.split_once("\"perf.telemetry.recorded_ratio\":") {
+                Some((head, _)) => format!("{head}\"perf.telemetry.recorded_ratio\": 0.01,"),
+                None => l.to_string(),
+            })
+        });
+        assert!(perf_only.unwrap().contains("no regressions"));
+        let drift = compare_with(&|l| {
+            Some(if l.contains("\"exact.sweep.sum_cc\"") {
+                "  \"exact.sweep.sum_cc\": 1,".into()
+            } else {
+                l.to_string()
+            })
+        });
+        assert!(drift.unwrap_err().contains("exact.sweep.sum_cc changed"));
+        let missing = compare_with(&|l| (!l.contains("\"exact.sweep.trials\"")).then(|| l.into()));
+        assert!(missing.unwrap_err().contains("exact.sweep.trials missing"));
+        std::fs::remove_file(dir.join("bench_cli_candidate.json")).ok();
         std::fs::remove_file(path).ok();
         assert!(dispatch(&args(&["bench"])).is_err());
         assert!(dispatch(&args(&["bench", "mystery"])).is_err());
@@ -2705,49 +2562,6 @@ mod tests {
         .unwrap();
         assert_eq!(progressed.text, out.text);
         assert_eq!(progressed.code, 0);
-    }
-
-    #[test]
-    fn radar_drift_mode_compares_snapshots() {
-        let dir = std::env::temp_dir().join("ftagg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("radar_base.json");
-        let base_s = base.to_str().unwrap();
-        dispatch(&args(&["bench", "snapshot", "--out", base_s, "--quick", "yes"])).unwrap();
-
-        // Self-drift: clean, exit 0.
-        let out =
-            dispatch_full(&args(&["radar", "--baseline", base_s, "--candidate", base_s])).unwrap();
-        assert_eq!(out.code, 0, "{}", out.text);
-        assert!(out.text.contains("no drift"), "{}", out.text);
-
-        // A perturbed exact key drifts: exit 1.
-        let cand = dir.join("radar_cand.json");
-        let cand_s = cand.to_str().unwrap();
-        let perturbed = std::fs::read_to_string(&base)
-            .unwrap()
-            .lines()
-            .map(|l| {
-                if l.contains("exact.sweep.sum_cc") {
-                    "  \"exact.sweep.sum_cc\": 1,".to_string()
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        std::fs::write(&cand, perturbed).unwrap();
-        let out =
-            dispatch_full(&args(&["radar", "--baseline", base_s, "--candidate", cand_s])).unwrap();
-        assert_eq!(out.code, 1, "{}", out.text);
-        assert!(out.text.contains("DRIFT"), "{}", out.text);
-
-        // Missing half of the pair, or a corrupt snapshot: usage errors.
-        assert!(dispatch(&args(&["radar", "--baseline", base_s])).is_err());
-        std::fs::write(&cand, "not json").unwrap();
-        assert!(dispatch(&args(&["radar", "--baseline", base_s, "--candidate", cand_s])).is_err());
-        std::fs::remove_file(&base).ok();
-        std::fs::remove_file(&cand).ok();
     }
 
     #[test]
@@ -3003,62 +2817,12 @@ mod tests {
         assert!(help.contains("usage"));
     }
 
-    fn temp_ledger(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("ftagg-cli-ledger-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(name);
-        let _ = std::fs::remove_file(&path);
-        path
-    }
-
-    #[test]
-    fn sweep_appends_a_ledger_record_and_off_disables_it() {
-        let path = temp_ledger("sweep.jsonl");
-        let ledger = path.to_str().unwrap();
-        let sweep = |extra: &[&str]| {
-            let mut a = vec![
-                "sweep",
-                "--topology",
-                "grid:4x4",
-                "--f",
-                "3",
-                "--from",
-                "42",
-                "--to",
-                "42",
-                "--points",
-                "1",
-            ];
-            a.extend_from_slice(extra);
-            dispatch(&args(&a)).unwrap()
-        };
-        let with = sweep(&["--ledger", ledger]);
-        let without = sweep(&["--ledger", "off"]);
-        // Recording never touches stdout.
-        assert_eq!(with, without);
-        let records = ftagg_bench::ledger::load(&path).unwrap();
-        assert_eq!(records.len(), 1);
-        let rec = &records[0];
-        assert_eq!(rec.kind, "sweep");
-        assert_eq!(rec.info["topology"], "grid:4x4");
-        // The per-worker runner instruments landed in the record.
-        assert_eq!(rec.metrics["runner_trials_total"], 1.0);
-        assert_eq!(rec.metrics["runner_trial_micros_count"], 1.0);
-        assert_eq!(rec.metrics["worker0_trials"], 1.0);
-        assert!(rec.metrics["wall_secs"] >= 0.0);
-        // A second run appends, never truncates.
-        sweep(&["--ledger", ledger]);
-        assert_eq!(ftagg_bench::ledger::load(&path).unwrap().len(), 2);
-    }
-
     #[test]
     fn report_workers_table_is_gated_and_summary_carries_workers() {
-        let base = ["report", "--topology", "grid:4x4", "--trials", "3", "--b", "42", "--f", "2"];
-        let mut quiet = base.to_vec();
-        quiet.extend_from_slice(&["--ledger", "off"]);
+        let quiet = ["report", "--topology", "grid:4x4", "--trials", "3", "--b", "42", "--f", "2"];
         let out = dispatch(&args(&quiet)).unwrap();
         assert!(!out.contains("per-worker load"), "{out}");
-        let mut loud = quiet.clone();
+        let mut loud = quiet.to_vec();
         loud.extend_from_slice(&["--workers", "yes"]);
         let out = dispatch(&args(&loud)).unwrap();
         assert!(out.contains("per-worker load"), "{out}");
@@ -3068,9 +2832,7 @@ mod tests {
 
     #[test]
     fn top_trials_mode_reports_worker_loads_and_scales_totals() {
-        let single =
-            dispatch(&args(&["top", "--topology", "grid:6x6", "--t", "1", "--ledger", "off"]))
-                .unwrap();
+        let single = dispatch(&args(&["top", "--topology", "grid:6x6", "--t", "1"])).unwrap();
         let bits_of = |out: &str| -> u64 {
             out.lines()
                 .find(|l| l.starts_with("rounds = "))
@@ -3078,7 +2840,6 @@ mod tests {
                 .and_then(|(_, v)| v.trim().parse().ok())
                 .expect("summary line")
         };
-        let path = temp_ledger("top.jsonl");
         let fleet = dispatch(&args(&[
             "top",
             "--topology",
@@ -3089,67 +2850,11 @@ mod tests {
             "3",
             "--threads",
             "2",
-            "--ledger",
-            path.to_str().unwrap(),
         ]))
         .unwrap();
         // Merged totals are exactly trials × the single-run meters.
         assert_eq!(bits_of(&fleet), 3 * bits_of(&single), "{fleet}");
         assert!(fleet.contains("per-worker load"), "{fleet}");
         assert!(fleet.contains("trial latency p50"), "{fleet}");
-        let records = ftagg_bench::ledger::load(&path).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].kind, "top");
-        assert_eq!(records[0].metrics["runner_trials_total"], 3.0);
-    }
-
-    #[test]
-    fn trend_command_gates_on_injected_regression() {
-        use ftagg_bench::ledger::{append, LedgerRecord};
-        let path = temp_ledger("trend.jsonl");
-        let mk = |v: f64| {
-            let mut r = LedgerRecord::new("bench");
-            r.metric("perf.e6.deliveries_per_sec", v);
-            r
-        };
-        // Flat history: exit 0, no regressions.
-        for _ in 0..8 {
-            append(&path, &mk(100.0)).unwrap();
-        }
-        let flat = dispatch_full(&args(&["trend", "--ledger", path.to_str().unwrap()])).unwrap();
-        assert_eq!(flat.code, 0, "{}", flat.text);
-        assert!(flat.text.contains("no regressions."), "{}", flat.text);
-        assert!(flat.text.contains("▁"), "sparkline expected: {}", flat.text);
-
-        // Inject a 40% downshift: exit 1, changepoint localized to run 7.
-        let path = temp_ledger("trend-regressed.jsonl");
-        for i in 0..10 {
-            append(&path, &mk(if i < 6 { 100.0 } else { 60.0 })).unwrap();
-        }
-        let bad = dispatch_full(&args(&["trend", "--ledger", path.to_str().unwrap()])).unwrap();
-        assert_eq!(bad.code, 1, "{}", bad.text);
-        assert!(bad.text.contains("REGRESSION at run 7/10"), "{}", bad.text);
-    }
-
-    #[test]
-    fn trend_short_history_and_corrupt_ledger() {
-        use ftagg_bench::ledger::{append, LedgerRecord};
-        // Empty (missing) ledger: exit 0 with the explicit message.
-        let path = temp_ledger("trend-empty.jsonl");
-        let out = dispatch_full(&args(&["trend", "--ledger", path.to_str().unwrap()])).unwrap();
-        assert_eq!(out.code, 0);
-        assert!(out.text.contains("not enough history"), "{}", out.text);
-        // One entry: still exit 0.
-        let mut r = LedgerRecord::new("sweep");
-        r.metric("perf.x", 1.0);
-        append(&path, &r).unwrap();
-        let out = dispatch_full(&args(&["trend", "--ledger", path.to_str().unwrap()])).unwrap();
-        assert_eq!(out.code, 0);
-        assert!(out.text.contains("1 run recorded"), "{}", out.text);
-        // A corrupt line is a one-line error on the Err path (exit 2).
-        std::fs::write(&path, "not json\n").unwrap();
-        let err = dispatch_full(&args(&["trend", "--ledger", path.to_str().unwrap()])).unwrap_err();
-        assert_eq!(err.lines().count(), 1, "{err}");
-        assert!(err.contains("trend-empty.jsonl:1:"), "{err}");
     }
 }

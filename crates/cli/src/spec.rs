@@ -67,51 +67,67 @@ fn parse_pair(s: &str, sep: char) -> Result<(usize, usize), String> {
 ///
 /// # Errors
 ///
-/// Returns a message naming the unknown family or malformed parameter.
+/// Returns a message naming the unknown family, a malformed parameter, or
+/// a size below the family's minimum (checked here, so a bad spec is a
+/// one-line error instead of an assert inside `netsim::topology`).
 pub fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
     let (name, arg) = spec.split_once(':').unwrap_or((spec, ""));
     let num = |s: &str| -> Result<usize, String> {
         s.parse().map_err(|_| format!("bad number '{s}' in '{spec}'"))
     };
+    let at_least = |v: usize, min: usize, what: &str| -> Result<usize, String> {
+        if v >= min {
+            Ok(v)
+        } else {
+            Err(format!("topology '{spec}' needs {what} >= {min}"))
+        }
+    };
     Ok(match name {
-        "path" => topology::path(num(arg)?),
-        "cycle" => topology::cycle(num(arg)?),
-        "star" => topology::star(num(arg)?),
-        "complete" => topology::complete(num(arg)?),
+        "path" => topology::path(at_least(num(arg)?, 1, "N")?),
+        "cycle" => topology::cycle(at_least(num(arg)?, 3, "N")?),
+        "star" => topology::star(at_least(num(arg)?, 1, "N")?),
+        "complete" => topology::complete(at_least(num(arg)?, 1, "N")?),
         "grid" => {
             let (r, c) = parse_pair(arg, 'x')?;
-            topology::grid(r, c)
+            topology::grid(at_least(r, 1, "R")?, at_least(c, 1, "C")?)
         }
         "torus" => {
             let (r, c) = parse_pair(arg, 'x')?;
-            topology::torus(r, c)
+            topology::torus(at_least(r, 3, "R")?, at_least(c, 3, "C")?)
         }
-        "binary-tree" => topology::binary_tree(num(arg)?),
+        "binary-tree" => topology::binary_tree(at_least(num(arg)?, 1, "N")?),
         "caterpillar" => {
             let (s, l) = parse_pair(arg, 'x')?;
-            topology::caterpillar(s, l)
+            topology::caterpillar(at_least(s, 1, "S")?, l)
         }
         "broom" => {
             let (h, b) = parse_pair(arg, 'x')?;
-            topology::broom(h, b)
+            topology::broom(at_least(h, 1, "H")?, b)
         }
         "lollipop" => {
             let (k, t) = parse_pair(arg, 'x')?;
-            topology::lollipop(k, t)
+            topology::lollipop(at_least(k, 1, "K")?, t)
         }
-        "hypercube" => topology::hypercube(num(arg)? as u32),
-        "wheel" => topology::wheel(num(arg)?),
+        "hypercube" => {
+            let d = at_least(num(arg)?, 1, "D")?;
+            if d > 20 {
+                return Err(format!("topology '{spec}' needs D <= 20"));
+            }
+            topology::hypercube(d as u32)
+        }
+        "wheel" => topology::wheel(at_least(num(arg)?, 4, "N")?),
         "barbell" => {
             let (k, b) = parse_pair(arg, 'x')?;
-            topology::barbell(k, b)
+            topology::barbell(at_least(k, 2, "K")?, b)
         }
         "bipartite" => {
             let (a, b) = parse_pair(arg, 'x')?;
-            topology::complete_bipartite(a, b)
+            topology::complete_bipartite(at_least(a, 1, "A")?, at_least(b, 1, "B")?)
         }
         "random-tree" => {
+            let n = at_least(num(arg)?, 1, "N")?;
             let mut rng = StdRng::seed_from_u64(seed);
-            topology::random_tree(num(arg)?, &mut rng)
+            topology::random_tree(n, &mut rng)
         }
         "gnp" => {
             let (n, pct) = parse_pair(arg, 'x')?;
@@ -120,6 +136,10 @@ pub fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
                 .trim_end_matches('%')
                 .parse::<usize>()
                 .map_err(|_| format!("bad percent in '{spec}'"))?;
+            if p > 100 {
+                return Err(format!("topology '{spec}' needs P <= 100 (percent)"));
+            }
+            let n = at_least(n, 1, "N")?;
             let mut rng = StdRng::seed_from_u64(seed);
             topology::connected_gnp(n, p as f64 / 100.0, &mut rng)
         }
@@ -278,6 +298,39 @@ mod tests {
         assert!(parse_topology("mesh:4", 0).is_err());
         assert!(parse_topology("grid:4", 0).is_err());
         assert!(parse_topology("path:x", 0).is_err());
+    }
+
+    #[test]
+    fn topology_sizes_below_a_family_minimum_are_one_line_errors() {
+        for (spec, needle) in [
+            ("path:0", "N >= 1"),
+            ("cycle:2", "N >= 3"),
+            ("star:0", "N >= 1"),
+            ("complete:0", "N >= 1"),
+            ("grid:0x0", "R >= 1"),
+            ("grid:3x0", "C >= 1"),
+            ("torus:2x3", "R >= 3"),
+            ("binary-tree:0", "N >= 1"),
+            ("caterpillar:0x1", "S >= 1"),
+            ("broom:0x1", "H >= 1"),
+            ("lollipop:0x2", "K >= 1"),
+            ("hypercube:0", "D >= 1"),
+            ("hypercube:21", "D <= 20"),
+            ("hypercube:4294967297", "D <= 20"),
+            ("wheel:3", "N >= 4"),
+            ("barbell:1x0", "K >= 2"),
+            ("bipartite:0x1", "A >= 1"),
+            ("random-tree:0", "N >= 1"),
+            ("gnp:0x5", "N >= 1"),
+            ("gnp:10x200", "P <= 100"),
+        ] {
+            let err = parse_topology(spec, 0).unwrap_err();
+            assert!(err.contains(needle) && !err.contains('\n'), "{spec}: {err}");
+        }
+        // Each family's smallest legal size still builds.
+        for spec in ["path:1", "cycle:3", "torus:3x3", "hypercube:1", "wheel:4", "barbell:2x0"] {
+            assert!(parse_topology(spec, 0).is_ok(), "{spec}");
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! directory:
 //!
 //! ```text
-//! cargo run -p ftagg-cli -- telemetry export --ledger off \
+//! cargo run -p ftagg-cli -- telemetry export \
 //!     > tests/fixtures/golden_telemetry_prom.txt
-//! cargo run -p ftagg-cli -- telemetry export --format json --ledger off \
+//! cargo run -p ftagg-cli -- telemetry export --format json \
 //!     > tests/fixtures/golden_telemetry_json.txt
 //! ```
 
@@ -21,10 +21,7 @@ const GOLDEN: &str = include_str!("fixtures/golden_telemetry_prom.txt");
 const GOLDEN_JSON: &str = include_str!("fixtures/golden_telemetry_json.txt");
 
 fn export(extra: &[&str]) -> ftagg_cli::CmdOutput {
-    let argv = ["telemetry", "export", "--ledger", "off"]
-        .into_iter()
-        .chain(extra.iter().copied())
-        .map(String::from);
+    let argv = ["telemetry", "export"].into_iter().chain(extra.iter().copied()).map(String::from);
     let args = Args::parse(argv).expect("valid args");
     dispatch_full(&args).expect("the default observed pair runs")
 }

@@ -32,8 +32,6 @@ fn live_timeline_emits_a_schema_valid_chrome_trace() {
         "2",
         "--top",
         "3",
-        "--ledger",
-        "off",
         "--out",
         &out_path,
     ])
@@ -64,8 +62,7 @@ fn live_timeline_emits_a_schema_valid_chrome_trace() {
 #[test]
 fn validate_enforces_coverage_floors_with_documented_exit_codes() {
     let out_path = tmp("gate.trace.json");
-    run(&["timeline", "--topology", "grid:6x6", "--ledger", "off", "--out", &out_path])
-        .expect("live timeline runs");
+    run(&["timeline", "--topology", "grid:6x6", "--out", &out_path]).expect("live timeline runs");
 
     let ok = run(&[
         "timeline",
@@ -100,24 +97,11 @@ fn validate_enforces_coverage_floors_with_documented_exit_codes() {
 #[test]
 fn replay_rebuilds_a_valid_trace_from_saved_jsonl() {
     let jsonl = tmp("fixture.jsonl");
-    run(&[
-        "trace",
-        "--topology",
-        "path:4",
-        "--d",
-        "3",
-        "--t",
-        "1",
-        "--ledger",
-        "off",
-        "--jsonl",
-        &jsonl,
-    ])
-    .expect("trace fixture runs");
+    run(&["trace", "--topology", "path:4", "--d", "3", "--t", "1", "--jsonl", &jsonl])
+        .expect("trace fixture runs");
 
     let out_path = tmp("replay.trace.json");
-    let out = run(&["timeline", "--input", &jsonl, "--ledger", "off", "--out", &out_path])
-        .expect("replay runs");
+    let out = run(&["timeline", "--input", &jsonl, "--out", &out_path]).expect("replay runs");
     assert_eq!(out.code, 0, "{}", out.text);
     assert!(out.text.contains("replayed"), "{}", out.text);
 
@@ -140,35 +124,13 @@ fn zero_valued_trials_and_sampling_arguments_fail_fast() {
     let err = run(&["timeline", "--trials", "0"]).expect_err("timeline --trials 0 must error");
     assert!(err.contains("--trials"), "{err}");
 
-    let err = run(&[
-        "report",
-        "--topology",
-        "grid:4x4",
-        "--trials",
-        "2",
-        "--sampled",
-        "0",
-        "--ledger",
-        "off",
-    ])
-    .expect_err("live report --sampled 0 must error");
+    let err = run(&["report", "--topology", "grid:4x4", "--trials", "2", "--sampled", "0"])
+        .expect_err("live report --sampled 0 must error");
     assert!(err.contains("--sampled"), "{err}");
 
     let jsonl = tmp("guard.jsonl");
-    run(&[
-        "trace",
-        "--topology",
-        "path:4",
-        "--d",
-        "3",
-        "--t",
-        "1",
-        "--ledger",
-        "off",
-        "--jsonl",
-        &jsonl,
-    ])
-    .expect("trace fixture runs");
+    run(&["trace", "--topology", "path:4", "--d", "3", "--t", "1", "--jsonl", &jsonl])
+        .expect("trace fixture runs");
     let err = run(&["report", "--input", &jsonl, "--sampled", "0"])
         .expect_err("saved-trace report --sampled 0 must error");
     assert!(err.contains("--sampled"), "{err}");
