@@ -1,23 +1,235 @@
 //! Differential-equivalence helpers shared by the engine test harness.
 //!
-//! The SoA engine ([`crate::soa::SoaEngine`]) claims bit-for-bit
-//! equivalence with the classic [`Engine`]: same trace bytes, same
+//! [`Reference`] is a second, deliberately simple implementation of the
+//! synchronous model (DESIGN §1 and §5.1): it clones every payload once
+//! per delivery, records its events straight into a `Vec`, and has no
+//! sinks, timeline, round stream or wall clock. The production engine
+//! claims bit-for-bit equivalence with it: same trace bytes, same
 //! metrics, same telemetry counts, same protocol outcomes. This module
 //! turns that claim into something a test can assert in one line — run
-//! both engines, [`capture`] a [`RunArtifacts`] from each, and
-//! [`assert_equivalent`]. On divergence the panic names the *first*
-//! differing artifact (first differing trace line, first differing node's
-//! bits, …) so a broken invariant points straight at the round and node
-//! that produced it.
+//! both, take a [`RunArtifacts`] from each ([`capture`],
+//! [`Reference::artifacts`]), and [`assert_equivalent`]. On divergence
+//! the panic names the *first* differing artifact (first differing trace
+//! line, first differing node's bits, …) so a broken invariant points
+//! straight at the round and node that produced it.
 //!
 //! Everything compared here is deterministic; wall-clock telemetry
 //! ([`Telemetry::busy`], phase timings) is deliberately excluded.
 
-use crate::engine::{Engine, Message, NodeLogic, Telemetry};
+use crate::adversary::FailureSchedule;
+use crate::engine::{
+    Engine, InboxRef, Message, NodeLogic, RoundCtx, RunReport, StopCause, Telemetry,
+};
+use crate::graph::{Graph, NodeId};
 use crate::metrics::{Metrics, PhaseSpan};
 use crate::soa::{AnyEngine, SoaEngine};
-use crate::trace::Trace;
+use crate::trace::{Event, EventId};
 use crate::Round;
+
+/// The reference round engine: the model executed the obvious way, with
+/// no performance work and no observers.
+///
+/// Per round `r`, nodes run in id order. A node dead at `r` (its crash
+/// round is `≤ r`) is skipped; the first time, a `Crash` event is
+/// logged. A live node first logs one `Deliver` per inbox entry, then
+/// runs its logic, then meters and logs its outbox — one `Send` per
+/// message kind, in first-appearance order. Every neighbour alive at
+/// `r + 1` gets its own clone of each message, unless the sender crashes
+/// at `r + 1` with a partial broadcast that leaves the neighbour out.
+/// Event ids count up in exactly the order the events are created, which
+/// is the order the production engine assigns them.
+pub struct Reference<M: Message, L: NodeLogic<M>> {
+    graph: Graph,
+    schedule: FailureSchedule,
+    nodes: Vec<L>,
+    /// What each node hears next round: (sender, its own payload copy,
+    /// the producing `Send` event's id), in arrival order.
+    inbox: Vec<Vec<(NodeId, M, EventId)>>,
+    crash_logged: Vec<bool>,
+    round: Round,
+    stopped: bool,
+    metrics: Metrics,
+    events: Vec<Event>,
+    last_id: u64,
+    telemetry: Telemetry,
+}
+
+impl<M: Message, L: NodeLogic<M>> Reference<M, L> {
+    /// A reference run over `graph` under `schedule`, with each node's
+    /// logic built by `factory`.
+    pub fn new(graph: Graph, schedule: FailureSchedule, factory: impl FnMut(NodeId) -> L) -> Self {
+        let n = graph.len();
+        Reference {
+            nodes: graph.nodes().map(factory).collect(),
+            inbox: (0..n).map(|_| Vec::new()).collect(),
+            crash_logged: vec![false; n],
+            round: 0,
+            stopped: false,
+            metrics: Metrics::new(n),
+            events: Vec::new(),
+            last_id: 0,
+            telemetry: Telemetry::default(),
+            graph,
+            schedule,
+        }
+    }
+
+    fn next_id(&mut self) -> EventId {
+        self.last_id += 1;
+        EventId(self.last_id)
+    }
+
+    /// Executes one round; `false` once a node has requested a stop.
+    pub fn step(&mut self) -> bool {
+        if self.stopped {
+            return false;
+        }
+        let r = self.round + 1;
+        let n = self.graph.len();
+        self.metrics.note_round(r);
+        self.telemetry.rounds += 1;
+        let mut heard = std::mem::replace(&mut self.inbox, (0..n).map(|_| Vec::new()).collect());
+        let mut stop = false;
+        let mut enqueued = 0;
+        for v in (0..n as u32).map(NodeId) {
+            if self.schedule.is_dead(v, r) {
+                if !self.crash_logged[v.index()] {
+                    self.crash_logged[v.index()] = true;
+                    self.events.push(Event::Crash { round: r, node: v });
+                }
+                continue;
+            }
+            let mine = std::mem::take(&mut heard[v.index()]);
+            let mut delivery_ids = Vec::new();
+            for (from, msg, src) in &mine {
+                let id = self.next_id();
+                delivery_ids.push(id);
+                let bits = msg.bit_len();
+                self.events.push(Event::Deliver {
+                    round: r,
+                    node: v,
+                    from: *from,
+                    bits,
+                    id,
+                    src: *src,
+                });
+            }
+            let from: Vec<NodeId> = mine.iter().map(|d| d.0).collect();
+            let midx: Vec<u32> = (0..mine.len() as u32).collect();
+            let arena: Vec<M> = mine.into_iter().map(|d| d.1).collect();
+            let (mut outbox, mut causes) = (Vec::new(), Vec::new());
+            let inbox = InboxRef::Soa { from: &from, midx: &midx, arena: &arena };
+            let mut ctx = RoundCtx::assemble(
+                v,
+                n,
+                r,
+                inbox,
+                &mut outbox,
+                &mut stop,
+                &delivery_ids,
+                &mut causes,
+            );
+            self.nodes[v.index()].on_round(&mut ctx);
+            if outbox.is_empty() {
+                continue;
+            }
+            let bits = outbox.iter().map(Message::bit_len).sum();
+            self.metrics.record_send(v, r, bits, outbox.len() as u64);
+            // One `Send` per kind: (kind, bits, messages, id).
+            let mut kinds: Vec<(&'static str, u64, u64, EventId)> = Vec::new();
+            let mut send_ids = Vec::new();
+            for m in &outbox {
+                let k = match kinds.iter().position(|g| g.0 == m.kind()) {
+                    Some(k) => k,
+                    None => {
+                        let id = self.next_id();
+                        kinds.push((m.kind(), 0, 0, id));
+                        kinds.len() - 1
+                    }
+                };
+                kinds[k].1 += m.bit_len();
+                kinds[k].2 += 1;
+                send_ids.push(kinds[k].3);
+            }
+            for (kind, bits, logical, id) in kinds {
+                let (kind, causes) = (kind.to_string(), causes.clone());
+                self.events.push(Event::Send {
+                    round: r,
+                    node: v,
+                    bits,
+                    logical,
+                    id,
+                    kind,
+                    causes,
+                });
+            }
+            let partial = self
+                .schedule
+                .event(v)
+                .filter(|e| e.round == r + 1)
+                .and_then(|e| e.partial.as_ref());
+            for &w in self.graph.neighbors(v) {
+                let left_out = partial.is_some_and(|rx| !rx.contains(&w));
+                if self.schedule.is_dead(w, r + 1) || left_out {
+                    continue;
+                }
+                for (m, &id) in outbox.iter().zip(&send_ids) {
+                    self.inbox[w.index()].push((v, m.clone(), id));
+                    enqueued += 1;
+                }
+            }
+        }
+        self.telemetry.deliveries += enqueued;
+        self.telemetry.peak_inflight = self.telemetry.peak_inflight.max(enqueued);
+        self.round = r;
+        self.stopped = stop;
+        true
+    }
+
+    /// Runs until a stop is requested or `max_rounds` rounds have executed.
+    pub fn run(&mut self, max_rounds: Round) -> RunReport {
+        loop {
+            if self.round >= max_rounds {
+                return RunReport { rounds: self.round, cause: StopCause::RoundLimit };
+            }
+            self.step();
+            if self.stopped {
+                return RunReport { rounds: self.round, cause: StopCause::Requested };
+            }
+        }
+    }
+
+    /// Opens a metrics phase at the next round, logging `PhaseEnter`.
+    pub fn enter_phase(&mut self, label: &str) -> Round {
+        let start = self.metrics.enter_phase(label);
+        self.events.push(Event::PhaseEnter { round: start, label: label.to_string() });
+        start
+    }
+
+    /// Closes the innermost phase at the current round, logging
+    /// `PhaseExit`.
+    pub fn exit_phase(&mut self) -> Option<(String, Round)> {
+        let (label, end) = self.metrics.exit_phase_at(self.round)?;
+        self.events.push(Event::PhaseExit { round: end, label: label.clone() });
+        Some((label, end))
+    }
+
+    /// A node's logic (e.g. to read the root's output).
+    pub fn node(&self, v: NodeId) -> &L {
+        &self.nodes[v.index()]
+    }
+
+    /// The last executed round.
+    pub fn round(&self) -> Round {
+        self.round
+    }
+
+    /// Every deterministic observable of the run so far.
+    pub fn artifacts(&self) -> RunArtifacts {
+        let trace = jsonl_lines(&self.events);
+        capture_parts("reference", Some(trace), &self.metrics, &self.telemetry, self.round)
+    }
+}
 
 /// Every deterministic observable of one engine run, in directly
 /// comparable (mostly serialized) form.
@@ -46,30 +258,29 @@ pub struct RunArtifacts {
     pub last_round: Round,
 }
 
-/// Serializes a [`Trace`] to its v2 JSONL lines, header included — the
+/// Serializes events to their v2 JSONL lines, header included — the
 /// exact bytes `JsonlSink` would have written, one line per entry.
-pub fn trace_to_jsonl(trace: &Trace) -> Vec<String> {
-    let mut lines = Vec::with_capacity(trace.events().len() + 1);
+fn jsonl_lines(events: &[Event]) -> Vec<String> {
+    let mut lines = Vec::with_capacity(events.len() + 1);
     lines.push(format!(
         "{{\"schema\":\"ftagg-trace\",\"v\":{}}}",
         crate::trace::TRACE_SCHEMA_VERSION
     ));
-    lines.extend(trace.events().iter().map(|e| e.to_jsonl()));
+    lines.extend(events.iter().map(Event::to_jsonl));
     lines
 }
 
-/// Captures artifacts from the shared parts of any engine. The engine-type
-/// specific [`capture`] wrappers feed this.
-pub fn capture_parts(
+/// Assembles artifacts from a run's trace lines, meters and counters.
+fn capture_parts(
     engine: &str,
-    trace: Option<&Trace>,
+    trace: Option<Vec<String>>,
     metrics: &Metrics,
     telemetry: &Telemetry,
     last_round: Round,
 ) -> RunArtifacts {
     RunArtifacts {
         engine: engine.to_string(),
-        trace: trace.map(trace_to_jsonl).unwrap_or_default(),
+        trace: trace.unwrap_or_default(),
         bits_per_node: metrics.bits_per_node().to_vec(),
         sends_per_node: (0..metrics.bits_per_node().len())
             .map(|i| metrics.sends_of(crate::NodeId(i as u32)))
@@ -85,17 +296,20 @@ pub fn capture_parts(
 
 /// Captures every deterministic observable of an [`AnyEngine`] run.
 pub fn capture<M: Message, L: NodeLogic<M>>(eng: &AnyEngine<M, L>) -> RunArtifacts {
-    capture_parts(eng.kind().name(), eng.trace(), eng.metrics(), eng.telemetry(), eng.round())
+    let trace = eng.trace().map(|t| jsonl_lines(t.events()));
+    capture_parts(eng.kind().name(), trace, eng.metrics(), eng.telemetry(), eng.round())
 }
 
 /// [`capture`] for a bare classic [`Engine`].
 pub fn capture_classic<M: Message, L: NodeLogic<M>>(eng: &Engine<M, L>) -> RunArtifacts {
-    capture_parts("classic", eng.trace(), eng.metrics(), eng.telemetry(), eng.round())
+    let trace = eng.trace().map(|t| jsonl_lines(t.events()));
+    capture_parts("classic", trace, eng.metrics(), eng.telemetry(), eng.round())
 }
 
 /// [`capture`] for a bare [`SoaEngine`].
 pub fn capture_soa<M: Message, L: NodeLogic<M>>(eng: &SoaEngine<M, L>) -> RunArtifacts {
-    capture_parts("soa", eng.trace(), eng.metrics(), eng.telemetry(), eng.round())
+    let trace = eng.trace().map(|t| jsonl_lines(t.events()));
+    capture_parts("soa", trace, eng.metrics(), eng.telemetry(), eng.round())
 }
 
 impl RunArtifacts {

@@ -1,62 +1,172 @@
-//! The differential equivalence harness — the contract behind
-//! `--engine soa|classic`.
+//! The differential equivalence harness: the production [`Engine`]
+//! against [`netsim::testkit::Reference`], a deliberately simple second
+//! implementation of the synchronous model.
 //!
-//! The struct-of-arrays engine is a hot-path rebuild (arena payloads,
-//! CSR inbox scatter, bit-packed flood lane, lean streaming metrics);
-//! nothing about the *semantics* may move. This harness runs the real
-//! protocol drivers — one AGG+VERI pair, Algorithm 1's tradeoff, the
-//! unknown-`f` doubling wrapper — on both engines across topology ×
-//! crash-schedule matrices plus the mined adversary corpus, and asserts
-//! byte-identical observables at small N via [`netsim::testkit`]:
-//! v2 JSONL trace bytes, per-node/per-round bit ledgers, phase spans,
-//! and the protocol decisions themselves. Any divergence names the first
-//! differing trace line or meter, so a broken SoA invariant points at
-//! the guilty round and node directly.
+//! The engine is a hot-path build (arena payloads, CSR inbox scatter,
+//! lean streaming metrics); nothing about the *semantics* may move. Each
+//! protocol node type — `PairNode` (AGG-only and AGG+VERI, at several
+//! tolerances, on the unshifted schedule and on schedules shifted to
+//! Algorithm 1's pair offsets), `BruteNode` and `FolkNode` — runs on both
+//! implementations through the same phase script, across a
+//! topology × crash-schedule matrix, random instances, the windows
+//! Algorithm 1 and the doubling wrapper run, and the mined adversary
+//! corpus. Every run must give byte-identical observables via
+//! [`netsim::testkit`]: v2 JSONL trace bytes, per-node/per-round bit
+//! ledgers, phase spans, telemetry counts and every node's final state.
+//! Any divergence names the first differing trace line or meter, so a
+//! broken engine invariant points at the guilty round and node directly.
+//!
+//! The drivers' merge logic on top (interval and stage offsets, the
+//! fallback, merged traces) is pinned separately by the goldens and the
+//! benchmark digests.
 
 use caaf::{Caaf, Max, Sum};
-use ftagg::doubling::{run_doubling_observed, DoublingConfig, DoublingReport};
+use ftagg::baselines::brute::BruteNode;
+use ftagg::baselines::folklore::FolkNode;
+use ftagg::interval::IntervalLayout;
 use ftagg::pair::Tweaks;
-use ftagg::tradeoff::{run_tradeoff_observed, TradeoffConfig, TradeoffReport};
-use ftagg::{run_pair_observed, Instance, Observe, PairReport};
-use netsim::testkit::{assert_equivalent, capture_parts, RunArtifacts};
+use ftagg::{Instance, PairNode, PairParams};
+use netsim::testkit::{assert_equivalent, capture_classic, capture_soa, Reference};
 use netsim::{
-    adversary::schedules, topology, CorpusEntry, EngineKind, FailureSchedule, Metrics, NodeId,
-    Round, Telemetry, Trace,
+    adversary::schedules, topology, CorpusEntry, Engine, FailureSchedule, Graph, Message, NodeId,
+    NodeLogic, Round, SoaEngine,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
 
 const C: u32 = 2;
+/// A TC budget giving Algorithm 1 three intervals (`x = ⌊(b − 2c)/19c⌋`).
+const B3: u64 = 59 * C as u64;
 
-/// Driver-level artifacts: the drivers expose their merged [`Trace`] and
-/// [`Metrics`] but keep engine telemetry internal, so the wall-clock-free
-/// subset is compared (trace bytes already pin every send and delivery).
-fn artifacts(engine: EngineKind, trace: &Trace, metrics: &Metrics, rounds: Round) -> RunArtifacts {
-    capture_parts(engine.name(), Some(trace), metrics, &Telemetry::default(), rounds)
+/// Runs `factory`'s nodes over `graph` under `schedule` on the engine and
+/// on the reference, entering phase `label` and running to round `until`
+/// for each step of `script`, and asserts byte-identical artifacts and
+/// equal per-node `state`.
+fn assert_runs_agree<M: Message, L: NodeLogic<M>>(
+    graph: &Graph,
+    schedule: &FailureSchedule,
+    factory: impl Fn(NodeId) -> L,
+    script: &[(&str, Round)],
+    state: impl Fn(&L) -> String,
+    context: &str,
+) {
+    let mut classic = Engine::new(graph.clone(), schedule.clone(), &factory);
+    let mut eng = SoaEngine::new(graph.clone(), schedule.clone(), &factory);
+    let mut reference = Reference::new(graph.clone(), schedule.clone(), &factory);
+    classic.enable_trace();
+    eng.enable_trace();
+    for &(label, until) in script {
+        classic.enter_phase(label);
+        classic.run(until);
+        classic.exit_phase();
+        eng.enter_phase(label);
+        eng.run(until);
+        eng.exit_phase();
+        reference.enter_phase(label);
+        reference.run(until);
+        reference.exit_phase();
+    }
+    assert_equivalent(&capture_soa(&eng), &reference.artifacts(), context);
+    assert_equivalent(&capture_classic(&classic), &reference.artifacts(), context);
+    for v in graph.nodes() {
+        let want = state(reference.node(v));
+        assert_eq!(state(eng.node(v)), want, "{context}: node {v} state");
+        assert_eq!(state(classic.node(v)), want, "{context}: node {v} state (classic)");
+    }
 }
 
-fn traced_pair<C2: Caaf>(op: &C2, inst: &Instance, t: u32) -> (PairReport, Trace) {
-    let s = inst.schedule.clone();
-    let (r, seen, _) =
-        run_pair_observed(op, inst, s, C, t, true, 0, Tweaks::default(), Observe::trace());
-    (r, seen.trace.expect("trace requested"))
+/// One AGG (+ VERI) pair over `inst` under `schedule`, with the driver's
+/// phase script: `AGG` to its last round, then `VERI` to the pair's end.
+fn assert_pair_agrees<C2: Caaf>(
+    op: &C2,
+    inst: &Instance,
+    schedule: &FailureSchedule,
+    params: PairParams,
+    context: &str,
+) {
+    let mut script = vec![("AGG", params.agg_rounds())];
+    if params.run_veri {
+        script.push(("VERI", params.total_rounds()));
+    }
+    let factory = |v: NodeId| PairNode::new(params, op.clone(), v, inst.inputs[v.index()]);
+    let state = |node: &PairNode<C2>| {
+        let (snap, agg, veri) = (node.snapshot(), node.agg_outcome(), node.veri_verdict());
+        let (crit, psums) = (node.critical_failures_seen(), node.flooded_psums_seen());
+        format!("{snap:?} {agg:?} {veri} {crit:?} {psums:?}")
+    };
+    assert_runs_agree(&inst.graph, schedule, factory, &script, state, context);
 }
 
-fn traced_tradeoff(inst: &Instance, cfg: &TradeoffConfig) -> (TradeoffReport, Trace) {
-    let (r, seen) = run_tradeoff_observed(&Sum, inst, cfg, Observe::trace());
-    (r, seen.trace.expect("trace requested"))
+/// The brute-force protocol over `inst` under `schedule`, run to the
+/// driver's horizon `2cd + 2`.
+fn assert_brute_agrees<C2: Caaf>(
+    op: &C2,
+    inst: &Instance,
+    schedule: &FailureSchedule,
+    context: &str,
+) {
+    let model = inst.model(C);
+    let (id_bits, value_bits) = (model.id_bits(), op.value_bits(model.n, model.max_input));
+    let factory =
+        |v: NodeId| BruteNode::new(v, inst.root, inst.inputs[v.index()], id_bits, value_bits);
+    let script = [("fallback", 2 * model.cd() + 2)];
+    let state = |node: &BruteNode| node.result(op).to_string();
+    assert_runs_agree(&inst.graph, schedule, factory, &script, state, context);
 }
 
-fn traced_doubling(inst: &Instance, cfg: &DoublingConfig) -> (DoublingReport, Trace) {
-    let (r, seen) = run_doubling_observed(&Sum, inst, cfg, Observe::trace());
-    (r, seen.trace.expect("trace requested"))
+/// One tree-aggregation attempt (TAG and each folklore retry) over
+/// `inst` under `schedule`.
+fn assert_folk_agrees<C2: Caaf>(
+    op: &C2,
+    inst: &Instance,
+    schedule: &FailureSchedule,
+    context: &str,
+) {
+    let model = inst.model(C);
+    let (cd, value_bits) = (model.cd(), op.value_bits(model.n, model.max_input));
+    let factory = |v: NodeId| {
+        FolkNode::new(op.clone(), v, inst.root, model.n, cd, value_bits, inst.inputs[v.index()])
+    };
+    let script = [("attempt", FolkNode::<C2>::attempt_rounds(cd))];
+    let state = |node: &FolkNode<C2>| format!("{} {}", node.result(), node.clean());
+    assert_runs_agree(&inst.graph, schedule, factory, &script, state, context);
+}
+
+/// Every node type over one instance. `PairNode` runs AGG-only and
+/// AGG+VERI at t ∈ {0, 1, 2}, each on the instance's schedule shifted to
+/// every pair offset of Algorithm 1 at budget `b` (offset 0 is the
+/// unshifted schedule); `BruteNode` runs unshifted and at the fallback
+/// window; `FolkNode` runs the first three folklore attempts.
+fn assert_every_node_type_agrees<C2: Caaf>(op: &C2, inst: &Instance, b: u64, context: &str) {
+    let model = inst.model(C);
+    let layout = IntervalLayout::new(b, C, model.d).expect("b >= 21c");
+    for y in 1..=layout.x() {
+        let offset = layout.pair_offset(y);
+        let schedule = inst.schedule.shifted(offset);
+        for run_veri in [false, true] {
+            for t in 0..=2 {
+                let params = PairParams { model, t, run_veri, tweaks: Tweaks::default() };
+                let ctx = format!("{context}: pair t={t} veri={run_veri} offset={offset}");
+                assert_pair_agrees(op, inst, &schedule, params, &ctx);
+            }
+        }
+    }
+    for offset in [0, layout.fallback_start() - 1] {
+        let ctx = format!("{context}: brute offset={offset}");
+        assert_brute_agrees(op, inst, &inst.schedule.shifted(offset), &ctx);
+    }
+    let attempt = FolkNode::<C2>::attempt_rounds(model.cd());
+    for k in 0..3 {
+        let ctx = format!("{context}: folklore attempt {k}");
+        assert_folk_agrees(op, inst, &inst.schedule.shifted(k * attempt), &ctx);
+    }
 }
 
 /// The schedule matrix every topology runs under: clean, one clean crash,
 /// one partial-broadcast crash (delivered to an id-alternating subset of
 /// the victim's neighbors), and two random multi-crash schedules.
-fn schedule_matrix(g: &netsim::Graph, seed: u64, horizon: Round) -> Vec<(String, FailureSchedule)> {
+fn schedule_matrix(g: &Graph, seed: u64, horizon: Round) -> Vec<(String, FailureSchedule)> {
     let victim = NodeId((g.len() / 2) as u32).min(NodeId(g.len() as u32 - 1));
     let mut partial = FailureSchedule::none();
     partial.crash_partial(
@@ -87,32 +197,13 @@ fn schedule_matrix(g: &netsim::Graph, seed: u64, horizon: Round) -> Vec<(String,
     out
 }
 
-fn both_engines(inst: &Instance) -> [Instance; 2] {
-    [inst.clone().with_engine(EngineKind::Classic), inst.clone().with_engine(EngineKind::Soa)]
-}
-
 // ---------------------------------------------------------------------
 // One AGG+VERI pair
 // ---------------------------------------------------------------------
 
-fn assert_pair_equivalent<C2: Caaf>(op: &C2, inst: &Instance, t: u32, context: &str) {
-    let [classic, soa] = both_engines(inst);
-    let (rc, tc) = traced_pair(op, &classic, t);
-    let (rs, ts) = traced_pair(op, &soa, t);
-    assert_eq!(rc.outcome, rs.outcome, "{context}: AGG outcome");
-    assert_eq!(rc.verdict, rs.verdict, "{context}: VERI verdict");
-    assert_eq!(rc.rounds, rs.rounds, "{context}: rounds");
-    assert_eq!(rc.correct, rs.correct, "{context}: oracle");
-    assert_equivalent(
-        &artifacts(EngineKind::Classic, &tc, &rc.metrics, rc.rounds),
-        &artifacts(EngineKind::Soa, &ts, &rs.metrics, rs.rounds),
-        context,
-    );
-}
-
 #[test]
 fn pair_runs_are_byte_identical_across_engines() {
-    let topos: Vec<(&str, netsim::Graph)> = vec![
+    let topos: Vec<(&str, Graph)> = vec![
         ("path-6", topology::path(6)),
         ("grid-3x3", topology::grid(3, 3)),
         ("star-7", topology::star(7)),
@@ -124,8 +215,7 @@ fn pair_runs_are_byte_identical_across_engines() {
         for (sname, s) in schedule_matrix(&g, 0xa11ce ^ n as u64, horizon) {
             let inputs: Vec<u64> = (0..n as u64).map(|i| 1 + (i * 7) % 32).collect();
             let inst = Instance::new(g.clone(), NodeId(0), inputs, s, 32).unwrap();
-            let t = (inst.edge_failures() as u32).max(1);
-            assert_pair_equivalent(&Sum, &inst, t, &format!("pair sum {tname}/{sname}"));
+            assert_every_node_type_agrees(&Sum, &inst, B3, &format!("sum {tname}/{sname}"));
         }
     }
     // And a different (idempotent) aggregate on one of the matrices.
@@ -134,7 +224,7 @@ fn pair_runs_are_byte_identical_across_engines() {
     let mut s = FailureSchedule::none();
     s.crash(NodeId(4), 2);
     let inst = Instance::new(g, NodeId(0), inputs, s, 40).unwrap();
-    assert_pair_equivalent(&Max, &inst, 4, "pair max grid-3x3/one-crash");
+    assert_every_node_type_agrees(&Max, &inst, B3, "max grid-3x3/one-crash");
 }
 
 #[test]
@@ -147,14 +237,27 @@ fn randomized_pair_instances_are_byte_identical_across_engines() {
         let s = schedules::random(&g, NodeId(0), (seed % 3) as usize, horizon, &mut rng);
         let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..50)).collect();
         let inst = Instance::new(g, NodeId(0), inputs, s, 49).unwrap();
-        let t = (inst.edge_failures() as u32).max(1);
-        assert_pair_equivalent(&Sum, &inst, t, &format!("pair random seed {seed}"));
+        assert_every_node_type_agrees(&Sum, &inst, B3, &format!("random seed {seed}"));
     }
 }
 
 // ---------------------------------------------------------------------
-// Algorithm 1 (tradeoff driver)
+// Algorithm 1's windows
 // ---------------------------------------------------------------------
+
+/// The pairs Algorithm 1 can run on `inst` — AGG+VERI at `t = ⌊2f/x⌋` in
+/// every interval — and its brute-force fallback window.
+fn assert_tradeoff_windows_agree(inst: &Instance, b: u64, f: usize, context: &str) {
+    let model = inst.model(C);
+    let layout = IntervalLayout::new(b, C, model.d).expect("b >= 21c");
+    let params = PairParams { model, t: layout.t(f), run_veri: true, tweaks: Tweaks::default() };
+    for y in 1..=layout.x() {
+        let schedule = inst.schedule.shifted(layout.pair_offset(y));
+        assert_pair_agrees(&Sum, inst, &schedule, params, &format!("{context}: interval {y}"));
+    }
+    let schedule = inst.schedule.shifted(layout.fallback_start() - 1);
+    assert_brute_agrees(&Sum, inst, &schedule, &format!("{context}: fallback"));
+}
 
 #[test]
 fn tradeoff_runs_are_byte_identical_across_engines() {
@@ -179,23 +282,8 @@ fn tradeoff_runs_are_byte_identical_across_engines() {
         };
         let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..64)).collect();
         let inst = Instance::new(g, NodeId(0), inputs, s, 63).unwrap();
-        let cfg = TradeoffConfig { b, c: C, f: inst.edge_failures().max(1), seed };
-        let [classic, soa] = both_engines(&inst);
-        let (rc, tc) = traced_tradeoff(&classic, &cfg);
-        let (rs, ts) = traced_tradeoff(&soa, &cfg);
-        let context = format!("tradeoff seed {seed}");
-        assert_eq!(rc.result, rs.result, "{context}: result");
-        assert_eq!(rc.correct, rs.correct, "{context}: oracle");
-        assert_eq!(rc.rounds, rs.rounds, "{context}: rounds");
-        assert_eq!(rc.flooding_rounds, rs.flooding_rounds, "{context}: TC");
-        assert_eq!(rc.pairs_run, rs.pairs_run, "{context}: pairs run");
-        assert_eq!(rc.used_fallback, rs.used_fallback, "{context}: fallback");
-        assert_eq!((rc.x, rc.t), (rs.x, rs.t), "{context}: layout");
-        assert_equivalent(
-            &artifacts(EngineKind::Classic, &tc, &rc.metrics, rc.rounds),
-            &artifacts(EngineKind::Soa, &ts, &rs.metrics, rs.rounds),
-            &context,
-        );
+        let f = inst.edge_failures().max(1);
+        assert_tradeoff_windows_agree(&inst, b, f, &format!("tradeoff seed {seed}"));
     }
 }
 
@@ -203,8 +291,12 @@ fn tradeoff_runs_are_byte_identical_across_engines() {
 // Doubling wrapper (unknown f)
 // ---------------------------------------------------------------------
 
+/// The doubling wrapper's stages — AGG+VERI at `t = 2^k` under the
+/// blanket `"doubling-stage"` kind, each starting where the last ended —
+/// and the brute-force fallback after the last stage.
 #[test]
 fn doubling_runs_are_byte_identical_across_engines() {
+    let tweaks = Tweaks { kind_override: Some("doubling-stage"), ..Tweaks::default() };
     for seed in 0..4u64 {
         let mut rng = StdRng::seed_from_u64(0xD0_0B ^ seed);
         let n = 6 + (seed % 6) as usize;
@@ -212,27 +304,17 @@ fn doubling_runs_are_byte_identical_across_engines() {
         let s = schedules::random(&g, NodeId(0), 1 + (seed % 3) as usize, 60, &mut rng);
         let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..32)).collect();
         let inst = Instance::new(g, NodeId(0), inputs, s, 31).unwrap();
-        let [classic, soa] = both_engines(&inst);
-        // No stages at all forces the brute-force fallback, which must
-        // run on the instance's engine too.
-        for max_stages in [4, 0] {
-            let cfg = DoublingConfig { c: C, max_stages };
-            let (rc, tc) = traced_doubling(&classic, &cfg);
-            let (rs, ts) = traced_doubling(&soa, &cfg);
-            let context = format!("doubling seed {seed}, {max_stages} stages");
-            assert_eq!(rc.result, rs.result, "{context}: result");
-            assert_eq!(rc.correct, rs.correct, "{context}: oracle");
-            assert_eq!(rc.stages, rs.stages, "{context}: stages");
-            assert_eq!(rc.final_guess, rs.final_guess, "{context}: final guess");
-            assert_eq!(rc.rounds, rs.rounds, "{context}: rounds");
-            assert_eq!(rc.used_fallback, rs.used_fallback, "{context}: fallback");
-            assert!(rc.used_fallback || max_stages > 0, "{context}: no stage, no fallback");
-            assert_equivalent(
-                &artifacts(EngineKind::Classic, &tc, &rc.metrics, rc.rounds),
-                &artifacts(EngineKind::Soa, &ts, &rs.metrics, rs.rounds),
-                &context,
-            );
+        let model = inst.model(C);
+        let mut offset: Round = 0;
+        for k in 0..4 {
+            let params = PairParams { model, t: 1 << k, run_veri: true, tweaks };
+            let schedule = inst.schedule.shifted(offset);
+            let context = format!("doubling seed {seed}, stage {k}");
+            assert_pair_agrees(&Sum, &inst, &schedule, params, &context);
+            offset += params.total_rounds();
         }
+        let context = format!("doubling seed {seed}, fallback");
+        assert_brute_agrees(&Sum, &inst, &inst.schedule.shifted(offset), &context);
     }
 }
 
@@ -242,7 +324,8 @@ fn doubling_runs_are_byte_identical_across_engines() {
 
 /// Every committed mined schedule — hill-climbed to maximize protocol
 /// cost, so disproportionately likely to hit engine corner cases — must
-/// produce byte-identical traced executions on both engines.
+/// produce byte-identical runs of every node type, and of Algorithm 1's
+/// windows at the entry's own budget.
 #[test]
 fn mined_corpus_runs_are_byte_identical_across_engines() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("corpus");
@@ -259,17 +342,13 @@ fn mined_corpus_runs_are_byte_identical_across_engines() {
             CorpusEntry::from_text(&std::fs::read_to_string(p).expect("corpus entry readable"))
                 .unwrap_or_else(|e| panic!("{} does not parse: {e}", p.display()));
         assert_eq!(entry.meta_str("op"), Some("sum"), "{}: harness covers sum", p.display());
+        assert_eq!(entry.meta_u64("c"), Some(u64::from(C)), "{}: harness runs c = 2", p.display());
         let f = entry
             .meta_str("protocol")
             .and_then(|t| t.strip_prefix("tradeoff:"))
             .and_then(|f| f.parse::<usize>().ok())
             .unwrap_or_else(|| panic!("{}: harness covers tradeoff entries", p.display()));
-        let cfg = TradeoffConfig {
-            b: entry.meta_u64("b").expect("corpus records b"),
-            c: entry.meta_u64("c").expect("corpus records c") as u32,
-            f,
-            seed: 0,
-        };
+        let b = entry.meta_u64("b").expect("corpus records b");
         let inst = Instance::new(
             entry.graph.clone(),
             entry.root,
@@ -278,17 +357,8 @@ fn mined_corpus_runs_are_byte_identical_across_engines() {
             entry.max_input,
         )
         .unwrap();
-        let [classic, soa] = both_engines(&inst);
-        let (rc, tc) = traced_tradeoff(&classic, &cfg);
-        let (rs, ts) = traced_tradeoff(&soa, &cfg);
         let context = format!("corpus {}", p.display());
-        assert_eq!(rc.result, rs.result, "{context}: result");
-        assert_eq!(rc.rounds, rs.rounds, "{context}: rounds");
-        assert!(rc.correct && rs.correct, "{context}: both engines correct");
-        assert_equivalent(
-            &artifacts(EngineKind::Classic, &tc, &rc.metrics, rc.rounds),
-            &artifacts(EngineKind::Soa, &ts, &rs.metrics, rs.rounds),
-            &context,
-        );
+        assert_tradeoff_windows_agree(&inst, b, f, &context);
+        assert_every_node_type_agrees(&Sum, &inst, b, &context);
     }
 }

@@ -10,7 +10,7 @@
 //! 3. delta-encoded traces ([`DeltaSink`]) decode to the v2 JSONL schema
 //!    byte for byte against [`JsonlSink`] on the same event stream.
 
-use netsim::testkit::{assert_equivalent, capture_classic, capture_soa};
+use netsim::testkit::{assert_equivalent, capture_classic, capture_soa, Reference};
 use netsim::{
     topology, BitFlood, DeltaSink, Engine, Event, FailureSchedule, FloodState, Graph, JsonlSink,
     Message, NodeId, NodeLogic, Round, RoundCtx, SoaEngine, Trace, TraceSink,
@@ -136,22 +136,30 @@ proptest! {
         classic.enable_trace();
         classic.run(horizon);
 
-        let mut soa = SoaEngine::new(g.clone(), s, |v| Chatter {
+        let mut soa = SoaEngine::new(g.clone(), s.clone(), |v| Chatter {
             me: v, seed, received: Vec::new(),
         });
         soa.enable_trace();
         soa.run(horizon);
 
-        assert_equivalent(
-            &capture_classic(&classic),
-            &capture_soa(&soa),
-            &format!("chatter seed {seed}"),
-        );
+        let mut reference = Reference::new(g.clone(), s.clone(), |v| Chatter {
+            me: v, seed, received: Vec::new(),
+        });
+        reference.run(horizon);
+
+        let context = format!("chatter seed {seed}");
+        assert_equivalent(&capture_classic(&classic), &reference.artifacts(), &context);
+        assert_equivalent(&capture_soa(&soa), &reference.artifacts(), &context);
         // The per-node delivery logs (order included) agree too — the
         // inbox visit order is part of the pinned semantics.
         for v in g.nodes() {
             prop_assert_eq!(
                 &classic.node(v).received,
+                &soa.node(v).received,
+                "node {} delivery log", v
+            );
+            prop_assert_eq!(
+                &reference.node(v).received,
                 &soa.node(v).received,
                 "node {} delivery log", v
             );
