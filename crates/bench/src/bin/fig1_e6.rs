@@ -8,17 +8,16 @@
 //!
 //! Part 1 is the engine-scaling table: a single-origin flood (node 0's
 //! token reaches all N nodes; deliveries = Σ live degrees) on hypercubes
-//! of growing dimension, classic engine vs SoA, reporting wall-clock,
-//! deliveries/s, and resident-memory growth — the "memory /
-//! deliveries-per-second table vs. the classic engine" of EXPERIMENTS.md.
-//! The bit-packed all-to-all lane is appended at the largest dimension its
-//! O(N²/64) token bitsets allow, to show what word-parallelism buys on
-//! flood-style kinds.
+//! of growing dimension, reporting wall-clock, deliveries/s, and
+//! resident-memory growth — the "memory / deliveries-per-second table" of
+//! EXPERIMENTS.md. The bit-packed all-to-all lane is appended at the
+//! largest dimension its O(N²/64) token bitsets allow, to show what
+//! word-parallelism buys on flood-style kinds.
 //!
 //! Part 2 is the Figure 1 shape at N = 2²⁰: for each TC budget `b`,
 //! Algorithm 1's dominant CC term is ⌈f/b⌉ concurrent group floods of
 //! Θ(log²N)-bit summaries (Theorem 3's header arithmetic). We execute
-//! exactly those floods on the SoA engine — under a crash schedule, with
+//! exactly those floods on the engine — under a crash schedule, with
 //! lean streaming metrics — and compare the measured bottleneck CC with
 //! the paper's Theorem 1 / Theorem 2 curves. The measured point must sit
 //! at or below the upper curve at every `b`; the bin exits nonzero if not.
@@ -38,9 +37,9 @@
 use ftagg::bounds;
 use ftagg_bench::{f, Table};
 use netsim::{
-    round_observer, topology, AnyEngine, BitFlood, EngineKind, FailureSchedule, FlightRecorder,
-    Graph, Message, MonitorConfig, NodeId, NodeLogic, Round, RoundCtx, SamplingSink, SoaEngine,
-    TeeSink, TelemetryHub, Watchdog,
+    round_observer, topology, BitFlood, Engine, FailureSchedule, FlightRecorder, Graph, Message,
+    MonitorConfig, NodeId, NodeLogic, Round, RoundCtx, SamplingSink, TeeSink, TelemetryHub,
+    Watchdog,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -108,29 +107,18 @@ fn rss_mb() -> f64 {
     0.0
 }
 
-/// One single-origin flood on `graph` (known diameter `d`), on the chosen
-/// engine with lean metrics; returns (wall seconds, deliveries, RSS-MB
-/// growth while the engine was alive).
-fn flood_once(graph: Graph, d: u32, kind: EngineKind) -> (f64, u64, f64) {
+/// One single-origin flood on `graph` (known diameter `d`) with lean
+/// metrics; returns (wall seconds, deliveries, RSS-MB growth while the
+/// engine was alive).
+fn flood_once(graph: Graph, d: u32) -> (f64, u64, f64) {
     let before = rss_mb();
-    let origins = Arc::new(vec![NodeId(0)]);
-    let factory = {
-        let origins = Arc::clone(&origins);
-        move |v: NodeId| GroupFlood {
-            token: origins.iter().position(|&o| o == v).map(|i| i as u8),
-            seen: 0,
-            bits: 32,
-        }
-    };
     let t0 = Instant::now();
-    let mut eng = match kind {
-        EngineKind::Soa => {
-            let mut e = SoaEngine::new(graph, FailureSchedule::none(), factory);
-            e.use_lean_metrics();
-            AnyEngine::Soa(e)
-        }
-        EngineKind::Classic => AnyEngine::new(kind, graph, FailureSchedule::none(), factory),
-    };
+    let mut eng = Engine::new(graph, FailureSchedule::none(), |v| GroupFlood {
+        token: (v == NodeId(0)).then_some(0),
+        seen: 0,
+        bits: 32,
+    });
+    eng.use_lean_metrics();
     eng.run(Round::from(d) + 2);
     let wall = t0.elapsed().as_secs_f64();
     let deliveries = eng.telemetry().deliveries;
@@ -166,44 +154,23 @@ fn main() {
 
     // ── Part 1: engine scaling on hypercubes ──────────────────────────
     let dims: &[u32] = if quick { &[10, 12] } else { &[14, 16, 18, 20] };
-    let classic_cap: u32 = if quick { 12 } else { 20 };
     println!(
         "Scaling to a million nodes — single-origin flood on hypercube(dim), one box{}\n",
         if quick { " (--quick)" } else { "" }
     );
-    let mut t1 =
-        Table::new(vec!["N", "dim", "engine", "wall s", "deliveries", "Mdel/s", "+RSS MB"]);
-    let mut soa_e6 = 0.0f64;
+    let mut t1 = Table::new(vec!["N", "dim", "wall s", "deliveries", "Mdel/s", "+RSS MB"]);
+    let mut e6_mdps = 0.0f64;
     for &dim in dims {
-        let n = 1usize << dim;
-        for kind in [EngineKind::Classic, EngineKind::Soa] {
-            if kind == EngineKind::Classic && dim > classic_cap {
-                t1.row(vec![
-                    n.to_string(),
-                    dim.to_string(),
-                    "classic".into(),
-                    "—".into(),
-                    "—".into(),
-                    "—".into(),
-                    "—".into(),
-                ]);
-                continue;
-            }
-            let (wall, deliveries, grew) = flood_once(topology::hypercube(dim), dim, kind);
-            let mdps = deliveries as f64 / wall / 1e6;
-            if kind == EngineKind::Soa {
-                soa_e6 = mdps;
-            }
-            t1.row(vec![
-                n.to_string(),
-                dim.to_string(),
-                kind.name().into(),
-                f(wall, 2),
-                deliveries.to_string(),
-                f(mdps, 1),
-                f(grew, 0),
-            ]);
-        }
+        let (wall, deliveries, grew) = flood_once(topology::hypercube(dim), dim);
+        e6_mdps = deliveries as f64 / wall / 1e6;
+        t1.row(vec![
+            (1usize << dim).to_string(),
+            dim.to_string(),
+            f(wall, 2),
+            deliveries.to_string(),
+            f(e6_mdps, 1),
+            f(grew, 0),
+        ]);
     }
     t1.print();
 
@@ -255,7 +222,7 @@ fn main() {
         assert!(groups <= 64, "group mask is a u64");
         // Origins spread evenly over the id space; a deterministic crash
         // set (every 2^dim/64-th node, offset to avoid the origins)
-        // exercises the SoA crash paths at full scale.
+        // exercises the engine's crash paths at full scale.
         let origin_ids: Vec<NodeId> =
             (0..groups).map(|i| NodeId((i * (n / groups)) as u32)).collect();
         let mut schedule = FailureSchedule::none();
@@ -276,7 +243,7 @@ fn main() {
             }
         };
         let t0 = Instant::now();
-        let mut eng = SoaEngine::new(topology::hypercube(dim), schedule, factory);
+        let mut eng = Engine::new(topology::hypercube(dim), schedule, factory);
         eng.use_lean_metrics();
         // Every Part-2 run is recorded with the production rig: the
         // telemetry hub observes each round through the round stream
@@ -395,8 +362,8 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "\nok — the sweep completed at N = {n} on one box (SoA single-origin flood: {} Mdel/s); \
+        "\nok — the sweep completed at N = {n} on one box (single-origin flood: {} Mdel/s); \
          measured CC sits below the Theorem 1 curve at every b.",
-        f(soa_e6, 1)
+        f(e6_mdps, 1)
     );
 }

@@ -34,8 +34,7 @@ use ftagg::tradeoff::{run_tradeoff_observed, TradeoffConfig};
 use ftagg::{run_pair_observed, Instance, Observe, Observed};
 use netsim::adversary::mutate::{self, MutationBias};
 use netsim::{
-    diff, Blame, CorpusEntry, EngineKind, FailureSchedule, Graph, MonitorReport, NodeId, Round,
-    Runner, Trace,
+    diff, Blame, CorpusEntry, FailureSchedule, Graph, MonitorReport, NodeId, Round, Runner, Trace,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -331,25 +330,9 @@ fn evaluate<C: Caaf + Sync + 'static>(
     schedule: &FailureSchedule,
     cfg: &MineConfig,
 ) -> (u64, Vec<Counterexample>) {
-    evaluate_on(op, graph, inputs, max_input, schedule, cfg, EngineKind::Classic)
-}
-
-/// [`evaluate`] on an explicit engine — the replay gates run the mined
-/// corpus through both cores and must observe the same objective.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_on<C: Caaf + Sync + 'static>(
-    op: &C,
-    graph: &Graph,
-    inputs: &[u64],
-    max_input: u64,
-    schedule: &FailureSchedule,
-    cfg: &MineConfig,
-    engine: EngineKind,
-) -> (u64, Vec<Counterexample>) {
     let inst =
         Instance::new(graph.clone(), NodeId(0), inputs.to_vec(), schedule.clone(), max_input)
-            .expect("mining instances are valid")
-            .with_engine(engine);
+            .expect("mining instances are valid");
     let seeds = eval_seeds(cfg);
     let outcomes = Runner::new(cfg.threads).run(&seeds, |coin_seed| {
         let (value, wrong, _) = run_protocol(op, &inst, cfg, coin_seed, Observe::default());
@@ -611,18 +594,6 @@ pub struct Replay {
 /// Fails on unknown/missing meta keys — the entry must have been written
 /// by [`corpus_entry`] (or carry the same keys).
 pub fn replay_entry(entry: &CorpusEntry, strict: bool) -> Result<Replay, String> {
-    replay_entry_on(entry, strict, EngineKind::Classic)
-}
-
-/// [`replay_entry`] on an explicit engine core. The corpus is part of the
-/// differential-equivalence harness: every mined schedule must replay to
-/// the same objective value, clean under the strict watchdog, on both the
-/// classic and the struct-of-arrays engine.
-pub fn replay_entry_on(
-    entry: &CorpusEntry,
-    strict: bool,
-    engine: EngineKind,
-) -> Result<Replay, String> {
     let need = |k: &str| entry.meta_str(k).ok_or_else(|| format!("corpus meta missing '{k}'"));
     let need_u64 =
         |k: &str| entry.meta_u64(k).ok_or_else(|| format!("corpus meta '{k}' not numeric"));
@@ -642,21 +613,19 @@ pub fn replay_entry_on(
         mutate_topology: false,
     };
     match need("op")? {
-        "sum" => replay_with(&Sum, entry, &cfg, strict, engine),
-        "count" => replay_with(&Count, entry, &cfg, strict, engine),
-        "max" => replay_with(&caaf::Max, entry, &cfg, strict, engine),
-        "or" => replay_with(&caaf::BoolOr, entry, &cfg, strict, engine),
-        "and" => replay_with(&caaf::BoolAnd, entry, &cfg, strict, engine),
-        "gcd" => replay_with(&Gcd, entry, &cfg, strict, engine),
-        op if op.starts_with("min") => {
-            replay_with(&Min::new(entry.max_input), entry, &cfg, strict, engine)
-        }
+        "sum" => replay_with(&Sum, entry, &cfg, strict),
+        "count" => replay_with(&Count, entry, &cfg, strict),
+        "max" => replay_with(&caaf::Max, entry, &cfg, strict),
+        "or" => replay_with(&caaf::BoolOr, entry, &cfg, strict),
+        "and" => replay_with(&caaf::BoolAnd, entry, &cfg, strict),
+        "gcd" => replay_with(&Gcd, entry, &cfg, strict),
+        op if op.starts_with("min") => replay_with(&Min::new(entry.max_input), entry, &cfg, strict),
         op if op.starts_with("modsum") => {
             let m = op
                 .split_once(':')
                 .and_then(|(_, m)| m.parse().ok())
                 .ok_or_else(|| format!("bad modsum spec '{op}'"))?;
-            replay_with(&ModSum::new(m), entry, &cfg, strict, engine)
+            replay_with(&ModSum::new(m), entry, &cfg, strict)
         }
         other => Err(format!("unknown corpus op '{other}'")),
     }
@@ -667,11 +636,10 @@ fn replay_with<C: Caaf + Sync + 'static>(
     entry: &CorpusEntry,
     cfg: &MineConfig,
     strict: bool,
-    engine: EngineKind,
 ) -> Result<Replay, String> {
     entry.schedule.validate(&entry.graph, entry.root)?;
     let (value, cexs) =
-        evaluate_on(op, &entry.graph, &entry.inputs, entry.max_input, &entry.schedule, cfg, engine);
+        evaluate(op, &entry.graph, &entry.inputs, entry.max_input, &entry.schedule, cfg);
     // Confirmation run under the armed watchdog.
     let inst = Instance::new(
         entry.graph.clone(),
@@ -679,8 +647,7 @@ fn replay_with<C: Caaf + Sync + 'static>(
         entry.inputs.clone(),
         entry.schedule.clone(),
         entry.max_input,
-    )?
-    .with_engine(engine);
+    )?;
     let (_, _, seen) = run_protocol(op, &inst, cfg, 0, Observe::watchdog(strict));
     let monitor = seen.monitor.expect("watchdog requested");
     Ok(Replay { value, monitor, counterexamples: cexs.len() })

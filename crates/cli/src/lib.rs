@@ -178,16 +178,12 @@ commands:
           --op sum|count|max|min:T|or|and|gcd|modsum:M
           --inputs const:V|random:MAX|ramp     --crash NODE@ROUND (repeatable)
           --b B --c C --f F --seed S --root R
-          --engine classic|soa (round-engine implementation; identical
-          results, soa is built for large N)
   topo    print topology statistics            --topology SPEC
   trace   run one AGG+VERI pair with a per-round event log
           --topology SPEC --t T --c C --crash NODE@ROUND --dot (print DOT)
           --jsonl PATH (also export the event log as versioned JSONL)
-          --engine classic|soa
   sweep   sweep the TC budget b and print the measured tradeoff curve
           --topology SPEC --f F --c C --from B0 --to B1 --points K --seed S
-          --engine classic|soa
           --threads T (parallel trial runner; 0 = auto, same output any T)
           --progress yes (live trials/throughput/ETA line on stderr)
   report  render a run report: phase table, CC/round histograms, top-k nodes
@@ -241,7 +237,7 @@ commands:
   top     run one AGG+VERI pair with live telemetry: a throttled stats
           line on stderr while the run is in flight, a deterministic
           summary table on stdout, and a flight recorder riding along
-          --topology SPEC --engine classic|soa --c C --t T --seed S
+          --topology SPEC --c C --t T --seed S
           --crash NODE@ROUND (repeatable)   --refresh-ms MS (stderr rate)
           --ring R (flight-recorder rounds retained, default 64)
           --flight-out PATH (dump the black box on exit and on panic)
@@ -250,7 +246,7 @@ commands:
           totals plus the per-worker load table)
   telemetry  export the telemetry registry of one instrumented run
           telemetry export [--format prom|json] [--out PATH]
-          (run options as top: --topology --engine --c --t --seed --crash)
+          (run options as top: --topology --c --t --seed --crash)
   timeline  wall-clock profiler: run the instrumented AGG+VERI pair
           workload (or replay a saved trace) under a span timeline and
           export Chrome Trace Event JSON for Perfetto / chrome://tracing
@@ -259,8 +255,7 @@ commands:
                  messages/round, in-flight, rss_mb, heap with the
                  alloc-telemetry feature; --flows yes adds sampled
                  send->deliver arrows at per-delivery tracing cost)
-                 (run options as top: --topology --engine --c --t
-                 --seed --crash)
+                 (run options as top: --topology --c --t --seed --crash)
           file:  --input TRACE.jsonl (synthetic 1us-per-event timebase)
           check: --validate PATH [--min-spans N] [--min-counters N]
                  [--min-lanes N] (structural + coverage gate, exits 1
@@ -284,10 +279,9 @@ fn cmd_run(args: &Args) -> Result<String, String> {
         _ => gen_max,
     };
     let inputs: Vec<u64> = inputs.into_iter().map(|v| v.min(max_input)).collect();
-    let engine = netsim::EngineKind::parse(args.get("engine").unwrap_or("classic"))?;
-    let inst = Instance::new(graph, root, inputs, schedule, max_input)?.with_engine(engine);
+    let inst = Instance::new(graph, root, inputs, schedule, max_input)?;
 
-    let c: u32 = args.num("c", 2)?;
+    let c = stretch_c(args)?;
     let b: u64 = args.num("b", 21 * u64::from(c))?;
     let f: usize = args.num("f", inst.edge_failures().max(1))?;
     let protocol = args.get("protocol").unwrap_or("tradeoff").to_string();
@@ -316,6 +310,16 @@ fn cmd_run(args: &Args) -> Result<String, String> {
 /// stands in for any topology.
 fn check_layout(b: u64, c: u32) -> Result<(), String> {
     ftagg::interval::IntervalLayout::new(b, c, 1).map(|_| ())
+}
+
+/// `--c` (default 2), the stretch constant every protocol divides its
+/// flooding rounds by. `c = 0` would give zero-length flooding rounds and
+/// wrong answers from the zero-error protocols, so it is refused.
+fn stretch_c(args: &Args) -> Result<u32, String> {
+    match args.num("c", 2)? {
+        0 => Err("--c must be at least 1 (c and d must be positive)".into()),
+        c => Ok(c),
+    }
 }
 
 fn run_protocol<C: Caaf + 'static>(
@@ -377,8 +381,7 @@ fn run_protocol<C: Caaf + 'static>(
 }
 
 fn cmd_trace(args: &Args) -> Result<String, String> {
-    let engine = netsim::EngineKind::parse(args.get("engine").unwrap_or("classic"))?;
-    let (inst, c, t) = pair_instance(args, engine, "cycle:8")?;
+    let (inst, c, t) = pair_instance(args, "cycle:8")?;
     let (graph, schedule) = (&inst.graph, &inst.schedule);
     let dot = args.get("dot").is_some();
     let (s, obs) = (schedule.clone(), Observe::trace());
@@ -440,8 +443,7 @@ fn run_observed_pair(
     extra: Option<Box<dyn FnMut(netsim::RoundFlow)>>,
     timeline: Option<(&netsim::Timeline, u32)>,
 ) -> Result<ObservedRun, String> {
-    let engine = netsim::EngineKind::parse(args.get("engine").unwrap_or("soa"))?;
-    let (inst, c, t) = pair_instance(args, engine, "grid:16x16")?;
+    let (inst, c, t) = pair_instance(args, "grid:16x16")?;
     // The after-AGG heap sample needs AGG's last round, which costs a
     // diameter pass: only worth it with the allocation meter built in.
     let agg_end = crate::alloc_meter::live_mb().map(|_| {
@@ -512,18 +514,14 @@ fn run_observed_pair(
 /// The pair workload `trace`, `top`, `telemetry` and `timeline` share:
 /// `--topology` (default `default_topology`), `--crash` schedules, node
 /// `v`'s input `v`, and the pair's `--c` and `--t`.
-fn pair_instance(
-    args: &Args,
-    engine: netsim::EngineKind,
-    default_topology: &str,
-) -> Result<(Instance, u32, u32), String> {
+fn pair_instance(args: &Args, default_topology: &str) -> Result<(Instance, u32, u32), String> {
     let seed: u64 = args.num("seed", 0)?;
     let graph = spec::parse_topology(args.get("topology").unwrap_or(default_topology), seed)?;
     let n = graph.len();
     let schedule = spec::parse_crashes(args.get_all("crash"))?;
     let inputs = (0..n as u64).collect();
-    let inst = Instance::new(graph, NodeId(0), inputs, schedule, n as u64)?.with_engine(engine);
-    Ok((inst, args.num("c", 2)?, args.num("t", 1)?))
+    let inst = Instance::new(graph, NodeId(0), inputs, schedule, n as u64)?;
+    Ok((inst, stretch_c(args)?, args.num("t", 1)?))
 }
 
 /// `top` — one instrumented pair run with a throttled live stats line on
@@ -1258,7 +1256,7 @@ fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
     let topo_spec = args.get("topology").unwrap_or("grid:5x5").to_string();
     let graph = spec::parse_topology(&topo_spec, seed)?;
     let n = graph.len();
-    let c: u32 = args.num("c", 2)?;
+    let c = stretch_c(args)?;
     let b: u64 = args.num("b", 42 * u64::from(c))?;
     let f: usize = args.num("f", n / 8)?;
     check_layout(b, c)?;
@@ -1270,7 +1268,6 @@ fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
         return Err("need --sampled >= 1 (1-in-K node sampling)".into());
     }
     let threads: usize = args.num("threads", 1)?;
-    let engine = netsim::EngineKind::parse(args.get("engine").unwrap_or("classic"))?;
 
     // One instance per trial: trial i draws its schedule and inputs from
     // seed ^ i's stream on the shared topology, so the report is a
@@ -1282,8 +1279,7 @@ fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
         let schedule = stretch_respecting_schedule(&graph, NodeId(0), f, horizon, c, 50, &mut rng);
         let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..100)).collect();
         let inst = Instance::new(graph.clone(), NodeId(0), inputs, schedule, 100)
-            .expect("topology and inputs are valid by construction")
-            .with_engine(engine);
+            .expect("topology and inputs are valid by construction");
         (inst, TradeoffConfig { b, c, f, seed: s })
     };
     // The instrumented runner returns identical seed-ordered results for
@@ -1426,7 +1422,7 @@ fn cmd_explain(args: &Args) -> Result<CmdOutput, String> {
             let topo_spec = args.get("topology").unwrap_or("grid:5x5").to_string();
             let graph = spec::parse_topology(&topo_spec, seed)?;
             let n = graph.len();
-            let c: u32 = args.num("c", 2)?;
+            let c = stretch_c(args)?;
             let b: u64 = args.num("b", 42 * u64::from(c))?;
             let f: usize = args.num("f", n / 8)?;
             check_layout(b, c)?;
@@ -1631,7 +1627,7 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
     let topo_spec = args.get("topology").unwrap_or("caterpillar:20x1").to_string();
     let graph = spec::parse_topology(&topo_spec, seed)?;
     let n = graph.len();
-    let c: u32 = args.num("c", 2)?;
+    let c = stretch_c(args)?;
     let f: usize = args.num("f", n / 8)?;
     let from: u64 = args.num("from", 21 * u64::from(c))?;
     let to: u64 = args.num("to", from * 8)?;
@@ -1644,8 +1640,7 @@ fn cmd_sweep(args: &Args) -> Result<String, String> {
     let horizon = to * u64::from(graph.diameter().max(1));
     let schedule = stretch_respecting_schedule(&graph, NodeId(0), f, horizon, c, 50, &mut rng);
     let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..100)).collect();
-    let engine = netsim::EngineKind::parse(args.get("engine").unwrap_or("classic"))?;
-    let inst = Instance::new(graph, NodeId(0), inputs, schedule, 100)?.with_engine(engine);
+    let inst = Instance::new(graph, NodeId(0), inputs, schedule, 100)?;
 
     let threads: usize = args.num("threads", 1)?;
     let mut out = String::new();
@@ -1780,7 +1775,7 @@ fn cmd_mine(args: &Args) -> Result<CmdOutput, String> {
     };
     let inputs: Vec<u64> = inputs.into_iter().map(|v| v.min(max_input)).collect();
 
-    let c: u32 = args.num("c", 2)?;
+    let c = stretch_c(args)?;
     let b: u64 = args.num("b", 21 * u64::from(c))?;
     let f: usize = args.num("f", 4)?;
     let objective = Objective::parse(args.get("objective").unwrap_or("root-cc"))?;
@@ -2728,11 +2723,9 @@ mod tests {
         assert_eq!(explain.code, 0, "{}", explain.text);
         assert!(explain.text.contains("explain: saved trace"), "{}", explain.text);
         std::fs::remove_file(&flight).ok();
-        // Engines agree on the deterministic counters.
-        let soa = dispatch(&args(&["top", "--topology", "grid:6x6", "--engine", "soa"])).unwrap();
-        let classic =
-            dispatch(&args(&["top", "--topology", "grid:6x6", "--engine", "classic"])).unwrap();
-        assert_eq!(soa, classic);
+        // The summary table is deterministic run to run.
+        let once = dispatch(&args(&["top", "--topology", "grid:6x6"])).unwrap();
+        assert_eq!(once, dispatch(&args(&["top", "--topology", "grid:6x6"])).unwrap());
         assert!(dispatch(&args(&["top", "--ring", "0"])).is_err());
     }
 

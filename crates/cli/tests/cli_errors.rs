@@ -2,7 +2,9 @@
 //! code 2, never a panic. Algorithm 1's preconditions (`c >= 1`,
 //! `b >= 21c`) and each topology family's minimum size are checked before
 //! anything runs; these cases used to reach asserts in `ftagg::tradeoff`
-//! and `netsim::topology` and exit 101.
+//! and `netsim::topology` and exit 101. `--c 0` is refused by every
+//! command that reads it: the other protocols used to run with
+//! zero-length flooding rounds and print wrong answers.
 
 use std::process::Command;
 
@@ -83,4 +85,50 @@ fn run_gnp_probability_above_one() {
 #[test]
 fn run_zero_dimension_hypercube() {
     assert_usage_error(&["run", "--topology", "hypercube:0"], "needs D >= 1");
+}
+
+const ZERO_C: &str = "--c must be at least 1";
+
+#[test]
+fn run_other_protocols_with_zero_c() {
+    for protocol in ["brute", "folklore", "tag", "doubling"] {
+        assert_usage_error(&["run", "--protocol", protocol, "--c", "0"], ZERO_C);
+    }
+}
+
+#[test]
+fn trace_with_zero_c() {
+    assert_usage_error(&["trace", "--c", "0"], ZERO_C);
+}
+
+#[test]
+fn top_with_zero_c() {
+    assert_usage_error(&["top", "--c", "0"], ZERO_C);
+}
+
+#[test]
+fn telemetry_with_zero_c() {
+    assert_usage_error(&["telemetry", "export", "--c", "0"], ZERO_C);
+}
+
+#[test]
+fn timeline_with_zero_c() {
+    assert_usage_error(&["timeline", "--c", "0"], ZERO_C);
+}
+
+#[test]
+fn report_with_zero_c() {
+    assert_usage_error(&["report", "--c", "0"], ZERO_C);
+}
+
+#[test]
+fn explain_with_zero_c() {
+    assert_usage_error(&["explain", "--c", "0"], ZERO_C);
+}
+
+#[test]
+fn mine_pair_and_doubling_with_zero_c() {
+    for protocol in ["pair:1", "doubling:2"] {
+        assert_usage_error(&["mine", "--protocol", protocol, "--c", "0"], ZERO_C);
+    }
 }

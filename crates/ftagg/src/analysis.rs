@@ -11,7 +11,7 @@ use crate::config::Instance;
 use crate::msg::Envelope;
 use crate::pair::{NodeSnapshot, PairNode, PairParams};
 use caaf::Caaf;
-use netsim::{AnyEngine, FailureSchedule, NodeId, Round};
+use netsim::{Engine, FailureSchedule, NodeId, Round};
 use std::collections::BTreeSet;
 
 /// The aggregation tree of an execution, collected from per-node snapshots.
@@ -25,7 +25,7 @@ pub struct TreeView {
 
 impl TreeView {
     /// Collects the tree from a finished pair-execution engine.
-    pub fn from_engine<C: Caaf>(eng: &AnyEngine<Envelope, PairNode<C>>, root: NodeId) -> Self {
+    pub fn from_engine<C: Caaf>(eng: &Engine<Envelope, PairNode<C>>, root: NodeId) -> Self {
         let nodes = eng.graph().nodes().map(|v| eng.node(v).snapshot()).collect();
         TreeView { nodes, root }
     }
@@ -275,7 +275,7 @@ pub enum Scenario {
 pub fn classify<C: Caaf>(
     inst: &Instance,
     schedule: &FailureSchedule,
-    eng: &AnyEngine<Envelope, PairNode<C>>,
+    eng: &Engine<Envelope, PairNode<C>>,
     params: &PairParams,
 ) -> (Scenario, LfcAnalysis) {
     let tree = TreeView::from_engine(eng, inst.root);

@@ -13,7 +13,7 @@ use crate::config::Instance;
 use crate::observe::{Observe, Observed};
 use caaf::Caaf;
 use netsim::{
-    AnyEngine, EventId, FailureSchedule, FloodState, Message, Metrics, MonitorConfig, NodeId,
+    Engine, EventId, FailureSchedule, FloodState, Message, Metrics, MonitorConfig, NodeId,
     NodeLogic, Round, RoundCtx,
 };
 use std::collections::BTreeMap;
@@ -215,8 +215,8 @@ pub fn run_brute_observed<C: Caaf>(
     let value_bits = op.value_bits(model.n, model.max_input);
     let inputs = inst.inputs.clone();
     let root = inst.root;
-    let mut eng: AnyEngine<BruteEnvelope, BruteNode> =
-        AnyEngine::new(inst.engine, inst.graph.clone(), schedule, |v| {
+    let mut eng: Engine<BruteEnvelope, BruteNode> =
+        Engine::new(inst.graph.clone(), schedule, |v| {
             BruteNode::new(v, root, inputs[v.index()], id_bits, value_bits)
         });
     let attached = obs.attach(&mut eng, || MonitorConfig::new(model.n));

@@ -14,7 +14,7 @@
 
 use crate::config::Instance;
 use caaf::Caaf;
-use netsim::{AnyEngine, FailureSchedule, Message, Metrics, NodeId, NodeLogic, Round, RoundCtx};
+use netsim::{Engine, FailureSchedule, Message, Metrics, NodeId, NodeLogic, Round, RoundCtx};
 use std::collections::BTreeMap;
 use wire::range_bits;
 
@@ -231,8 +231,8 @@ pub fn run_tag_once<C: Caaf>(
     let inputs = inst.inputs.clone();
     let (root, n) = (inst.root, model.n);
     let op2 = op.clone();
-    let mut eng: AnyEngine<FolkEnvelope, FolkNode<C>> =
-        AnyEngine::new(inst.engine, inst.graph.clone(), schedule, |v| {
+    let mut eng: Engine<FolkEnvelope, FolkNode<C>> =
+        Engine::new(inst.graph.clone(), schedule, |v| {
             FolkNode::new(op2.clone(), v, root, n, cd, value_bits, inputs[v.index()])
         });
     let run = eng.run(FolkNode::<C>::attempt_rounds(cd));

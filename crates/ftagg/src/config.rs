@@ -2,7 +2,7 @@
 
 use caaf::oracle::CorrectInterval;
 use caaf::Caaf;
-use netsim::{EngineKind, FailureSchedule, Graph, NodeId, Round};
+use netsim::{FailureSchedule, Graph, NodeId, Round};
 
 /// The model parameters every protocol knows (Section 2 of the paper):
 /// system size `N`, the root's id, the diameter `d` of `G`, the stretch
@@ -60,10 +60,6 @@ pub struct Instance {
     pub schedule: FailureSchedule,
     /// Upper bound on input values (domain polynomial in `N`).
     pub max_input: u64,
-    /// Which engine implementation executes this instance. Both produce
-    /// bit-identical executions (pinned by `engine_equivalence`); the SoA
-    /// engine is the choice for large `N`.
-    pub engine: EngineKind,
 }
 
 impl Instance {
@@ -94,14 +90,7 @@ impl Instance {
             return Err(format!("input {bad} exceeds max_input {max_input}"));
         }
         schedule.validate(&graph, root)?;
-        Ok(Instance { graph, root, inputs, schedule, max_input, engine: EngineKind::default() })
-    }
-
-    /// Selects the engine implementation the drivers build for this
-    /// instance (default [`EngineKind::Classic`]).
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
+        Ok(Instance { graph, root, inputs, schedule, max_input })
     }
 
     /// Number of nodes.

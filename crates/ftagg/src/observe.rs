@@ -12,7 +12,7 @@ use crate::baselines::brute::run_brute_observed;
 use crate::config::Instance;
 use caaf::Caaf;
 use netsim::{
-    AnyEngine, Event, Message, Metrics, MonitorConfig, MonitorReport, NodeLogic, Round, RoundFlow,
+    Engine, Event, Message, Metrics, MonitorConfig, MonitorReport, NodeLogic, Round, RoundFlow,
     TeeSink, Timeline, Trace, TraceSink, Watchdog,
 };
 
@@ -73,7 +73,7 @@ impl<'a> Observe<'a> {
     /// directly; two or more share a [`TeeSink`].
     pub(crate) fn attach<M: Message, L: NodeLogic<M>>(
         self,
-        eng: &mut AnyEngine<M, L>,
+        eng: &mut Engine<M, L>,
         config: impl FnOnce() -> MonitorConfig,
     ) -> Attached {
         let attached = Attached {
@@ -115,10 +115,7 @@ pub(crate) struct Attached {
 
 impl Attached {
     /// Takes the installed sinks back off `eng` after its run.
-    pub(crate) fn collect<M: Message, L: NodeLogic<M>>(
-        self,
-        eng: &mut AnyEngine<M, L>,
-    ) -> Observed {
+    pub(crate) fn collect<M: Message, L: NodeLogic<M>>(self, eng: &mut Engine<M, L>) -> Observed {
         let mut sinks: Vec<Box<dyn TraceSink>> = eng.take_sink().into_iter().collect();
         if usize::from(self.trace) + usize::from(self.watchdog) + usize::from(self.sink) > 1 {
             let mut tee = sinks.pop().expect("attach installed a tee");

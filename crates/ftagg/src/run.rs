@@ -8,7 +8,7 @@ use crate::msg::Envelope;
 use crate::observe::{Observe, Observed};
 use crate::pair::{AggOutcome, PairNode, PairParams, Tweaks};
 use caaf::Caaf;
-use netsim::{AnyEngine, Event, FailureSchedule, Metrics, NodeId, Round};
+use netsim::{Engine, Event, FailureSchedule, Metrics, NodeId, Round};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -109,14 +109,13 @@ pub fn run_pair_observed<C: Caaf>(
     global_offset: Round,
     tweaks: Tweaks,
     obs: Observe<'_>,
-) -> (PairReport, Observed, AnyEngine<Envelope, PairNode<C>>) {
+) -> (PairReport, Observed, Engine<Envelope, PairNode<C>>) {
     let params = PairParams { model: inst.model(c), t, run_veri, tweaks };
     let op2 = op.clone();
     let inputs = inst.inputs.clone();
-    let mut eng: AnyEngine<Envelope, PairNode<C>> =
-        AnyEngine::new(inst.engine, inst.graph.clone(), schedule, |v| {
-            PairNode::new(params, op2.clone(), v, inputs[v.index()])
-        });
+    let mut eng: Engine<Envelope, PairNode<C>> = Engine::new(inst.graph.clone(), schedule, |v| {
+        PairNode::new(params, op2.clone(), v, inputs[v.index()])
+    });
     // The pair always ends at its round budget, so the correct interval
     // at the decision round is known before the run.
     let interval = inst.correct_interval(op, global_offset + params.total_rounds());
@@ -173,7 +172,7 @@ pub fn run_pair_engine<C: Caaf>(
     c: u32,
     t: u32,
     run_veri: bool,
-) -> (AnyEngine<Envelope, PairNode<C>>, PairParams) {
+) -> (Engine<Envelope, PairNode<C>>, PairParams) {
     let obs = Observe::default();
     let (_, _, eng) =
         run_pair_observed(op, inst, schedule, c, t, run_veri, 0, Tweaks::default(), obs);

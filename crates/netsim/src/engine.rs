@@ -12,14 +12,35 @@
 //! called several times per round, all payloads travel together, and the
 //! communication-complexity meter charges the sum of their encoded bit
 //! lengths to the sender.
+//!
+//! The data layout is struct-of-arrays, built for millions of nodes:
+//!
+//! - **CSR inboxes**: one offsets array plus parallel `from`/`midx`
+//!   columns instead of a million little `Vec`s, rebuilt in place each
+//!   round by a counting-sort scatter (two O(N + deliveries) passes).
+//! - **Message arena**: each round's payloads live in one `Vec<M>`; a
+//!   broadcast stores its message once and every recipient's inbox entry
+//!   is a `u32` index into the arena — no per-message allocation, and the
+//!   arena double-buffers across rounds.
+//! - **Streaming per-round metrics**: [`Engine::stream_rounds`] hands a
+//!   [`RoundFlow`] row to a callback as each round retires, and
+//!   [`Metrics::lean`] drops the per-round ledger entirely, so a
+//!   million-node sweep never materializes per-round history it will not
+//!   read.
+//!
+//! The scatter delivers in ascending sender id, then the sender's send
+//! order, because sends are recorded in node order during the round and
+//! replayed in that order into each receiver's CSR window. That order is
+//! the only thing protocol logic can observe of the layout.
+//! `tests/engine_equivalence.rs` checks every protocol node type against
+//! [`crate::testkit::Reference`], a deliberately simple second
+//! implementation of the model.
 
 use crate::adversary::{FailureSchedule, Round};
 use crate::graph::{Graph, NodeId};
 use crate::metrics::Metrics;
-use crate::soa::RoundFlow;
 use crate::trace::{Event, EventId, Trace, TraceSink};
 use std::fmt;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// A protocol message that knows its encoded size in bits.
@@ -48,9 +69,8 @@ pub trait Message: Clone + fmt::Debug {
 ///
 /// `Received` is a borrowed **view** into the engine's delivery storage: a
 /// local broadcast is one physical transmission heard by every neighbor,
-/// so the payload lives once inside the engine (an `Rc` in the classic
-/// engine, an arena slot in the SoA engine) and every recipient's inbox
-/// entry points at it. Field access auto-derefs through the reference, so
+/// so the payload lives once inside the engine (an arena slot) and every
+/// recipient's inbox entry points at it. Field access auto-derefs through the reference, so
 /// protocol code reads `rcv.msg.field` exactly as if the payload were
 /// owned; clone the payload (`rcv.msg.clone()`) to keep it past the round.
 #[derive(Debug)]
@@ -69,43 +89,17 @@ impl<M> Clone for Received<'_, M> {
 
 impl<M> Copy for Received<'_, M> {}
 
-/// Classic-engine delivery storage: one inbox entry holding a shared
-/// payload. Kept crate-private so the public API ([`Received`]) stays a
-/// storage-agnostic view.
-#[derive(Clone, Debug)]
-pub(crate) struct StoredRecv<M> {
-    pub(crate) from: NodeId,
-    pub(crate) msg: Rc<M>,
-}
-
-/// The storage a [`RoundCtx`] inbox points into: the classic engine's
-/// dense per-node `Vec`, or the SoA engine's CSR window over its arena.
-#[derive(Debug)]
-pub(crate) enum InboxRef<'a, M> {
-    /// Classic engine: a contiguous slice of per-node inbox entries.
-    Dense(&'a [StoredRecv<M>]),
-    /// SoA engine: parallel sender/arena-index columns over an arena of
-    /// message payloads shared by all recipients.
-    Soa { from: &'a [NodeId], midx: &'a [u32], arena: &'a [M] },
-}
-
-impl<M> Clone for InboxRef<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<M> Copy for InboxRef<'_, M> {}
-
 /// One round's delivered messages, in deterministic order (ascending
 /// sender id, then the sender's send order). Returned by
 /// [`RoundCtx::inbox`]; iterate it (`for rcv in ctx.inbox()`) or index it
-/// ([`Inbox::get`]) to obtain [`Received`] views. The wrapper abstracts
-/// over the classic and SoA engines' delivery storage, so protocol code is
-/// engine-agnostic.
+/// ([`Inbox::get`]) to obtain [`Received`] views. It is a CSR window:
+/// parallel sender and arena-index columns over an arena of payloads
+/// shared by all recipients.
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
-    inner: InboxRef<'a, M>,
+    from: &'a [NodeId],
+    midx: &'a [u32],
+    arena: &'a [M],
 }
 
 impl<M> Clone for Inbox<'_, M> {
@@ -117,12 +111,15 @@ impl<M> Clone for Inbox<'_, M> {
 impl<M> Copy for Inbox<'_, M> {}
 
 impl<'a, M> Inbox<'a, M> {
+    /// The view of deliveries `from[i]` → `arena[midx[i]]`.
+    pub(crate) fn new(from: &'a [NodeId], midx: &'a [u32], arena: &'a [M]) -> Self {
+        debug_assert_eq!(from.len(), midx.len());
+        Inbox { from, midx, arena }
+    }
+
     /// Number of messages delivered this round.
     pub fn len(&self) -> usize {
-        match self.inner {
-            InboxRef::Dense(s) => s.len(),
-            InboxRef::Soa { from, .. } => from.len(),
-        }
+        self.from.len()
     }
 
     /// Whether nothing was delivered this round.
@@ -132,17 +129,12 @@ impl<'a, M> Inbox<'a, M> {
 
     /// The `i`-th delivery of this round, if any.
     pub fn get(&self, i: usize) -> Option<Received<'a, M>> {
-        match self.inner {
-            InboxRef::Dense(s) => s.get(i).map(|r| Received { from: r.from, msg: &*r.msg }),
-            InboxRef::Soa { from, midx, arena } => {
-                Some(Received { from: *from.get(i)?, msg: &arena[midx[i] as usize] })
-            }
-        }
+        Some(Received { from: *self.from.get(i)?, msg: &self.arena[self.midx[i] as usize] })
     }
 
     /// Iterator over this round's deliveries as [`Received`] views.
     pub fn iter(&self) -> InboxIter<'a, M> {
-        InboxIter { inner: self.inner, i: 0 }
+        InboxIter { inbox: *self, i: 0 }
     }
 
     /// Copies the views out (e.g. to end a borrow of the context before
@@ -173,7 +165,7 @@ impl<'a, M> IntoIterator for &Inbox<'a, M> {
 /// Iterator over an [`Inbox`], yielding [`Received`] views.
 #[derive(Clone, Debug)]
 pub struct InboxIter<'a, M> {
-    inner: InboxRef<'a, M>,
+    inbox: Inbox<'a, M>,
     i: usize,
 }
 
@@ -181,69 +173,25 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
     type Item = Received<'a, M>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let out = Inbox { inner: self.inner }.get(self.i)?;
+        let out = self.inbox.get(self.i)?;
         self.i += 1;
         Some(out)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rest = Inbox { inner: self.inner }.len().saturating_sub(self.i);
+        let rest = self.inbox.len().saturating_sub(self.i);
         (rest, Some(rest))
     }
 }
 
 impl<M> ExactSizeIterator for InboxIter<'_, M> {}
 
-/// Which engine implementation executes an instance — the classic
-/// `Rc`-inbox [`Engine`] or the struct-of-arrays
-/// [`crate::soa::SoaEngine`]. The two are byte-for-byte equivalent
-/// (traces, metrics, decisions — pinned by `tests/engine_equivalence.rs`);
-/// the SoA engine exists for large-N throughput.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The original per-message `Rc` engine. The default.
-    #[default]
-    Classic,
-    /// The struct-of-arrays engine (CSR inboxes + message arena).
-    Soa,
-}
-
-impl EngineKind {
-    /// Parses `"classic"` / `"soa"` (as the CLI `--engine` flag spells
-    /// them).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the accepted spellings.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "classic" => Ok(EngineKind::Classic),
-            "soa" => Ok(EngineKind::Soa),
-            other => Err(format!("unknown engine '{other}' (expected 'classic' or 'soa')")),
-        }
-    }
-
-    /// The canonical lowercase name (`"classic"` / `"soa"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Classic => "classic",
-            EngineKind::Soa => "soa",
-        }
-    }
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Per-round execution context handed to [`NodeLogic::on_round`].
 pub struct RoundCtx<'a, M> {
     me: NodeId,
     n: usize,
     round: Round,
-    inbox: InboxRef<'a, M>,
+    inbox: Inbox<'a, M>,
     outbox: &'a mut Vec<M>,
     stop: &'a mut bool,
     /// Trace ids of this round's `Deliver` events, parallel to `inbox`
@@ -254,14 +202,14 @@ pub struct RoundCtx<'a, M> {
 }
 
 impl<'a, M> RoundCtx<'a, M> {
-    /// Assembles a context over raw engine storage (shared by the classic
-    /// and SoA engines).
+    /// Assembles a context over engine storage (the engine's and the
+    /// test reference's).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         me: NodeId,
         n: usize,
         round: Round,
-        inbox: InboxRef<'a, M>,
+        inbox: Inbox<'a, M>,
         outbox: &'a mut Vec<M>,
         stop: &'a mut bool,
         delivery_ids: &'a [EventId],
@@ -290,7 +238,7 @@ impl<'a, M> RoundCtx<'a, M> {
     /// The returned [`Inbox`] borrows the engine, not the context, so it
     /// stays usable across [`RoundCtx::send`] calls.
     pub fn inbox(&self) -> Inbox<'a, M> {
-        Inbox { inner: self.inbox }
+        self.inbox
     }
 
     /// Queues `msg` for local broadcast at the end of this round; neighbors
@@ -402,6 +350,32 @@ impl Telemetry {
     }
 }
 
+/// One executed round's traffic, streamed to an
+/// [`Engine::stream_rounds`] callback as the round retires. The whole
+/// point is that a million-node run can aggregate these without the engine
+/// keeping per-round history alive.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RoundFlow {
+    /// The (1-based) round this row describes.
+    pub round: Round,
+    /// System-wide bits broadcast this round.
+    pub bits: u64,
+    /// System-wide logical messages broadcast this round.
+    pub logical: u64,
+    /// Deliveries enqueued by this round's broadcasts (one per recipient
+    /// per logical message).
+    pub deliveries: u64,
+}
+
+/// One node's deferred broadcast: a window `[lo, hi)` of this round's
+/// arena, scattered to the sender's live neighbors after the node loop.
+#[derive(Clone, Copy, Debug)]
+struct SendRec {
+    sender: u32,
+    lo: u32,
+    hi: u32,
+}
+
 /// The synchronous network simulator.
 ///
 /// # Examples
@@ -444,47 +418,49 @@ pub struct Engine<M: Message, L: NodeLogic<M>> {
     graph: Graph,
     schedule: FailureSchedule,
     nodes: Vec<L>,
-    /// Inbox consumed by the round being executed, indexed by node.
-    inboxes: Vec<Vec<StoredRecv<M>>>,
-    /// Inbox being filled for the next round: the other half of the double
-    /// buffer. Swapped with `inboxes` at each round boundary and cleared in
-    /// place, so per-round allocations amortize to zero.
-    next_inboxes: Vec<Vec<StoredRecv<M>>>,
-    /// Producing-`Send` event ids, parallel to `inboxes` per node. Kept
-    /// out of [`Received`] so the untraced hot path moves 16-byte inbox
-    /// entries; only populated while a sink is installed (empty queues —
-    /// and [`EventId::NONE`] deliveries — otherwise).
-    src_ids: Vec<Vec<EventId>>,
-    /// Double-buffer counterpart of `src_ids`, swapped with it alongside
-    /// the inboxes.
-    next_src_ids: Vec<Vec<EventId>>,
+    /// CSR offsets of the inbox consumed this round: node `i`'s deliveries
+    /// are entries `cur_off[i]..cur_off[i + 1]`.
+    cur_off: Vec<u32>,
+    /// Sender column of the consumed CSR.
+    cur_from: Vec<NodeId>,
+    /// Arena-index column of the consumed CSR (into `cur_arena`).
+    cur_midx: Vec<u32>,
+    /// Producing-`Send` event ids, parallel to `cur_from`; populated only
+    /// while a sink is installed (empty → deliveries report
+    /// [`EventId::NONE`]).
+    cur_src: Vec<EventId>,
+    /// Payloads of the messages consumed this round.
+    cur_arena: Vec<M>,
+    /// Payloads broadcast this round (consumed next round); swapped with
+    /// `cur_arena` at the round boundary so allocations amortize to zero.
+    pend_arena: Vec<M>,
+    /// Per-message send event ids, parallel to `pend_arena` (tracing only).
+    pend_src: Vec<EventId>,
+    /// This round's broadcasts, in node order (= ascending sender id).
+    sends: Vec<SendRec>,
+    /// Scratch: per-receiver entry counts, then write cursors, for the
+    /// counting-sort scatter.
+    counts: Vec<u32>,
     /// Reusable outbox scratch handed to each node's [`RoundCtx`].
     outbox: Vec<M>,
-    /// Reusable scratch for the live receiver set of one broadcast.
-    receivers: Vec<NodeId>,
-    /// First round each node is dead (`Round::MAX` if it never crashes):
-    /// the schedule's `is_dead` compiled down to one array load.
+    /// First round each node is dead (`Round::MAX` if it never crashes).
     crash_round: Vec<Round>,
     /// Sorted receiver restriction of each node's final broadcast, for
-    /// partial crashes (`None` for clean crashes and non-crashing nodes).
+    /// partial crashes.
     partial_rx: Vec<Option<Vec<NodeId>>>,
+    crash_logged: Vec<bool>,
     round: Round,
     metrics: Metrics,
     stop_requested: bool,
-    /// The installed event sink, if any. `None` (the default) keeps the
-    /// hot path at a single branch per event site.
     sink: Option<Box<dyn TraceSink>>,
-    crash_logged: Vec<bool>,
     telemetry: Telemetry,
     /// Wall-clock starts of currently open phases (innermost last).
     phase_started: Vec<(String, Instant)>,
-    /// Last assigned [`EventId`]; only advances while a sink is installed,
-    /// so untraced runs pay nothing for provenance.
+    /// Last assigned [`EventId`]; only advances while a sink is installed.
     next_event_id: u64,
     /// Scratch: trace ids of the current node's deliveries this round.
     delivery_ids: Vec<EventId>,
-    /// Scratch: trace ids of the current node's outbox messages, parallel
-    /// to `outbox`.
+    /// Scratch: trace ids of the current node's outbox messages.
     send_ids: Vec<EventId>,
     /// Scratch: causal dependencies declared via
     /// [`RoundCtx::send_caused_by`] this round.
@@ -496,12 +472,11 @@ pub struct Engine<M: Message, L: NodeLogic<M>> {
     round_stream: Option<Box<dyn FnMut(RoundFlow)>>,
     /// Cached [`TraceSink::wants_delivers`] of the installed sink,
     /// refreshed at [`Engine::set_sink`]. `true` while no sink is
-    /// installed so the `sink.is_some() && deliver_interest` guards
-    /// reduce to the plain one-branch sink check.
+    /// installed.
     deliver_interest: bool,
-    /// Wall-clock profiler handle and the lane to record on, if a
-    /// timeline is installed (see [`Engine::set_timeline`]); `None`
-    /// keeps the hot path at one branch per round.
+    /// Wall-clock profiler handle and lane, if installed (see
+    /// [`Engine::set_timeline`]); `None` keeps the hot path at one
+    /// branch per round.
     timeline: Option<(crate::timeline::Timeline, u32)>,
 }
 
@@ -515,7 +490,6 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
     ) -> Self {
         let n = graph.len();
         let nodes = (0..n as u32).map(|i| factory(NodeId(i))).collect();
-        // Compile the schedule into dense per-node lookups for the hot loop.
         let mut crash_round = vec![Round::MAX; n];
         let mut partial_rx: Vec<Option<Vec<NodeId>>> = vec![None; n];
         for (v, e) in schedule.iter() {
@@ -531,21 +505,25 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         }
         Engine {
             metrics: Metrics::new(n),
-            inboxes: vec![Vec::new(); n],
-            next_inboxes: vec![Vec::new(); n],
-            src_ids: vec![Vec::new(); n],
-            next_src_ids: vec![Vec::new(); n],
+            cur_off: vec![0; n + 1],
+            cur_from: Vec::new(),
+            cur_midx: Vec::new(),
+            cur_src: Vec::new(),
+            cur_arena: Vec::new(),
+            pend_arena: Vec::new(),
+            pend_src: Vec::new(),
+            sends: Vec::new(),
+            counts: vec![0; n],
             outbox: Vec::new(),
-            receivers: Vec::new(),
             crash_round,
             partial_rx,
+            crash_logged: vec![false; n],
             graph,
             schedule,
             nodes,
             round: 0,
             stop_requested: false,
             sink: None,
-            crash_logged: vec![false; n],
             telemetry: Telemetry::default(),
             phase_started: Vec::new(),
             next_event_id: 0,
@@ -571,19 +549,19 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         self
     }
 
-    /// Switches to lean [`Metrics`] (no per-round ledger), matching the
-    /// SoA engine's large-N configuration; call before the first step.
-    /// Pair with [`Engine::stream_rounds`] when per-round flow still
-    /// matters.
+    /// Replaces the metrics with a [`Metrics::lean`] instance that skips
+    /// the per-round ledger (per-node totals and CC stay exact); call
+    /// before the first step. Pair with [`Engine::stream_rounds`] when
+    /// per-round rows are still wanted, just not materialized.
     pub fn use_lean_metrics(&mut self) -> &mut Self {
         self.metrics = Metrics::lean(self.graph.len());
         self
     }
 
-    /// Installs a per-round flow observer: `cb` receives one
-    /// [`RoundFlow`] row as each round retires — the O(rounds) feed the
-    /// telemetry layer ([`crate::telemetry::round_observer`]) uses
-    /// instead of per-delivery events. Replaces any previous observer.
+    /// Installs a per-round flow observer: `cb` receives one [`RoundFlow`]
+    /// as each round retires. Purely observational — the callback sees
+    /// copies of counters the engine maintains anyway, so installing one
+    /// never perturbs the execution.
     pub fn stream_rounds(&mut self, cb: impl FnMut(RoundFlow) + 'static) -> &mut Self {
         self.round_stream = Some(Box::new(cb));
         self
@@ -600,9 +578,10 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
     /// custom [`TraceSink`]); call before the first step. Replaces any
     /// previously installed sink.
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) -> &mut Self {
-        // Delivery interest is sampled once per installation: deliveries
-        // dominate event volume at scale, and a sink that does not want
-        // them lets the engine skip building them entirely.
+        // Delivery interest is sampled once per installation: at N = 2²⁰
+        // deliveries dominate event volume, and a sink that does not want
+        // them (e.g. a flight recorder) lets the engine skip building
+        // them — and the src-id column — entirely.
         self.deliver_interest = sink.wants_delivers();
         self.sink = Some(sink);
         self
@@ -636,8 +615,8 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
     }
 
     /// Opens a phase on this engine's [`Metrics`] starting at the next
-    /// round, and mirrors it to the sink as a
-    /// [`Event::PhaseEnter`]. Returns the phase's start round.
+    /// round, mirroring [`Event::PhaseEnter`] to the sink. Returns the
+    /// phase's start round.
     pub fn enter_phase(&mut self, label: &str) -> Round {
         let start = self.metrics.enter_phase(label);
         self.phase_started.push((label.to_string(), Instant::now()));
@@ -645,9 +624,8 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         start
     }
 
-    /// Closes the innermost open phase at the current round, mirroring a
-    /// [`Event::PhaseExit`] to the sink. Returns the phase's label and end
-    /// round, or `None` if no phase is open.
+    /// Closes the innermost open phase at the current round, mirroring
+    /// [`Event::PhaseExit`] to the sink.
     pub fn exit_phase(&mut self) -> Option<(String, Round)> {
         let round = self.round;
         let (label, end) = self.metrics.exit_phase_at(round)?;
@@ -714,67 +692,57 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         }
         let r = self.round + 1;
         let n = self.graph.len();
-        // One `Option` test per round when no timeline is installed;
-        // with one, the chained clock attributes every segment of the
-        // round to a stage (a handful of reads per round, or per live
-        // node when a sink is also installed — see `fine` below).
-        let mut clock = self.timeline.as_ref().map(|(t, _)| t.round_clock());
-        // Flip the double buffer: last round's deliveries become this
-        // round's input; the other half is cleared in place for refilling.
-        std::mem::swap(&mut self.inboxes, &mut self.next_inboxes);
-        for q in &mut self.next_inboxes {
-            q.clear();
-        }
-        std::mem::swap(&mut self.src_ids, &mut self.next_src_ids);
-        for q in &mut self.next_src_ids {
-            q.clear();
-        }
-        if let Some(c) = clock.as_mut() {
-            // Inbox buffer management is scatter-side work.
-            c.mark(crate::timeline::STAGE_SCATTER);
-        }
         let mut stop = false;
-        // Split-borrow the engine so a node's inbox, its logic, and the
-        // next-round buffers can be touched in one pass.
+        let mut clock = self.timeline.as_ref().map(|(t, _)| t.round_clock());
         let Engine {
             graph,
             nodes,
-            inboxes,
-            next_inboxes,
+            cur_off,
+            cur_from,
+            cur_midx,
+            cur_src,
+            cur_arena,
+            pend_arena,
+            pend_src,
+            sends,
+            counts,
             outbox,
-            receivers,
             crash_round,
             partial_rx,
+            crash_logged,
             metrics,
             sink,
-            crash_logged,
             telemetry,
             next_event_id,
             delivery_ids,
             send_ids,
             causes,
             kind_acc,
-            src_ids,
-            next_src_ids,
             round_stream,
             deliver_interest,
             timeline,
             ..
         } = self;
         // `tracing` gates only the per-delivery work (Deliver events and
-        // the src-id side channel); sends/crashes/phases still reach a
-        // sink that declined deliveries.
+        // the src-id column); sends/crashes/phases still reach a sink
+        // that declined deliveries.
         let tracing = sink.is_some() && *deliver_interest;
         // Stage attribution granularity: with a sink installed the loop
-        // already pays per-event encoding costs, so per-node clock reads
-        // disappear into them and buy exact trace/absorb/send/scatter
-        // splits. Without a sink the whole node loop is charged to
-        // `absorb` in one read — per-node reads would dominate idle
-        // nodes on large graphs and sink the <5% overhead budget.
+        // already pays per-delivery encoding costs, so per-node clock
+        // reads (2–3 per live node) disappear into them and buy exact
+        // trace/absorb/send splits. Without a sink the whole node loop
+        // is charged to `absorb` in one read — per-node reads would
+        // dominate idle nodes at N = 2²⁰ and sink the <5% overhead
+        // budget.
         let fine = clock.is_some() && sink.is_some();
         metrics.note_round(r);
         telemetry.rounds += 1;
-        let mut enqueued: u64 = 0;
+        sends.clear();
+        pend_arena.clear();
+        pend_src.clear();
+        if let Some(c) = clock.as_mut() {
+            c.mark(crate::timeline::STAGE_SCATTER);
+        }
         let mut round_bits: u64 = 0;
         let mut round_logical: u64 = 0;
         for i in 0..n {
@@ -788,24 +756,26 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                 }
                 continue;
             }
+            let lo = cur_off[i] as usize;
+            let hi = cur_off[i + 1] as usize;
             delivery_ids.clear();
             if let (true, Some(t)) = (tracing, sink.as_deref_mut()) {
                 // Deliveries are logged when the node consumes its inbox
                 // (this round), keeping the event log round-ordered. Each
                 // gets a fresh id and points back at the producing send.
-                for (j, rcv) in inboxes[i].iter().enumerate() {
+                for j in lo..hi {
                     *next_event_id += 1;
                     let id = EventId(*next_event_id);
                     delivery_ids.push(id);
                     t.record(&Event::Deliver {
                         round: r,
                         node: me,
-                        from: rcv.from,
-                        bits: rcv.msg.bit_len(),
+                        from: cur_from[j],
+                        bits: cur_arena[cur_midx[j] as usize].bit_len(),
                         id,
                         // NONE for deliveries enqueued before the sink
-                        // was installed (src queue shorter than inbox).
-                        src: src_ids[i].get(j).copied().unwrap_or(EventId::NONE),
+                        // was installed (src column left empty).
+                        src: cur_src.get(j).copied().unwrap_or(EventId::NONE),
                     });
                 }
                 if fine {
@@ -821,7 +791,7 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                     me,
                     n,
                     r,
-                    InboxRef::Dense(&inboxes[i]),
+                    Inbox::new(&cur_from[lo..hi], &cur_midx[lo..hi], cur_arena),
                     &mut *outbox,
                     &mut stop,
                     &*delivery_ids,
@@ -861,7 +831,12 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                     };
                     kind_acc[slot].1 += m.bit_len();
                     kind_acc[slot].2 += 1;
-                    send_ids.push(kind_acc[slot].3);
+                    if tracing {
+                        // The per-message id column only feeds the
+                        // delivery-side src pointers, which a deaf sink
+                        // never sees.
+                        send_ids.push(kind_acc[slot].3);
+                    }
                 }
                 for &(k, kind_bits, logical, id) in kind_acc.iter() {
                     t.record(&Event::Send {
@@ -875,47 +850,21 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                     });
                 }
             }
+            // Defer delivery: move the outbox into the round arena and
+            // remember the window; the scatter below gives each receiver
+            // ascending senders, each in send order.
+            let win_lo = pend_arena.len() as u32;
+            pend_arena.append(outbox);
+            let win_hi = pend_arena.len() as u32;
+            if tracing {
+                for mi in 0..(win_hi - win_lo) as usize {
+                    pend_src.push(send_ids.get(mi).copied().unwrap_or(EventId::NONE));
+                }
+            }
+            sends.push(SendRec { sender: i as u32, lo: win_lo, hi: win_hi });
             if fine {
                 if let Some(c) = clock.as_mut() {
                     c.mark(crate::timeline::STAGE_SEND);
-                }
-            }
-            // Deliveries for round r + 1. A sender crashing exactly at
-            // r + 1 may have its final broadcast restricted to a subset.
-            let restriction: Option<&[NodeId]> =
-                if crash_round[i] == r + 1 { partial_rx[i].as_deref() } else { None };
-            receivers.clear();
-            for &w in graph.neighbors(me) {
-                if r + 1 >= crash_round[w.index()] {
-                    continue;
-                }
-                if let Some(rx) = restriction {
-                    if rx.binary_search(&w).is_err() {
-                        continue;
-                    }
-                }
-                receivers.push(w);
-            }
-            if receivers.is_empty() {
-                continue;
-            }
-            // One allocation per logical message; every recipient shares it.
-            for (mi, msg) in outbox.drain(..).enumerate() {
-                let shared = Rc::new(msg);
-                for &w in receivers.iter() {
-                    next_inboxes[w.index()].push(StoredRecv { from: me, msg: Rc::clone(&shared) });
-                }
-                if tracing {
-                    let send_id = send_ids.get(mi).copied().unwrap_or(EventId::NONE);
-                    for &w in receivers.iter() {
-                        next_src_ids[w.index()].push(send_id);
-                    }
-                }
-                enqueued += receivers.len() as u64;
-            }
-            if fine {
-                if let Some(c) = clock.as_mut() {
-                    c.mark(crate::timeline::STAGE_SCATTER);
                 }
             }
         }
@@ -923,6 +872,91 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             if let Some(c) = clock.as_mut() {
                 c.mark(crate::timeline::STAGE_ABSORB);
             }
+        }
+        // ---- Delivery build: counting-sort scatter into the (now dead)
+        // consumed CSR, giving next round's inboxes in O(N + deliveries).
+        let mut enqueued: u64 = 0;
+        if sends.is_empty() {
+            cur_off.iter_mut().for_each(|o| *o = 0);
+            cur_from.clear();
+            cur_midx.clear();
+            cur_src.clear();
+        } else {
+            counts.iter_mut().for_each(|c| *c = 0);
+            // Pass 1: how many entries each receiver gets. A sender
+            // crashing exactly at r + 1 may have its final broadcast
+            // restricted to a subset, and dead receivers hear nothing.
+            for s in sends.iter() {
+                let si = s.sender as usize;
+                let msgs = u64::from(s.hi - s.lo);
+                let restriction: Option<&[NodeId]> =
+                    if crash_round[si] == r + 1 { partial_rx[si].as_deref() } else { None };
+                for &w in graph.neighbors(NodeId(s.sender)) {
+                    if r + 1 >= crash_round[w.index()] {
+                        continue;
+                    }
+                    if let Some(rx) = restriction {
+                        if rx.binary_search(&w).is_err() {
+                            continue;
+                        }
+                    }
+                    counts[w.index()] += s.hi - s.lo;
+                    enqueued += msgs;
+                }
+            }
+            // Prefix-sum into offsets; `counts` becomes the write cursors.
+            cur_off[0] = 0;
+            for i in 0..n {
+                let next = cur_off[i]
+                    .checked_add(counts[i])
+                    .expect("round delivery volume exceeds u32 CSR capacity");
+                cur_off[i + 1] = next;
+                counts[i] = cur_off[i];
+            }
+            let total = cur_off[n] as usize;
+            cur_from.clear();
+            cur_from.resize(total, NodeId(0));
+            cur_midx.clear();
+            cur_midx.resize(total, 0);
+            cur_src.clear();
+            if tracing {
+                cur_src.resize(total, EventId::NONE);
+            }
+            // Pass 2: scatter. Senders are visited in ascending id order
+            // and each window in send order, so every receiver's slice
+            // comes out in delivery order.
+            for s in sends.iter() {
+                let si = s.sender as usize;
+                let restriction: Option<&[NodeId]> =
+                    if crash_round[si] == r + 1 { partial_rx[si].as_deref() } else { None };
+                for &w in graph.neighbors(NodeId(s.sender)) {
+                    if r + 1 >= crash_round[w.index()] {
+                        continue;
+                    }
+                    if let Some(rx) = restriction {
+                        if rx.binary_search(&w).is_err() {
+                            continue;
+                        }
+                    }
+                    let wi = w.index();
+                    let mut pos = counts[wi] as usize;
+                    for mi in s.lo..s.hi {
+                        cur_from[pos] = NodeId(s.sender);
+                        cur_midx[pos] = mi;
+                        if tracing {
+                            cur_src[pos] = pend_src[mi as usize];
+                        }
+                        pos += 1;
+                    }
+                    counts[wi] = pos as u32;
+                }
+            }
+        }
+        // The round's payloads become next round's arena; the old arena's
+        // allocation is recycled for the round after.
+        std::mem::swap(cur_arena, pend_arena);
+        if let Some(c) = clock.as_mut() {
+            c.mark(crate::timeline::STAGE_SCATTER);
         }
         telemetry.deliveries += enqueued;
         telemetry.peak_inflight = telemetry.peak_inflight.max(enqueued);
@@ -971,6 +1005,10 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         self.graph.reachable_from(root, &dead)
     }
 }
+
+/// The engine under its former name, `netsim::SoaEngine`, which the
+/// benchmark in `perfbench/` builds against.
+pub type SoaEngine<M, L> = Engine<M, L>;
 
 #[cfg(test)]
 mod tests {
@@ -1185,6 +1223,48 @@ mod tests {
         eng.run(2);
         assert_eq!(eng.metrics().bits_of(NodeId(0)), 6);
         assert_eq!(eng.metrics().sends_of(NodeId(0)), 3);
+    }
+
+    #[test]
+    fn round_stream_reports_the_per_round_ledger() {
+        let collected = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let sink = std::rc::Rc::clone(&collected);
+        let mut eng = Engine::new(topology::path(3), FailureSchedule::none(), |_| Chatter {
+            sizes: vec![8, 8],
+            heard: vec![],
+            stop_at: None,
+        });
+        eng.stream_rounds(move |f| sink.borrow_mut().push(f));
+        eng.run(4);
+        let rows: Vec<RoundFlow> = collected.borrow().clone();
+        assert_eq!(rows.len(), 4);
+        // Rounds 1 and 2: all 3 nodes send one 8-bit message; ends reach 1
+        // neighbor, the middle reaches 2 → 4 deliveries per talking round.
+        assert_eq!(
+            (rows[0].round, rows[0].bits, rows[0].logical, rows[0].deliveries),
+            (1, 24, 3, 4)
+        );
+        assert_eq!((rows[1].round, rows[1].bits, rows[1].deliveries), (2, 24, 4));
+        assert_eq!((rows[2].bits, rows[2].deliveries), (0, 0));
+        // The stream matches the non-lean metrics ledger.
+        assert_eq!(eng.metrics().bits_in_round(1), 24);
+        assert_eq!(eng.telemetry().deliveries, 8);
+    }
+
+    #[test]
+    fn lean_metrics_keep_totals_but_skip_the_ledger() {
+        let mut eng = Engine::new(topology::path(3), FailureSchedule::none(), |_| Chatter {
+            sizes: vec![8, 8],
+            heard: vec![],
+            stop_at: None,
+        });
+        eng.use_lean_metrics();
+        eng.run(4);
+        assert!(eng.metrics().is_lean());
+        assert_eq!(eng.metrics().total_bits(), 6 * 8);
+        assert_eq!(eng.metrics().max_bits(), 16);
+        // The per-round ledger was never materialized.
+        assert_eq!(eng.metrics().bits_in_round(1), 0);
     }
 }
 

@@ -15,8 +15,9 @@
 //! Protocols are per-node state machines ([`NodeLogic`]) driven by the
 //! deterministic round [`Engine`]. Topology generators for the experiment
 //! sweeps live in [`topology`], adversarial schedule generators in
-//! [`adversary::schedules`], and the flooding-primitive bookkeeping in
-//! [`FloodState`].
+//! [`adversary::schedules`], the flooding-primitive bookkeeping in
+//! [`FloodState`], and the reference implementation the engine is checked
+//! against in [`testkit`].
 //!
 //! ## Quick example
 //!
@@ -57,7 +58,6 @@ pub mod graph;
 pub mod metrics;
 pub mod monitor;
 pub mod runner;
-pub mod soa;
 pub mod telemetry;
 pub mod testkit;
 pub mod timeline;
@@ -69,10 +69,10 @@ pub use causal::{folded_stacks, Blame, CausalDag, Coverage, CriticalPath, Hop, U
 pub use corpus::{CorpusEntry, CORPUS_VERSION};
 pub use diff::{diff, Delta, Divergence, DivergenceClass, TraceDiff};
 pub use engine::{
-    Engine, EngineKind, Inbox, InboxIter, Message, NodeLogic, Received, RoundCtx, RunReport,
-    StopCause, Telemetry,
+    Engine, Inbox, InboxIter, Message, NodeLogic, Received, RoundCtx, RoundFlow, RunReport,
+    SoaEngine, StopCause, Telemetry,
 };
-pub use flood::FloodState;
+pub use flood::{BitFlood, BitFloodReport, FloodState};
 pub use graph::{Edge, Graph, GraphError, NodeId};
 pub use metrics::{Metrics, PhaseSpan, PhaseStats};
 pub use monitor::{
@@ -82,7 +82,6 @@ pub use runner::{
     ConsoleProgress, Histogram, PhaseAgg, Progress, ProgressSink, Runner, RunnerTelemetry,
     TrialStats, TrialSummary, WorkerLoad,
 };
-pub use soa::{AnyEngine, BitFlood, BitFloodReport, RoundFlow, SoaEngine};
 pub use telemetry::{
     is_valid_metric_name, round_observer, Counter, FlightRecorder, FlightRecorderHandle, Gauge,
     HistCell, RecorderStats, Reservoir, SampleFactor, SamplingSink, TeeSink, TeleHist,

@@ -109,7 +109,7 @@ impl Metrics {
     /// round-windowed queries ([`Metrics::bits_in_round`] and friends) and
     /// phase `bits`/`sends` read as zero. For streaming million-node runs
     /// where O(rounds) history is dead weight — pair with a per-round
-    /// stream (e.g. `SoaEngine::stream_rounds`) if the ledger is wanted.
+    /// stream (e.g. `Engine::stream_rounds`) if the ledger is wanted.
     pub fn lean(n: usize) -> Self {
         let mut m = Self::new(n);
         m.lean = true;

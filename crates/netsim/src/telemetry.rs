@@ -33,9 +33,9 @@
 //! million-node run within a few percent of the blind one.
 
 use crate::adversary::Round;
+use crate::engine::RoundFlow;
 use crate::graph::NodeId;
 use crate::runner::Histogram;
-use crate::soa::RoundFlow;
 use crate::trace::{DeltaSink, Event, TraceSink, TRACE_SCHEMA_VERSION};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -432,8 +432,7 @@ impl TelemetryHub {
     }
 }
 
-/// Builds a per-round callback for `Engine::stream_rounds` /
-/// `SoaEngine::stream_rounds` that feeds the standard engine instruments
+/// Builds a per-round callback for `Engine::stream_rounds` that feeds the standard engine instruments
 /// of `hub`: `engine_rounds_total`, `engine_bits_total`,
 /// `engine_logical_messages_total`, `engine_deliveries_total` counters,
 /// `engine_inflight_last` / `engine_inflight_peak` gauges, and the

@@ -17,12 +17,9 @@
 //! ([`Telemetry::busy`], phase timings) is deliberately excluded.
 
 use crate::adversary::FailureSchedule;
-use crate::engine::{
-    Engine, InboxRef, Message, NodeLogic, RoundCtx, RunReport, StopCause, Telemetry,
-};
+use crate::engine::{Engine, Inbox, Message, NodeLogic, RoundCtx, RunReport, StopCause, Telemetry};
 use crate::graph::{Graph, NodeId};
 use crate::metrics::{Metrics, PhaseSpan};
-use crate::soa::{AnyEngine, SoaEngine};
 use crate::trace::{Event, EventId};
 use crate::Round;
 
@@ -118,7 +115,7 @@ impl<M: Message, L: NodeLogic<M>> Reference<M, L> {
             let midx: Vec<u32> = (0..mine.len() as u32).collect();
             let arena: Vec<M> = mine.into_iter().map(|d| d.1).collect();
             let (mut outbox, mut causes) = (Vec::new(), Vec::new());
-            let inbox = InboxRef::Soa { from: &from, midx: &midx, arena: &arena };
+            let inbox = Inbox::new(&from, &midx, &arena);
             let mut ctx = RoundCtx::assemble(
                 v,
                 n,
@@ -235,7 +232,8 @@ impl<M: Message, L: NodeLogic<M>> Reference<M, L> {
 /// comparable (mostly serialized) form.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunArtifacts {
-    /// Which engine produced this (`"classic"` / `"soa"`); *not* compared.
+    /// Which implementation produced this (`"engine"` / `"reference"`);
+    /// *not* compared.
     pub engine: String,
     /// The trace serialized line-by-line to v2 JSONL (header first), empty
     /// when the run was not traced. Compared byte-for-byte.
@@ -294,22 +292,11 @@ fn capture_parts(
     }
 }
 
-/// Captures every deterministic observable of an [`AnyEngine`] run.
-pub fn capture<M: Message, L: NodeLogic<M>>(eng: &AnyEngine<M, L>) -> RunArtifacts {
+/// Captures every deterministic observable of an [`Engine`] run (the
+/// trace only if one was recorded via [`Engine::enable_trace`]).
+pub fn capture<M: Message, L: NodeLogic<M>>(eng: &Engine<M, L>) -> RunArtifacts {
     let trace = eng.trace().map(|t| jsonl_lines(t.events()));
-    capture_parts(eng.kind().name(), trace, eng.metrics(), eng.telemetry(), eng.round())
-}
-
-/// [`capture`] for a bare classic [`Engine`].
-pub fn capture_classic<M: Message, L: NodeLogic<M>>(eng: &Engine<M, L>) -> RunArtifacts {
-    let trace = eng.trace().map(|t| jsonl_lines(t.events()));
-    capture_parts("classic", trace, eng.metrics(), eng.telemetry(), eng.round())
-}
-
-/// [`capture`] for a bare [`SoaEngine`].
-pub fn capture_soa<M: Message, L: NodeLogic<M>>(eng: &SoaEngine<M, L>) -> RunArtifacts {
-    let trace = eng.trace().map(|t| jsonl_lines(t.events()));
-    capture_parts("soa", trace, eng.metrics(), eng.telemetry(), eng.round())
+    capture_parts("engine", trace, eng.metrics(), eng.telemetry(), eng.round())
 }
 
 impl RunArtifacts {
@@ -420,7 +407,7 @@ mod tests {
 
     fn artifacts(bits: Vec<u64>) -> RunArtifacts {
         RunArtifacts {
-            engine: "classic".into(),
+            engine: "engine".into(),
             trace: vec!["{\"schema\":\"ftagg-trace\",\"v\":2}".into()],
             bits_per_node: bits,
             sends_per_node: vec![1, 1],

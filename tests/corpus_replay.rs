@@ -6,9 +6,9 @@
 
 use caaf::Sum;
 use ftagg::tradeoff::{run_tradeoff, TradeoffConfig};
-use ftagg_bench::search::{replay_entry, replay_entry_on};
+use ftagg_bench::search::replay_entry;
 use ftagg_bench::Env;
-use netsim::{CorpusEntry, EngineKind, NodeId};
+use netsim::{CorpusEntry, NodeId};
 use std::path::{Path, PathBuf};
 
 fn corpus_paths() -> Vec<PathBuf> {
@@ -78,30 +78,6 @@ fn every_entry_replays_bit_for_bit_under_strict_watchdog() {
         );
         assert!(replay.monitor.is_clean(), "{}: strict watchdog flagged the replay", p.display());
         assert_eq!(replay.counterexamples, 0, "{}: replay produced wrong results", p.display());
-    }
-}
-
-/// Differential-equivalence gate over the mined corpus: every entry —
-/// schedules hill-climbed specifically to stress the protocol — must
-/// replay through the struct-of-arrays engine to the exact recorded
-/// objective, clean under the strict watchdog, with zero counterexamples,
-/// just as it does on the classic engine.
-#[test]
-fn every_entry_replays_identically_on_the_soa_engine() {
-    for p in corpus_paths() {
-        let entry = load(&p);
-        let soa = replay_entry_on(&entry, true, EngineKind::Soa)
-            .unwrap_or_else(|e| panic!("{} fails to replay on soa: {e}", p.display()));
-        assert_eq!(
-            soa.value,
-            entry.value,
-            "{}: soa objective {} != recorded {}",
-            p.display(),
-            soa.value,
-            entry.value,
-        );
-        assert!(soa.monitor.is_clean(), "{}: strict watchdog flagged the soa replay", p.display());
-        assert_eq!(soa.counterexamples, 0, "{}: soa replay produced wrong results", p.display());
     }
 }
 

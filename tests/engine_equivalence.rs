@@ -26,10 +26,10 @@ use ftagg::baselines::folklore::FolkNode;
 use ftagg::interval::IntervalLayout;
 use ftagg::pair::Tweaks;
 use ftagg::{Instance, PairNode, PairParams};
-use netsim::testkit::{assert_equivalent, capture_classic, capture_soa, Reference};
+use netsim::testkit::{assert_equivalent, capture, Reference};
 use netsim::{
     adversary::schedules, topology, CorpusEntry, Engine, FailureSchedule, Graph, Message, NodeId,
-    NodeLogic, Round, SoaEngine,
+    NodeLogic, Round,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,15 +51,10 @@ fn assert_runs_agree<M: Message, L: NodeLogic<M>>(
     state: impl Fn(&L) -> String,
     context: &str,
 ) {
-    let mut classic = Engine::new(graph.clone(), schedule.clone(), &factory);
-    let mut eng = SoaEngine::new(graph.clone(), schedule.clone(), &factory);
+    let mut eng = Engine::new(graph.clone(), schedule.clone(), &factory);
     let mut reference = Reference::new(graph.clone(), schedule.clone(), &factory);
-    classic.enable_trace();
     eng.enable_trace();
     for &(label, until) in script {
-        classic.enter_phase(label);
-        classic.run(until);
-        classic.exit_phase();
         eng.enter_phase(label);
         eng.run(until);
         eng.exit_phase();
@@ -67,12 +62,9 @@ fn assert_runs_agree<M: Message, L: NodeLogic<M>>(
         reference.run(until);
         reference.exit_phase();
     }
-    assert_equivalent(&capture_soa(&eng), &reference.artifacts(), context);
-    assert_equivalent(&capture_classic(&classic), &reference.artifacts(), context);
+    assert_equivalent(&capture(&eng), &reference.artifacts(), context);
     for v in graph.nodes() {
-        let want = state(reference.node(v));
-        assert_eq!(state(eng.node(v)), want, "{context}: node {v} state");
-        assert_eq!(state(classic.node(v)), want, "{context}: node {v} state (classic)");
+        assert_eq!(state(eng.node(v)), state(reference.node(v)), "{context}: node {v} state");
     }
 }
 

@@ -21,20 +21,23 @@ use caaf::Sum;
 use ftagg::msg::Envelope;
 use ftagg::pair::{PairNode, PairParams, Tweaks};
 use ftagg::{Instance, Model};
-use netsim::testkit::{assert_equivalent, capture};
-use netsim::{
-    topology, AnyEngine, Engine, EngineKind, Event, FailureSchedule, JsonlSink, NodeId, Trace,
-};
+use netsim::testkit::{assert_equivalent, capture, Reference};
+use netsim::{topology, Engine, Event, FailureSchedule, JsonlSink, NodeId, Trace};
 
-fn run_traced() -> Engine<Envelope, PairNode<Sum>> {
-    let g = topology::path(4);
-    let inst = Instance::new(g, NodeId(0), vec![1, 2, 3, 4], FailureSchedule::none(), 4).unwrap();
-    let params = PairParams {
+/// The golden pair's parameters: N = 4, d = 3, c = 1, t = 1, with VERI.
+fn golden() -> PairParams {
+    PairParams {
         model: Model { n: 4, root: NodeId(0), d: 3, c: 1, max_input: 4 },
         t: 1,
         run_veri: true,
         tweaks: Tweaks::default(),
-    };
+    }
+}
+
+fn run_traced() -> Engine<Envelope, PairNode<Sum>> {
+    let g = topology::path(4);
+    let inst = Instance::new(g, NodeId(0), vec![1, 2, 3, 4], FailureSchedule::none(), 4).unwrap();
+    let params = golden();
     let inputs = inst.inputs.clone();
     let mut eng = Engine::new(inst.graph.clone(), FailureSchedule::none(), |v| {
         PairNode::new(params, Sum, v, inputs[v.index()])
@@ -161,37 +164,22 @@ fn jsonl_trace_format_snapshot() {
     assert_eq!(phases[0].bits + phases[1].bits, replayed.total_bits());
 }
 
-/// The golden schedule is engine-independent: the struct-of-arrays core
-/// reproduces the exact pinned send rounds, and its full traced execution
-/// (trace bytes, ledgers, telemetry) matches the classic engine's.
+/// The golden schedule is implementation-independent: the test reference
+/// reproduces the engine's full traced execution of the golden instance
+/// (trace bytes, ledgers, telemetry), so the pinned send rounds hold on
+/// both.
 #[test]
 fn golden_schedule_is_pinned_on_both_engines() {
-    let run = |kind: EngineKind| -> AnyEngine<Envelope, PairNode<Sum>> {
-        let g = topology::path(4);
-        let inst =
-            Instance::new(g, NodeId(0), vec![1, 2, 3, 4], FailureSchedule::none(), 4).unwrap();
-        let params = PairParams {
-            model: Model { n: 4, root: NodeId(0), d: 3, c: 1, max_input: 4 },
-            t: 1,
-            run_veri: true,
-            tweaks: Tweaks::default(),
-        };
-        let inputs = inst.inputs.clone();
-        let mut eng = AnyEngine::new(kind, inst.graph.clone(), FailureSchedule::none(), |v| {
-            PairNode::new(params, Sum, v, inputs[v.index()])
-        });
-        eng.enable_trace();
-        eng.run(params.total_rounds());
-        eng
-    };
-    let classic = run(EngineKind::Classic);
-    let soa = run(EngineKind::Soa);
-    // The pinned Algorithms 2/3 schedule, straight from the SoA trace.
-    let t = soa.trace().expect("tracing enabled");
+    let eng = run_traced();
+    let mut reference = Reference::new(topology::path(4), FailureSchedule::none(), |v| {
+        PairNode::new(golden(), Sum, v, u64::from(v.0) + 1)
+    });
+    reference.run(golden().total_rounds());
+    let t = eng.trace().expect("tracing enabled");
     assert_eq!(t.send_rounds(NodeId(1)), vec![2, 3, 10, 16, 22, 27, 35], "node 1 schedule");
     assert_eq!(t.send_rounds(NodeId(2)), vec![4, 5, 9, 17, 23, 28, 34], "node 2 schedule");
     assert_eq!(t.send_rounds(NodeId(3)), vec![6, 7, 8, 18, 24, 29, 33], "node 3 schedule");
-    assert_equivalent(&capture(&classic), &capture(&soa), "golden instance");
+    assert_equivalent(&capture(&eng), &reference.artifacts(), "golden instance");
 }
 
 #[test]

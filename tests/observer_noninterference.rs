@@ -15,7 +15,7 @@ use ftagg::{run_pair, run_pair_observed, Instance, Observe, PairReport};
 use netsim::{
     adversary::schedules, round_observer, topology, Engine, FailureSchedule, FlightRecorder, Graph,
     JsonlSink, Message, Metrics, NodeId, NodeLogic, PhaseStats, Received, Round, RoundCtx,
-    SamplingSink, SoaEngine, SpanKind, TeeSink, TelemetryHub, Timeline, Trace, TraceSink,
+    SamplingSink, SpanKind, TeeSink, TelemetryHub, Timeline, Trace, TraceSink,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -114,67 +114,10 @@ type ProbeObservation = (Vec<(Vec<Round>, Vec<(NodeId, Round, Round)>)>, Metrics
 
 fn run_probes(
     seed: u64,
-    sink: Option<Box<dyn TraceSink>>,
+    observe: impl FnOnce(&mut Engine<Ping, Probe>),
 ) -> (ProbeObservation, Engine<Ping, Probe>) {
     let (g, s, horizon) = probe_setup(seed);
     let mut eng = Engine::new(g, s, |v| Probe {
-        me: v,
-        seed,
-        active_rounds: Vec::new(),
-        received: Vec::new(),
-    });
-    if let Some(sink) = sink {
-        eng.set_sink(sink);
-    }
-    eng.run(horizon);
-    let per_node = eng
-        .graph()
-        .nodes()
-        .map(|v| {
-            let p = eng.node(v);
-            (p.active_rounds.clone(), p.received.clone())
-        })
-        .collect();
-    let fp = fingerprint(eng.metrics());
-    ((per_node, fp), eng)
-}
-
-#[test]
-fn engine_observers_do_not_perturb_deliveries_or_metrics() {
-    for seed in 0..12u64 {
-        let (quiet, _) = run_probes(seed, None);
-        let (with_trace, mut eng_t) = run_probes(seed, Some(Box::new(Trace::new())));
-        let (with_jsonl, mut eng_j) =
-            run_probes(seed, Some(Box::new(JsonlSink::new(Vec::<u8>::new()))));
-        assert_eq!(with_trace, quiet, "in-memory Trace sink perturbed seed {seed}");
-        assert_eq!(with_jsonl, quiet, "JsonlSink perturbed seed {seed}");
-
-        // The two sinks also saw the *same* event stream: the JSONL file
-        // parses back into exactly the in-memory trace.
-        let trace =
-            eng_t.take_sink().map(|s| *(s as Box<dyn Any>).downcast::<Trace>().unwrap()).unwrap();
-        let jsonl = eng_j
-            .take_sink()
-            .map(|s| *(s as Box<dyn Any>).downcast::<JsonlSink<Vec<u8>>>().unwrap())
-            .unwrap();
-        let bytes = jsonl.finish().unwrap();
-        let parsed = Trace::from_jsonl(&bytes[..]).unwrap();
-        assert_eq!(parsed.events(), trace.events(), "sinks diverged on seed {seed}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Part 1b: the struct-of-arrays engine under the full observer stack —
-// samplers, flight recorders, tees, and the telemetry hub must all
-// leave its execution byte-identical too.
-// ---------------------------------------------------------------------
-
-fn run_probes_soa(
-    seed: u64,
-    observe: impl FnOnce(&mut SoaEngine<Ping, Probe>),
-) -> (ProbeObservation, SoaEngine<Ping, Probe>) {
-    let (g, s, horizon) = probe_setup(seed);
-    let mut eng = SoaEngine::new(g, s, |v| Probe {
         me: v,
         seed,
         active_rounds: Vec::new(),
@@ -195,24 +138,57 @@ fn run_probes_soa(
 }
 
 #[test]
-fn soa_engine_observer_stack_does_not_perturb() {
+fn engine_observers_do_not_perturb_deliveries_or_metrics() {
     for seed in 0..12u64 {
-        let (quiet, quiet_eng) = run_probes_soa(seed, |_| {});
-
-        // Reference event stream: the plain in-memory trace.
-        let (with_trace, mut eng_t) = run_probes_soa(seed, |e| {
+        let (quiet, _) = run_probes(seed, |_| {});
+        let (with_trace, mut eng_t) = run_probes(seed, |e| {
             e.set_sink(Box::new(Trace::new()));
         });
-        assert_eq!(with_trace, quiet, "Trace sink perturbed the SoA engine on seed {seed}");
+        let (with_jsonl, mut eng_j) = run_probes(seed, |e| {
+            e.set_sink(Box::new(JsonlSink::new(Vec::<u8>::new())));
+        });
+        assert_eq!(with_trace, quiet, "in-memory Trace sink perturbed seed {seed}");
+        assert_eq!(with_jsonl, quiet, "JsonlSink perturbed seed {seed}");
+
+        // The two sinks also saw the *same* event stream: the JSONL file
+        // parses back into exactly the in-memory trace.
+        let trace =
+            eng_t.take_sink().map(|s| *(s as Box<dyn Any>).downcast::<Trace>().unwrap()).unwrap();
+        let jsonl = eng_j
+            .take_sink()
+            .map(|s| *(s as Box<dyn Any>).downcast::<JsonlSink<Vec<u8>>>().unwrap())
+            .unwrap();
+        let bytes = jsonl.finish().unwrap();
+        let parsed = Trace::from_jsonl(&bytes[..]).unwrap();
+        assert_eq!(parsed.events(), trace.events(), "sinks diverged on seed {seed}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Part 1b: the engine under the full observer stack — samplers, flight
+// recorders, tees, and the telemetry hub must all leave its execution
+// byte-identical too.
+// ---------------------------------------------------------------------
+
+#[test]
+fn soa_engine_observer_stack_does_not_perturb() {
+    for seed in 0..12u64 {
+        let (quiet, quiet_eng) = run_probes(seed, |_| {});
+
+        // Reference event stream: the plain in-memory trace.
+        let (with_trace, mut eng_t) = run_probes(seed, |e| {
+            e.set_sink(Box::new(Trace::new()));
+        });
+        assert_eq!(with_trace, quiet, "Trace sink perturbed the engine on seed {seed}");
         let trace =
             eng_t.take_sink().map(|s| *(s as Box<dyn Any>).downcast::<Trace>().unwrap()).unwrap();
 
         // A 1-in-1 sampler is a transparent pipe: unperturbed execution,
         // and its inner sink sees every event the plain trace saw.
-        let (with_sampler, mut eng_s) = run_probes_soa(seed, |e| {
+        let (with_sampler, mut eng_s) = run_probes(seed, |e| {
             e.set_sink(Box::new(SamplingSink::new(Box::new(Trace::new()), 1, seed)));
         });
-        assert_eq!(with_sampler, quiet, "SamplingSink perturbed the SoA engine on seed {seed}");
+        assert_eq!(with_sampler, quiet, "SamplingSink perturbed the engine on seed {seed}");
         let sampler = eng_s
             .take_sink()
             .map(|s| *(s as Box<dyn Any>).downcast::<SamplingSink>().unwrap())
@@ -225,20 +201,20 @@ fn soa_engine_observer_stack_does_not_perturb() {
         // decodes back into the exact event stream.
         let recorder = FlightRecorder::new(64);
         let flight = recorder.handle();
-        let (with_rec, _eng_r) = run_probes_soa(seed, move |e| {
+        let (with_rec, _eng_r) = run_probes(seed, move |e| {
             e.set_sink(Box::new(recorder));
         });
-        assert_eq!(with_rec, quiet, "FlightRecorder perturbed the SoA engine on seed {seed}");
+        assert_eq!(with_rec, quiet, "FlightRecorder perturbed the engine on seed {seed}");
         let ring = Trace::from_jsonl(flight.snapshot_jsonl().unwrap().as_bytes()).unwrap();
         assert_eq!(ring.events(), trace.events(), "flight ring diverged on seed {seed}");
 
         // A deaf recorder (delivery events suppressed at the source via
         // `wants_delivers`) takes the engine down its skip-deliveries
         // fast path — which must still deliver every message.
-        let (with_deaf, _eng_d) = run_probes_soa(seed, |e| {
+        let (with_deaf, _eng_d) = run_probes(seed, |e| {
             e.set_sink(Box::new(FlightRecorder::new(64).without_delivers()));
         });
-        assert_eq!(with_deaf, quiet, "deaf FlightRecorder perturbed the SoA engine on seed {seed}");
+        assert_eq!(with_deaf, quiet, "deaf FlightRecorder perturbed the engine on seed {seed}");
 
         // The whole stack at once: tee fanning out to a trace and a deaf
         // recorder, plus a telemetry hub fed from the round stream. Still
@@ -246,7 +222,7 @@ fn soa_engine_observer_stack_does_not_perturb() {
         // counters agree with the engine's own accounting.
         let hub = Arc::new(TelemetryHub::new());
         let obs = round_observer(&hub);
-        let (with_tee, mut eng_tee) = run_probes_soa(seed, move |e| {
+        let (with_tee, mut eng_tee) = run_probes(seed, move |e| {
             e.stream_rounds(obs);
             e.set_sink(Box::new(
                 TeeSink::new()
@@ -254,7 +230,7 @@ fn soa_engine_observer_stack_does_not_perturb() {
                     .with(Box::new(FlightRecorder::new(64).without_delivers())),
             ));
         });
-        assert_eq!(with_tee, quiet, "tee + hub perturbed the SoA engine on seed {seed}");
+        assert_eq!(with_tee, quiet, "tee + hub perturbed the engine on seed {seed}");
         assert_eq!(
             hub.counter("engine_bits_total").get(),
             quiet.1.total_bits,
@@ -276,70 +252,41 @@ fn soa_engine_observer_stack_does_not_perturb() {
 
 // ---------------------------------------------------------------------
 // Part 1c: the wall-clock timeline profiler, in both of its stage-
-// attribution modes (coarse without a sink, per-node with one), on both
-// engine cores — pure observation, byte-identical executions.
+// attribution modes (coarse without a sink, per-node with one) — pure
+// observation, byte-identical executions.
 // ---------------------------------------------------------------------
 
-/// [`run_probes`] with a timeline installed (classic engine).
-fn run_probes_timed(seed: u64, tl: &Timeline) -> ProbeObservation {
-    let (g, s, horizon) = probe_setup(seed);
-    let mut eng = Engine::new(g, s, |v| Probe {
-        me: v,
-        seed,
-        active_rounds: Vec::new(),
-        received: Vec::new(),
-    });
-    eng.set_timeline(tl, 1);
-    eng.run(horizon);
-    let per_node = eng
-        .graph()
-        .nodes()
-        .map(|v| {
-            let p = eng.node(v);
-            (p.active_rounds.clone(), p.received.clone())
-        })
-        .collect();
-    let fp = fingerprint(eng.metrics());
-    (per_node, fp)
-}
-
 #[test]
-fn timeline_profiler_does_not_perturb_either_engine() {
+fn timeline_profiler_does_not_perturb_the_engine() {
     for seed in 0..6u64 {
-        // Classic engine, coarse mode (no sink installed).
-        let (quiet, _) = run_probes(seed, None);
+        // Coarse mode (no sink installed).
+        let (quiet, _) = run_probes(seed, |_| {});
         let tl = Timeline::new();
-        let timed = run_probes_timed(seed, &tl);
-        assert_eq!(timed, quiet, "timeline perturbed the classic engine on seed {seed}");
+        let (timed, _) = run_probes(seed, |e| {
+            e.set_timeline(&tl, 1);
+        });
+        assert_eq!(timed, quiet, "timeline perturbed the engine on seed {seed}");
         let data = tl.snapshot();
         assert!(
             data.spans.iter().any(|s| s.kind == SpanKind::Round),
             "timeline captured no round spans on seed {seed}"
         );
 
-        // SoA engine, coarse mode.
-        let (quiet_soa, _) = run_probes_soa(seed, |_| {});
-        let tl = Timeline::new();
-        let (timed_soa, _) = run_probes_soa(seed, |e| {
-            e.set_timeline(&tl, 1);
-        });
-        assert_eq!(timed_soa, quiet_soa, "timeline perturbed the SoA engine on seed {seed}");
-
-        // SoA engine, fine mode: timeline + trace sink flips the engines
-        // into per-node stage attribution — still byte-identical, and
-        // the teed trace still exact against a timeline-less reference.
-        let (reference, mut eng_ref) = run_probes_soa(seed, |e| {
+        // Fine mode: timeline + trace sink flips the engine into per-node
+        // stage attribution — still byte-identical, and the trace still
+        // exact against a timeline-less reference.
+        let (reference, mut eng_ref) = run_probes(seed, |e| {
             e.set_sink(Box::new(Trace::new()));
         });
         let ref_trace =
             eng_ref.take_sink().map(|s| *(s as Box<dyn Any>).downcast::<Trace>().unwrap()).unwrap();
         let tl = Timeline::new();
-        let (fine, mut eng_f) = run_probes_soa(seed, |e| {
+        let (fine, mut eng_f) = run_probes(seed, |e| {
             e.set_timeline(&tl, 1);
             e.set_sink(Box::new(Trace::new()));
         });
-        assert_eq!(fine, reference, "fine-mode timeline perturbed the SoA engine on seed {seed}");
-        assert_eq!(fine, quiet_soa, "sink + timeline perturbed the SoA engine on seed {seed}");
+        assert_eq!(fine, reference, "fine-mode timeline perturbed the engine on seed {seed}");
+        assert_eq!(fine, quiet, "sink + timeline perturbed the engine on seed {seed}");
         let fine_trace =
             eng_f.take_sink().map(|s| *(s as Box<dyn Any>).downcast::<Trace>().unwrap()).unwrap();
         assert_eq!(

@@ -1,19 +1,19 @@
-//! Property suite for the struct-of-arrays engine rebuild (`netsim::soa`):
+//! Property suite for the engine's struct-of-arrays layout:
 //!
-//! 1. the message arena never aliases live messages — payloads read from a
-//!    SoA inbox are byte-identical to what the sender enqueued, on every
+//! 1. the message arena never aliases live messages — payloads read from
+//!    an inbox are byte-identical to what the sender enqueued, on every
 //!    round of randomized chatter, while the whole run stays bit-identical
-//!    to the classic engine;
+//!    to the test reference ([`netsim::testkit::Reference`]);
 //! 2. the bit-packed flood lane ([`BitFlood`]) round-trips exactly against
 //!    the dense per-message representation: same deliveries, same bit
 //!    meters, same per-node seen sets, under clean and partial crashes;
 //! 3. delta-encoded traces ([`DeltaSink`]) decode to the v2 JSONL schema
 //!    byte for byte against [`JsonlSink`] on the same event stream.
 
-use netsim::testkit::{assert_equivalent, capture_classic, capture_soa, Reference};
+use netsim::testkit::{assert_equivalent, capture, Reference};
 use netsim::{
     topology, BitFlood, DeltaSink, Engine, Event, FailureSchedule, FloodState, Graph, JsonlSink,
-    Message, NodeId, NodeLogic, Round, RoundCtx, SoaEngine, Trace, TraceSink,
+    Message, NodeId, NodeLogic, Round, RoundCtx, Trace, TraceSink,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -50,7 +50,7 @@ fn random_setup(seed: u64, n: usize, crashes: usize, horizon: Round) -> (Graph, 
 }
 
 // ---------------------------------------------------------------------
-// 1. Arena aliasing: payload integrity + full classic/SoA equivalence
+// 1. Arena aliasing: payload integrity + full engine/reference equivalence
 // ---------------------------------------------------------------------
 
 /// A message whose payload is a pure function of (sender, round, copy):
@@ -117,10 +117,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Randomized chatter with fresh multi-copy payloads every round: the
-    /// SoA arena must hand every receiver exactly the bytes the sender
+    /// arena must hand every receiver exactly the bytes the sender
     /// enqueued (checked inside `on_round`), and the full run — trace
     /// bytes, bit ledgers, telemetry — must be bit-identical to the
-    /// classic engine's.
+    /// reference's, which clones every payload per delivery.
     #[test]
     fn arena_never_aliases_live_messages(
         seed in 0u64..1_000_000,
@@ -130,37 +130,24 @@ proptest! {
         let horizon: Round = 12;
         let (g, s) = random_setup(seed, n, crashes, horizon);
 
-        let mut classic = Engine::new(g.clone(), s.clone(), |v| Chatter {
+        let mut eng = Engine::new(g.clone(), s.clone(), |v| Chatter {
             me: v, seed, received: Vec::new(),
         });
-        classic.enable_trace();
-        classic.run(horizon);
+        eng.enable_trace();
+        eng.run(horizon);
 
-        let mut soa = SoaEngine::new(g.clone(), s.clone(), |v| Chatter {
-            me: v, seed, received: Vec::new(),
-        });
-        soa.enable_trace();
-        soa.run(horizon);
-
-        let mut reference = Reference::new(g.clone(), s.clone(), |v| Chatter {
+        let mut reference = Reference::new(g.clone(), s, |v| Chatter {
             me: v, seed, received: Vec::new(),
         });
         reference.run(horizon);
 
-        let context = format!("chatter seed {seed}");
-        assert_equivalent(&capture_classic(&classic), &reference.artifacts(), &context);
-        assert_equivalent(&capture_soa(&soa), &reference.artifacts(), &context);
+        assert_equivalent(&capture(&eng), &reference.artifacts(), &format!("chatter seed {seed}"));
         // The per-node delivery logs (order included) agree too — the
         // inbox visit order is part of the pinned semantics.
         for v in g.nodes() {
             prop_assert_eq!(
-                &classic.node(v).received,
-                &soa.node(v).received,
-                "node {} delivery log", v
-            );
-            prop_assert_eq!(
+                &eng.node(v).received,
                 &reference.node(v).received,
-                &soa.node(v).received,
                 "node {} delivery log", v
             );
         }
@@ -267,7 +254,7 @@ proptest! {
     ) {
         let horizon: Round = 10;
         let (g, s) = random_setup(seed.wrapping_add(13), n, crashes, horizon);
-        let mut eng = SoaEngine::new(g, s, |v| Chatter { me: v, seed, received: Vec::new() });
+        let mut eng = Engine::new(g, s, |v| Chatter { me: v, seed, received: Vec::new() });
         eng.set_sink(Box::new(Trace::new()));
         eng.enter_phase("A");
         eng.run(horizon / 2);

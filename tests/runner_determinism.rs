@@ -11,8 +11,8 @@ use ftagg::pair::{PairNode, PairParams, Tweaks};
 use ftagg::tradeoff::{run_tradeoff, TradeoffConfig};
 use ftagg::{Instance, Model};
 use netsim::{
-    adversary::schedules, topology, Engine, EngineKind, FailureSchedule, NodeId, Round, Runner,
-    TrialStats, TrialSummary,
+    adversary::schedules, topology, Engine, FailureSchedule, NodeId, Round, Runner, TrialStats,
+    TrialSummary,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,10 +34,6 @@ struct Record {
 }
 
 fn tradeoff_trial(seed: u64) -> Record {
-    tradeoff_trial_on(seed, EngineKind::Classic)
-}
-
-fn tradeoff_trial_on(seed: u64, engine: EngineKind) -> Record {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = 10 + (seed % 12) as usize;
     let g = topology::connected_gnp(n, 0.25, &mut rng);
@@ -55,7 +51,7 @@ fn tradeoff_trial_on(seed: u64, engine: EngineKind) -> Record {
         best
     };
     let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..64)).collect();
-    let inst = Instance::new(g, NodeId(0), inputs, s, 63).unwrap().with_engine(engine);
+    let inst = Instance::new(g, NodeId(0), inputs, s, 63).unwrap();
     let cfg = TradeoffConfig { b, c: C, f: inst.edge_failures().max(1), seed };
     let r = run_tradeoff(&Sum, &inst, &cfg);
     Record {
@@ -166,22 +162,6 @@ fn engine_reproduces_golden_trace_schedule_and_bit_counts() {
     });
     for replica in replicas {
         assert_eq!(replica, reference);
-    }
-}
-
-/// The SoA engine under the parallel runner: at 1, 2, and 4 worker
-/// threads, every trial record — results, rounds, pairs run, full bit
-/// ledgers — equals the *classic* engine's serial reference. One test,
-/// two guarantees: thread-count invariance and engine equivalence under
-/// concurrency.
-#[test]
-fn soa_runner_matches_classic_serial_loop_at_1_2_4_threads() {
-    let seeds: Vec<u64> = (0..16).collect();
-    let reference: Vec<Record> = seeds.iter().map(|&s| tradeoff_trial(s)).collect();
-    assert!(reference.iter().all(|r| r.correct), "reference trials must be correct");
-    for threads in [1usize, 2, 4] {
-        let soa = Runner::exact(threads).run(&seeds, |s| tradeoff_trial_on(s, EngineKind::Soa));
-        assert_eq!(soa, reference, "soa threads = {threads}");
     }
 }
 

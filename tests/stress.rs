@@ -133,7 +133,7 @@ fn stress_fast_slice_corpus_replay() {
     assert!(replayed >= 3, "expected the promoted corpus, found {replayed} entries");
 }
 
-/// Tier-1 slice: large-N smoke for the SoA hot path — a single-origin
+/// Tier-1 slice: large-N smoke for the engine hot path — a single-origin
 /// flood over a hypercube with N ≈ 10⁵ nodes under a handful of crashes,
 /// wall-time-bounded. On a clean run every node forwards the token once,
 /// so deliveries = Σ degrees = dim·2^dim; each crashed node forfeits at
@@ -142,7 +142,7 @@ fn stress_fast_slice_corpus_replay() {
 /// equivalence matrix can't see.
 #[test]
 fn stress_fast_slice_large_n_smoke() {
-    use netsim::{FailureSchedule, Message, NodeLogic, Round, RoundCtx, SoaEngine};
+    use netsim::{Engine, FailureSchedule, Message, NodeLogic, Round, RoundCtx};
 
     #[derive(Clone, Debug)]
     struct Tok;
@@ -171,7 +171,7 @@ fn stress_fast_slice_large_n_smoke() {
     for j in 1..=8u64 {
         schedule.crash(NodeId((j * (n / 9)) as u32), 2 + (j % 4));
     }
-    let mut eng = SoaEngine::new(topology::hypercube(dim), schedule, |v| Flood {
+    let mut eng = Engine::new(topology::hypercube(dim), schedule, |v| Flood {
         origin: v == NodeId(0),
         seen: false,
     });
