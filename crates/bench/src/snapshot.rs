@@ -22,6 +22,7 @@ use crate::Env;
 use caaf::Sum;
 use ftagg::tradeoff::{run_tradeoff, run_tradeoff_monitored, TradeoffConfig};
 use ftagg::Instance;
+use netsim::json::{quote, Json};
 use netsim::{
     round_observer, topology, BitFlood, Engine, FailureSchedule, FlightRecorder, FloodState,
     Message, MonitorConfig, NodeId, NodeLogic, RecorderStats, Round, RoundCtx, Runner,
@@ -481,7 +482,9 @@ impl Snapshot {
 
     /// Per-worker runner telemetry overhead A/B: a fixed trial set
     /// through the plain runner against the instrumented one
-    /// (`run_observed`), as `perf.runner.telemetry_ratio`.
+    /// (`run_observed`), as `perf.runner.telemetry_ratio`. Both arms run
+    /// on one worker, as perfbench does: on every core, contention from
+    /// the rest of the host lands on whole arms and swamps the ratio.
     fn collect_runner(&mut self, quick: bool, reps: usize) {
         let trials: Vec<u64> = (0..if quick { 8 } else { 16 }).collect();
         let (b, c, f) = (63u64, 2u32, 4usize);
@@ -503,14 +506,14 @@ impl Snapshot {
             reps,
             || {
                 let t0 = Instant::now();
-                let out = Runner::new(0).run(&trials, trial);
+                let out = Runner::new(1).run(&trials, trial);
                 let secs = t0.elapsed().as_secs_f64();
                 ccs = out;
                 secs
             },
             || {
                 let t0 = Instant::now();
-                let (_, tele) = Runner::new(0).run_observed(&trials, |s, _| trial(s), None, None);
+                let (_, tele) = Runner::new(1).run_observed(&trials, |s, _| trial(s), None, None);
                 let secs = t0.elapsed().as_secs_f64();
                 instr_trials = tele.trials();
                 secs
@@ -526,23 +529,14 @@ impl Snapshot {
     /// one key per line (git-diff friendly), keys sorted within the
     /// `info.*` / `exact.*` / `perf.*` groups.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{BENCH_SCHEMA}\",");
-        let _ = writeln!(out, "  \"v\": {BENCH_SCHEMA_VERSION},");
-        for (k, v) in &self.info {
-            let _ = writeln!(out, "  \"{k}\": \"{}\",", escape(v));
-        }
-        for (k, v) in &self.exact {
-            let _ = writeln!(out, "  \"{k}\": {v},");
-        }
-        let mut rest = self.perf.iter().peekable();
-        while let Some((k, v)) = rest.next() {
-            let comma = if rest.peek().is_some() { "," } else { "" };
-            let _ = writeln!(out, "  \"{k}\": {v}{comma}");
-        }
-        out.push_str("}\n");
-        out
+        let mut entries = vec![
+            format!("\"schema\": {}", quote(BENCH_SCHEMA)),
+            format!("\"v\": {BENCH_SCHEMA_VERSION}"),
+        ];
+        entries.extend(self.info.iter().map(|(k, v)| format!("{}: {}", quote(k), quote(v))));
+        entries.extend(self.exact.iter().map(|(k, v)| format!("{}: {v}", quote(k))));
+        entries.extend(self.perf.iter().map(|(k, v)| format!("{}: {v}", quote(k))));
+        format!("{{\n  {}\n}}\n", entries.join(",\n  "))
     }
 
     /// Parses a snapshot from its JSON form, sorting keys into the
@@ -553,46 +547,32 @@ impl Snapshot {
     /// Returns a one-line message on malformed JSON, a wrong schema tag or
     /// version, or a value that does not parse for its key's group.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let body = text
-            .trim()
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or("snapshot is not a JSON object")?;
+        let root = Json::parse(text)?;
+        let entries = root.as_object().ok_or("snapshot is not a JSON object")?;
+        let version = entries.get("v").and_then(Json::as_u64);
+        match (entries.get("schema").and_then(Json::as_str), version) {
+            (Some(BENCH_SCHEMA), Some(BENCH_SCHEMA_VERSION)) => {}
+            (Some(BENCH_SCHEMA), v) => {
+                return Err(format!(
+                    "unsupported snapshot version {v:?} (this build reads v{BENCH_SCHEMA_VERSION})"
+                ))
+            }
+            (got, _) => return Err(format!("not a {BENCH_SCHEMA} snapshot (schema tag {got:?})")),
+        }
         let mut s = Snapshot::default();
-        let (mut schema, mut version) = (None, None);
-        for entry in split_top_level(body) {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key, value) = parse_entry(entry)?;
-            match key.as_str() {
-                "schema" => schema = Some(value),
-                "v" => {
-                    version =
-                        Some(value.parse::<u64>().map_err(|_| format!("bad version {value:?}"))?);
-                }
-                k if k.starts_with("info.") => {
-                    s.info.insert(key, value);
-                }
-                k if k.starts_with("exact.") => {
-                    let v = value.parse().map_err(|_| format!("bad integer for {k:?}"))?;
-                    s.exact.insert(key, v);
-                }
-                k if k.starts_with("perf.") => {
-                    let v = value.parse().map_err(|_| format!("bad number for {k:?}"))?;
-                    s.perf.insert(key, v);
-                }
-                other => return Err(format!("unknown snapshot key {other:?}")),
+        for (key, value) in entries {
+            let bad = |what: &str| format!("bad {what} for {key:?}");
+            if key.starts_with("info.") {
+                s.info.insert(key.clone(), value.as_str().ok_or_else(|| bad("string"))?.into());
+            } else if key.starts_with("exact.") {
+                s.exact.insert(key.clone(), value.as_u64().ok_or_else(|| bad("integer"))?);
+            } else if key.starts_with("perf.") {
+                s.perf.insert(key.clone(), value.as_f64().ok_or_else(|| bad("number"))?);
+            } else if key != "schema" && key != "v" {
+                return Err(format!("unknown snapshot key {key:?}"));
             }
         }
-        match (schema.as_deref(), version) {
-            (Some(BENCH_SCHEMA), Some(BENCH_SCHEMA_VERSION)) => Ok(s),
-            (Some(BENCH_SCHEMA), v) => Err(format!(
-                "unsupported snapshot version {v:?} (this build reads v{BENCH_SCHEMA_VERSION})"
-            )),
-            (got, _) => Err(format!("not a {BENCH_SCHEMA} snapshot (schema tag {got:?})")),
-        }
+        Ok(s)
     }
 }
 
@@ -692,69 +672,6 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
     let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
     (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Splits a JSON object body into `"key": value` entries at top level
-/// (commas inside quoted strings do not split).
-fn split_top_level(body: &str) -> Vec<String> {
-    let mut entries = Vec::new();
-    let mut cur = String::new();
-    let (mut in_str, mut esc) = (false, false);
-    for ch in body.chars() {
-        if esc {
-            esc = false;
-            cur.push(ch);
-            continue;
-        }
-        match ch {
-            '\\' if in_str => {
-                esc = true;
-                cur.push(ch);
-            }
-            '"' => {
-                in_str = !in_str;
-                cur.push(ch);
-            }
-            ',' if !in_str => {
-                entries.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(ch),
-        }
-    }
-    if !cur.trim().is_empty() {
-        entries.push(cur);
-    }
-    entries
-}
-
-/// Parses one `"key": value` entry; string values are unquoted and
-/// unescaped, numeric values returned as their raw text.
-fn parse_entry(entry: &str) -> Result<(String, String), String> {
-    let rest = entry.trim().strip_prefix('"').ok_or_else(|| format!("bad entry {entry:?}"))?;
-    let end = rest.find('"').ok_or_else(|| format!("unterminated key in {entry:?}"))?;
-    let key = rest[..end].to_string();
-    let value = rest[end + 1..]
-        .trim()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("missing ':' in {entry:?}"))?
-        .trim();
-    if let Some(quoted) = value.strip_prefix('"') {
-        let inner =
-            quoted.strip_suffix('"').ok_or_else(|| format!("unterminated string in {entry:?}"))?;
-        Ok((key, inner.replace("\\\"", "\"").replace("\\\\", "\\")))
-    } else {
-        Ok((key, value.to_string()))
-    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,7 @@ use ftagg::pair::Tweaks;
 use ftagg::tradeoff::{run_tradeoff, run_tradeoff_observed, TradeoffConfig};
 use ftagg::{bounds, run_pair_observed, Instance, Observe};
 use ftagg_bench::stretch_respecting_schedule;
+use netsim::json::quote;
 use netsim::NodeId;
 use spec::OpSpec;
 use std::collections::BTreeMap;
@@ -91,12 +92,27 @@ impl Args {
 
     /// Last value of `--key`, if given.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.opts.get(key).and_then(|v| v.last()).map(String::as_str)
+        self.get_all(key).last().map(String::as_str)
     }
 
     /// All values of a repeatable `--key`.
     pub fn get_all(&self, key: &str) -> &[String] {
+        debug_assert!(self.reads(key), "`{}` reads --{key}; add it to options_of", self.command);
         self.opts.get(key).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Whether the subcommand reads `--key` (every key passes for an
+    /// unknown subcommand, which dispatch refuses anyway).
+    fn reads(&self, key: &str) -> bool {
+        options_of(&self.command).is_none_or(|known| known.split_whitespace().any(|k| k == key))
+    }
+
+    /// Refuses the first `--key` the subcommand does not read, naming it.
+    fn check_options(&self) -> Result<(), String> {
+        match self.opts.keys().find(|k| !self.reads(k)) {
+            Some(k) => Err(format!("unknown option --{k} for '{}'", self.command)),
+            None => Ok(()),
+        }
     }
 
     /// Parses `--key` as a number with a default.
@@ -110,6 +126,37 @@ impl Args {
             Some(v) => v.parse().map_err(|_| format!("bad --{key} value '{v}'")),
         }
     }
+}
+
+/// The options each subcommand reads, space-separated; [`dispatch_full`]
+/// refuses any other `--key`, so a typo or a stale flag fails instead of
+/// running with defaults. `trace`, `top`, `telemetry` and `timeline` share
+/// the pair workload's `topology crash c t seed` (see `pair_instance`).
+/// `None` for an unknown subcommand.
+fn options_of(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "run" => "topology protocol op inputs crash b c f seed root",
+        "topo" => "topology seed",
+        "trace" => "topology crash c t seed dot jsonl",
+        "sweep" => "topology f c from to points seed threads progress timeline",
+        "report" => "input render top monitor sampled workers topology trials b c f seed threads",
+        "explain" => "input topology b c f seed ring folded",
+        "diff" | "help" | "--help" | "-h" => "",
+        "radar" => "quick tolerance threads progress",
+        "bench" => "out quick baseline candidate",
+        "bounds" => "n f b",
+        "mine" => {
+            "topology inputs op seed f b c t objective protocol accept iterations coin-seeds \
+             threads mutate-topology progress crash corpus-out name timeline"
+        }
+        "top" => "topology crash c t seed refresh-ms ring flight-out trials threads",
+        "telemetry" => "topology crash c t seed format out",
+        "timeline" => {
+            "topology crash c t seed trials threads flows input validate min-spans min-counters \
+             min-lanes out top cap"
+        }
+        _ => return None,
+    })
 }
 
 /// A subcommand's outcome: the report text plus the process exit code
@@ -148,6 +195,7 @@ pub fn dispatch(args: &Args) -> Result<String, String> {
 ///
 /// Returns a usage/validation message for the user.
 pub fn dispatch_full(args: &Args) -> Result<CmdOutput, String> {
+    args.check_options()?;
     match args.command.as_str() {
         "run" => cmd_run(args).map(CmdOutput::ok),
         "topo" => cmd_topo(args).map(CmdOutput::ok),
@@ -178,14 +226,15 @@ commands:
           --op sum|count|max|min:T|or|and|gcd|modsum:M
           --inputs const:V|random:MAX|ramp     --crash NODE@ROUND (repeatable)
           --b B --c C --f F --seed S --root R
-  topo    print topology statistics            --topology SPEC
+  topo    print topology statistics            --topology SPEC --seed S
   trace   run one AGG+VERI pair with a per-round event log
-          --topology SPEC --t T --c C --crash NODE@ROUND --dot (print DOT)
+          --topology SPEC --t T --c C --seed S --crash NODE@ROUND --dot (print DOT)
           --jsonl PATH (also export the event log as versioned JSONL)
   sweep   sweep the TC budget b and print the measured tradeoff curve
           --topology SPEC --f F --c C --from B0 --to B1 --points K --seed S
           --threads T (parallel trial runner; 0 = auto, same output any T)
           --progress yes (live trials/throughput/ETA line on stderr)
+          --timeline PATH (Chrome trace of the sweep itself)
   report  render a run report: phase table, CC/round histograms, top-k nodes
           live:  --topology SPEC --trials K --b B --c C --f F --seed S
                  --threads T --top K --monitor yes (run under the watchdog)
@@ -233,6 +282,7 @@ commands:
           --mutate-topology yes --progress yes
           --crash NODE@ROUND (seed the search from this schedule)
           --corpus-out PATH --name NAME (write a tests/corpus entry)
+          --timeline PATH (Chrome trace of the search)
           exits 1 on correctness counterexamples or watchdog violations
   top     run one AGG+VERI pair with live telemetry: a throttled stats
           line on stderr while the run is in flight, a deterministic
@@ -491,7 +541,7 @@ fn run_observed_pair(
             handle.install_panic_hook(path.to_path_buf());
         }
         (Some(Box::new(rec)), Some(handle))
-    } else if let (Some((tl, lane)), true) = (timeline, args.get("flows").is_some()) {
+    } else if let Some((tl, lane)) = timeline.filter(|_| args.get("flows").is_some()) {
         // `--flows yes` and no flight recorder competing for the sink
         // slot: sample causal send→deliver flows into the timeline
         // (rendered as arrows between rounds in the Perfetto view).
@@ -720,10 +770,7 @@ fn cmd_timeline(args: &Args) -> Result<CmdOutput, String> {
 
     let mut out = String::new();
     let process_name = if let Some(input) = args.get("input") {
-        let file = std::fs::File::open(input)
-            .map_err(|e| format!("cannot open --input '{input}': {e}"))?;
-        let trace = netsim::Trace::from_jsonl(std::io::BufReader::new(file))
-            .map_err(|e| format!("parsing '{input}': {e}"))?;
+        let (trace, _) = load_trace(input)?;
         replay_trace_into_timeline(&trace, &tl);
         let _ = writeln!(
             out,
@@ -1013,11 +1060,13 @@ fn cmd_report(args: &Args) -> Result<CmdOutput, String> {
 }
 
 /// Opens and parses a saved JSONL trace, refusing empty, truncated, or
-/// version-skewed files with a one-line error. Replay and watchdog passes
-/// allocate per-node and per-round ledgers sized by the largest id/round
-/// the trace mentions, so corrupt traces claiming absurd dimensions are
-/// refused here instead of attempting multi-gigabyte allocations. Returns
-/// the trace and the largest node id it mentions.
+/// version-skewed files with a one-line error: the only place the CLI
+/// opens a trace file (`report`, `explain` and `timeline` with `--input`,
+/// and both sides of `diff`). Replay, watchdog and causal passes allocate
+/// per-node and per-round ledgers sized by the largest id/round the trace
+/// mentions, so corrupt traces claiming absurd dimensions are refused here
+/// instead of attempting multi-gigabyte allocations. Returns the trace and
+/// the largest node id it mentions.
 fn load_trace(path: &str) -> Result<(netsim::Trace, u32), String> {
     use netsim::Event;
     const MAX_REPLAY_NODES: u32 = 2_097_152;
@@ -1408,10 +1457,7 @@ fn cmd_explain(args: &Args) -> Result<CmdOutput, String> {
     }
     let (trace, live) = match args.get("input") {
         Some(path) => {
-            let file = std::fs::File::open(path)
-                .map_err(|e| format!("cannot open --input '{path}': {e}"))?;
-            let trace = netsim::Trace::from_jsonl(std::io::BufReader::new(file))
-                .map_err(|e| format!("parsing '{path}': {e}"))?;
+            let (trace, _) = load_trace(path)?;
             let _ = writeln!(out, "explain: saved trace {path} ({} events)", trace.events().len());
             (trace, None)
         }
@@ -1717,10 +1763,6 @@ fn cmd_bounds(args: &Args) -> Result<String, String> {
     ))
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Everything `cmd_mine` reports for one mined adversary, independent of
 /// the operator's concrete type.
 struct MineOutcome {
@@ -1928,7 +1970,7 @@ fn cmd_mine(args: &Args) -> Result<CmdOutput, String> {
         .map(|h| {
             let class = match &h.class {
                 None => "null".to_string(),
-                Some(c) => format!("\"{}\"", json_escape(c)),
+                Some(c) => quote(c),
             };
             format!(
                 "{{\"iteration\": {}, \"value\": {}, \"class\": {}}}",
@@ -1938,7 +1980,7 @@ fn cmd_mine(args: &Args) -> Result<CmdOutput, String> {
         .collect();
     let _ = writeln!(out, "  \"history\": [{}],", steps.join(", "));
     let divs: Vec<String> =
-        r.divergences.iter().map(|(k, v)| format!("\"{}\": {v}", json_escape(k))).collect();
+        r.divergences.iter().map(|(k, v)| format!("{}: {v}", quote(k))).collect();
     let _ = writeln!(out, "  \"divergences\": {{{}}},", divs.join(", "));
     let cexs: Vec<String> = r
         .counterexamples
@@ -1961,7 +2003,7 @@ fn cmd_mine(args: &Args) -> Result<CmdOutput, String> {
         "  \"corpus\": {}",
         match &corpus_path {
             None => "null".to_string(),
-            Some(p) => format!("\"{}\"", json_escape(p)),
+            Some(p) => quote(p),
         }
     );
     let _ = writeln!(out, "}}");

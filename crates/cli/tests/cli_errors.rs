@@ -4,15 +4,29 @@
 //! anything runs; these cases used to reach asserts in `ftagg::tradeoff`
 //! and `netsim::topology` and exit 101. `--c 0` is refused by every
 //! command that reads it: the other protocols used to run with
-//! zero-length flooding rounds and print wrong answers.
+//! zero-length flooding rounds and print wrong answers. An option the
+//! subcommand does not read is refused by name instead of ignored.
+//! Hostile input files end in one line of output too: a trace naming an
+//! absurd node id or going back in rounds, and a Chrome trace nested
+//! 300,000 levels deep. A reader that closes stdout early is not a panic.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+fn ftagg_cli(argv: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_ftagg-cli")).args(argv).output().expect("ftagg-cli starts")
+}
+
+/// Writes `content` to a fresh file in the temp dir; returns its path.
+fn hostile_file(name: &str, content: &str) -> String {
+    let dir = std::env::temp_dir().join("ftagg-cli-errors-test");
+    std::fs::create_dir_all(&dir).expect("tempdir");
+    let path = dir.join(name);
+    std::fs::write(&path, content).expect("write hostile file");
+    path.to_str().expect("utf-8 temp path").to_string()
+}
 
 fn assert_usage_error(argv: &[&str], needle: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_ftagg-cli"))
-        .args(argv)
-        .output()
-        .expect("ftagg-cli starts");
+    let out = ftagg_cli(argv);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{argv:?} printed to stdout");
@@ -131,4 +145,70 @@ fn mine_pair_and_doubling_with_zero_c() {
     for protocol in ["pair:1", "doubling:2"] {
         assert_usage_error(&["mine", "--protocol", protocol, "--c", "0"], ZERO_C);
     }
+}
+
+#[test]
+fn unknown_options_are_refused_by_name() {
+    assert_usage_error(
+        &["run", "--bogus", "1", "--protocol", "brute", "--topology", "path:4"],
+        "unknown option --bogus for 'run'",
+    );
+    // Flags that were passed for years and never read.
+    assert_usage_error(&["trace", "--topology", "path:4", "--d", "3"], "unknown option --d");
+    assert_usage_error(&["timeline", "--topology", "grid:8x8", "--b", "63"], "unknown option --b");
+    assert_usage_error(&["diff", "a.jsonl", "b.jsonl", "--top", "3"], "unknown option --top");
+}
+
+const HUGE_NODE_TRACE: &str = "{\"schema\":\"ftagg-trace\",\"v\":2}\n\
+    {\"ev\":\"send\",\"r\":1,\"n\":4000000000,\"bits\":8,\"logical\":1,\"id\":1}\n\
+    {\"ev\":\"decide\",\"r\":2,\"n\":0,\"value\":1}\n";
+
+#[test]
+fn every_trace_input_applies_the_replay_limits() {
+    let path = hostile_file("huge_node.jsonl", HUGE_NODE_TRACE);
+    for cmd in ["report", "explain", "timeline"] {
+        assert_usage_error(&[cmd, "--input", &path], "over the replay limit");
+    }
+}
+
+#[test]
+fn traces_that_go_back_in_rounds_are_refused_with_the_line() {
+    let path = hostile_file(
+        "backwards.jsonl",
+        "{\"schema\":\"ftagg-trace\",\"v\":2}\n\
+         {\"ev\":\"crash\",\"r\":5,\"n\":1}\n\
+         {\"ev\":\"crash\",\"r\":2,\"n\":2}\n",
+    );
+    for cmd in ["report", "explain", "timeline"] {
+        assert_usage_error(&[cmd, "--input", &path], "line 3: round 2 after round 5");
+    }
+}
+
+#[test]
+fn deeply_nested_chrome_trace_gets_a_one_line_verdict() {
+    let path = hostile_file("deep.trace.json", &"[".repeat(300_000));
+    let out = ftagg_cli(&["timeline", "--validate", &path]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
+    assert!(stdout.starts_with("INVALID Chrome trace"), "{stdout}");
+    assert!(stdout.contains("nesting deeper than"), "{stdout}");
+}
+
+#[test]
+fn a_reader_that_closes_the_pipe_early_is_not_a_panic() {
+    // `trace` prints every event of the run (about 250 KB here), more
+    // than a pipe buffer holds, so the write hits the closed pipe however
+    // the start races. It used to panic with "failed printing to stdout".
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ftagg-cli"))
+        .args(["trace", "--topology", "grid:16x16"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("ftagg-cli starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("ftagg-cli exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

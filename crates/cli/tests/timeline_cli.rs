@@ -97,7 +97,7 @@ fn validate_enforces_coverage_floors_with_documented_exit_codes() {
 #[test]
 fn replay_rebuilds_a_valid_trace_from_saved_jsonl() {
     let jsonl = tmp("fixture.jsonl");
-    run(&["trace", "--topology", "path:4", "--d", "3", "--t", "1", "--jsonl", &jsonl])
+    run(&["trace", "--topology", "path:4", "--t", "1", "--jsonl", &jsonl])
         .expect("trace fixture runs");
 
     let out_path = tmp("replay.trace.json");
@@ -129,7 +129,7 @@ fn zero_valued_trials_and_sampling_arguments_fail_fast() {
     assert!(err.contains("--sampled"), "{err}");
 
     let jsonl = tmp("guard.jsonl");
-    run(&["trace", "--topology", "path:4", "--d", "3", "--t", "1", "--jsonl", &jsonl])
+    run(&["trace", "--topology", "path:4", "--t", "1", "--jsonl", &jsonl])
         .expect("trace fixture runs");
     let err = run(&["report", "--input", &jsonl, "--sampled", "0"])
         .expect_err("saved-trace report --sampled 0 must error");

@@ -218,10 +218,12 @@ impl CorpusEntry {
         let n = n.ok_or("missing 'nodes' line")?;
         let value = value.ok_or("missing 'value' line")?;
         let max_input = max_input.ok_or("missing 'max_input' line")?;
-        let graph = Graph::new(n, &edges).map_err(|e| e.to_string())?;
+        // Checked before the graph is built, so a corrupt node count is
+        // bounded by the file's own length instead of sizing the CSR arrays.
         if inputs.len() != n {
             return Err(format!("expected {n} inputs, got {}", inputs.len()));
         }
+        let graph = Graph::new(n, &edges).map_err(|e| e.to_string())?;
         let mut schedule = FailureSchedule::none();
         for (node, round, partial) in crashes {
             match partial {

@@ -55,6 +55,7 @@ pub mod diff;
 pub mod engine;
 pub mod flood;
 pub mod graph;
+pub mod json;
 pub mod metrics;
 pub mod monitor;
 pub mod runner;

@@ -33,10 +33,10 @@
 //! thread track per worker.
 
 use crate::adversary::Round;
+use crate::json::{quote, Json};
 use crate::trace::{Event, TraceSink};
 use std::any::Any;
-use std::collections::{BTreeMap, HashSet};
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -480,26 +480,6 @@ impl TraceSink for TimelineFlowSink {
 // Chrome Trace Event Format export
 // ---------------------------------------------------------------------------
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Microseconds with fractional precision, trimmed (Chrome trace `ts`
 /// and `dur` are doubles in µs; sub-µs stages stay visible).
 fn ts_us(ns: u64) -> String {
@@ -524,7 +504,7 @@ pub fn chrome_trace_json(data: &TimelineData, process_name: &str) -> String {
     events.push(format!(
         "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":1,\"tid\":0,\
          \"args\":{{\"name\":{}}}}}",
-        json_str(process_name)
+        quote(process_name)
     ));
     // Thread-track names: lane 0 is the main thread unless renamed.
     let mut lanes: BTreeMap<u32, String> = data.lanes.clone();
@@ -542,7 +522,7 @@ pub fn chrome_trace_json(data: &TimelineData, process_name: &str) -> String {
         events.push(format!(
             "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{lane},\
              \"args\":{{\"name\":{}}}}}",
-            json_str(name)
+            quote(name)
         ));
     }
     for s in &data.spans {
@@ -553,8 +533,8 @@ pub fn chrome_trace_json(data: &TimelineData, process_name: &str) -> String {
         events.push(format!(
             "{{\"ph\":\"X\",\"name\":{},\"cat\":{},\"pid\":1,\"tid\":{},\
              \"ts\":{},\"dur\":{}{args}}}",
-            json_str(&s.label),
-            json_str(s.kind.as_str()),
+            quote(&s.label),
+            quote(s.kind.as_str()),
             s.lane,
             ts_us(s.start_ns),
             ts_us(s.dur_ns),
@@ -564,7 +544,7 @@ pub fn chrome_trace_json(data: &TimelineData, process_name: &str) -> String {
         events.push(format!(
             "{{\"ph\":\"C\",\"name\":{},\"pid\":1,\"tid\":0,\"ts\":{},\
              \"args\":{{\"value\":{}}}}}",
-            json_str(&c.track),
+            quote(&c.track),
             ts_us(c.at_ns),
             fmt_f64(c.value),
         ));
@@ -602,222 +582,8 @@ fn fmt_f64(v: f64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Validation (a minimal JSON reader, enough for CI to gate on)
+// Validation
 // ---------------------------------------------------------------------------
-
-/// A parsed JSON value (just enough structure for trace validation).
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser { text: s, bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {} (found {:?})",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the run of plain characters up to the next
-                    // quote or escape. Every token boundary is ASCII, so
-                    // `pos` sits on a char boundary of the input &str.
-                    let rest = self.text.get(self.pos..).ok_or("invalid utf-8")?;
-                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
-                    out.push_str(&rest[..run]);
-                    self.pos += run;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']' (found {other:?})")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut kv = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(kv));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            kv.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(kv));
-                }
-                other => return Err(format!("expected ',' or '}}' (found {other:?})")),
-            }
-        }
-    }
-}
 
 /// What [`validate_chrome_trace`] measured about a trace file.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -847,23 +613,18 @@ pub struct TraceCheck {
 ///
 /// Returns a one-line description of the first structural violation.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
-    let mut p = Parser::new(text);
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after JSON value at byte {}", p.pos));
-    }
+    let root = Json::parse(text)?;
     let events = root.get("traceEvents").ok_or("top-level object has no 'traceEvents' key")?;
-    let Json::Arr(events) = events else {
-        return Err("'traceEvents' is not an array".to_string());
-    };
+    let events = events.as_array().ok_or("'traceEvents' is not an array")?;
     if events.is_empty() {
         return Err("'traceEvents' is empty".to_string());
     }
     let mut check = TraceCheck { events: events.len(), ..TraceCheck::default() };
+    // Counter tracks keep first-seen order; the set keeps the check linear.
     let mut tracks: Vec<String> = Vec::new();
-    let mut lanes: Vec<u64> = Vec::new();
-    let mut cats: Vec<String> = Vec::new();
+    let mut seen_tracks: HashSet<&str> = HashSet::new();
+    let mut lanes: BTreeSet<u64> = BTreeSet::new();
+    let mut cats: BTreeSet<String> = BTreeSet::new();
     let mut flow_starts: HashSet<u64> = HashSet::new();
     let mut flow_ends: Vec<u64> = Vec::new();
     for (i, e) in events.iter().enumerate() {
@@ -873,7 +634,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
             .ok_or_else(|| format!("event {i}: missing string 'ph'"))?;
         let need_num = |key: &str| -> Result<f64, String> {
             e.get(key)
-                .and_then(Json::as_num)
+                .and_then(Json::as_f64)
                 .ok_or_else(|| format!("event {i} (ph {ph}): missing numeric '{key}'"))
         };
         let need_str = |key: &str| -> Result<&str, String> {
@@ -892,14 +653,9 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
                     return Err(format!("event {i}: negative ts/dur"));
                 }
                 check.duration_events += 1;
-                let lane = tid as u64;
-                if !lanes.contains(&lane) {
-                    lanes.push(lane);
-                }
+                lanes.insert(tid as u64);
                 if let Some(cat) = e.get("cat").and_then(Json::as_str) {
-                    if !cats.iter().any(|c| c == cat) {
-                        cats.push(cat.to_string());
-                    }
+                    cats.insert(cat.to_string());
                 }
             }
             "C" => {
@@ -910,18 +666,21 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
                 }
                 let args =
                     e.get("args").ok_or_else(|| format!("event {i}: counter without 'args'"))?;
-                let Json::Obj(kv) = args else {
+                let Some(series) = args.as_object() else {
                     return Err(format!("event {i}: counter 'args' is not an object"));
                 };
-                if !kv.iter().any(|(_, v)| matches!(v, Json::Num(_))) {
+                if !series.values().any(|v| matches!(v, Json::Num(_))) {
                     return Err(format!("event {i}: counter 'args' has no numeric series"));
                 }
-                if !tracks.iter().any(|t| t == name) {
+                if seen_tracks.insert(name) {
                     tracks.push(name.to_string());
                 }
             }
             "s" | "f" => {
-                let id = need_num("id")? as u64;
+                let id = e
+                    .get("id")
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("event {i} (ph {ph}): missing integer 'id'"))?;
                 need_num("ts")?;
                 if ph == "s" {
                     flow_starts.insert(id);
@@ -932,7 +691,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
             "M" => {
                 let name = need_str("name")?;
                 if name != "process_name" && name != "thread_name" {
-                    return Err(format!("event {i}: unknown metadata '{name}'"));
+                    return Err(format!("event {i}: unknown metadata {name:?}"));
                 }
                 e.get("args")
                     .and_then(|a| a.get("name"))
@@ -943,7 +702,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
                 // Legal Trace Event phases we do not emit; accept them
                 // so hand-edited traces still validate.
             }
-            other => return Err(format!("event {i}: unknown ph '{other}'")),
+            other => return Err(format!("event {i}: unknown ph {other:?}")),
         }
     }
     for id in &flow_ends {
@@ -953,10 +712,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
     }
     check.flows = flow_ends.len();
     check.counter_tracks = tracks;
-    lanes.sort_unstable();
-    check.lanes = lanes;
-    cats.sort();
-    check.categories = cats;
+    check.lanes = lanes.into_iter().collect();
+    check.categories = cats.into_iter().collect();
     Ok(check)
 }
 

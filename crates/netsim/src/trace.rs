@@ -26,6 +26,7 @@
 
 use crate::adversary::Round;
 use crate::graph::NodeId;
+use crate::json::{quote, Json};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
@@ -205,7 +206,7 @@ impl Event {
                     node.0, id.0
                 );
                 if !kind.is_empty() {
-                    line.push_str(&format!(",\"kind\":\"{}\"", escape_json(kind)));
+                    line.push_str(&format!(",\"kind\":{}", quote(kind)));
                 }
                 if !causes.is_empty() {
                     line.push_str(",\"causes\":[");
@@ -234,14 +235,12 @@ impl Event {
             Event::Crash { round, node } => {
                 format!("{{\"ev\":\"crash\",\"r\":{round},\"n\":{}}}", node.0)
             }
-            Event::PhaseEnter { round, label } => format!(
-                "{{\"ev\":\"phase_enter\",\"r\":{round},\"label\":\"{}\"}}",
-                escape_json(label)
-            ),
-            Event::PhaseExit { round, label } => format!(
-                "{{\"ev\":\"phase_exit\",\"r\":{round},\"label\":\"{}\"}}",
-                escape_json(label)
-            ),
+            Event::PhaseEnter { round, label } => {
+                format!("{{\"ev\":\"phase_enter\",\"r\":{round},\"label\":{}}}", quote(label))
+            }
+            Event::PhaseExit { round, label } => {
+                format!("{{\"ev\":\"phase_exit\",\"r\":{round},\"label\":{}}}", quote(label))
+            }
             Event::Decide { round, node, value } => {
                 format!("{{\"ev\":\"decide\",\"r\":{round},\"n\":{},\"value\":{value}}}", node.0)
             }
@@ -256,147 +255,56 @@ impl Event {
     ///
     /// Returns a message naming the missing or malformed field.
     pub fn from_jsonl(line: &str) -> Result<Event, String> {
-        let ev = json_str(line, "ev").ok_or_else(|| format!("missing \"ev\" in {line:?}"))?;
-        let round = json_u64(line, "r")?;
-        let node = |key: &str| -> Result<NodeId, String> {
-            Ok(NodeId(u32::try_from(json_u64(line, key)?).map_err(|_| "node id overflow")?))
+        let obj = Json::parse(line)?;
+        let bad = |key: &str, what: &str| format!("bad \"{key}\": expected {what}");
+        // An absent field is `None` (v1 lines lack the causal ones); a
+        // field of the wrong type is an error.
+        let opt = |key: &str| -> Result<Option<u64>, String> {
+            obj.get(key)
+                .map(|v| v.as_u64().ok_or_else(|| bad(key, "an unsigned integer")))
+                .transpose()
         };
+        let text = |key: &str| -> Result<Option<String>, String> {
+            let s = obj.get(key).map(|v| v.as_str().ok_or_else(|| bad(key, "a string")));
+            Ok(s.transpose()?.map(str::to_string))
+        };
+        let num = |key: &str| opt(key)?.ok_or_else(|| format!("missing \"{key}\""));
+        let node = |key: &str| u32::try_from(num(key)?).map(NodeId).map_err(|_| bad(key, "a u32"));
+        let id = |key: &str| opt(key).map(|v| EventId(v.unwrap_or(0)));
+        let label = || text("label")?.ok_or_else(|| "missing \"label\"".to_string());
+        let ev = text("ev")?.ok_or("missing \"ev\"")?;
+        let round = num("r")?;
         match ev.as_str() {
             "send" => Ok(Event::Send {
                 round,
                 node: node("n")?,
-                bits: json_u64(line, "bits")?,
-                logical: json_u64(line, "logical")?,
-                id: EventId(json_u64_opt(line, "id")?.unwrap_or(0)),
-                kind: json_str(line, "kind").unwrap_or_default(),
-                causes: json_id_array(line, "causes")?,
+                bits: num("bits")?,
+                logical: num("logical")?,
+                id: id("id")?,
+                kind: text("kind")?.unwrap_or_default(),
+                causes: match obj.get("causes") {
+                    None => Vec::new(),
+                    Some(list) => list
+                        .as_array()
+                        .and_then(|l| l.iter().map(|c| c.as_u64().map(EventId)).collect())
+                        .ok_or_else(|| bad("causes", "an array of event ids"))?,
+                },
             }),
             "deliver" => Ok(Event::Deliver {
                 round,
                 node: node("n")?,
                 from: node("from")?,
-                bits: json_u64(line, "bits")?,
-                id: EventId(json_u64_opt(line, "id")?.unwrap_or(0)),
-                src: EventId(json_u64_opt(line, "src")?.unwrap_or(0)),
+                bits: num("bits")?,
+                id: id("id")?,
+                src: id("src")?,
             }),
             "crash" => Ok(Event::Crash { round, node: node("n")? }),
-            "phase_enter" => Ok(Event::PhaseEnter {
-                round,
-                label: json_str(line, "label").ok_or("missing \"label\"")?,
-            }),
-            "phase_exit" => Ok(Event::PhaseExit {
-                round,
-                label: json_str(line, "label").ok_or("missing \"label\"")?,
-            }),
-            "decide" => {
-                Ok(Event::Decide { round, node: node("n")?, value: json_u64(line, "value")? })
-            }
-            other => Err(format!("unknown event kind '{other}'")),
+            "phase_enter" => Ok(Event::PhaseEnter { round, label: label()? }),
+            "phase_exit" => Ok(Event::PhaseExit { round, label: label()? }),
+            "decide" => Ok(Event::Decide { round, node: node("n")?, value: num("value")? }),
+            other => Err(format!("unknown event kind {other:?}")),
         }
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                        out.push(c);
-                    }
-                }
-                Some(c) => out.push(c),
-                None => {}
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Extracts the raw text of `"key":<value>` from a single-line JSON object.
-/// Scalar values only — array values need [`json_id_array`], since the
-/// non-string branch stops at the first `,`.
-fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        // A string value: scan to the closing unescaped quote.
-        let mut prev_backslash = false;
-        for (i, c) in stripped.char_indices() {
-            match c {
-                '\\' if !prev_backslash => prev_backslash = true,
-                '"' if !prev_backslash => return Some(&stripped[..i]),
-                _ => prev_backslash = false,
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}'])?;
-        Some(rest[..end].trim())
-    }
-}
-
-fn json_u64(line: &str, key: &str) -> Result<u64, String> {
-    json_raw(line, key)
-        .ok_or_else(|| format!("missing \"{key}\" in {line:?}"))?
-        .parse()
-        .map_err(|_| format!("bad \"{key}\" in {line:?}"))
-}
-
-/// Like [`json_u64`] but absent keys are `Ok(None)` (malformed values are
-/// still errors) — for fields that older schema versions did not emit.
-fn json_u64_opt(line: &str, key: &str) -> Result<Option<u64>, String> {
-    match json_raw(line, key) {
-        None => Ok(None),
-        Some(raw) => raw.parse().map(Some).map_err(|_| format!("bad \"{key}\" in {line:?}")),
-    }
-}
-
-/// Parses `"key":[1,2,3]` into event ids; absent key means an empty list.
-fn json_id_array(line: &str, key: &str) -> Result<Vec<EventId>, String> {
-    let pat = format!("\"{key}\":[");
-    let Some(start) = line.find(&pat) else {
-        return Ok(Vec::new());
-    };
-    let rest = &line[start + pat.len()..];
-    let end = rest.find(']').ok_or_else(|| format!("unterminated \"{key}\" in {line:?}"))?;
-    let body = &rest[..end];
-    if body.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    body.split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map(EventId)
-                .map_err(|_| format!("bad \"{key}\" entry {s:?} in {line:?}"))
-        })
-        .collect()
-}
-
-fn json_str(line: &str, key: &str) -> Option<String> {
-    json_raw(line, key).map(unescape_json)
 }
 
 /// A consumer of engine events. The engine holds at most one sink and pays
@@ -603,23 +511,29 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns a message on I/O failure, a missing/mismatched schema
-    /// header, or a malformed event line.
+    /// Returns a one-line message on I/O failure, a missing/mismatched
+    /// schema header, a malformed event line, or an event whose round is
+    /// lower than the one on the line before it.
     pub fn from_jsonl(reader: impl BufRead) -> Result<Trace, String> {
         let mut trace = Trace::new();
         let mut saw_header = false;
         for (i, line) in reader.lines().enumerate() {
-            let line = line.map_err(|e| format!("line {}: {e}", i + 1))?;
+            let at = |e: String| format!("line {}: {e}", i + 1);
+            let line = line.map_err(|e| at(e.to_string()))?;
             if line.trim().is_empty() {
                 continue;
             }
             if !saw_header {
-                let schema = json_str(&line, "schema")
-                    .ok_or_else(|| format!("line 1 is not a schema header: {line:?}"))?;
+                let header = Json::parse(&line).map_err(at)?;
+                let schema = header
+                    .get("schema")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| format!("line {} is not a schema header", i + 1))?;
                 if schema != "ftagg-trace" {
-                    return Err(format!("unknown schema '{schema}'"));
+                    return Err(format!("unknown schema {schema:?}"));
                 }
-                let v = json_u64(&line, "v")?;
+                let v = header.get("v").and_then(Json::as_u64);
+                let v = v.ok_or_else(|| at("bad \"v\": expected an unsigned integer".into()))?;
                 let supported =
                     u64::from(TRACE_SCHEMA_COMPAT_MIN)..=u64::from(TRACE_SCHEMA_VERSION);
                 if !supported.contains(&v) {
@@ -630,7 +544,14 @@ impl Trace {
                 saw_header = true;
                 continue;
             }
-            trace.push(Event::from_jsonl(&line).map_err(|e| format!("line {}: {e}", i + 1))?);
+            let e = Event::from_jsonl(&line).map_err(at)?;
+            if let Some(last) = trace.last_round().filter(|&last| e.round() < last) {
+                return Err(at(format!(
+                    "round {} after round {last} (events must be in round order)",
+                    e.round()
+                )));
+            }
+            trace.push(e);
         }
         if !saw_header {
             return Err("empty trace file (no schema header)".into());
@@ -1038,8 +959,11 @@ impl DeltaSink {
                     let logical = get_varint(bytes, &mut pos)?;
                     let id = get_id(&mut pos, &mut prev_id)?;
                     let kind = get_string(bytes, &mut pos, &mut strings)?;
-                    let n_causes = get_varint(bytes, &mut pos)? as usize;
-                    let mut causes = Vec::with_capacity(n_causes);
+                    // Each cause takes at least one byte, so a count
+                    // beyond the bytes left is corrupt; cap the
+                    // reservation instead of trusting it.
+                    let n_causes = get_varint(bytes, &mut pos)?;
+                    let mut causes = Vec::with_capacity((bytes.len() - pos).min(n_causes as usize));
                     for _ in 0..n_causes {
                         let back = unzigzag(get_varint(bytes, &mut pos)?)
                             .checked_neg()
@@ -1391,9 +1315,18 @@ mod tests {
     }
 
     #[test]
+    fn delta_decode_refuses_an_absurd_cause_count() {
+        // A send record (tag, round, node, bits, logical, id, kind) that
+        // claims 2^63 causes and ends there.
+        let mut bytes = vec![0u8; 7];
+        put_varint(&mut bytes, 1 << 63);
+        let err = DeltaSink::decode(&bytes).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+    }
+
+    #[test]
     fn causes_array_roundtrips_multiple_ids() {
-        // json_raw stops at the first comma; the dedicated array parser
-        // must not.
+        // Every id of a multi-entry causes array survives the round trip.
         let e = Event::Send {
             round: 3,
             node: NodeId(2),
