@@ -1,6 +1,5 @@
-//! E15 — **scaling to a million nodes**: the struct-of-arrays engine and
-//! the bit-packed flood lane at N = 2²⁰, plus a Figure-1-style CC-vs-b
-//! sweep executed at that scale.
+//! E15 — **scaling to a million nodes**: the struct-of-arrays engine at
+//! N = 2²⁰, plus a Figure-1-style CC-vs-b sweep executed at that scale.
 //!
 //! ```text
 //! fig1_e6 [--quick] [--force-violation] [--flight-out PATH]
@@ -10,9 +9,7 @@
 //! token reaches all N nodes; deliveries = Σ live degrees) on hypercubes
 //! of growing dimension, reporting wall-clock, deliveries/s, and
 //! resident-memory growth — the "memory / deliveries-per-second table" of
-//! EXPERIMENTS.md. The bit-packed all-to-all lane is appended at the
-//! largest dimension its O(N²/64) token bitsets allow, to show what
-//! word-parallelism buys on flood-style kinds.
+//! EXPERIMENTS.md.
 //!
 //! Part 2 is the Figure 1 shape at N = 2²⁰: for each TC budget `b`,
 //! Algorithm 1's dominant CC term is ⌈f/b⌉ concurrent group floods of
@@ -37,10 +34,11 @@
 use ftagg::bounds;
 use ftagg_bench::{f, Table};
 use netsim::{
-    round_observer, topology, BitFlood, Engine, FailureSchedule, FlightRecorder, Graph, Message,
-    MonitorConfig, NodeId, NodeLogic, Round, RoundCtx, SamplingSink, TeeSink, TelemetryHub,
-    Watchdog,
+    round_observer, topology, Engine, FailureSchedule, FlightRecorder, Graph, Message,
+    MonitorConfig, NodeId, NodeLogic, Round, RoundCtx, SamplingSink, TelemetryHub, Watchdog,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -174,23 +172,6 @@ fn main() {
     }
     t1.print();
 
-    // The bit-packed lane at the largest dimension its O(N²/64) bitsets
-    // allow: all N tokens flood at once, word-parallel.
-    let bdim: u32 = if quick { 9 } else { 13 };
-    let g = topology::hypercube(bdim);
-    let origins: Vec<NodeId> = g.nodes().collect();
-    let t0 = Instant::now();
-    let mut lane = BitFlood::new(g, &FailureSchedule::none(), &origins, 32);
-    let rep = lane.run(Round::from(bdim) + 2);
-    let wall = t0.elapsed().as_secs_f64();
-    println!(
-        "\nbit-packed lane, hypercube({bdim}) all-to-all ({} tokens): {} deliveries in {} s = {} Mdel/s",
-        1usize << bdim,
-        rep.deliveries,
-        f(wall, 2),
-        f(rep.deliveries as f64 / wall / 1e6, 0),
-    );
-
     // ── Part 2: Figure-1-style CC sweep at N = 2^20 ───────────────────
     let dim: u32 = if quick { 12 } else { 20 };
     let n = 1usize << dim;
@@ -256,36 +237,28 @@ fn main() {
         eng.stream_rounds(round_observer(&hub));
         let recorder = FlightRecorder::new(8).without_delivers();
         let flight = recorder.handle();
-        let sampled = SamplingSink::new(Box::new(recorder), 16, 7);
-        if force_violation {
-            // An absurd 1-bit per-node ceiling over the whole window:
-            // the very first summary send trips it, exercising the
-            // dump-on-violation path at scale. The watchdog taps the
-            // full stream (budgets must see real counts); only the
-            // black box sits behind the sampler.
+        // An absurd 1-bit per-node ceiling over the whole window: the
+        // very first summary send trips it, exercising the
+        // dump-on-violation path at scale. The watchdog taps the full
+        // stream (budgets must see real counts); only the black box sits
+        // behind the sampler.
+        let watchdog = force_violation.then(|| {
             let cfg = MonitorConfig::new(n).budget(
                 "forced (absurd 1-bit ceiling)",
                 1..=Round::from(dim) + 2,
                 1,
             );
-            eng.set_sink(Box::new(
-                TeeSink::new().with(Box::new(Watchdog::new(cfg))).with(Box::new(sampled)),
-            ));
-        } else {
-            eng.set_sink(Box::new(sampled));
+            Rc::new(RefCell::new(Watchdog::new(cfg)))
+        });
+        if let Some(w) = &watchdog {
+            eng.add_sink(Box::new(Rc::clone(w)));
         }
+        eng.add_sink(Box::new(SamplingSink::new(Box::new(recorder), 16, 7)));
         let report = eng.run(Round::from(dim) + 2);
         let wall = t0.elapsed().as_secs_f64();
         let cc = eng.metrics().max_bits();
-        if force_violation {
-            let mut sink = eng.take_sink().expect("the tee we installed");
-            let tee =
-                sink.as_any_mut().downcast_mut::<TeeSink>().expect("forced runs install a TeeSink");
-            let verdict = tee.sinks_mut()[0]
-                .as_any_mut()
-                .downcast_mut::<Watchdog>()
-                .expect("first teed sink is the Watchdog")
-                .finish();
+        if let Some(w) = watchdog {
+            let verdict = w.borrow_mut().finish();
             forced_violations += verdict.total;
             if !verdict.is_clean() && !flight_dumped {
                 if let Some(path) = &flight_out {

@@ -16,7 +16,7 @@
 //! - **acceptance** is strict hill-climbing or simulated annealing
 //!   ([`Acceptance`]);
 //! - **guidance**: after each new best, the run is re-executed traced;
-//!   [`netsim::Blame`] ranks the hottest senders and [`netsim::diff`]
+//!   [`netsim::Blame`] ranks the hottest senders and [`netsim::diff()`]
 //!   classifies the first divergence from the previous best, and both
 //!   bias where the next mutations land.
 //!
@@ -216,7 +216,7 @@ pub struct HistoryStep {
     /// The objective total after the step.
     pub value: u64,
     /// First-divergence class vs the previous best (from
-    /// [`netsim::diff`]), `None` for the initial point.
+    /// [`netsim::diff()`]), `None` for the initial point.
     pub class: Option<String>,
 }
 

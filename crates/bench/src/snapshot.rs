@@ -24,14 +24,15 @@ use ftagg::tradeoff::{run_tradeoff, run_tradeoff_monitored, TradeoffConfig};
 use ftagg::Instance;
 use netsim::json::{quote, Json};
 use netsim::{
-    round_observer, topology, BitFlood, Engine, FailureSchedule, FlightRecorder, FloodState,
-    Message, MonitorConfig, NodeId, NodeLogic, RecorderStats, Round, RoundCtx, Runner,
-    SampleFactor, SamplingSink, SpanKind, Telemetry, TelemetryHub, Timeline, TimelineData,
-    Watchdog,
+    round_observer, topology, Engine, FailureSchedule, FlightRecorder, FloodState, Message,
+    MonitorConfig, NodeId, NodeLogic, RecorderStats, Round, RoundCtx, Runner, SampleFactor,
+    SamplingSink, SpanKind, Telemetry, TelemetryHub, Timeline, TimelineData, Watchdog,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -90,20 +91,12 @@ pub fn flood_grid(side: usize, monitored: bool) -> (Telemetry, u64, u64) {
     let n = g.len();
     let d = Round::from(g.diameter());
     let mut eng = Engine::new(g, FailureSchedule::none(), Flooder::new);
-    if monitored {
-        eng.set_sink(Box::new(Watchdog::new(MonitorConfig::new(n))));
+    let watchdog = monitored.then(|| Rc::new(RefCell::new(Watchdog::new(MonitorConfig::new(n)))));
+    if let Some(w) = &watchdog {
+        eng.add_sink(Box::new(Rc::clone(w)));
     }
     eng.run(2 * d + 2);
-    let violations = match eng.take_sink() {
-        Some(mut sink) => {
-            sink.as_any_mut()
-                .downcast_mut::<Watchdog>()
-                .expect("flood_grid installs a Watchdog sink")
-                .finish()
-                .total
-        }
-        None => 0,
-    };
+    let violations = watchdog.map_or(0, |w| w.borrow_mut().finish().total);
     let bits = eng.metrics().total_bits();
     (eng.telemetry().clone(), bits, violations)
 }
@@ -176,17 +169,15 @@ pub fn flood_hypercube_soa_recorded(
     eng.stream_rounds(round_observer(&hub));
     let rec = FlightRecorder::new(8).without_delivers();
     let flight = rec.handle();
-    eng.set_sink(Box::new(SamplingSink::new(
+    let sampler = Rc::new(RefCell::new(SamplingSink::new(
         Box::new(rec),
         RECORDED_SAMPLE_K,
         RECORDED_SAMPLE_SEED,
     )));
+    eng.add_sink(Box::new(Rc::clone(&sampler)));
     eng.run(Round::from(dim) + 2);
     let bits = eng.metrics().total_bits();
-    let factors = eng
-        .take_sink()
-        .and_then(|mut s| s.as_any_mut().downcast_mut::<SamplingSink>().map(|s| s.factors()))
-        .unwrap_or_default();
+    let factors = sampler.borrow().factors();
     (eng.telemetry().clone(), bits, hub, flight.stats(), factors)
 }
 
@@ -382,12 +373,10 @@ impl Snapshot {
         self.record_ratio("perf.timeline.recorded_ratio", ratio);
     }
 
-    /// The flood workloads. (a) The all-to-all grid flood, plain against
-    /// watchdog-monitored: one flood of each arm gives `exact.engine.*`
-    /// and `exact.monitor.*`, and each arm of the
-    /// `perf.monitor.flood_ratio` lane sums the engine's busy time over a
-    /// batch of back-to-back floods. (b) The bit-packed [`BitFlood`] lane
-    /// on a larger grid.
+    /// The all-to-all grid flood, plain against watchdog-monitored: one
+    /// flood of each arm gives `exact.engine.*` and `exact.monitor.*`, and
+    /// each arm of the `perf.monitor.flood_ratio` lane sums the engine's
+    /// busy time over a batch of back-to-back floods.
     fn collect_floods(&mut self, quick: bool, reps: usize) {
         let side = if quick { 8 } else { 16 };
         let batch = if quick { 1 } else { FULL_FLOOD_BATCH };
@@ -420,15 +409,6 @@ impl Snapshot {
         self.exact.insert("exact.engine.peak_inflight".into(), t.peak_inflight);
         self.exact.insert("exact.monitor.flood_violations".into(), violations);
         self.record_ratio("perf.monitor.flood_ratio", ratio);
-
-        let side = if quick { 24 } else { 48 };
-        let g = topology::grid(side, side);
-        let d = Round::from(g.diameter());
-        let origins: Vec<NodeId> = g.nodes().collect();
-        let r = BitFlood::new(g, &FailureSchedule::none(), &origins, 32).run(2 * d + 2);
-        self.exact.insert("exact.flood.deliveries".into(), r.deliveries);
-        self.exact.insert("exact.flood.total_bits".into(), r.total_bits);
-        self.exact.insert("exact.flood.max_bits".into(), r.max_bits);
     }
 
     /// Deterministic Algorithm 1 mini-sweep, plain against monitored:
@@ -793,7 +773,6 @@ mod tests {
         assert_eq!(s.exact["exact.sweep.violations"], 0);
         assert_eq!(s.exact["exact.sweep.correct"], s.exact["exact.sweep.trials"]);
         assert!(s.exact["exact.engine.total_bits"] > 0);
-        assert!(s.exact["exact.flood.deliveries"] > 0);
         assert!(s.exact["exact.e6.deliveries"] > 0);
         // The recorded run's instruments agree with the plain run's meters.
         assert_eq!(s.exact["exact.telemetry.deliveries"], s.exact["exact.e6.deliveries"]);
@@ -839,22 +818,6 @@ mod tests {
         // And survive the JSON round trip.
         let parsed = Snapshot::from_json(&s.to_json()).unwrap();
         assert_eq!(parsed.exact, s.exact);
-    }
-
-    #[test]
-    fn bitflood_matches_engine_flood_counters() {
-        // The bit-packed lane on the snapshot's own workload family: every
-        // counter it reports must equal the generic engine running the
-        // per-message flooder on the same grid.
-        let side = 6;
-        let (t, bits, _) = flood_grid(side, false);
-        let g = topology::grid(side, side);
-        let d = Round::from(g.diameter());
-        let origins: Vec<NodeId> = g.nodes().collect();
-        let mut lane = BitFlood::new(g, &FailureSchedule::none(), &origins, 32);
-        let r = lane.run(2 * d + 2);
-        assert_eq!(r.deliveries, t.deliveries);
-        assert_eq!(r.total_bits, bits);
     }
 
     #[test]

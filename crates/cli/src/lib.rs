@@ -472,7 +472,7 @@ fn cmd_trace(args: &Args) -> Result<String, String> {
 /// `telemetry export`. The telemetry hub observes every round through the
 /// engine's round stream; when `flight_rounds > 0` a [`netsim::FlightRecorder`]
 /// (deliveries excluded, so the per-delivery path stays untouched) rides
-/// as the engine sink, with the panic hook armed when `flight_out` names
+/// as an engine sink, with the panic hook armed when `flight_out` names
 /// a dump path.
 struct ObservedRun {
     hub: std::sync::Arc<netsim::TelemetryHub>,
@@ -542,11 +542,11 @@ fn run_observed_pair(
         }
         (Some(Box::new(rec)), Some(handle))
     } else if let Some((tl, lane)) = timeline.filter(|_| args.get("flows").is_some()) {
-        // `--flows yes` and no flight recorder competing for the sink
-        // slot: sample causal send→deliver flows into the timeline
-        // (rendered as arrows between rounds in the Perfetto view).
-        // Opt-in because any sink turns on the engine's per-delivery
-        // event path, which the span profiler otherwise leaves cold.
+        // `--flows yes` on a timeline run (which has no flight recorder):
+        // sample causal send→deliver flows into the timeline (rendered
+        // as arrows between rounds in the Perfetto view). Opt-in because
+        // this sink turns on the engine's per-delivery event path, which
+        // the span profiler otherwise leaves cold.
         let seed: u64 = args.num("seed", 0)?;
         (Some(Box::new(netsim::TimelineFlowSink::new(tl.clone(), lane, 64, seed))), None)
     } else {
@@ -991,9 +991,9 @@ fn replay_trace_into_timeline(trace: &netsim::Trace, tl: &netsim::Timeline) {
 fn sampled_section(events: &[netsim::Event], k: u64, seed: u64) -> String {
     use netsim::TraceSink as _;
     use std::fmt::Write as _;
-    // An empty tee is the null sink: the sampler still meters every
+    // A zero-capacity ring keeps nothing: the sampler still meters every
     // stratum, we just discard the admitted events.
-    let mut sink = netsim::SamplingSink::new(Box::new(netsim::TeeSink::new()), k, seed);
+    let mut sink = netsim::SamplingSink::new(Box::new(netsim::RingSink::new(0)), k, seed);
     for e in events {
         sink.record(e);
     }
@@ -1069,7 +1069,6 @@ fn cmd_report(args: &Args) -> Result<CmdOutput, String> {
 /// the largest node id it mentions.
 fn load_trace(path: &str) -> Result<(netsim::Trace, u32), String> {
     use netsim::Event;
-    const MAX_REPLAY_NODES: u32 = 2_097_152;
     const MAX_REPLAY_ROUND: netsim::Round = 50_000_000;
     let file = std::fs::File::open(path).map_err(|e| format!("cannot open '{path}': {e}"))?;
     let trace = netsim::Trace::from_jsonl(std::io::BufReader::new(file))
@@ -1085,9 +1084,10 @@ fn load_trace(path: &str) -> Result<(netsim::Trace, u32), String> {
         })
         .max()
         .unwrap_or(0);
-    if max_id >= MAX_REPLAY_NODES {
+    if max_id as usize >= spec::MAX_NODES {
         return Err(format!(
-            "'{path}' looks corrupt: node id {max_id} is over the replay limit ({MAX_REPLAY_NODES} nodes)"
+            "'{path}' looks corrupt: node id {max_id} is over the replay limit ({} nodes)",
+            spec::MAX_NODES
         ));
     }
     if let Some(last) = trace.last_round() {
@@ -1743,6 +1743,9 @@ fn cmd_bounds(args: &Args) -> Result<String, String> {
     let n: usize = args.num("n", 1024)?;
     let f: usize = args.num("f", 64)?;
     let b: u64 = args.num("b", 42)?;
+    if b == 0 {
+        return Err("--b must be at least 1 (the bounds divide by b)".into());
+    }
     Ok(format!(
         "N = {n}, f = {f}, b = {b}\n\
          upper (precise)  = {:.1}\n\

@@ -9,6 +9,9 @@
 //! Hostile input files end in one line of output too: a trace naming an
 //! absurd node id or going back in rounds, and a Chrome trace nested
 //! 300,000 levels deep. A reader that closes stdout early is not a panic.
+//! So do specs that used to panic, abort or print a meaningless answer: a
+//! zero `modsum` modulus, inputs whose sum passes `u64::MAX`, a topology
+//! too large to allocate, and `bounds` with `b = 0`.
 
 use std::process::{Command, Output};
 
@@ -99,6 +102,58 @@ fn run_gnp_probability_above_one() {
 #[test]
 fn run_zero_dimension_hypercube() {
     assert_usage_error(&["run", "--topology", "hypercube:0"], "needs D >= 1");
+}
+
+#[test]
+fn run_modsum_with_zero_modulus() {
+    assert_usage_error(&["run", "--topology", "path:4", "--op", "modsum:0"], "modsum needs");
+}
+
+const SUM_PAST_U64: &str = "can sum past 2^64 - 1";
+
+#[test]
+fn run_inputs_that_sum_past_u64() {
+    assert_usage_error(
+        &["run", "--topology", "path:4", "--inputs", "random:18446744073709551615"],
+        SUM_PAST_U64,
+    );
+}
+
+#[test]
+fn mine_inputs_that_sum_past_u64() {
+    assert_usage_error(
+        &[
+            "mine",
+            "--topology",
+            "path:4",
+            "--inputs",
+            "const:18446744073709551615",
+            "--iterations",
+            "1",
+        ],
+        SUM_PAST_U64,
+    );
+}
+
+#[test]
+fn topo_over_the_node_limit() {
+    assert_usage_error(
+        &["topo", "--topology", "path:5000000000"],
+        "5000000000 nodes, over the limit of 2097152",
+    );
+}
+
+#[test]
+fn topo_over_the_edge_limit() {
+    assert_usage_error(
+        &["topo", "--topology", "complete:300000"],
+        "44999850000 edges, over the limit of 16777216",
+    );
+}
+
+#[test]
+fn bounds_with_zero_b() {
+    assert_usage_error(&["bounds", "--n", "1024", "--b", "0"], "--b must be at least 1");
 }
 
 const ZERO_C: &str = "--c must be at least 1";

@@ -228,7 +228,7 @@ pub fn run_brute_observed<C: Caaf>(
     let correct = inst.correct_interval(op, global_offset + run.rounds).contains(result);
     let report =
         BruteReport { result, rounds: run.rounds, metrics: eng.metrics().clone(), correct };
-    (report, attached.collect(&mut eng))
+    (report, attached.collect())
 }
 
 #[cfg(test)]

@@ -13,8 +13,10 @@ use crate::config::Instance;
 use caaf::Caaf;
 use netsim::{
     Engine, Event, Message, Metrics, MonitorConfig, MonitorReport, NodeLogic, Round, RoundFlow,
-    TeeSink, Timeline, Trace, TraceSink, Watchdog,
+    Timeline, Trace, TraceSink, Watchdog,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A per-round flow callback (see [`Observe::rounds`]).
 pub type RoundCallback = Box<dyn FnMut(RoundFlow)>;
@@ -34,8 +36,10 @@ pub struct Observe<'a> {
     /// lands in [`Observed::monitor`]. Strict mode panics on the first
     /// violation.
     pub watchdog: Option<bool>,
-    /// One more event sink, handed back in [`Observed::sink`]. Only the
-    /// pair core takes one; the multi-engine cores panic on it.
+    /// One more event sink, installed after the trace and the watchdog.
+    /// Keep an `Rc<RefCell<_>>` handle to it to read it after the run (see
+    /// [`netsim::TraceSink`]). Only the pair core takes one; the
+    /// multi-engine cores panic on it.
     pub sink: Option<Box<dyn TraceSink>>,
     /// Called with each round's flow as the round retires. Only the pair
     /// core takes one; the multi-engine cores panic on it.
@@ -51,9 +55,6 @@ pub struct Observed {
     pub trace: Option<Trace>,
     /// The watchdog's verdict, if [`Observe::watchdog`] was set.
     pub monitor: Option<MonitorReport>,
-    /// The extra sink, handed back (e.g. to finish a
-    /// [`netsim::JsonlSink`]).
-    pub sink: Option<Box<dyn TraceSink>>,
 }
 
 impl<'a> Observe<'a> {
@@ -69,31 +70,29 @@ impl<'a> Observe<'a> {
 
     /// Attaches the bundle to a freshly built engine. `config` builds the
     /// watchdog's configuration for this engine's protocol; it is called
-    /// only when a watchdog is requested. One requested sink is installed
-    /// directly; two or more share a [`TeeSink`].
+    /// only when a watchdog is requested. The sinks go in as trace,
+    /// watchdog, extra sink: a strict watchdog that panics on an event
+    /// leaves that event already recorded in the trace.
     pub(crate) fn attach<M: Message, L: NodeLogic<M>>(
         self,
         eng: &mut Engine<M, L>,
         config: impl FnOnce() -> MonitorConfig,
     ) -> Attached {
         let attached = Attached {
-            trace: self.trace,
-            watchdog: self.watchdog.is_some(),
-            sink: self.sink.is_some(),
+            trace: self.trace.then(|| Rc::new(RefCell::new(Trace::new()))),
+            watchdog: self.watchdog.map(|strict| {
+                let cfg = if strict { config().strict() } else { config() };
+                Rc::new(RefCell::new(Watchdog::new(cfg)))
+            }),
         };
-        let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
-        if self.trace {
-            sinks.push(Box::new(Trace::new()));
+        if let Some(trace) = &attached.trace {
+            eng.add_sink(Box::new(Rc::clone(trace)));
         }
-        if let Some(strict) = self.watchdog {
-            let cfg = if strict { config().strict() } else { config() };
-            sinks.push(Box::new(Watchdog::new(cfg)));
+        if let Some(watchdog) = &attached.watchdog {
+            eng.add_sink(Box::new(Rc::clone(watchdog)));
         }
-        sinks.extend(self.sink);
-        if sinks.len() > 1 {
-            eng.set_sink(Box::new(sinks.drain(..).fold(TeeSink::new(), TeeSink::with)));
-        } else if let Some(sink) = sinks.pop() {
-            eng.set_sink(sink);
+        if let Some(sink) = self.sink {
+            eng.add_sink(sink);
         }
         if let Some(cb) = self.rounds {
             eng.stream_rounds(cb);
@@ -105,37 +104,19 @@ impl<'a> Observe<'a> {
     }
 }
 
-/// The sinks [`Observe::attach`] installed, in installation order, so
-/// [`Attached::collect`] can take them back off the engine.
+/// Handles to the trace and watchdog [`Observe::attach`] installed.
 pub(crate) struct Attached {
-    trace: bool,
-    watchdog: bool,
-    sink: bool,
+    trace: Option<Rc<RefCell<Trace>>>,
+    watchdog: Option<Rc<RefCell<Watchdog>>>,
 }
 
 impl Attached {
-    /// Takes the installed sinks back off `eng` after its run.
-    pub(crate) fn collect<M: Message, L: NodeLogic<M>>(self, eng: &mut Engine<M, L>) -> Observed {
-        let mut sinks: Vec<Box<dyn TraceSink>> = eng.take_sink().into_iter().collect();
-        if usize::from(self.trace) + usize::from(self.watchdog) + usize::from(self.sink) > 1 {
-            let mut tee = sinks.pop().expect("attach installed a tee");
-            let tee =
-                tee.as_any_mut().downcast_mut::<TeeSink>().expect("two or more sinks share a tee");
-            sinks = std::mem::take(tee).into_sinks();
+    /// Reads what the trace and the watchdog collected, after the run.
+    pub(crate) fn collect(self) -> Observed {
+        Observed {
+            trace: self.trace.map(|trace| trace.take()),
+            monitor: self.watchdog.map(|watchdog| watchdog.borrow_mut().finish()),
         }
-        let mut sinks = sinks.into_iter();
-        let mut next = || sinks.next().expect("every attached sink comes back");
-        let trace = self.trace.then(|| {
-            let mut sink = next();
-            std::mem::take(
-                sink.as_any_mut().downcast_mut::<Trace>().expect("first sink is the trace"),
-            )
-        });
-        let monitor = self.watchdog.then(|| {
-            next().as_any_mut().downcast_mut::<Watchdog>().expect("then the watchdog").finish()
-        });
-        let sink = self.sink.then(next);
-        Observed { trace, monitor, sink }
     }
 }
 
@@ -234,6 +215,6 @@ impl<'a> Merge<'a> {
 
     /// The merged metrics and observations.
     pub(crate) fn finish(self) -> (Metrics, Observed) {
-        (self.metrics, Observed { trace: self.trace, monitor: self.monitor, sink: None })
+        (self.metrics, Observed { trace: self.trace, monitor: self.monitor })
     }
 }

@@ -158,7 +158,7 @@ pub fn run_pair_observed<C: Caaf>(
         }
         eng.annotate(Event::Decide { round: rounds, node: inst.root, value: v });
     }
-    let seen = attached.collect(&mut eng);
+    let seen = attached.collect();
     (report, seen, eng)
 }
 

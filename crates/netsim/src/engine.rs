@@ -39,7 +39,7 @@
 use crate::adversary::{FailureSchedule, Round};
 use crate::graph::{Graph, NodeId};
 use crate::metrics::Metrics;
-use crate::trace::{Event, EventId, Trace, TraceSink};
+use crate::trace::{Event, EventId, TraceSink};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -323,31 +323,6 @@ pub struct Telemetry {
     pub peak_inflight: u64,
     /// Wall-clock time spent inside [`Engine::run`].
     pub busy: Duration,
-    /// Wall-clock time per closed phase, in exit order (one entry per
-    /// [`Engine::exit_phase`]).
-    pub phase_wall: Vec<(String, Duration)>,
-}
-
-impl Telemetry {
-    /// Rounds per second of busy time (0 if no busy time was recorded).
-    pub fn rounds_per_sec(&self) -> f64 {
-        let s = self.busy.as_secs_f64();
-        if s > 0.0 {
-            self.rounds as f64 / s
-        } else {
-            0.0
-        }
-    }
-
-    /// Deliveries per second of busy time (0 if no busy time was recorded).
-    pub fn deliveries_per_sec(&self) -> f64 {
-        let s = self.busy.as_secs_f64();
-        if s > 0.0 {
-            self.deliveries as f64 / s
-        } else {
-            0.0
-        }
-    }
 }
 
 /// One executed round's traffic, streamed to an
@@ -426,7 +401,7 @@ pub struct Engine<M: Message, L: NodeLogic<M>> {
     /// Arena-index column of the consumed CSR (into `cur_arena`).
     cur_midx: Vec<u32>,
     /// Producing-`Send` event ids, parallel to `cur_from`; populated only
-    /// while a sink is installed (empty → deliveries report
+    /// while a sink wants deliveries (empty → deliveries report
     /// [`EventId::NONE`]).
     cur_src: Vec<EventId>,
     /// Payloads of the messages consumed this round.
@@ -452,9 +427,11 @@ pub struct Engine<M: Message, L: NodeLogic<M>> {
     round: Round,
     metrics: Metrics,
     stop_requested: bool,
-    sink: Option<Box<dyn TraceSink>>,
+    /// Event sinks, in installation order (see [`Engine::add_sink`]).
+    sinks: Vec<Box<dyn TraceSink>>,
     telemetry: Telemetry,
-    /// Wall-clock starts of currently open phases (innermost last).
+    /// Wall-clock starts of the open phases (innermost last); kept only
+    /// while a timeline is installed, which is what reads them.
     phase_started: Vec<(String, Instant)>,
     /// Last assigned [`EventId`]; only advances while a sink is installed.
     next_event_id: u64,
@@ -470,9 +447,9 @@ pub struct Engine<M: Message, L: NodeLogic<M>> {
     kind_acc: Vec<(&'static str, u64, u64, EventId)>,
     /// Per-round flow observer, if any (see [`Engine::stream_rounds`]).
     round_stream: Option<Box<dyn FnMut(RoundFlow)>>,
-    /// Cached [`TraceSink::wants_delivers`] of the installed sink,
-    /// refreshed at [`Engine::set_sink`]. `true` while no sink is
-    /// installed.
+    /// Whether any installed sink wants [`Event::Deliver`] records: the OR
+    /// of their [`TraceSink::wants_delivers`], sampled at
+    /// [`Engine::add_sink`]. `false` while no sink is installed.
     deliver_interest: bool,
     /// Wall-clock profiler handle and lane, if installed (see
     /// [`Engine::set_timeline`]); `None` keeps the hot path at one
@@ -523,7 +500,7 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             nodes,
             round: 0,
             stop_requested: false,
-            sink: None,
+            sinks: Vec::new(),
             telemetry: Telemetry::default(),
             phase_started: Vec::new(),
             next_event_id: 0,
@@ -532,7 +509,7 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             causes: Vec::new(),
             kind_acc: Vec::new(),
             round_stream: None,
-            deliver_interest: true,
+            deliver_interest: false,
             timeline: None,
         }
     }
@@ -567,70 +544,49 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         self
     }
 
-    /// Turns on event tracing into an in-memory [`Trace`]; call before the
-    /// first step. Shorthand for `set_sink(Box::new(Trace::new()))`.
-    pub fn enable_trace(&mut self) -> &mut Self {
-        self.set_sink(Box::new(Trace::new()))
-    }
-
-    /// Installs an event sink (in-memory [`Trace`], a
-    /// [`crate::trace::RingSink`], a [`crate::trace::JsonlSink`], or any
-    /// custom [`TraceSink`]); call before the first step. Replaces any
-    /// previously installed sink.
-    pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) -> &mut Self {
+    /// Adds an event sink (an in-memory [`crate::trace::Trace`], a
+    /// [`crate::trace::RingSink`], a [`crate::trace::JsonlSink`], a
+    /// watchdog, or any custom [`TraceSink`]); call before the first step.
+    /// Every event goes to every sink, in installation order. To read a
+    /// sink after the run, install a clone of an `Rc<RefCell<_>>` handle
+    /// and keep the handle (see [`TraceSink`]).
+    pub fn add_sink(&mut self, sink: Box<dyn TraceSink>) -> &mut Self {
         // Delivery interest is sampled once per installation: at N = 2²⁰
-        // deliveries dominate event volume, and a sink that does not want
-        // them (e.g. a flight recorder) lets the engine skip building
-        // them — and the src-id column — entirely.
-        self.deliver_interest = sink.wants_delivers();
-        self.sink = Some(sink);
+        // deliveries dominate event volume, and when no sink wants them
+        // (e.g. a lone flight recorder) the engine skips building them —
+        // and the src-id column — entirely.
+        self.deliver_interest |= sink.wants_delivers();
+        self.sinks.push(sink);
         self
     }
 
-    /// Removes and returns the installed sink (e.g. to
-    /// [`crate::trace::JsonlSink::finish`] it after the run).
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.deliver_interest = true;
-        self.sink.take()
-    }
-
-    /// The installed sink, if any.
-    pub fn sink_mut(&mut self) -> Option<&mut dyn TraceSink> {
-        self.sink.as_deref_mut()
-    }
-
-    /// The trace, if the installed sink is the in-memory [`Trace`].
-    pub fn trace(&self) -> Option<&Trace> {
-        self.sink.as_ref().and_then(|s| s.as_any().downcast_ref::<Trace>())
-    }
-
     /// Feeds a harness-level event (phase markers, decisions) to the
-    /// installed sink, if any. Events must respect round order: `e.round()`
-    /// may not precede the engine's current round.
+    /// installed sinks, if any. Events must respect round order:
+    /// `e.round()` may not precede the engine's current round.
     pub fn annotate(&mut self, e: Event) {
         debug_assert!(e.round() >= self.round, "annotation would violate round order");
-        if let Some(s) = self.sink.as_deref_mut() {
-            s.record(&e);
-        }
+        record_all(&mut self.sinks, &e);
     }
 
     /// Opens a phase on this engine's [`Metrics`] starting at the next
-    /// round, mirroring [`Event::PhaseEnter`] to the sink. Returns the
+    /// round, mirroring [`Event::PhaseEnter`] to the sinks. Returns the
     /// phase's start round.
     pub fn enter_phase(&mut self, label: &str) -> Round {
         let start = self.metrics.enter_phase(label);
-        self.phase_started.push((label.to_string(), Instant::now()));
+        if self.timeline.is_some() {
+            self.phase_started.push((label.to_string(), Instant::now()));
+        }
         self.annotate(Event::PhaseEnter { round: start, label: label.to_string() });
         start
     }
 
     /// Closes the innermost open phase at the current round, mirroring
-    /// [`Event::PhaseExit`] to the sink.
+    /// [`Event::PhaseExit`] to the sinks.
     pub fn exit_phase(&mut self) -> Option<(String, Round)> {
         let round = self.round;
         let (label, end) = self.metrics.exit_phase_at(round)?;
-        if let Some((started_label, t0)) = self.phase_started.pop() {
-            if let Some((tl, lane)) = &self.timeline {
+        if let Some((tl, lane)) = &self.timeline {
+            if let Some((started_label, t0)) = self.phase_started.pop() {
                 let dur = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                 tl.record_span(
                     crate::timeline::SpanKind::Phase,
@@ -641,7 +597,6 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                     None,
                 );
             }
-            self.telemetry.phase_wall.push((started_label, t0.elapsed()));
         }
         self.annotate(Event::PhaseExit { round: end, label: label.clone() });
         Some((label, end))
@@ -711,7 +666,7 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             partial_rx,
             crash_logged,
             metrics,
-            sink,
+            sinks,
             telemetry,
             next_event_id,
             delivery_ids,
@@ -723,10 +678,12 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             timeline,
             ..
         } = self;
-        // `tracing` gates only the per-delivery work (Deliver events and
-        // the src-id column); sends/crashes/phases still reach a sink
-        // that declined deliveries.
-        let tracing = sink.is_some() && *deliver_interest;
+        // `observed` gates every event; `tracing` gates only the
+        // per-delivery work (Deliver events and the src-id column), so
+        // sends/crashes/phases still reach sinks that all declined
+        // deliveries.
+        let observed = !sinks.is_empty();
+        let tracing = *deliver_interest;
         // Stage attribution granularity: with a sink installed the loop
         // already pays per-delivery encoding costs, so per-node clock
         // reads (2–3 per live node) disappear into them and buy exact
@@ -734,7 +691,7 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         // is charged to `absorb` in one read — per-node reads would
         // dominate idle nodes at N = 2²⁰ and sink the <5% overhead
         // budget.
-        let fine = clock.is_some() && sink.is_some();
+        let fine = clock.is_some() && observed;
         metrics.note_round(r);
         telemetry.rounds += 1;
         sends.clear();
@@ -750,16 +707,14 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             if r >= crash_round[i] {
                 if !crash_logged[i] {
                     crash_logged[i] = true;
-                    if let Some(t) = sink.as_deref_mut() {
-                        t.record(&Event::Crash { round: r, node: me });
-                    }
+                    record_all(sinks, &Event::Crash { round: r, node: me });
                 }
                 continue;
             }
             let lo = cur_off[i] as usize;
             let hi = cur_off[i + 1] as usize;
             delivery_ids.clear();
-            if let (true, Some(t)) = (tracing, sink.as_deref_mut()) {
+            if tracing {
                 // Deliveries are logged when the node consumes its inbox
                 // (this round), keeping the event log round-ordered. Each
                 // gets a fresh id and points back at the producing send.
@@ -767,7 +722,7 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                     *next_event_id += 1;
                     let id = EventId(*next_event_id);
                     delivery_ids.push(id);
-                    t.record(&Event::Deliver {
+                    let e = Event::Deliver {
                         round: r,
                         node: me,
                         from: cur_from[j],
@@ -776,7 +731,8 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                         // NONE for deliveries enqueued before the sink
                         // was installed (src column left empty).
                         src: cur_src.get(j).copied().unwrap_or(EventId::NONE),
-                    });
+                    };
+                    record_all(sinks, &e);
                 }
                 if fine {
                     if let Some(c) = clock.as_mut() {
@@ -812,7 +768,7 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             round_bits += bits;
             round_logical += outbox.len() as u64;
             send_ids.clear();
-            if let Some(t) = sink.as_deref_mut() {
+            if observed {
                 // Group the outbox by message kind and emit one Send event
                 // per kind, so per-kind bits partition the node's round
                 // total exactly (the metrics above still see one combined
@@ -839,7 +795,7 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                     }
                 }
                 for &(k, kind_bits, logical, id) in kind_acc.iter() {
-                    t.record(&Event::Send {
+                    let e = Event::Send {
                         round: r,
                         node: me,
                         bits: kind_bits,
@@ -847,7 +803,8 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                         id,
                         kind: k.to_string(),
                         causes: causes.clone(),
-                    });
+                    };
+                    record_all(sinks, &e);
                 }
             }
             // Defer delivery: move the outbox into the round arena and
@@ -1003,6 +960,13 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
     pub fn alive_connected(&self, root: NodeId, round: Round) -> Vec<NodeId> {
         let dead = self.schedule.dead_by(round);
         self.graph.reachable_from(root, &dead)
+    }
+}
+
+/// Hands `e` to every sink, in installation order.
+fn record_all(sinks: &mut [Box<dyn TraceSink>], e: &Event) {
+    for s in sinks {
+        s.record(e);
     }
 }
 
@@ -1191,12 +1155,8 @@ mod tests {
         // deliveries enqueued per talking round.
         assert_eq!(t.deliveries, 8);
         assert_eq!(t.peak_inflight, 4);
-        assert_eq!(t.phase_wall.len(), 1);
-        assert_eq!(t.phase_wall[0].0, "talk");
         // Wall-clock figures exist but are never asserted for magnitude.
         assert!(t.busy >= std::time::Duration::ZERO);
-        let _ = (t.rounds_per_sec(), t.deliveries_per_sec());
-        assert_eq!(Telemetry::default().rounds_per_sec(), 0.0);
     }
 
     #[test]
@@ -1271,8 +1231,11 @@ mod tests {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
+    use crate::telemetry::FlightRecorder;
     use crate::topology;
-    use crate::trace::Event;
+    use crate::trace::{Event, JsonlSink, RingSink, Trace};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[derive(Clone, Debug)]
     struct One;
@@ -1290,15 +1253,22 @@ mod trace_tests {
         }
     }
 
+    /// Installs `sink` on `eng` and hands back the caller's handle to it.
+    fn add<S: TraceSink + 'static>(eng: &mut Engine<One, Talk>, sink: S) -> Rc<RefCell<S>> {
+        let handle = Rc::new(RefCell::new(sink));
+        eng.add_sink(Box::new(Rc::clone(&handle)));
+        handle
+    }
+
     #[test]
     fn trace_records_sends_and_crashes() {
         let g = topology::path(3);
         let mut s = FailureSchedule::none();
         s.crash(NodeId(2), 2);
         let mut eng = Engine::new(g, s, |_| Talk);
-        eng.enable_trace();
+        let trace = add(&mut eng, Trace::new());
         eng.run(4);
-        let t = eng.trace().expect("tracing enabled");
+        let t = trace.borrow();
         // Node 2 sent once (round 1), then crashed at round 2.
         assert_eq!(t.send_rounds(NodeId(2)), vec![1]);
         assert!(t.events().contains(&Event::Crash { round: 2, node: NodeId(2) }));
@@ -1315,17 +1285,18 @@ mod trace_tests {
         let g = topology::path(2);
         let mut eng = Engine::new(g, FailureSchedule::none(), |_| Talk);
         eng.run(3);
-        assert!(eng.trace().is_none());
-        assert!(eng.take_sink().is_none());
+        assert!(eng.sinks.is_empty());
+        assert!(!eng.deliver_interest);
+        assert_eq!(eng.next_event_id, 0, "no sink, no event ids");
     }
 
     #[test]
     fn deliveries_are_traced_at_consumption_round() {
         let g = topology::path(3);
         let mut eng = Engine::new(g, FailureSchedule::none(), |_| Talk);
-        eng.enable_trace();
+        let trace = add(&mut eng, Trace::new());
         eng.run(3);
-        let t = eng.trace().expect("tracing enabled");
+        let t = trace.borrow();
         // Node 1 hears both neighbors' round-1 sends in round 2.
         let deliveries: Vec<_> = t
             .of_node(NodeId(1))
@@ -1345,13 +1316,13 @@ mod trace_tests {
     fn phase_markers_reach_trace_and_metrics() {
         let g = topology::path(2);
         let mut eng = Engine::new(g, FailureSchedule::none(), |_| Talk);
-        eng.enable_trace();
+        let trace = add(&mut eng, Trace::new());
         assert_eq!(eng.enter_phase("warmup"), 1);
         eng.run(2);
         let (label, end) = eng.exit_phase().expect("phase open");
         assert_eq!((label.as_str(), end), ("warmup", 2));
         assert!(eng.exit_phase().is_none());
-        let t = eng.trace().unwrap();
+        let t = trace.borrow();
         assert!(t.events().contains(&Event::PhaseEnter { round: 1, label: "warmup".into() }));
         assert!(t.events().contains(&Event::PhaseExit { round: 2, label: "warmup".into() }));
         let ph = eng.metrics().phases();
@@ -1362,38 +1333,142 @@ mod trace_tests {
 
     #[test]
     fn ring_and_jsonl_sinks_observe_the_same_events() {
-        use crate::trace::{JsonlSink, RingSink, Trace};
-        let run = |sink: Option<Box<dyn TraceSink>>| {
+        let engine = || {
             let g = topology::path(3);
             let mut s = FailureSchedule::none();
             s.crash(NodeId(2), 2);
-            let mut eng = Engine::new(g, s, |_| Talk);
-            if let Some(sink) = sink {
-                eng.set_sink(sink);
-            }
-            eng.run(4);
-            eng
+            Engine::new(g, s, |_| Talk)
         };
-        let mut full = run(Some(Box::new(Trace::new())));
-        let mut ring = run(Some(Box::new(RingSink::new(4))));
-        let mut jsonl = run(Some(Box::new(JsonlSink::new(Vec::<u8>::new()))));
+        let mut full = engine();
+        let full_trace = add(&mut full, Trace::new());
+        full.run(4);
+        let mut ring = engine();
+        let ring_sink = add(&mut ring, RingSink::new(4));
+        ring.run(4);
+        let mut jsonl = engine();
+        let jsonl_sink = add(&mut jsonl, JsonlSink::new(Vec::<u8>::new()));
+        jsonl.run(4);
+        drop(jsonl);
 
-        let full_trace =
-            full.take_sink().unwrap().as_any().downcast_ref::<Trace>().unwrap().clone();
-        let ring_sink = ring.take_sink().unwrap();
-        let ring_sink = ring_sink.as_any().downcast_ref::<RingSink>().unwrap();
+        let (full_trace, ring_sink) = (full_trace.borrow(), ring_sink.borrow());
         // The ring kept the most recent 4 of the full event stream.
         assert_eq!(ring_sink.seen() as usize, full_trace.events().len());
         let tail: Vec<&Event> =
             full_trace.events().iter().skip(full_trace.events().len() - 4).collect();
         assert_eq!(ring_sink.events().collect::<Vec<_>>(), tail);
         // The JSONL sink round-trips to the identical event sequence.
-        let boxed = jsonl.take_sink().unwrap();
-        let boxed: Box<JsonlSink<Vec<u8>>> = (boxed as Box<dyn std::any::Any>)
-            .downcast()
-            .expect("sink is the JSONL sink we installed");
-        let bytes = boxed.finish().unwrap();
+        let jsonl_sink = Rc::try_unwrap(jsonl_sink).expect("the engine is gone").into_inner();
+        let bytes = jsonl_sink.finish().unwrap();
         let back = Trace::from_jsonl(&bytes[..]).unwrap();
         assert_eq!(back.events(), full_trace.events());
+    }
+
+    /// Talk on a 2-path for 3 rounds: 2 sends in round 1, 2 deliveries
+    /// and 2 sends in round 2, 2 deliveries in round 3.
+    fn two_path() -> Engine<One, Talk> {
+        Engine::new(topology::path(2), FailureSchedule::none(), |_| Talk)
+    }
+
+    #[test]
+    fn sinks_all_see_every_event_and_or_their_delivery_interest() {
+        let mut eng = two_path();
+        let trace = add(&mut eng, Trace::new());
+        let deaf = add(&mut eng, FlightRecorder::new(2).without_delivers());
+        eng.run(3);
+        // The trace still wants deliveries, so the engine builds them,
+        // and the deliver-less recorder is offered them too.
+        let t = trace.borrow();
+        assert_eq!(t.events().len(), 8);
+        assert_eq!(t.events().iter().filter(|e| matches!(e, Event::Deliver { .. })).count(), 4);
+        assert_eq!(deaf.borrow().handle().stats().total_events, 8);
+
+        // No sink wants deliveries: the engine never builds one.
+        let mut eng = two_path();
+        let a = add(&mut eng, FlightRecorder::new(2).without_delivers());
+        let b = add(&mut eng, FlightRecorder::new(2).without_delivers());
+        eng.run(3);
+        assert!(!eng.deliver_interest);
+        assert_eq!(a.borrow().handle().stats().total_events, 4, "sends only");
+        assert_eq!(b.borrow().handle().stats().total_events, 4, "sends only");
+    }
+
+    #[test]
+    fn each_event_reaches_the_sinks_in_installation_order() {
+        /// Logs its tag and each event into a log shared with its siblings.
+        struct Tagged(char, Rc<RefCell<Vec<(char, Event)>>>);
+        impl TraceSink for Tagged {
+            fn record(&mut self, e: &Event) {
+                self.1.borrow_mut().push((self.0, e.clone()));
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut eng = two_path();
+        eng.add_sink(Box::new(Tagged('a', Rc::clone(&log))));
+        eng.add_sink(Box::new(Tagged('b', Rc::clone(&log))));
+        eng.run(3);
+        let log = log.borrow();
+        assert_eq!(log.len(), 16);
+        for pair in log.chunks(2) {
+            assert_eq!((pair[0].0, pair[1].0), ('a', 'b'));
+            assert_eq!(pair[0].1, pair[1].1, "both sinks see the same event");
+        }
+    }
+
+    #[test]
+    fn sinks_keep_fanning_out_when_one_truncates() {
+        // A tiny ring evicts its head and says so (the RingSink
+        // precedent: `to_trace()` comes back truncated), while the
+        // sibling ring keeps the whole stream — one degraded sink never
+        // steals events from the others.
+        let mut eng = two_path();
+        let tiny = add(&mut eng, RingSink::new(2));
+        let full = add(&mut eng, RingSink::new(64));
+        eng.run(3);
+        let (tiny, full) = (tiny.borrow(), full.borrow());
+        assert_eq!(tiny.dropped(), 6);
+        assert_eq!(tiny.seen(), 8);
+        assert!(tiny.to_trace().truncated(), "eviction must be visible downstream");
+        assert_eq!(full.dropped(), 0);
+        assert_eq!(full.seen(), 8);
+        assert!(!full.to_trace().truncated());
+    }
+
+    #[test]
+    fn an_erroring_sink_is_isolated_and_its_error_stays_visible() {
+        use std::io::{self, Write};
+
+        /// Accepts the schema header, then fails every later write.
+        #[derive(Debug)]
+        struct FailAfterHeader {
+            writes: u32,
+        }
+        impl Write for FailAfterHeader {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                if self.writes > 1 {
+                    return Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"));
+                }
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        // One round of Talk on a 2-path: two sends.
+        let mut eng = two_path();
+        let jsonl = add(&mut eng, JsonlSink::new(FailAfterHeader { writes: 0 }));
+        let ring = add(&mut eng, RingSink::new(64));
+        eng.run(1);
+        // The failing writer latched on its first event line and wrote
+        // nothing further; the sibling still saw every event.
+        assert_eq!(jsonl.borrow().lines(), 1, "only the header made it out");
+        assert_eq!(ring.borrow().seen(), 2, "fan-out must survive a failing sibling");
+        // The latched error is propagated, not swallowed: finish()
+        // surfaces the first I/O error.
+        drop(eng);
+        let jsonl = Rc::try_unwrap(jsonl).expect("the engine is gone").into_inner();
+        let err = jsonl.finish().expect_err("the latched write error must surface");
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
     }
 }

@@ -73,7 +73,7 @@ pub use engine::{
     Engine, Inbox, InboxIter, Message, NodeLogic, Received, RoundCtx, RoundFlow, RunReport,
     SoaEngine, StopCause, Telemetry,
 };
-pub use flood::{BitFlood, BitFloodReport, FloodState};
+pub use flood::FloodState;
 pub use graph::{Edge, Graph, GraphError, NodeId};
 pub use metrics::{Metrics, PhaseSpan, PhaseStats};
 pub use monitor::{
@@ -85,8 +85,7 @@ pub use runner::{
 };
 pub use telemetry::{
     is_valid_metric_name, round_observer, Counter, FlightRecorder, FlightRecorderHandle, Gauge,
-    HistCell, RecorderStats, Reservoir, SampleFactor, SamplingSink, TeeSink, TeleHist,
-    TelemetryHub,
+    HistCell, RecorderStats, Reservoir, SampleFactor, SamplingSink, TeleHist, TelemetryHub,
 };
 pub use timeline::{
     chrome_trace_json, self_time, validate_chrome_trace, CounterSample, FlowPoint, SelfTimeRow,

@@ -32,7 +32,6 @@
 use crate::adversary::Round;
 use crate::graph::NodeId;
 use crate::trace::{Event, TraceSink};
-use std::any::Any;
 use std::fmt;
 
 /// A per-node cumulative bit allowance over an inclusive round window.
@@ -515,14 +514,6 @@ impl TraceSink for Watchdog {
                 }
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Observability for the regime where full tracing is impossible. At
 //! N = 2²⁰ the engines move hundreds of millions of deliveries per run;
-//! a [`TraceSink`](crate::TraceSink) that touches every one of them costs
+//! a [`TraceSink`] that touches every one of them costs
 //! more than the simulation itself. This module layers three cheaper
 //! instruments, each with a stated fidelity:
 //!
@@ -25,11 +25,9 @@
 //!   million-node run that trips an invariant leaves a replayable tail
 //!   instead of nothing.
 //!
-//! [`TeeSink`] fans one engine event stream out to several sinks (e.g.
-//! watchdog + flight recorder), and every sink here answers
-//! [`TraceSink::wants_delivers`](crate::TraceSink::wants_delivers) so the
-//! engines can skip per-delivery event construction entirely when no
-//! installed sink needs it — that interest bit is what keeps the recorded
+//! Every sink here answers [`TraceSink::wants_delivers`], so the engine
+//! can skip per-delivery event construction entirely when no installed
+//! sink needs it — that interest bit is what keeps the recorded
 //! million-node run within a few percent of the blind one.
 
 use crate::adversary::Round;
@@ -37,7 +35,6 @@ use crate::engine::RoundFlow;
 use crate::graph::NodeId;
 use crate::runner::Histogram;
 use crate::trace::{DeltaSink, Event, TraceSink, TRACE_SCHEMA_VERSION};
-use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -569,11 +566,6 @@ impl SamplingSink {
         self.k
     }
 
-    /// Unwraps the inner sink.
-    pub fn into_inner(self) -> Box<dyn TraceSink> {
-        self.inner
-    }
-
     fn stratum_mut(&mut self, hash: u64, label: &dyn Fn() -> String) -> &mut SampleFactor {
         if let Some((h, _)) = self.strata.get(self.last) {
             if *h == hash {
@@ -628,14 +620,6 @@ impl TraceSink for SamplingSink {
 
     fn wants_delivers(&self) -> bool {
         self.inner.wants_delivers()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -814,14 +798,6 @@ impl TraceSink for FlightRecorder {
     fn wants_delivers(&self) -> bool {
         lock_ok(&self.core).record_delivers
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A cloneable view onto a [`FlightRecorder`]'s ring.
@@ -903,76 +879,12 @@ impl FlightRecorderHandle {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Tee
-// ---------------------------------------------------------------------------
-
-/// Fans one event stream out to several sinks — e.g. a [`Watchdog`]
-/// (crate::Watchdog) plus a [`FlightRecorder`] — since the engines hold
-/// exactly one sink. Delivery interest is the OR of the inner sinks'.
-#[derive(Default)]
-pub struct TeeSink {
-    sinks: Vec<Box<dyn TraceSink>>,
-}
-
-impl TeeSink {
-    /// An empty tee.
-    pub fn new() -> TeeSink {
-        TeeSink::default()
-    }
-
-    /// Adds a sink (builder style).
-    #[must_use]
-    pub fn with(mut self, sink: Box<dyn TraceSink>) -> TeeSink {
-        self.sinks.push(sink);
-        self
-    }
-
-    /// Adds a sink.
-    pub fn push(&mut self, sink: Box<dyn TraceSink>) {
-        self.sinks.push(sink);
-    }
-
-    /// The inner sinks, in insertion order (for downcasting after a run).
-    pub fn sinks(&self) -> &[Box<dyn TraceSink>] {
-        &self.sinks
-    }
-
-    /// Mutable access to the inner sinks.
-    pub fn sinks_mut(&mut self) -> &mut [Box<dyn TraceSink>] {
-        &mut self.sinks
-    }
-
-    /// Unwraps the inner sinks.
-    pub fn into_sinks(self) -> Vec<Box<dyn TraceSink>> {
-        self.sinks
-    }
-}
-
-impl TraceSink for TeeSink {
-    fn record(&mut self, e: &Event) {
-        for s in &mut self.sinks {
-            s.record(e);
-        }
-    }
-
-    fn wants_delivers(&self) -> bool {
-        self.sinks.iter().any(|s| s.wants_delivers())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::Trace;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn counters_gauges_and_histograms_register_once() {
@@ -1112,7 +1024,8 @@ mod tests {
     #[test]
     fn sampling_k1_is_an_exact_passthrough() {
         let mut plain = Trace::default();
-        let mut sampler = SamplingSink::new(Box::new(Trace::default()), 1, 99);
+        let inner = Rc::new(RefCell::new(Trace::default()));
+        let mut sampler = SamplingSink::new(Box::new(Rc::clone(&inner)), 1, 99);
         for r in 1..=3 {
             for v in 0..10u32 {
                 let e = send(r, v, 8);
@@ -1127,16 +1040,15 @@ mod tests {
             assert_eq!(f.total_events, f.sampled_events, "{f:?}");
             assert!((f.scale() - 1.0).abs() < 1e-12);
         }
-        let inner = sampler.into_inner();
-        let got = inner.as_any().downcast_ref::<Trace>().expect("trace inner");
-        assert_eq!(got.events(), plain.events(), "k=1 must be byte-identical");
+        assert_eq!(inner.borrow().events(), plain.events(), "k=1 must be byte-identical");
     }
 
     #[test]
     fn sampling_is_node_deterministic_and_metered() {
         let k = 4u64;
         let seed = 7u64;
-        let mut sampler = SamplingSink::new(Box::new(Trace::default()), k, seed);
+        let inner = Rc::new(RefCell::new(Trace::default()));
+        let mut sampler = SamplingSink::new(Box::new(Rc::clone(&inner)), k, seed);
         let n = 1000u32;
         for v in 0..n {
             sampler.record(&send(1, v, 16));
@@ -1158,11 +1070,9 @@ mod tests {
             "sampled {} vs expected {expect}",
             f.sampled_events
         );
-        let inner = sampler.into_inner();
-        let got = inner.as_any().downcast_ref::<Trace>().expect("trace inner");
         // Every forwarded send is from an admitted node; the crash came through.
         let hash = SamplingSink::send_stratum("");
-        for e in got.events() {
+        for e in inner.borrow().events() {
             match e {
                 Event::Send { node, .. } => {
                     assert!(SamplingSink::admits(seed, k, hash, *node));
@@ -1267,89 +1177,5 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("artifact written");
         assert!(text.contains("\"ev\":\"send\""), "{text}");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn tee_fans_out_and_ors_delivery_interest() {
-        let mut tee = TeeSink::new()
-            .with(Box::new(Trace::default()))
-            .with(Box::new(FlightRecorder::new(2).without_delivers()));
-        assert!(tee.wants_delivers(), "Trace still wants delivers");
-        tee.record(&send(1, 0, 8));
-        tee.record(&Event::deliver(1, NodeId(1), NodeId(0), 8));
-        let sinks = tee.into_sinks();
-        let trace = sinks[0].as_any().downcast_ref::<Trace>().expect("trace");
-        assert_eq!(trace.events().len(), 2);
-
-        let deaf = TeeSink::new()
-            .with(Box::new(FlightRecorder::new(2).without_delivers()))
-            .with(Box::new(FlightRecorder::new(2).without_delivers()));
-        assert!(!deaf.wants_delivers());
-    }
-
-    #[test]
-    fn tee_keeps_fanning_out_when_one_inner_sink_truncates() {
-        // A tiny ring inside the tee evicts its head and says so (the
-        // RingSink precedent: `to_trace()` comes back truncated), while
-        // the sibling ring keeps the whole stream — one degraded sink
-        // never steals events from the others.
-        let mut tee = TeeSink::new()
-            .with(Box::new(crate::trace::RingSink::new(2)))
-            .with(Box::new(crate::trace::RingSink::new(64)));
-        for i in 0..8 {
-            tee.record(&send(1, i, 8));
-        }
-        let sinks = tee.into_sinks();
-        let tiny = sinks[0].as_any().downcast_ref::<crate::trace::RingSink>().expect("ring");
-        let full = sinks[1].as_any().downcast_ref::<crate::trace::RingSink>().expect("ring");
-        assert_eq!(tiny.dropped(), 6);
-        assert_eq!(tiny.seen(), 8);
-        assert!(tiny.to_trace().truncated(), "eviction must be visible downstream");
-        assert_eq!(full.dropped(), 0);
-        assert_eq!(full.seen(), 8);
-        assert!(!full.to_trace().truncated());
-    }
-
-    #[test]
-    fn tee_isolates_an_erroring_inner_sink_and_the_error_stays_visible() {
-        use crate::trace::JsonlSink;
-        use std::io::{self, Write};
-
-        /// Accepts the schema header, then fails every later write.
-        #[derive(Debug)]
-        struct FailAfterHeader {
-            writes: u32,
-        }
-        impl Write for FailAfterHeader {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.writes += 1;
-                if self.writes > 1 {
-                    return Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"));
-                }
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let mut tee = TeeSink::new()
-            .with(Box::new(JsonlSink::new(FailAfterHeader { writes: 0 })))
-            .with(Box::new(crate::trace::RingSink::new(64)));
-        tee.record(&send(1, 0, 8));
-        tee.record(&send(1, 1, 8));
-        let sinks = tee.into_sinks();
-        // The failing writer latched on its first event line and wrote
-        // nothing further; the sibling still saw every event.
-        let jsonl = sinks[0].as_any().downcast_ref::<JsonlSink<FailAfterHeader>>().expect("jsonl");
-        assert_eq!(jsonl.lines(), 1, "only the header made it out");
-        let ring = sinks[1].as_any().downcast_ref::<crate::trace::RingSink>().expect("ring");
-        assert_eq!(ring.seen(), 2, "fan-out must survive a failing sibling");
-        // The latched error is propagated, not swallowed: finish() on an
-        // identically failing sink surfaces the first I/O error.
-        let mut solo = JsonlSink::new(FailAfterHeader { writes: 0 });
-        solo.record(&send(1, 0, 8));
-        let err = solo.finish().expect_err("the latched write error must surface");
-        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
     }
 }

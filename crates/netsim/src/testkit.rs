@@ -14,13 +14,13 @@
 //! straight at the round and node that produced it.
 //!
 //! Everything compared here is deterministic; wall-clock telemetry
-//! ([`Telemetry::busy`], phase timings) is deliberately excluded.
+//! ([`Telemetry::busy`], timeline spans) is deliberately excluded.
 
 use crate::adversary::FailureSchedule;
 use crate::engine::{Engine, Inbox, Message, NodeLogic, RoundCtx, RunReport, StopCause, Telemetry};
 use crate::graph::{Graph, NodeId};
 use crate::metrics::{Metrics, PhaseSpan};
-use crate::trace::{Event, EventId};
+use crate::trace::{Event, EventId, Trace};
 use crate::Round;
 
 /// The reference round engine: the model executed the obvious way, with
@@ -224,7 +224,7 @@ impl<M: Message, L: NodeLogic<M>> Reference<M, L> {
     /// Every deterministic observable of the run so far.
     pub fn artifacts(&self) -> RunArtifacts {
         let trace = jsonl_lines(&self.events);
-        capture_parts("reference", Some(trace), &self.metrics, &self.telemetry, self.round)
+        capture_parts("reference", trace, &self.metrics, &self.telemetry, self.round)
     }
 }
 
@@ -235,8 +235,8 @@ pub struct RunArtifacts {
     /// Which implementation produced this (`"engine"` / `"reference"`);
     /// *not* compared.
     pub engine: String,
-    /// The trace serialized line-by-line to v2 JSONL (header first), empty
-    /// when the run was not traced. Compared byte-for-byte.
+    /// The trace serialized line-by-line to v2 JSONL (header first).
+    /// Compared byte-for-byte.
     pub trace: Vec<String>,
     /// Per-node bits broadcast ([`Metrics::bits_per_node`]).
     pub bits_per_node: Vec<u64>,
@@ -271,14 +271,14 @@ fn jsonl_lines(events: &[Event]) -> Vec<String> {
 /// Assembles artifacts from a run's trace lines, meters and counters.
 fn capture_parts(
     engine: &str,
-    trace: Option<Vec<String>>,
+    trace: Vec<String>,
     metrics: &Metrics,
     telemetry: &Telemetry,
     last_round: Round,
 ) -> RunArtifacts {
     RunArtifacts {
         engine: engine.to_string(),
-        trace: trace.unwrap_or_default(),
+        trace,
         bits_per_node: metrics.bits_per_node().to_vec(),
         sends_per_node: (0..metrics.bits_per_node().len())
             .map(|i| metrics.sends_of(crate::NodeId(i as u32)))
@@ -292,10 +292,10 @@ fn capture_parts(
     }
 }
 
-/// Captures every deterministic observable of an [`Engine`] run (the
-/// trace only if one was recorded via [`Engine::enable_trace`]).
-pub fn capture<M: Message, L: NodeLogic<M>>(eng: &Engine<M, L>) -> RunArtifacts {
-    let trace = eng.trace().map(|t| jsonl_lines(t.events()));
+/// Captures every deterministic observable of an [`Engine`] run, with
+/// `trace` the [`Trace`] that was installed as one of its sinks.
+pub fn capture<M: Message, L: NodeLogic<M>>(eng: &Engine<M, L>, trace: &Trace) -> RunArtifacts {
+    let trace = jsonl_lines(trace.events());
     capture_parts("engine", trace, eng.metrics(), eng.telemetry(), eng.round())
 }
 

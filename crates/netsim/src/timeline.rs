@@ -35,7 +35,6 @@
 use crate::adversary::Round;
 use crate::json::{quote, Json};
 use crate::trace::{Event, TraceSink};
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -465,14 +464,6 @@ impl TraceSink for TimelineFlowSink {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

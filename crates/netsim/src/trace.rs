@@ -27,9 +27,10 @@
 use crate::adversary::Round;
 use crate::graph::NodeId;
 use crate::json::{quote, Json};
-use std::any::Any;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
+use std::rc::Rc;
 
 /// Version of the JSONL trace schema emitted by [`JsonlSink`] and asserted
 /// by [`Trace::from_jsonl`]. Bump when the line format changes; the golden
@@ -307,33 +308,75 @@ impl Event {
     }
 }
 
-/// A consumer of engine events. The engine holds at most one sink and pays
-/// a single branch per event site when no sink is installed; everything a
-/// sink does is invisible to the execution it observes.
-pub trait TraceSink: Any {
+/// A consumer of engine events. An engine holds any number of sinks and
+/// hands each event to all of them, in installation order
+/// ([`crate::Engine::add_sink`]); with none installed it pays one
+/// emptiness test per event site. Everything a sink does is invisible to
+/// the execution it observes.
+///
+/// To read a sink after the run, keep a shared handle to it: an
+/// `Rc<RefCell<S>>` is itself a sink, so install one clone and read the
+/// other. Nothing is ever taken back off an engine.
+///
+/// ```
+/// use netsim::{topology, Engine, FailureSchedule, Message, NodeLogic, RingSink, RoundCtx, Trace};
+/// use std::{cell::RefCell, rc::Rc};
+///
+/// #[derive(Clone, Debug)]
+/// struct Hello;
+/// impl Message for Hello {
+///     fn bit_len(&self) -> u64 { 8 }
+/// }
+/// struct Greeter;
+/// impl NodeLogic<Hello> for Greeter {
+///     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Hello>) {
+///         if ctx.round() == 1 {
+///             ctx.send(Hello);
+///         }
+///     }
+/// }
+///
+/// let mut eng = Engine::new(topology::path(3), FailureSchedule::none(), |_| Greeter);
+/// let trace = Rc::new(RefCell::new(Trace::new()));
+/// let ring = Rc::new(RefCell::new(RingSink::new(2)));
+/// eng.add_sink(Box::new(Rc::clone(&trace))).add_sink(Box::new(Rc::clone(&ring)));
+/// eng.run(2);
+/// // 3 sends in round 1, 4 deliveries in round 2: both sinks saw all 7.
+/// assert_eq!(trace.borrow().events().len(), 7);
+/// assert_eq!(ring.borrow().seen(), 7);
+/// assert_eq!(ring.borrow().dropped(), 5);
+/// ```
+pub trait TraceSink {
     /// Receives one event. Events arrive in non-decreasing round order.
     fn record(&mut self, e: &Event);
 
     /// Whether this sink needs per-delivery [`Event::Deliver`] records.
     ///
-    /// The engines consult this **once, at sink installation**, and skip
+    /// The engine consults this **once, at sink installation**, and skips
     /// building delivery events (and their src-id side channels) entirely
-    /// when the answer is `false` — at N = 2²⁰ deliveries outnumber sends
-    /// by orders of magnitude, so this bit is the difference between a
-    /// few percent of overhead and a multiple. Defaults to `true`;
-    /// sampling/recording sinks that only need sends, crashes, phases,
-    /// and decides (replay, metrics, and blame are send-driven) override
-    /// it. A `false` answer changes only which events this sink sees,
-    /// never the execution.
+    /// when no installed sink answers `true` — at N = 2²⁰ deliveries
+    /// outnumber sends by orders of magnitude, so this bit is the
+    /// difference between a few percent of overhead and a multiple.
+    /// Defaults to `true`; sampling/recording sinks that only need sends,
+    /// crashes, phases, and decides (replay, metrics, and blame are
+    /// send-driven) override it. A `false` answer never changes the
+    /// execution, and a sink that gives it is still offered deliveries
+    /// when a sibling sink wants them.
     fn wants_delivers(&self) -> bool {
         true
     }
+}
 
-    /// Upcast for downcasting a boxed sink back to its concrete type.
-    fn as_any(&self) -> &dyn Any;
+/// A shared handle records into the sink it points at, so a caller can
+/// install one clone on an engine and read the sink through another.
+impl<S: TraceSink + ?Sized> TraceSink for Rc<RefCell<S>> {
+    fn record(&mut self, e: &Event) {
+        self.borrow_mut().record(e);
+    }
 
-    /// Mutable upcast.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    fn wants_delivers(&self) -> bool {
+        self.borrow().wants_delivers()
+    }
 }
 
 /// An append-only event log ordered by round.
@@ -605,14 +648,6 @@ impl TraceSink for Trace {
     fn record(&mut self, e: &Event) {
         self.push(e.clone());
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A bounded ring-buffer sink: keeps the most recent `capacity` events and
@@ -672,14 +707,6 @@ impl TraceSink for RingSink {
         }
         self.events.push_back(e.clone());
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A line-delimited JSON sink for offline analysis. The first line is a
@@ -690,13 +717,13 @@ impl TraceSink for RingSink {
 /// I/O errors are latched: the first failure stops further writes and is
 /// surfaced by [`JsonlSink::finish`].
 #[derive(Debug)]
-pub struct JsonlSink<W: Write + 'static> {
+pub struct JsonlSink<W: Write> {
     writer: W,
     lines: u64,
     error: Option<io::Error>,
 }
 
-impl<W: Write + 'static> JsonlSink<W> {
+impl<W: Write> JsonlSink<W> {
     /// Wraps `writer`, emitting the schema header immediately.
     pub fn new(mut writer: W) -> Self {
         let error =
@@ -723,7 +750,7 @@ impl<W: Write + 'static> JsonlSink<W> {
     }
 }
 
-impl<W: Write + 'static> TraceSink for JsonlSink<W> {
+impl<W: Write> TraceSink for JsonlSink<W> {
     fn record(&mut self, e: &Event) {
         if self.error.is_some() {
             return;
@@ -732,14 +759,6 @@ impl<W: Write + 'static> TraceSink for JsonlSink<W> {
             Ok(()) => self.lines += 1,
             Err(err) => self.error = Some(err),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -1111,14 +1130,6 @@ impl TraceSink for DeltaSink {
                 put_varint(&mut self.buf, *value);
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

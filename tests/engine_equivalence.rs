@@ -29,11 +29,13 @@ use ftagg::{Instance, PairNode, PairParams};
 use netsim::testkit::{assert_equivalent, capture, Reference};
 use netsim::{
     adversary::schedules, topology, CorpusEntry, Engine, FailureSchedule, Graph, Message, NodeId,
-    NodeLogic, Round,
+    NodeLogic, Round, Trace,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::path::Path;
+use std::rc::Rc;
 
 const C: u32 = 2;
 /// A TC budget giving Algorithm 1 three intervals (`x = ⌊(b − 2c)/19c⌋`).
@@ -53,7 +55,8 @@ fn assert_runs_agree<M: Message, L: NodeLogic<M>>(
 ) {
     let mut eng = Engine::new(graph.clone(), schedule.clone(), &factory);
     let mut reference = Reference::new(graph.clone(), schedule.clone(), &factory);
-    eng.enable_trace();
+    let trace = Rc::new(RefCell::new(Trace::new()));
+    eng.add_sink(Box::new(Rc::clone(&trace)));
     for &(label, until) in script {
         eng.enter_phase(label);
         eng.run(until);
@@ -62,7 +65,7 @@ fn assert_runs_agree<M: Message, L: NodeLogic<M>>(
         reference.run(until);
         reference.exit_phase();
     }
-    assert_equivalent(&capture(&eng), &reference.artifacts(), context);
+    assert_equivalent(&capture(&eng, &trace.borrow()), &reference.artifacts(), context);
     for v in graph.nodes() {
         assert_eq!(state(eng.node(v)), state(reference.node(v)), "{context}: node {v} state");
     }

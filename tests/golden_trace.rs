@@ -23,6 +23,8 @@ use ftagg::pair::{PairNode, PairParams, Tweaks};
 use ftagg::{Instance, Model};
 use netsim::testkit::{assert_equivalent, capture, Reference};
 use netsim::{topology, Engine, Event, FailureSchedule, JsonlSink, NodeId, Trace};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// The golden pair's parameters: N = 4, d = 3, c = 1, t = 1, with VERI.
 fn golden() -> PairParams {
@@ -34,7 +36,7 @@ fn golden() -> PairParams {
     }
 }
 
-fn run_traced() -> Engine<Envelope, PairNode<Sum>> {
+fn run_traced() -> (Engine<Envelope, PairNode<Sum>>, Rc<RefCell<Trace>>) {
     let g = topology::path(4);
     let inst = Instance::new(g, NodeId(0), vec![1, 2, 3, 4], FailureSchedule::none(), 4).unwrap();
     let params = golden();
@@ -42,15 +44,16 @@ fn run_traced() -> Engine<Envelope, PairNode<Sum>> {
     let mut eng = Engine::new(inst.graph.clone(), FailureSchedule::none(), |v| {
         PairNode::new(params, Sum, v, inputs[v.index()])
     });
-    eng.enable_trace();
+    let trace = Rc::new(RefCell::new(Trace::new()));
+    eng.add_sink(Box::new(Rc::clone(&trace)));
     eng.run(params.total_rounds());
-    eng
+    (eng, trace)
 }
 
 #[test]
 fn send_rounds_match_the_pseudocode_schedule() {
-    let eng = run_traced();
-    let t = eng.trace().expect("tracing enabled");
+    let (_, trace) = run_traced();
+    let t = trace.borrow();
     // cd = 3. Phase starts: A2 at 8, A3 at 15, A4 at 22, V1 at 26, V2 at 33.
     //
     // Node 0 (root, level 0):
@@ -113,7 +116,8 @@ fn jsonl_trace_format_snapshot() {
         Engine::new(inst.graph.clone(), FailureSchedule::none(), |v| {
             PairNode::new(params, Sum, v, inputs[v.index()])
         });
-    eng.set_sink(Box::new(JsonlSink::new(Vec::<u8>::new())));
+    let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::<u8>::new())));
+    eng.add_sink(Box::new(Rc::clone(&sink)));
     eng.enter_phase("AGG");
     eng.run(params.agg_rounds());
     eng.exit_phase();
@@ -123,9 +127,8 @@ fn jsonl_trace_format_snapshot() {
     if let ftagg::AggOutcome::Result(v) = eng.node(NodeId(0)).agg_outcome() {
         eng.annotate(Event::Decide { round: eng.round(), node: NodeId(0), value: v });
     }
-    let sink = eng.take_sink().expect("sink installed");
-    let sink: Box<JsonlSink<Vec<u8>>> =
-        (sink as Box<dyn std::any::Any>).downcast().expect("the sink we installed");
+    drop(eng);
+    let sink = Rc::try_unwrap(sink).expect("the engine is gone").into_inner();
     let text = String::from_utf8(sink.finish().unwrap()).unwrap();
     let lines: Vec<&str> = text.lines().collect();
 
@@ -170,16 +173,16 @@ fn jsonl_trace_format_snapshot() {
 /// both.
 #[test]
 fn golden_schedule_is_pinned_on_both_engines() {
-    let eng = run_traced();
+    let (eng, trace) = run_traced();
     let mut reference = Reference::new(topology::path(4), FailureSchedule::none(), |v| {
         PairNode::new(golden(), Sum, v, u64::from(v.0) + 1)
     });
     reference.run(golden().total_rounds());
-    let t = eng.trace().expect("tracing enabled");
+    let t = trace.borrow();
     assert_eq!(t.send_rounds(NodeId(1)), vec![2, 3, 10, 16, 22, 27, 35], "node 1 schedule");
     assert_eq!(t.send_rounds(NodeId(2)), vec![4, 5, 9, 17, 23, 28, 34], "node 2 schedule");
     assert_eq!(t.send_rounds(NodeId(3)), vec![6, 7, 8, 18, 24, 29, 33], "node 3 schedule");
-    assert_equivalent(&capture(&eng), &reference.artifacts(), "golden instance");
+    assert_equivalent(&capture(&eng, &t), &reference.artifacts(), "golden instance");
 }
 
 #[test]
@@ -188,7 +191,7 @@ fn failure_free_traffic_is_quiet() {
     // floods, no critical-failure floods, no failed-parent claims. Message
     // counts are therefore minimal: every node sends exactly 7 broadcasts
     // (the schedule above), except the root's 6… let's pin totals.
-    let eng = run_traced();
+    let (eng, _) = run_traced();
     let m = eng.metrics();
     for v in eng.graph().nodes() {
         let sends = m.sends_of(v);

@@ -12,6 +12,8 @@ use netsim::{
     topology, Engine, Event, FailureSchedule, Message, MonitorConfig, NodeId, NodeLogic, RoundCtx,
     TraceSink, ViolationKind, Watchdog,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 
 #[derive(Clone, Debug)]
 struct Blob;
@@ -64,14 +66,14 @@ fn over_budget_sender_trips_budget_violation_through_the_engine() {
     // 3-node path, everyone floods 32 bits per round for 6 rounds = 192
     // bits per node, against a 100-bit allowance.
     let mut eng = Engine::new(topology::path(3), FailureSchedule::none(), |_| Chatterbox);
-    eng.set_sink(Box::new(Watchdog::new(MonitorConfig::new(3).budget(
+    let dog = Rc::new(RefCell::new(Watchdog::new(MonitorConfig::new(3).budget(
         "tiny (mutation)",
         1..=6,
         100,
     ))));
+    eng.add_sink(Box::new(Rc::clone(&dog)));
     eng.run(6);
-    let mut sink = eng.take_sink().unwrap();
-    let report = sink.as_any_mut().downcast_mut::<Watchdog>().unwrap().finish();
+    let report = dog.borrow_mut().finish();
     assert!(!report.is_clean());
     assert!(kinds(&report).contains(&"budget"), "{}", report.render());
     // Flagged once per node per rule, not once per extra send.

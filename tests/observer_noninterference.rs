@@ -6,7 +6,8 @@
 //! [`PairReport`] outcomes, every [`Metrics`] counter) must be
 //! byte-identical across the three.
 
-use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use caaf::Sum;
@@ -15,10 +16,15 @@ use ftagg::{run_pair, run_pair_observed, Instance, Observe, PairReport};
 use netsim::{
     adversary::schedules, round_observer, topology, Engine, FailureSchedule, FlightRecorder, Graph,
     JsonlSink, Message, Metrics, NodeId, NodeLogic, PhaseStats, Received, Round, RoundCtx,
-    SamplingSink, SpanKind, TeeSink, TelemetryHub, Timeline, Trace, TraceSink,
+    SamplingSink, SpanKind, TelemetryHub, Timeline, Trace, TraceSink,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A sink the test keeps a handle to, so it can read it after the run.
+fn shared<S>(sink: S) -> Rc<RefCell<S>> {
+    Rc::new(RefCell::new(sink))
+}
 
 /// Everything a [`Metrics`] exposes, collected into one comparable value.
 #[derive(Debug, PartialEq, Eq)]
@@ -141,33 +147,30 @@ fn run_probes(
 fn engine_observers_do_not_perturb_deliveries_or_metrics() {
     for seed in 0..12u64 {
         let (quiet, _) = run_probes(seed, |_| {});
-        let (with_trace, mut eng_t) = run_probes(seed, |e| {
-            e.set_sink(Box::new(Trace::new()));
+        let trace = shared(Trace::new());
+        let (with_trace, _) = run_probes(seed, |e| {
+            e.add_sink(Box::new(Rc::clone(&trace)));
         });
-        let (with_jsonl, mut eng_j) = run_probes(seed, |e| {
-            e.set_sink(Box::new(JsonlSink::new(Vec::<u8>::new())));
+        let jsonl = shared(JsonlSink::new(Vec::<u8>::new()));
+        let (with_jsonl, _) = run_probes(seed, |e| {
+            e.add_sink(Box::new(Rc::clone(&jsonl)));
         });
         assert_eq!(with_trace, quiet, "in-memory Trace sink perturbed seed {seed}");
         assert_eq!(with_jsonl, quiet, "JsonlSink perturbed seed {seed}");
 
         // The two sinks also saw the *same* event stream: the JSONL file
         // parses back into exactly the in-memory trace.
-        let trace =
-            eng_t.take_sink().map(|s| *(s as Box<dyn Any>).downcast::<Trace>().unwrap()).unwrap();
-        let jsonl = eng_j
-            .take_sink()
-            .map(|s| *(s as Box<dyn Any>).downcast::<JsonlSink<Vec<u8>>>().unwrap())
-            .unwrap();
+        let jsonl = Rc::try_unwrap(jsonl).expect("the engine is gone").into_inner();
         let bytes = jsonl.finish().unwrap();
         let parsed = Trace::from_jsonl(&bytes[..]).unwrap();
-        assert_eq!(parsed.events(), trace.events(), "sinks diverged on seed {seed}");
+        assert_eq!(parsed.events(), trace.borrow().events(), "sinks diverged on seed {seed}");
     }
 }
 
 // ---------------------------------------------------------------------
 // Part 1b: the engine under the full observer stack — samplers, flight
-// recorders, tees, and the telemetry hub must all leave its execution
-// byte-identical too.
+// recorders, several sinks at once, and the telemetry hub must all leave
+// its execution byte-identical too.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -176,25 +179,25 @@ fn soa_engine_observer_stack_does_not_perturb() {
         let (quiet, quiet_eng) = run_probes(seed, |_| {});
 
         // Reference event stream: the plain in-memory trace.
-        let (with_trace, mut eng_t) = run_probes(seed, |e| {
-            e.set_sink(Box::new(Trace::new()));
+        let trace = shared(Trace::new());
+        let (with_trace, _) = run_probes(seed, |e| {
+            e.add_sink(Box::new(Rc::clone(&trace)));
         });
         assert_eq!(with_trace, quiet, "Trace sink perturbed the engine on seed {seed}");
-        let trace =
-            eng_t.take_sink().map(|s| *(s as Box<dyn Any>).downcast::<Trace>().unwrap()).unwrap();
+        let trace = trace.take();
 
         // A 1-in-1 sampler is a transparent pipe: unperturbed execution,
         // and its inner sink sees every event the plain trace saw.
-        let (with_sampler, mut eng_s) = run_probes(seed, |e| {
-            e.set_sink(Box::new(SamplingSink::new(Box::new(Trace::new()), 1, seed)));
+        let sampled = shared(Trace::new());
+        let (with_sampler, _) = run_probes(seed, |e| {
+            e.add_sink(Box::new(SamplingSink::new(Box::new(Rc::clone(&sampled)), 1, seed)));
         });
         assert_eq!(with_sampler, quiet, "SamplingSink perturbed the engine on seed {seed}");
-        let sampler = eng_s
-            .take_sink()
-            .map(|s| *(s as Box<dyn Any>).downcast::<SamplingSink>().unwrap())
-            .unwrap();
-        let sampled = *(sampler.into_inner() as Box<dyn Any>).downcast::<Trace>().unwrap();
-        assert_eq!(sampled.events(), trace.events(), "k=1 sampler dropped events on seed {seed}");
+        assert_eq!(
+            sampled.borrow().events(),
+            trace.events(),
+            "k=1 sampler dropped events on seed {seed}"
+        );
 
         // A flight recorder whose ring outlives the run is a faithful
         // ledger: unperturbed execution, and the delta-encoded ring
@@ -202,7 +205,7 @@ fn soa_engine_observer_stack_does_not_perturb() {
         let recorder = FlightRecorder::new(64);
         let flight = recorder.handle();
         let (with_rec, _eng_r) = run_probes(seed, move |e| {
-            e.set_sink(Box::new(recorder));
+            e.add_sink(Box::new(recorder));
         });
         assert_eq!(with_rec, quiet, "FlightRecorder perturbed the engine on seed {seed}");
         let ring = Trace::from_jsonl(flight.snapshot_jsonl().unwrap().as_bytes()).unwrap();
@@ -212,25 +215,23 @@ fn soa_engine_observer_stack_does_not_perturb() {
         // `wants_delivers`) takes the engine down its skip-deliveries
         // fast path — which must still deliver every message.
         let (with_deaf, _eng_d) = run_probes(seed, |e| {
-            e.set_sink(Box::new(FlightRecorder::new(64).without_delivers()));
+            e.add_sink(Box::new(FlightRecorder::new(64).without_delivers()));
         });
         assert_eq!(with_deaf, quiet, "deaf FlightRecorder perturbed the engine on seed {seed}");
 
-        // The whole stack at once: tee fanning out to a trace and a deaf
-        // recorder, plus a telemetry hub fed from the round stream. Still
-        // byte-identical, the teed trace still exact, and the hub's
-        // counters agree with the engine's own accounting.
+        // The whole stack at once: a trace and a deaf recorder side by
+        // side, plus a telemetry hub fed from the round stream. Still
+        // byte-identical, the trace beside the recorder still exact, and
+        // the hub's counters agree with the engine's own accounting.
         let hub = Arc::new(TelemetryHub::new());
         let obs = round_observer(&hub);
-        let (with_tee, mut eng_tee) = run_probes(seed, move |e| {
+        let stacked_trace = shared(Trace::new());
+        let (with_stack, _) = run_probes(seed, |e| {
             e.stream_rounds(obs);
-            e.set_sink(Box::new(
-                TeeSink::new()
-                    .with(Box::new(Trace::new()))
-                    .with(Box::new(FlightRecorder::new(64).without_delivers())),
-            ));
+            e.add_sink(Box::new(Rc::clone(&stacked_trace)));
+            e.add_sink(Box::new(FlightRecorder::new(64).without_delivers()));
         });
-        assert_eq!(with_tee, quiet, "tee + hub perturbed the engine on seed {seed}");
+        assert_eq!(with_stack, quiet, "two sinks + hub perturbed the engine on seed {seed}");
         assert_eq!(
             hub.counter("engine_bits_total").get(),
             quiet.1.total_bits,
@@ -241,12 +242,11 @@ fn soa_engine_observer_stack_does_not_perturb() {
             quiet_eng.telemetry().deliveries,
             "hub delivery counter disagrees with engine telemetry on seed {seed}"
         );
-        let tee = eng_tee
-            .take_sink()
-            .map(|s| *(s as Box<dyn Any>).downcast::<TeeSink>().unwrap())
-            .unwrap();
-        let teed_trace = *(tee.into_sinks().remove(0) as Box<dyn Any>).downcast::<Trace>().unwrap();
-        assert_eq!(teed_trace.events(), trace.events(), "teed trace diverged on seed {seed}");
+        assert_eq!(
+            stacked_trace.borrow().events(),
+            trace.events(),
+            "trace beside the recorder diverged on seed {seed}"
+        );
     }
 }
 
@@ -275,23 +275,21 @@ fn timeline_profiler_does_not_perturb_the_engine() {
         // Fine mode: timeline + trace sink flips the engine into per-node
         // stage attribution — still byte-identical, and the trace still
         // exact against a timeline-less reference.
-        let (reference, mut eng_ref) = run_probes(seed, |e| {
-            e.set_sink(Box::new(Trace::new()));
+        let ref_trace = shared(Trace::new());
+        let (reference, _) = run_probes(seed, |e| {
+            e.add_sink(Box::new(Rc::clone(&ref_trace)));
         });
-        let ref_trace =
-            eng_ref.take_sink().map(|s| *(s as Box<dyn Any>).downcast::<Trace>().unwrap()).unwrap();
         let tl = Timeline::new();
-        let (fine, mut eng_f) = run_probes(seed, |e| {
+        let fine_trace = shared(Trace::new());
+        let (fine, _) = run_probes(seed, |e| {
             e.set_timeline(&tl, 1);
-            e.set_sink(Box::new(Trace::new()));
+            e.add_sink(Box::new(Rc::clone(&fine_trace)));
         });
         assert_eq!(fine, reference, "fine-mode timeline perturbed the engine on seed {seed}");
         assert_eq!(fine, quiet, "sink + timeline perturbed the engine on seed {seed}");
-        let fine_trace =
-            eng_f.take_sink().map(|s| *(s as Box<dyn Any>).downcast::<Trace>().unwrap()).unwrap();
         assert_eq!(
-            fine_trace.events(),
-            ref_trace.events(),
+            fine_trace.borrow().events(),
+            ref_trace.borrow().events(),
             "timeline changed the event stream on seed {seed}"
         );
     }
@@ -341,12 +339,12 @@ fn pair_reports_and_metrics_are_identical_across_sinks() {
         let with_sink = |sink: Box<dyn TraceSink>| {
             let obs = Observe { sink: Some(sink), ..Observe::default() };
             let s = inst.schedule.clone();
-            let (report, seen, _) =
-                run_pair_observed(&Sum, &inst, s, c, t, true, 0, Tweaks::default(), obs);
-            (report, seen.sink.expect("the sink comes back"))
+            run_pair_observed(&Sum, &inst, s, c, t, true, 0, Tweaks::default(), obs).0
         };
-        let (traced, sink_t) = with_sink(Box::new(Trace::new()));
-        let (streamed, sink_j) = with_sink(Box::new(JsonlSink::new(Vec::<u8>::new())));
+        let trace = shared(Trace::new());
+        let jsonl = shared(JsonlSink::new(Vec::<u8>::new()));
+        let traced = with_sink(Box::new(Rc::clone(&trace)));
+        let streamed = with_sink(Box::new(Rc::clone(&jsonl)));
 
         assert_eq!(
             report_fingerprint(&traced),
@@ -370,8 +368,8 @@ fn pair_reports_and_metrics_are_identical_across_sinks() {
         );
 
         // And the two observers agree with each other event for event.
-        let trace = *(sink_t as Box<dyn Any>).downcast::<Trace>().unwrap();
-        let jsonl = *(sink_j as Box<dyn Any>).downcast::<JsonlSink<Vec<u8>>>().unwrap();
+        let trace = trace.take();
+        let jsonl = Rc::try_unwrap(jsonl).expect("the engine is gone").into_inner();
         let parsed = Trace::from_jsonl(&jsonl.finish().unwrap()[..]).unwrap();
         assert_eq!(parsed.events(), trace.events(), "pair sinks diverged on seed {seed}");
 

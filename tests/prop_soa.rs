@@ -4,21 +4,19 @@
 //!    an inbox are byte-identical to what the sender enqueued, on every
 //!    round of randomized chatter, while the whole run stays bit-identical
 //!    to the test reference ([`netsim::testkit::Reference`]);
-//! 2. the bit-packed flood lane ([`BitFlood`]) round-trips exactly against
-//!    the dense per-message representation: same deliveries, same bit
-//!    meters, same per-node seen sets, under clean and partial crashes;
-//! 3. delta-encoded traces ([`DeltaSink`]) decode to the v2 JSONL schema
+//! 2. delta-encoded traces ([`DeltaSink`]) decode to the v2 JSONL schema
 //!    byte for byte against [`JsonlSink`] on the same event stream.
 
 use netsim::testkit::{assert_equivalent, capture, Reference};
 use netsim::{
-    topology, BitFlood, DeltaSink, Engine, Event, FailureSchedule, FloodState, Graph, JsonlSink,
-    Message, NodeId, NodeLogic, Round, RoundCtx, Trace, TraceSink,
+    topology, DeltaSink, Engine, Event, FailureSchedule, Graph, JsonlSink, Message, NodeId,
+    NodeLogic, Round, RoundCtx, Trace, TraceSink,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------
 // Shared randomized environment
@@ -133,7 +131,8 @@ proptest! {
         let mut eng = Engine::new(g.clone(), s.clone(), |v| Chatter {
             me: v, seed, received: Vec::new(),
         });
-        eng.enable_trace();
+        let trace = Rc::new(RefCell::new(Trace::new()));
+        eng.add_sink(Box::new(Rc::clone(&trace)));
         eng.run(horizon);
 
         let mut reference = Reference::new(g.clone(), s, |v| Chatter {
@@ -141,7 +140,11 @@ proptest! {
         });
         reference.run(horizon);
 
-        assert_equivalent(&capture(&eng), &reference.artifacts(), &format!("chatter seed {seed}"));
+        assert_equivalent(
+            &capture(&eng, &trace.borrow()),
+            &reference.artifacts(),
+            &format!("chatter seed {seed}"),
+        );
         // The per-node delivery logs (order included) agree too — the
         // inbox visit order is part of the pinned semantics.
         for v in g.nodes() {
@@ -155,88 +158,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// 2. Bit-packed flood summaries vs the dense representation
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct Tok(NodeId);
-
-impl Message for Tok {
-    fn bit_len(&self) -> u64 {
-        48
-    }
-}
-
-/// The dense reference: per-message flooding with a [`FloodState`] set.
-struct DenseFlood {
-    me: NodeId,
-    origin: bool,
-    flood: FloodState<Tok>,
-    seen_list: Vec<NodeId>,
-}
-
-impl NodeLogic<Tok> for DenseFlood {
-    fn on_round(&mut self, ctx: &mut RoundCtx<'_, Tok>) {
-        if ctx.round() == 1 && self.origin {
-            let t = Tok(self.me);
-            self.flood.mark_seen(t.clone());
-            self.seen_list.push(self.me);
-            ctx.send(t);
-        }
-        let inbox: Vec<Tok> = ctx.inbox().iter().map(|m| (*m.msg).clone()).collect();
-        for t in inbox {
-            if self.flood.first_sighting(t.clone()) {
-                self.seen_list.push(t.0);
-                ctx.send(t);
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The bit-packed lane reports exactly the dense engine's counters:
-    /// deliveries, total/max bits, per-node bits, and per-node seen sets,
-    /// for random origin subsets under clean and partial crashes.
-    #[test]
-    fn bit_packed_summaries_round_trip_against_dense(
-        seed in 0u64..1_000_000,
-        n in 3usize..18,
-        crashes in 0usize..4,
-    ) {
-        let (g, s) = random_setup(seed.wrapping_add(7), n, crashes, 9);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let origins: Vec<NodeId> =
-            g.nodes().filter(|_| rng.gen_bool(0.5)).collect();
-        let horizon = 2 * Round::from(g.diameter()) + 2;
-
-        let og = origins.clone();
-        let mut eng = Engine::new(g.clone(), s.clone(), move |v| DenseFlood {
-            me: v,
-            origin: og.contains(&v),
-            flood: FloodState::new(),
-            seen_list: Vec::new(),
-        });
-        eng.run(horizon);
-
-        let mut lane = BitFlood::new(g.clone(), &s, &origins, 48);
-        let rep = lane.run(horizon);
-
-        prop_assert_eq!(rep.deliveries, eng.telemetry().deliveries, "deliveries");
-        prop_assert_eq!(rep.total_bits, eng.metrics().total_bits(), "total bits");
-        prop_assert_eq!(rep.max_bits, eng.metrics().max_bits(), "max bits (CC)");
-        for v in g.nodes() {
-            prop_assert_eq!(lane.bits_of(v), eng.metrics().bits_of(v), "bits of {}", v);
-            let mut dense_seen = eng.node(v).seen_list.clone();
-            dense_seen.sort_unstable();
-            prop_assert_eq!(lane.seen_tokens(v), dense_seen, "seen set of {}", v);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// 3. Delta-encoded traces decode to v2 JSONL byte for byte
+// 2. Delta-encoded traces decode to v2 JSONL byte for byte
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -255,7 +177,8 @@ proptest! {
         let horizon: Round = 10;
         let (g, s) = random_setup(seed.wrapping_add(13), n, crashes, horizon);
         let mut eng = Engine::new(g, s, |v| Chatter { me: v, seed, received: Vec::new() });
-        eng.set_sink(Box::new(Trace::new()));
+        let trace = Rc::new(RefCell::new(Trace::new()));
+        eng.add_sink(Box::new(Rc::clone(&trace)));
         eng.enter_phase("A");
         eng.run(horizon / 2);
         eng.exit_phase();
@@ -263,8 +186,7 @@ proptest! {
         eng.run(horizon);
         eng.exit_phase();
         eng.annotate(Event::Decide { round: horizon, node: NodeId(0), value: seed });
-        let sink = eng.take_sink().expect("trace sink installed");
-        let trace = (sink as Box<dyn Any>).downcast::<Trace>().expect("the Trace we installed");
+        let trace = trace.take();
 
         // Reference bytes: JsonlSink over the identical event stream.
         let mut jsonl = JsonlSink::new(Vec::<u8>::new());

@@ -6,11 +6,12 @@
 //! back byte-for-byte into the JSONL a [`JsonlSink`] wrote for the same
 //! run — evicting exactly the rounds older than its retention window.
 
-use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use netsim::{
     topology, Engine, Event, FailureSchedule, FlightRecorder, Graph, JsonlSink, Message, NodeId,
-    NodeLogic, Received, Round, RoundCtx, SamplingSink, TeeSink, Trace,
+    NodeLogic, Received, Round, RoundCtx, SamplingSink, Trace, TraceSink,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -75,26 +76,39 @@ fn random_setup(seed: u64, n: usize, crashes: usize, horizon: Round) -> (Graph, 
     (g, s)
 }
 
-/// Runs the chatter network to `horizon` with `sink` installed and hands
-/// the sink back.
-fn run_with_sink(
+/// Runs the chatter network to `horizon` with `sinks` installed, in order.
+fn run_with_sinks(
     seed: u64,
     n: usize,
     crashes: usize,
     horizon: Round,
-    sink: Box<dyn netsim::TraceSink>,
-) -> Box<dyn netsim::TraceSink> {
+    sinks: Vec<Box<dyn TraceSink>>,
+) {
     let (g, s) = random_setup(seed, n, crashes, horizon);
     let mut eng = Engine::new(g, s, |v| Chatter { me: v, seed });
-    eng.set_sink(sink);
+    for sink in sinks {
+        eng.add_sink(sink);
+    }
     eng.run(horizon);
-    eng.take_sink().expect("sink was installed")
 }
 
 /// The reference event stream of a scenario: a plain full-fidelity trace.
 fn reference_trace(seed: u64, n: usize, crashes: usize, horizon: Round) -> Trace {
-    let sink = run_with_sink(seed, n, crashes, horizon, Box::new(Trace::new()));
-    *(sink as Box<dyn Any>).downcast::<Trace>().unwrap()
+    let trace = Rc::new(RefCell::new(Trace::new()));
+    run_with_sinks(seed, n, crashes, horizon, vec![Box::new(Rc::clone(&trace))]);
+    trace.take()
+}
+
+/// Discards every event and wants no deliveries: a sampler over it only
+/// meters, and the engine builds no delivery events for it.
+struct Discard;
+
+impl TraceSink for Discard {
+    fn record(&mut self, _: &Event) {}
+
+    fn wants_delivers(&self) -> bool {
+        false
+    }
 }
 
 /// The admission decision the sampler documents for `e` (structural
@@ -130,13 +144,12 @@ proptest! {
         let horizon: Round = 14;
         let reference = reference_trace(seed, n, crashes, horizon);
 
-        let sink = run_with_sink(
-            seed, n, crashes, horizon,
-            Box::new(SamplingSink::new(Box::new(Trace::new()), k, seed)),
-        );
-        let sampler = *(sink as Box<dyn Any>).downcast::<SamplingSink>().unwrap();
-        let factors = sampler.factors();
-        let inner = *(sampler.into_inner() as Box<dyn Any>).downcast::<Trace>().unwrap();
+        let inner = Rc::new(RefCell::new(Trace::new()));
+        let sampler =
+            Rc::new(RefCell::new(SamplingSink::new(Box::new(Rc::clone(&inner)), k, seed)));
+        run_with_sinks(seed, n, crashes, horizon, vec![Box::new(Rc::clone(&sampler))]);
+        let factors = sampler.borrow().factors();
+        let inner = inner.take();
 
         let expected: Vec<&Event> =
             reference.events().iter().filter(|e| admitted(e, seed, k)).collect();
@@ -191,15 +204,13 @@ proptest! {
         let horizon: Round = 14;
         let recorder = FlightRecorder::new(horizon as usize + 8);
         let flight = recorder.handle();
-        let tee = TeeSink::new()
-            .with(Box::new(JsonlSink::new(Vec::<u8>::new())))
-            .with(Box::new(recorder));
-        let sink = run_with_sink(seed, n, crashes, horizon, Box::new(tee));
+        let jsonl = Rc::new(RefCell::new(JsonlSink::new(Vec::<u8>::new())));
+        run_with_sinks(
+            seed, n, crashes, horizon,
+            vec![Box::new(Rc::clone(&jsonl)), Box::new(recorder)],
+        );
 
-        let tee = *(sink as Box<dyn Any>).downcast::<TeeSink>().unwrap();
-        let jsonl = *(tee.into_sinks().remove(0) as Box<dyn Any>)
-            .downcast::<JsonlSink<Vec<u8>>>()
-            .unwrap();
+        let jsonl = Rc::try_unwrap(jsonl).expect("the engine is gone").into_inner();
         let written = String::from_utf8(jsonl.finish().unwrap()).unwrap();
         prop_assert_eq!(flight.snapshot_jsonl().unwrap(), written, "ring decode diverged");
     }
@@ -223,7 +234,7 @@ proptest! {
 
         let recorder = FlightRecorder::new(r);
         let flight = recorder.handle();
-        let _ = run_with_sink(seed, n, crashes, horizon, Box::new(recorder));
+        run_with_sinks(seed, n, crashes, horizon, vec![Box::new(recorder)]);
 
         let dumped = Trace::from_jsonl(flight.snapshot_jsonl().unwrap().as_bytes()).unwrap();
         let expected: Vec<&Event> = reference
@@ -257,15 +268,15 @@ fn scaled_estimates_converge_at_all_rates() {
         let horizon: Round = 16;
         let n = 48 + (seed % 16) as usize;
         for k in [1u64, 4, 16] {
-            let sink = run_with_sink(
+            let sampler = Rc::new(RefCell::new(SamplingSink::new(Box::new(Discard), k, seed)));
+            run_with_sinks(
                 seed,
                 n,
                 (seed % 3) as usize,
                 horizon,
-                Box::new(SamplingSink::new(Box::new(TeeSink::new()), k, seed)),
+                vec![Box::new(Rc::clone(&sampler))],
             );
-            let sampler = *(sink as Box<dyn Any>).downcast::<SamplingSink>().unwrap();
-            for f in sampler.factors() {
+            for f in sampler.borrow().factors() {
                 let est = f.sampled_bits as f64 * f.scale();
                 let exact = f.total_bits as f64;
                 let band = 3.0 * f.rel_error() * exact + 1.0;

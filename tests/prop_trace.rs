@@ -5,7 +5,8 @@
 //! markers are well-nested spans whose attributed bits partition the
 //! run's total.
 
-use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use netsim::{
     topology, Engine, Event, FailureSchedule, Graph, Message, NodeId, NodeLogic, Received, Round,
@@ -85,7 +86,8 @@ fn traced_run(
 ) -> (Engine<Ping, Chatter>, Trace) {
     let (g, s) = random_setup(seed, n, crashes, horizon);
     let mut eng = Engine::new(g, s, |v| Chatter { me: v, seed });
-    eng.set_sink(Box::new(Trace::new()));
+    let trace = Rc::new(RefCell::new(Trace::new()));
+    eng.add_sink(Box::new(Rc::clone(&trace)));
     if segments <= 1 {
         eng.run(horizon);
     } else {
@@ -106,8 +108,7 @@ fn traced_run(
             upto = cut;
         }
     }
-    let trace =
-        eng.take_sink().map(|sk| *(sk as Box<dyn Any>).downcast::<Trace>().unwrap()).unwrap();
+    let trace = trace.take();
     (eng, trace)
 }
 

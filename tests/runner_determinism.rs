@@ -11,11 +11,13 @@ use ftagg::pair::{PairNode, PairParams, Tweaks};
 use ftagg::tradeoff::{run_tradeoff, TradeoffConfig};
 use ftagg::{Instance, Model};
 use netsim::{
-    adversary::schedules, topology, Engine, FailureSchedule, NodeId, Round, Runner, TrialStats,
-    TrialSummary,
+    adversary::schedules, topology, Engine, FailureSchedule, NodeId, Round, Runner, Trace,
+    TrialStats, TrialSummary,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const C: u32 = 2;
 
@@ -109,7 +111,7 @@ fn trial_summaries_are_identical_across_thread_counts() {
 
 /// The golden-trace instance of `golden_trace.rs`: failure-free path
 /// `0-1-2-3`, c = 1, t = 1.
-fn golden_engine() -> Engine<Envelope, PairNode<Sum>> {
+fn golden_engine() -> (Engine<Envelope, PairNode<Sum>>, Rc<RefCell<Trace>>) {
     let g = topology::path(4);
     let inst = Instance::new(g, NodeId(0), vec![1, 2, 3, 4], FailureSchedule::none(), 4).unwrap();
     let params = PairParams {
@@ -122,9 +124,10 @@ fn golden_engine() -> Engine<Envelope, PairNode<Sum>> {
     let mut eng = Engine::new(inst.graph.clone(), FailureSchedule::none(), |v| {
         PairNode::new(params, Sum, v, inputs[v.index()])
     });
-    eng.enable_trace();
+    let trace = Rc::new(RefCell::new(Trace::new()));
+    eng.add_sink(Box::new(Rc::clone(&trace)));
     eng.run(params.total_rounds());
-    eng
+    (eng, trace)
 }
 
 /// The refactored engine reproduces the reference execution exactly: the
@@ -134,8 +137,8 @@ fn golden_engine() -> Engine<Envelope, PairNode<Sum>> {
 #[test]
 fn engine_reproduces_golden_trace_schedule_and_bit_counts() {
     let reference = {
-        let eng = golden_engine();
-        let t = eng.trace().expect("tracing enabled");
+        let (eng, trace) = golden_engine();
+        let t = trace.borrow();
         let sends: Vec<Vec<Round>> = eng.graph().nodes().map(|v| t.send_rounds(v)).collect();
         let m = eng.metrics();
         (sends, m.bits_per_node().to_vec(), m.per_round_bits().collect::<Vec<_>>())
@@ -154,8 +157,8 @@ fn engine_reproduces_golden_trace_schedule_and_bit_counts() {
     // Eight concurrent replicas, all byte-identical to the reference.
     let seeds: Vec<u64> = (0..8).collect();
     let replicas = Runner::exact(8).run(&seeds, |_| {
-        let eng = golden_engine();
-        let t = eng.trace().expect("tracing enabled");
+        let (eng, trace) = golden_engine();
+        let t = trace.borrow();
         let sends: Vec<Vec<Round>> = eng.graph().nodes().map(|v| t.send_rounds(v)).collect();
         let m = eng.metrics();
         (sends, m.bits_per_node().to_vec(), m.per_round_bits().collect::<Vec<_>>())
