@@ -32,7 +32,7 @@
 //! run completes at N = 1,048,576 on one box.
 
 use ftagg::bounds;
-use ftagg_bench::{f, Table};
+use ftagg_bench::{f, rss_mb, Table};
 use netsim::{
     round_observer, topology, Engine, FailureSchedule, FlightRecorder, Graph, Message,
     MonitorConfig, NodeId, NodeLogic, Round, RoundCtx, SamplingSink, TelemetryHub, Watchdog,
@@ -91,25 +91,11 @@ impl NodeLogic<Tok> for GroupFlood {
     }
 }
 
-/// Resident set size in MB from `/proc/self/status` (0 when unavailable).
-fn rss_mb() -> f64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0.0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            let kb: f64 = rest.trim().trim_end_matches(" kB").trim().parse().unwrap_or(0.0);
-            return kb / 1024.0;
-        }
-    }
-    0.0
-}
-
 /// One single-origin flood on `graph` (known diameter `d`) with lean
 /// metrics; returns (wall seconds, deliveries, RSS-MB growth while the
 /// engine was alive).
 fn flood_once(graph: Graph, d: u32) -> (f64, u64, f64) {
-    let before = rss_mb();
+    let before = rss_mb().unwrap_or(0.0);
     let t0 = Instant::now();
     let mut eng = Engine::new(graph, FailureSchedule::none(), |v| GroupFlood {
         token: (v == NodeId(0)).then_some(0),
@@ -120,7 +106,7 @@ fn flood_once(graph: Graph, d: u32) -> (f64, u64, f64) {
     eng.run(Round::from(d) + 2);
     let wall = t0.elapsed().as_secs_f64();
     let deliveries = eng.telemetry().deliveries;
-    let grew = (rss_mb() - before).max(0.0);
+    let grew = (rss_mb().unwrap_or(0.0) - before).max(0.0);
     (wall, deliveries, grew)
 }
 

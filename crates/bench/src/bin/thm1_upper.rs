@@ -9,12 +9,14 @@
 use caaf::Sum;
 use ftagg::bounds;
 use ftagg::tradeoff::{run_tradeoff, TradeoffConfig};
-use ftagg_bench::{f, geomean, progress_from_args, threads_from_args, Env, Table};
+use ftagg_bench::radar::{Grid, GRID_C};
+use ftagg_bench::{f, geomean, progress_from_args, threads_from_args, Table};
 use netsim::{ProgressSink, Runner};
 
 fn main() {
-    let c = 2u32;
-    let trials = 4u64;
+    let c = GRID_C;
+    let grid = Grid::new(false);
+    let trials = grid.trials;
     let runner = Runner::new(threads_from_args());
     let progress = progress_from_args();
     println!(
@@ -24,27 +26,9 @@ fn main() {
     );
     // One flat (cell, trial) work list: a single progress stream over the
     // whole grid, and workers stay busy across cell boundaries.
-    let mut cells = Vec::new();
-    for &n_spine in &[30usize, 60] {
-        for &ff in &[8usize, 24, 48] {
-            for &b in &[42u64, 126, 378] {
-                cells.push((n_spine, ff, b));
-            }
-        }
-    }
-    let work: Vec<u64> = (0..cells.len() as u64 * trials).collect();
-    let cells_ref = &cells;
     let trial_fn = |i: u64| {
-        let (n_spine, ff, b) = cells_ref[(i / trials) as usize];
-        let trial = i % trials;
+        let ((n_spine, ff, b), trial, env) = grid.trial(i);
         let n = 2 * n_spine;
-        let env = Env::caterpillar(
-            9_000_000 + 31 * (n as u64) + 7 * (ff as u64) + b + trial,
-            n_spine,
-            ff,
-            b,
-            c,
-        );
         let inst = env.instance();
         let cfg = TradeoffConfig { b, c, f: ff, seed: trial };
         let r = run_tradeoff(&Sum, &inst, &cfg);
@@ -58,7 +42,7 @@ fn main() {
         (r.metrics.max_bits() as f64, r.pairs_run, r.flooding_rounds, r.correct, pair_cap)
     };
     let progress = progress.as_ref().map(|p| p as &dyn ProgressSink);
-    let (results, _) = runner.run_observed(&work, |s, _| trial_fn(s), progress, None);
+    let (results, _) = runner.run_observed(&grid.work(), |i, _| trial_fn(i), progress, None);
     let mut t = Table::new(vec![
         "N",
         "f",
@@ -71,7 +55,7 @@ fn main() {
         "TC used",
         "correct",
     ]);
-    for (cell, chunk) in cells.iter().zip(results.chunks(trials as usize)) {
+    for (cell, chunk) in grid.cells.iter().zip(results.chunks(trials as usize)) {
         let &(n_spine, ff, b) = cell;
         let n = 2 * n_spine;
         let mut ccs = Vec::new();

@@ -8,8 +8,7 @@
 
 use caaf::Sum;
 use ftagg::bounds;
-use ftagg::tradeoff::TradeoffConfig;
-use ftagg_bench::search::{worst_case_search, SearchConfig};
+use ftagg_bench::search::{mine, Acceptance, MineConfig, MineProtocol, Objective};
 use ftagg_bench::{f, threads_from_args, Table};
 use netsim::{topology, Runner};
 use rand::rngs::StdRng;
@@ -31,16 +30,24 @@ fn main() {
     // independent trials the runner can fan out; rows come back in b order.
     let budgets = [42u64, 126, 378];
     let rows = Runner::new(threads_from_args()).run(&budgets, |b| {
-        let cfg = SearchConfig {
+        // A schedules-only bottleneck-CC hill-climb over Algorithm 1.
+        let cfg = MineConfig {
             iterations: 40,
             coin_seeds: 2,
             seed: b,
-            tradeoff: TradeoffConfig { b, c, f: f_budget, seed: 0 },
+            threads: 1,
+            b,
+            c,
+            f_budget,
+            objective: Objective::BottleneckCc,
+            protocol: MineProtocol::Tradeoff { f: f_budget },
+            acceptance: Acceptance::HillClimb,
+            mutate_topology: false,
         };
-        let r = worst_case_search(&Sum, &g, &inputs, 31, f_budget, &cfg);
+        let r = mine(&Sum, &g, &inputs, 31, &cfg, None, None);
         vec![
             b.to_string(),
-            f(r.cc, 0),
+            f(r.mean(), 0),
             (r.history.len() - 1).to_string(),
             f(bounds::upper_bound_simple(n, f_budget, b), 0),
             r.schedule.crash_count().to_string(),

@@ -111,11 +111,20 @@ pub fn threads_from_args() -> usize {
 
 /// Live progress sink for the experiment binaries: `--progress` on the
 /// command line turns on a throttled stderr line (trials done, throughput,
-/// ETA, watchdog violations); absent, the runner takes the zero-overhead
-/// `None` path. Progress goes to stderr, so piped stdout is unchanged
-/// either way.
+/// ETA, trial latency quantiles, a straggler worker); absent, the runner
+/// takes the zero-overhead `None` path. Progress goes to stderr, so piped
+/// stdout is unchanged either way.
 pub fn progress_from_args() -> Option<netsim::ConsoleProgress> {
     std::env::args().skip(1).any(|a| a == "--progress").then(netsim::ConsoleProgress::new)
+}
+
+/// Resident set size of this process in MB (`VmRSS` in
+/// `/proc/self/status`), or `None` where that file is unavailable.
+pub fn rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 /// Draws random failure schedules until one respects the `c·d` stretch
@@ -234,6 +243,13 @@ mod tests {
     fn geomean_basics() {
         assert!((geomean(&[4.0, 16.0]) - 8.0).abs() < 1e-9);
         assert_eq!(geomean(&[]), 0.0);
+    }
+
+    #[test]
+    fn rss_probe_reads_the_resident_set_on_linux() {
+        if cfg!(target_os = "linux") {
+            assert!(rss_mb().is_some_and(|mb| mb > 0.0));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! layer; the paper's *claims*, though, quantify over a family of runs —
 //! Theorem 1 promises `CC = O(f/b·log²N + log²N)` across the whole
 //! (N, f, b) grid. This module re-measures the E6 `thm1_upper` grid
-//! ([`measure_grid`], bit-identical seeds to the bin), least-squares fits
+//! ([`measure_grid`] over the one [`Grid`] both use), least-squares fits
 //! the two-parameter envelope `α·(f/b)·log²N + β·log²N`
 //! ([`fit_envelope`]), and flags cells whose relative residual exceeds a
 //! tolerance — a sweep-level regression detector surfaced as
@@ -164,35 +164,56 @@ impl EnvelopeFit {
     }
 }
 
-/// The (spine, f, b) points of the measured grid. `quick` shrinks it for
-/// CI; the full grid is exactly E6's (`thm1_upper`).
-fn grid_points(quick: bool) -> Vec<(usize, usize, u64)> {
-    let spines: &[usize] = if quick { &[30] } else { &[30, 60] };
-    let fs: &[usize] = if quick { &[8, 24] } else { &[8, 24, 48] };
-    let bs: &[u64] = if quick { &[42, 126] } else { &[42, 126, 378] };
-    let mut pts = Vec::new();
-    for &s in spines {
-        for &f in fs {
-            for &b in bs {
-                pts.push((s, f, b));
+/// The stretch constant every E6 grid run uses.
+pub const GRID_C: u32 = 2;
+
+/// The E6 (N, f, b) grid: `thm1_upper` prints it and [`measure_grid`]
+/// fits it, so both run the same cells, trials and seeds.
+#[derive(Clone, Debug)]
+pub struct Grid {
+    /// (spine, f, b) per cell, spine-major; the caterpillar has
+    /// N = 2·spine nodes.
+    pub cells: Vec<(usize, usize, u64)>,
+    /// Trials per cell.
+    pub trials: u64,
+}
+
+impl Grid {
+    /// The full grid (18 cells × 4 trials) or, `quick`, the CI grid
+    /// (4 cells × 2 trials).
+    pub fn new(quick: bool) -> Grid {
+        let spines: &[usize] = if quick { &[30] } else { &[30, 60] };
+        let fs: &[usize] = if quick { &[8, 24] } else { &[8, 24, 48] };
+        let bs: &[u64] = if quick { &[42, 126] } else { &[42, 126, 378] };
+        let mut cells = Vec::new();
+        for &s in spines {
+            for &f in fs {
+                for &b in bs {
+                    cells.push((s, f, b));
+                }
             }
         }
+        Grid { cells, trials: if quick { 2 } else { 4 } }
     }
-    pts
+
+    /// The flat work list `0..cells·trials`, cell-major, so a runner sees
+    /// one stream and its workers stay busy across cell boundaries.
+    pub fn work(&self) -> Vec<u64> {
+        (0..self.cells.len() as u64 * self.trials).collect()
+    }
+
+    /// Work item `i`: its cell, its trial, and its environment, seeded
+    /// `9_000_000 + 31N + 7f + b + trial`.
+    pub fn trial(&self, i: u64) -> ((usize, usize, u64), u64, Env) {
+        let cell @ (spine, f, b) = self.cells[(i / self.trials) as usize];
+        let trial = i % self.trials;
+        let n = 2 * spine as u64;
+        let seed = 9_000_000 + 31 * n + 7 * (f as u64) + b + trial;
+        (cell, trial, Env::caterpillar(seed, spine, f, b, GRID_C))
+    }
 }
 
-/// Trials per grid point (geomean-aggregated), matching E6 on the full
-/// grid.
-fn grid_trials(quick: bool) -> usize {
-    if quick {
-        2
-    } else {
-        4
-    }
-}
-
-/// Measures CC across the (N, f, b) grid with Algorithm 1, using the
-/// exact environment seeds of the E6 `thm1_upper` bin (full grid: 18
+/// Measures CC across the E6 [`Grid`] with Algorithm 1 (full grid: 18
 /// cells × 4 trials; `quick`: 4 cells × 2 trials). The whole grid is one
 /// flat work list, so a [`ProgressSink`] sees a single `completed/total`
 /// stream and every thread stays busy across cell boundaries. Results are
@@ -201,34 +222,22 @@ fn grid_trials(quick: bool) -> usize {
 /// # Panics
 ///
 /// Panics if any trial produces an incorrect aggregate — the grid doubles
-/// as a correctness sweep, like the bin it mirrors.
+/// as a correctness sweep, like the `thm1_upper` bin.
 pub fn measure_grid(quick: bool, threads: usize, progress: Option<&dyn ProgressSink>) -> Vec<Cell> {
-    let c = 2u32;
-    let trials = grid_trials(quick);
-    let pts = grid_points(quick);
-    let work: Vec<(usize, u64)> =
-        (0..pts.len()).flat_map(|pi| (0..trials as u64).map(move |t| (pi, t))).collect();
-    let seeds: Vec<u64> = (0..work.len() as u64).collect();
-    let trial_fn = |s: u64| -> f64 {
-        let (pi, trial) = work[s as usize];
-        let (spine, f, b) = pts[pi];
+    let grid = Grid::new(quick);
+    let trial_fn = |i: u64| -> f64 {
+        let ((spine, f, b), trial, env) = grid.trial(i);
         let n = 2 * spine;
-        let env = Env::caterpillar(
-            9_000_000 + 31 * (n as u64) + 7 * (f as u64) + b + trial,
-            spine,
-            f,
-            b,
-            c,
-        );
         let inst = env.instance();
-        let r = run_tradeoff(&Sum, &inst, &TradeoffConfig { b, c, f, seed: trial });
+        let r = run_tradeoff(&Sum, &inst, &TradeoffConfig { b, c: GRID_C, f, seed: trial });
         assert!(r.correct, "radar grid trial must be correct (N={n} f={f} b={b} trial={trial})");
         r.metrics.max_bits() as f64
     };
     let runner = Runner::new(threads);
-    let (ccs, _) = runner.run_observed(&seeds, |s, _| trial_fn(s), progress, None);
-    pts.iter()
-        .zip(ccs.chunks(trials))
+    let (ccs, _) = runner.run_observed(&grid.work(), |i, _| trial_fn(i), progress, None);
+    grid.cells
+        .iter()
+        .zip(ccs.chunks(grid.trials as usize))
         .map(|(&(spine, f, b), chunk)| Cell { n: 2 * spine, f, b, cc: geomean(chunk) })
         .collect()
 }
@@ -305,19 +314,13 @@ mod tests {
 
     #[test]
     fn grid_progress_reports_every_trial() {
-        use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+        use std::sync::atomic::{AtomicUsize, Ordering};
         #[derive(Default)]
-        struct Count(AtomicUsize, AtomicU64);
+        struct Count(AtomicUsize);
         impl ProgressSink for Count {
             fn trial_done(&self, p: &netsim::Progress) {
                 self.0.fetch_add(1, Ordering::Relaxed);
                 assert_eq!(p.total, 8);
-            }
-            fn add_violations(&self, n: u64) {
-                self.1.fetch_add(n, Ordering::Relaxed);
-            }
-            fn violations(&self) -> u64 {
-                self.1.load(Ordering::Relaxed)
             }
         }
         let sink = Count::default();

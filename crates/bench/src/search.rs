@@ -653,86 +653,27 @@ fn replay_with<C: Caaf + Sync + 'static>(
     Ok(Replay { value, monitor, counterexamples: cexs.len() })
 }
 
-// ---------------------------------------------------------------------
-// Back-compat single-protocol hill-climb API (used by worstcase_search).
-// ---------------------------------------------------------------------
-
-/// Legacy hill-climb configuration over Algorithm 1.
-#[derive(Clone, Copy, Debug)]
-pub struct SearchConfig {
-    /// Hill-climbing iterations.
-    pub iterations: usize,
-    /// Protocol coin seeds averaged per evaluation.
-    pub coin_seeds: u64,
-    /// RNG seed for the search itself.
-    pub seed: u64,
-    /// Algorithm 1 parameters the objective runs with.
-    pub tradeoff: TradeoffConfig,
-}
-
-impl SearchConfig {
-    /// The equivalent [`MineConfig`] (bottleneck-CC hill-climb over
-    /// Algorithm 1, single-threaded, schedules only).
-    pub fn to_mine(&self, f_budget: usize) -> MineConfig {
-        MineConfig {
-            iterations: self.iterations,
-            coin_seeds: self.coin_seeds,
-            seed: self.seed,
-            threads: 1,
-            b: self.tradeoff.b,
-            c: self.tradeoff.c,
-            f_budget,
-            objective: Objective::BottleneckCc,
-            protocol: MineProtocol::Tradeoff { f: self.tradeoff.f },
-            acceptance: Acceptance::HillClimb,
-            mutate_topology: false,
-        }
-    }
-}
-
-/// Legacy search outcome.
-#[derive(Clone, Debug)]
-pub struct SearchResult {
-    /// The worst schedule found.
-    pub schedule: FailureSchedule,
-    /// Its objective value (mean bottleneck CC over coin seeds).
-    pub cc: f64,
-    /// Objective after each accepted improvement (for convergence plots).
-    pub history: Vec<f64>,
-}
-
-/// Hill-climbs to a locally-worst oblivious schedule for Algorithm 1 on
-/// the given instance data. Thin wrapper over [`mine`].
-pub fn worst_case_search<C: Caaf + Sync + 'static>(
-    op: &C,
-    graph: &Graph,
-    inputs: &[u64],
-    max_input: u64,
-    f_budget: usize,
-    cfg: &SearchConfig,
-) -> SearchResult {
-    let mc = cfg.to_mine(f_budget);
-    let r = mine(op, graph, inputs, max_input, &mc, None, None);
-    let per = r.runs_per_eval.max(1) as f64;
-    SearchResult {
-        schedule: r.schedule,
-        cc: r.value as f64 / per,
-        history: r.history.iter().map(|h| h.value as f64 / per).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use caaf::Sum;
     use netsim::topology;
 
-    fn cfg(iters: usize) -> SearchConfig {
-        SearchConfig {
+    /// A bottleneck-CC hill-climb over Algorithm 1 (b = 42, c = 2, f = 6),
+    /// averaging two coin seeds per evaluation.
+    fn cfg(iters: usize, f_budget: usize) -> MineConfig {
+        MineConfig {
             iterations: iters,
             coin_seeds: 2,
             seed: 5,
-            tradeoff: TradeoffConfig { b: 42, c: 2, f: 6, seed: 0 },
+            threads: 1,
+            b: 42,
+            c: 2,
+            f_budget,
+            objective: Objective::BottleneckCc,
+            protocol: MineProtocol::Tradeoff { f: 6 },
+            acceptance: Acceptance::HillClimb,
+            mutate_topology: false,
         }
     }
 
@@ -741,9 +682,9 @@ mod tests {
         let g = topology::caterpillar(8, 1);
         let n = g.len();
         let inputs = vec![3u64; n];
-        let r = worst_case_search(&Sum, &g, &inputs, 3, 6, &cfg(10));
-        assert!(r.history.windows(2).all(|w| w[1] >= w[0]));
-        assert!(r.cc >= *r.history.first().unwrap());
+        let r = mine(&Sum, &g, &inputs, 3, &cfg(10, 6), None, None);
+        assert!(r.history.windows(2).all(|w| w[1].value >= w[0].value));
+        assert!(r.value >= r.history[0].value);
         assert!(r.schedule.edge_failures(&g) <= 6);
         assert!(r.schedule.stretch_factor(&g, NodeId(0)) <= 2.0);
     }
@@ -755,14 +696,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let horizon = 42 * u64::from(g.diameter());
         let random = random_schedule(&g, 4, horizon, 2, &mut rng);
-        let c = cfg(15);
-        let (random_total, _) = evaluate(&Sum, &g, &inputs, 1, &random, &c.to_mine(4));
-        let searched = worst_case_search(&Sum, &g, &inputs, 1, 4, &c);
+        let c = cfg(15, 4);
+        let (random_total, _) = evaluate(&Sum, &g, &inputs, 1, &random, &c);
+        let searched = mine(&Sum, &g, &inputs, 1, &c, None, None);
         let random_cc = random_total as f64 / 2.0;
         assert!(
-            searched.cc >= random_cc,
+            searched.mean() >= random_cc,
             "search {} should not lose to its own starting class {random_cc}",
-            searched.cc
+            searched.mean()
         );
     }
 

@@ -43,6 +43,20 @@ pub enum OpSpec {
 }
 
 impl OpSpec {
+    /// Clamps generated inputs (at most `gen_max`) into the operator's
+    /// domain and returns them with the input ceiling: 1 for COUNT, OR
+    /// and AND, the domain top for MIN, `M - 1` for `modsum:M`, and
+    /// `gen_max` otherwise.
+    pub fn clamp(&self, inputs: Vec<u64>, gen_max: u64) -> (Vec<u64>, u64) {
+        let ceiling = match self {
+            OpSpec::Count(_) | OpSpec::Or(_) | OpSpec::And(_) => 1,
+            OpSpec::Min(m) => gen_max.min(m.top()),
+            OpSpec::ModSum(m) => gen_max.min(m.modulus() - 1),
+            _ => gen_max,
+        };
+        (inputs.into_iter().map(|v| v.min(ceiling)).collect(), ceiling)
+    }
+
     /// Operator name for display.
     pub fn name(&self) -> &'static str {
         match self {
@@ -57,6 +71,25 @@ impl OpSpec {
         }
     }
 }
+
+/// `with_op!(spec, op => body)` evaluates `body` with `op` bound to the
+/// concrete operator inside the [`OpSpec`] `spec`, so the drivers `run`
+/// and `mine` call stay monomorphic.
+macro_rules! with_op {
+    ($spec:expr, $op:ident => $body:expr) => {
+        match $spec {
+            $crate::spec::OpSpec::Sum($op) => $body,
+            $crate::spec::OpSpec::Count($op) => $body,
+            $crate::spec::OpSpec::Max($op) => $body,
+            $crate::spec::OpSpec::Min($op) => $body,
+            $crate::spec::OpSpec::Or($op) => $body,
+            $crate::spec::OpSpec::And($op) => $body,
+            $crate::spec::OpSpec::Gcd($op) => $body,
+            $crate::spec::OpSpec::ModSum($op) => $body,
+        }
+    };
+}
+pub(crate) use with_op;
 
 fn parse_pair(s: &str, sep: char) -> Result<(usize, usize), String> {
     let (a, b) = s

@@ -5,7 +5,9 @@
 //! and `netsim::topology` and exit 101. `--c 0` is refused by every
 //! command that reads it: the other protocols used to run with
 //! zero-length flooding rounds and print wrong answers. An option the
-//! subcommand does not read is refused by name instead of ignored.
+//! subcommand does not read is refused by name instead of ignored, and so
+//! is an option only another mode of the subcommand reads (`top --trials`
+//! with `--ring`, `report --input` with `--b`).
 //! Hostile input files end in one line of output too: a trace naming an
 //! absurd node id or going back in rounds, and a Chrome trace nested
 //! 300,000 levels deep. A reader that closes stdout early is not a panic.
@@ -212,6 +214,50 @@ fn unknown_options_are_refused_by_name() {
     assert_usage_error(&["trace", "--topology", "path:4", "--d", "3"], "unknown option --d");
     assert_usage_error(&["timeline", "--topology", "grid:8x8", "--b", "63"], "unknown option --b");
     assert_usage_error(&["diff", "a.jsonl", "b.jsonl", "--top", "3"], "unknown option --top");
+}
+
+/// A real trace of a small pair run, written by `ftagg-cli trace`.
+fn saved_trace(name: &str) -> String {
+    let path = hostile_file(name, "");
+    let out = ftagg_cli(&["trace", "--topology", "path:4", "--t", "1", "--jsonl", &path]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    path
+}
+
+#[test]
+fn top_fleet_mode_refuses_single_run_options() {
+    let flight = hostile_file("fleet_flight.jsonl", "");
+    std::fs::remove_file(&flight).expect("start without a dump");
+    assert_usage_error(
+        &["top", "--topology", "grid:4x4", "--trials", "2", "--flight-out", &flight, "--ring", "4"],
+        "option --flight-out is not read by top --trials",
+    );
+    assert!(!std::path::Path::new(&flight).exists(), "the refused run wrote a flight dump");
+}
+
+#[test]
+fn explain_from_a_file_refuses_live_options() {
+    let trace = saved_trace("explain_mode.jsonl");
+    assert_usage_error(
+        &["explain", "--input", &trace, "--ring", "2"],
+        "option --ring is not read by explain --input",
+    );
+}
+
+#[test]
+fn report_and_timeline_from_files_refuse_live_options() {
+    let trace = saved_trace("report_mode.jsonl");
+    assert_usage_error(
+        &["report", "--input", &trace, "--trials", "4", "--b", "99", "--workers", "yes"],
+        "option --b is not read by report --input",
+    );
+    let chrome = hostile_file("validate_mode.trace.json", "");
+    let out = ftagg_cli(&["timeline", "--input", &trace, "--out", &chrome]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_usage_error(
+        &["timeline", "--validate", &chrome, "--trials", "9", "--flows", "yes"],
+        "option --flows is not read by timeline --validate",
+    );
 }
 
 const HUGE_NODE_TRACE: &str = "{\"schema\":\"ftagg-trace\",\"v\":2}\n\

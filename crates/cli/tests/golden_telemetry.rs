@@ -17,7 +17,6 @@
 use ftagg_cli::{dispatch_full, Args};
 
 const GOLDEN: &str = include_str!("fixtures/golden_telemetry_prom.txt");
-#[cfg(not(feature = "alloc-telemetry"))]
 const GOLDEN_JSON: &str = include_str!("fixtures/golden_telemetry_json.txt");
 
 fn export(extra: &[&str]) -> ftagg_cli::CmdOutput {
@@ -30,9 +29,6 @@ fn export_prom() -> ftagg_cli::CmdOutput {
     export(&[])
 }
 
-// The alloc-telemetry feature adds `alloc_*` gauges to the registry, so
-// the byte-for-byte pin only holds on the default build.
-#[cfg(not(feature = "alloc-telemetry"))]
 #[test]
 fn prometheus_export_matches_the_pinned_fixture() {
     let out = export_prom();
@@ -44,9 +40,6 @@ fn prometheus_export_matches_the_pinned_fixture() {
     );
 }
 
-// The alloc-telemetry feature adds `alloc_*` gauges to the registry, so
-// the byte-for-byte pin only holds on the default build.
-#[cfg(not(feature = "alloc-telemetry"))]
 #[test]
 fn json_export_matches_the_pinned_fixture() {
     let out = export(&["--format", "json"]);

@@ -43,9 +43,6 @@ pub struct Progress {
     pub worker: usize,
     /// Wall time since the sweep started.
     pub elapsed: Duration,
-    /// Watchdog violations the driver has fed into the sink so far (via
-    /// [`ProgressSink::add_violations`]); 0 when unmonitored.
-    pub violations: u64,
     /// Median per-trial latency in microseconds so far.
     pub p50_micros: u64,
     /// 99th-percentile per-trial latency in microseconds so far.
@@ -88,15 +85,6 @@ pub trait ProgressSink: Sync {
     /// distinct across calls (each trial observes the counter once), but
     /// calls from different workers may arrive out of order.
     fn trial_done(&self, p: &Progress);
-
-    /// Monitored drivers feed watchdog violations here as trials find
-    /// them; the running total is echoed back in [`Progress::violations`].
-    fn add_violations(&self, _n: u64) {}
-
-    /// Violations fed so far (0 unless the sink counts them).
-    fn violations(&self) -> u64 {
-        0
-    }
 }
 
 /// A throttled `stderr` progress line (`\r`-rewritten in place), for
@@ -106,7 +94,6 @@ pub trait ProgressSink: Sync {
 pub struct ConsoleProgress {
     every: Duration,
     last: Mutex<Option<Instant>>,
-    violations: AtomicU64,
 }
 
 impl ConsoleProgress {
@@ -118,7 +105,7 @@ impl ConsoleProgress {
     /// A console sink redrawing at most once per `every` (the final
     /// `completed == total` line always prints).
     pub fn with_interval(every: Duration) -> Self {
-        ConsoleProgress { every, last: Mutex::new(None), violations: AtomicU64::new(0) }
+        ConsoleProgress { every, last: Mutex::new(None) }
     }
 
     /// The rendered progress line (without the leading `\r`).
@@ -136,9 +123,6 @@ impl ConsoleProgress {
         }
         if let Some(w) = p.straggler {
             s.push_str(&format!(", STRAGGLER worker {w}"));
-        }
-        if p.violations > 0 {
-            s.push_str(&format!(", VIOLATIONS {}", p.violations));
         }
         s
     }
@@ -171,14 +155,6 @@ impl ProgressSink for ConsoleProgress {
             let _ = write!(err, "\r{}", Self::line(p));
             let _ = err.flush();
         }
-    }
-
-    fn add_violations(&self, n: u64) {
-        self.violations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn violations(&self) -> u64 {
-        self.violations.load(Ordering::Relaxed)
     }
 }
 
@@ -557,7 +533,6 @@ impl Runner {
                     total,
                     worker,
                     elapsed: started.elapsed(),
-                    violations: sink.violations(),
                     p50_micros,
                     p99_micros,
                     straggler,
@@ -857,19 +832,9 @@ pub struct TrialSummary {
     pub sum_violations: u64,
     /// Number of trials with at least one violation.
     pub violation_trials: usize,
-    /// Per-worker runner breakdown, if the driver ran instrumented and
-    /// attached it via [`TrialSummary::set_workers`]. Empty by default —
-    /// absorbing trials never populates it, so summaries built from
-    /// seed-ordered stats stay bit-identical across thread counts.
-    pub workers: Vec<WorkerLoad>,
 }
 
 impl TrialSummary {
-    /// Attaches the per-worker breakdown of the sweep that produced
-    /// these trials (wall-clock load split; not deterministic).
-    pub fn set_workers(&mut self, workers: Vec<WorkerLoad>) {
-        self.workers = workers;
-    }
     /// Folds one trial into the aggregate.
     pub fn absorb(&mut self, t: &TrialStats) {
         self.trials += 1;
@@ -1066,20 +1031,11 @@ mod tests {
     #[derive(Default)]
     struct CountingSink {
         calls: Mutex<Vec<(usize, usize, usize)>>, // (completed, total, worker)
-        violations: AtomicU64,
     }
 
     impl ProgressSink for CountingSink {
         fn trial_done(&self, p: &Progress) {
             self.calls.lock().unwrap().push((p.completed, p.total, p.worker));
-        }
-
-        fn add_violations(&self, n: u64) {
-            self.violations.fetch_add(n, Ordering::Relaxed);
-        }
-
-        fn violations(&self) -> u64 {
-            self.violations.load(Ordering::Relaxed)
         }
     }
 
@@ -1105,17 +1061,12 @@ mod tests {
     }
 
     #[test]
-    fn progress_throughput_eta_and_violations() {
-        let sink = CountingSink::default();
-        sink.add_violations(2);
-        sink.add_violations(3);
-        assert_eq!(sink.violations(), 5);
+    fn progress_throughput_and_eta() {
         let p = Progress {
             completed: 5,
             total: 20,
             worker: 1,
             elapsed: Duration::from_secs(2),
-            violations: sink.violations(),
             p50_micros: 0,
             p99_micros: 0,
             straggler: None,
@@ -1123,31 +1074,21 @@ mod tests {
         assert!((p.throughput() - 2.5).abs() < 1e-12);
         // 15 remaining at 2.5/s = 6 s.
         assert!((p.eta().as_secs_f64() - 6.0).abs() < 1e-9);
-        assert_eq!(p.violations, 5);
         // Degenerate cases: no elapsed time, and a finished sweep.
         let zero = Progress { elapsed: Duration::ZERO, ..p };
         assert_eq!(zero.throughput(), 0.0);
         assert_eq!(zero.eta(), Duration::ZERO);
         let done = Progress { completed: 20, ..p };
         assert_eq!(done.eta(), Duration::ZERO);
-        // The default-method sink ignores violations.
-        struct Quiet;
-        impl ProgressSink for Quiet {
-            fn trial_done(&self, _: &Progress) {}
-        }
-        let q = Quiet;
-        q.add_violations(7);
-        assert_eq!(q.violations(), 0);
     }
 
     #[test]
-    fn console_progress_line_renders_violations_only_when_present() {
+    fn console_progress_line_renders_instrumented_fields_only_when_present() {
         let p = Progress {
             completed: 3,
             total: 8,
             worker: 2,
             elapsed: Duration::from_secs(1),
-            violations: 0,
             p50_micros: 0,
             p99_micros: 0,
             straggler: None,
@@ -1155,20 +1096,14 @@ mod tests {
         let line = ConsoleProgress::line(&p);
         assert!(line.starts_with("[3/8]"), "{line}");
         assert!(line.contains("3.0 trials/s"), "{line}");
-        assert!(!line.contains("VIOLATIONS"), "{line}");
         assert!(!line.contains("p99"), "uninstrumented line has no latency: {line}");
-        let bad = Progress { violations: 4, ..p };
-        assert!(ConsoleProgress::line(&bad).contains("VIOLATIONS 4"));
         // Instrumented fields render when populated.
         let instr = Progress { p50_micros: 120, p99_micros: 900, straggler: Some(3), ..p };
         let line = ConsoleProgress::line(&instr);
         assert!(line.contains("p50 120us p99 900us"), "{line}");
         assert!(line.contains("STRAGGLER worker 3"), "{line}");
-        // The throttled sink counts violations like any other.
         let sink = ConsoleProgress::with_interval(Duration::from_secs(3600));
-        sink.add_violations(9);
-        assert_eq!(sink.violations(), 9);
-        sink.trial_done(&bad); // throttled mid-sweep call: must not panic
+        sink.trial_done(&p); // throttled mid-sweep call: must not panic
     }
 
     #[test]
@@ -1347,24 +1282,6 @@ mod tests {
         assert_eq!(straggler_of(&[0, 501, 0, 0]), None, "only one worker did any work");
         // ...but two active workers with a dominant one still flag.
         assert_eq!(straggler_of(&[0, 900, 100, 0]), Some(1));
-    }
-
-    #[test]
-    fn summary_set_workers_attaches_but_absorb_never_populates() {
-        let t = TrialStats {
-            seed: 0,
-            rounds: 1,
-            max_bits: 1,
-            total_bits: 1,
-            bottleneck: None,
-            phases: vec![],
-            violations: 0,
-        };
-        let mut s: TrialSummary = [&t].into_iter().collect();
-        assert!(s.workers.is_empty(), "absorbing trials must not invent workers");
-        let (_, tele) = Runner::exact(2).run_observed(&[1, 2, 3, 4], |s, _| s, None, None);
-        s.set_workers(tele.workers.clone());
-        assert_eq!(s.workers.len(), 2);
     }
 
     #[test]
