@@ -135,8 +135,9 @@ impl NodeLogic<Token> for SingleFlood {
 
 /// One single-origin flood over `hypercube(dim)` with lean (streaming)
 /// metrics; returns the telemetry and total bits. The
-/// hypercube diameter is `dim` by construction, so no all-pairs BFS is
-/// needed at N = 2²⁰.
+/// hypercube diameter is `dim` by construction, so the flood never asks
+/// the graph for it: every hypercube node has the same eccentricity,
+/// which makes it the slowest case of [`netsim::Graph::diameter`].
 pub fn flood_hypercube_soa(dim: u32) -> (Telemetry, u64) {
     let g = topology::hypercube(dim);
     let mut eng = Engine::new(g, FailureSchedule::none(), SingleFlood::new);

@@ -358,9 +358,8 @@ commands:
           export Chrome Trace Event JSON for Perfetto / chrome://tracing
           live:  --trials K --threads T (per-worker lanes; trial spans
                  wrap round ▸ stage spans; counter tracks: bits/round,
-                 messages/round, in-flight, rss_mb, heap with the
-                 alloc-telemetry feature; --flows yes adds sampled
-                 send->deliver arrows at per-delivery tracing cost)
+                 messages/round, in-flight, rss_mb; --flows yes adds
+                 sampled send->deliver arrows at per-delivery tracing cost)
                  (run options as top: --topology --c --t --seed --crash)
           file:  --input TRACE.jsonl (synthetic 1us-per-event timebase)
           check: --validate PATH [--min-spans N] [--min-counters N]

@@ -9,15 +9,22 @@ use caaf::Sum;
 use ftagg::tradeoff::{run_tradeoff_observed, TradeoffConfig};
 use ftagg::Observe;
 
-const FILE: Mode = Mode::new("report --input", "input render top monitor sampled seed");
+// From a file, `--seed` only seeds the sampler.
+const FILE: Mode = Mode::new("report --input without --sampled", "input render top monitor");
+const SAMPLED_FILE: Mode =
+    Mode::new("report --input --sampled", "input render top monitor sampled seed");
 const LIVE: Mode =
     Mode::new("live report", "topology trials b c f seed threads top monitor sampled workers");
 
-pub(crate) const MODES: &[Mode] = &[LIVE, FILE];
+pub(crate) const MODES: &[Mode] = &[LIVE, FILE, SAMPLED_FILE];
 
 pub(crate) fn cmd_report(args: &Args) -> Result<CmdOutput, String> {
     let input = args.get("input");
-    args.check_mode(if input.is_some() { &FILE } else { &LIVE })?;
+    args.check_mode(match (input, args.get("sampled")) {
+        (None, _) => &LIVE,
+        (Some(_), None) => &FILE,
+        (Some(_), Some(_)) => &SAMPLED_FILE,
+    })?;
     let top: usize = args.num("top", 3)?;
     match input {
         Some(path) => report_from_jsonl(args, path, top),

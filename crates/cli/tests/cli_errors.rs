@@ -7,7 +7,8 @@
 //! zero-length flooding rounds and print wrong answers. An option the
 //! subcommand does not read is refused by name instead of ignored, and so
 //! is an option only another mode of the subcommand reads (`top --trials`
-//! with `--ring`, `report --input` with `--b`).
+//! with `--ring`, `report --input` with `--b`, or with `--seed` but no
+//! `--sampled` to seed).
 //! Hostile input files end in one line of output too: a trace naming an
 //! absurd node id or going back in rounds, and a Chrome trace nested
 //! 300,000 levels deep. A reader that closes stdout early is not a panic.
@@ -258,6 +259,17 @@ fn report_and_timeline_from_files_refuse_live_options() {
         &["timeline", "--validate", &chrome, "--trials", "9", "--flows", "yes"],
         "option --flows is not read by timeline --validate",
     );
+}
+
+#[test]
+fn report_from_a_file_refuses_a_seed_without_the_sampler() {
+    let trace = saved_trace("report_seed.jsonl");
+    assert_usage_error(
+        &["report", "--input", &trace, "--seed", "9"],
+        "option --seed is not read by report --input without --sampled",
+    );
+    let out = ftagg_cli(&["report", "--input", &trace, "--sampled", "4", "--seed", "9"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 const HUGE_NODE_TRACE: &str = "{\"schema\":\"ftagg-trace\",\"v\":2}\n\

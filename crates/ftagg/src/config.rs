@@ -98,8 +98,9 @@ impl Instance {
         self.graph.len()
     }
 
-    /// Model parameters with stretch constant `c` (diameter computed from
-    /// the graph).
+    /// Model parameters with stretch constant `c`. `d` is
+    /// [`Graph::diameter`], which the graph computes once and caches, so
+    /// calling this once per pair costs no graph search after the first.
     pub fn model(&self, c: u32) -> Model {
         Model {
             n: self.n(),

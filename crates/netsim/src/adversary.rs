@@ -252,18 +252,23 @@ pub mod schedules {
         let mut pool: Vec<NodeId> = g.nodes().filter(|&v| v != root).collect();
         pool.shuffle(rng);
         let mut s = FailureSchedule::none();
+        // `failed` is `s.edge_failures(g)`: crashing `v` fails exactly its
+        // edges to nodes not yet crashed.
+        let mut crashed = vec![false; g.len()];
+        let mut failed = 0;
         for &v in &pool {
-            if s.edge_failures(g) >= f {
+            if failed >= f {
                 break;
             }
             // Only commit the crash if it keeps the schedule within the
             // edge budget; a high-degree node may not fit even when a
             // later lower-degree one would.
             let round = rng.gen_range(1..=horizon.max(1));
-            let mut with_v = s.clone();
-            with_v.crash(v, round);
-            if with_v.edge_failures(g) <= f {
-                s = with_v;
+            let added = g.neighbors(v).iter().filter(|w| !crashed[w.index()]).count();
+            if failed + added <= f {
+                s.crash(v, round);
+                crashed[v.index()] = true;
+                failed += added;
             }
         }
         s

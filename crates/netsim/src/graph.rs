@@ -8,6 +8,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node in a [`Graph`], a dense index in `0..n`.
 ///
@@ -151,14 +152,26 @@ impl std::error::Error for GraphError {}
 /// assert_eq!(g.neighbors(NodeId(1)), &[NodeId(0), NodeId(2)]);
 /// # Ok::<(), netsim::GraphError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Graph {
     /// `offsets[v]..offsets[v + 1]` indexes `targets`; length `n + 1`.
     offsets: Vec<u32>,
     /// Concatenated sorted neighbor lists.
     targets: Vec<NodeId>,
     edges: Vec<Edge>,
+    /// `d`, filled by the first [`Graph::diameter`] call; clones carry it.
+    diameter: OnceLock<u32>,
 }
+
+/// Equality of the topology: the cached diameter is a function of it, so
+/// a copy that has computed `d` equals one that has not.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets && self.targets == other.targets && self.edges == other.edges
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Builds a graph over `n` nodes from an edge list.
@@ -208,7 +221,7 @@ impl Graph {
         for i in 0..n {
             targets[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
         }
-        Ok(Graph { offsets, targets, edges: list })
+        Ok(Graph { offsets, targets, edges: list, diameter: OnceLock::new() })
     }
 
     /// Number of nodes `N`.
@@ -321,22 +334,23 @@ impl Graph {
         dist
     }
 
-    /// Eccentricity of `src` (max BFS distance to any reachable node).
-    pub fn eccentricity(&self, src: NodeId) -> u32 {
-        self.bfs_distances(src).into_iter().flatten().max().unwrap_or(0)
-    }
-
-    /// Diameter `d` of the graph: the maximum eccentricity over all nodes.
+    /// Diameter `d` of the graph: the largest distance between two nodes.
     ///
     /// The protocols take `d` as a known model parameter; the experiment
-    /// harness computes it from the topology with this method.
+    /// harness computes it from the topology with this method. The first
+    /// call computes it exactly (see [`Graph::residual_diameter`] for the
+    /// algorithm) and later calls, on this graph or a clone of it, return
+    /// the cached value.
     ///
     /// # Panics
     ///
-    /// Panics if the graph is disconnected (diameter is undefined there).
+    /// Panics if the graph is disconnected (diameter is undefined there),
+    /// on every call.
     pub fn diameter(&self) -> u32 {
-        assert!(self.is_connected(), "diameter undefined on disconnected graph");
-        self.nodes().map(|v| self.eccentricity(v)).max().unwrap_or(0)
+        *self.diameter.get_or_init(|| {
+            assert!(self.is_connected(), "diameter undefined on disconnected graph");
+            self.component_diameter(NodeId(0), &[])
+        })
     }
 
     /// Diameter of the residual graph with `removed` nodes deleted,
@@ -344,21 +358,58 @@ impl Graph {
     ///
     /// Returns `None` if `root` itself was removed. This is the quantity the
     /// model bounds by `c * d`.
+    ///
+    /// The value is exact. It is computed by iFUB (Crescenzi et al., "On
+    /// computing the diameter of real-world undirected graphs", TCS 2013),
+    /// which scans the BFS levels of a central node from the deepest up
+    /// and stops once no pair left can beat the largest eccentricity seen.
+    /// Each level's eccentricities come from 64-source BFS passes. Where
+    /// every node has the same eccentricity (hypercube, torus) the scan
+    /// covers half the levels, so those graphs cost far more than paths,
+    /// grids or random graphs of the same size.
     pub fn residual_diameter(&self, root: NodeId, removed: &[NodeId]) -> Option<u32> {
-        let from_root = self.bfs_distances_avoiding(root, removed);
-        from_root[root.index()]?;
-        let component: Vec<NodeId> =
-            self.nodes().filter(|v| from_root[v.index()].is_some()).collect();
-        let mut diam = 0;
-        for &v in &component {
-            let dv = self.bfs_distances_avoiding(v, removed);
-            for &w in &component {
-                if let Some(x) = dv[w.index()] {
-                    diam = diam.max(x);
-                }
+        (!removed.contains(&root)).then(|| self.component_diameter(root, removed))
+    }
+
+    /// iFUB over the component of `start` in the graph without `removed`.
+    fn component_diameter(&self, start: NodeId, removed: &[NodeId]) -> u32 {
+        let mut bfs = Bfs::new(self, removed);
+        let mut sw = Sweeps { far: vec![0; self.len()], order: Vec::new(), starts: Vec::new() };
+        // Every eccentricity is a lower bound on the diameter and twice
+        // any eccentricity an upper bound.
+        let mut lb = sw.sweep(&mut bfs, start);
+        let mut ub = 2 * lb;
+        // Look for a centre, whose levels are few and whose deepest levels
+        // are small: sweep from a node farthest from the last source, then
+        // from the node whose largest distance to the sources so far is
+        // least. Ties go to the lowest id, so the choice is reproducible.
+        for _ in 0..CENTRE_ROUNDS {
+            if lb == ub {
+                return lb;
             }
+            let far_end = *sw.order.last().expect("a sweep reaches its source");
+            lb = lb.max(sw.sweep(&mut bfs, far_end));
+            // Every sweep from inside the component visits all of it.
+            let centre = *sw
+                .order
+                .iter()
+                .min_by_key(|v| (sw.far[v.index()], **v))
+                .expect("a sweep reaches its source");
+            let ecc = sw.sweep(&mut bfs, centre);
+            lb = lb.max(ecc);
+            ub = ub.min(2 * ecc);
         }
-        Some(diam)
+        // Once every level deeper than `k` is scanned, a pair the scan has
+        // not covered lies within `k` of the centre at both ends, so at
+        // most `2k` apart.
+        let mut k = (sw.starts.len() - 1) as u32;
+        while lb < ub && lb < 2 * k {
+            for sources in sw.level(k).chunks(64) {
+                lb = lb.max(bfs.pass(sources, |_, _| {}));
+            }
+            k -= 1;
+        }
+        lb
     }
 
     /// Returns true iff the graph is connected.
@@ -415,6 +466,132 @@ impl Graph {
     }
 }
 
+/// Centre-finding sweep rounds before the iFUB level scan. On a grid, a
+/// midpoint of one double sweep can be a corner; the second round corrects
+/// it.
+const CENTRE_ROUNDS: usize = 3;
+
+/// Breadth-first search over a graph with some nodes deleted, from up to
+/// 64 sources in one pass: bit `j` of a node's word records that source
+/// `j` has reached it (multi-source BFS, Then et al., VLDB 2015). A pass
+/// visits only the nodes some source reaches at each depth, so one
+/// source costs no more than a plain BFS, and 64 cost far less than 64
+/// BFSs. The buffers are reused from pass to pass.
+struct Bfs<'g> {
+    g: &'g Graph,
+    /// Sources that have reached each node. Deleted nodes have every bit
+    /// set, so no pass enters them.
+    seen: Vec<u64>,
+    /// Sources that first reached each node at the current depth.
+    fresh: Vec<u64>,
+    /// Sources that first reach each node at the next depth.
+    next: Vec<u64>,
+    /// Nodes with `fresh` bits; nodes with `next` bits.
+    frontier: Vec<NodeId>,
+    upcoming: Vec<NodeId>,
+    /// Live nodes the current pass has reached, so `seen` can be cleared.
+    touched: Vec<NodeId>,
+}
+
+impl<'g> Bfs<'g> {
+    fn new(g: &'g Graph, removed: &[NodeId]) -> Self {
+        let mut seen = vec![0; g.len()];
+        for &r in removed {
+            seen[r.index()] = u64::MAX;
+        }
+        Bfs {
+            g,
+            seen,
+            fresh: vec![0; g.len()],
+            next: vec![0; g.len()],
+            frontier: Vec::new(),
+            upcoming: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+
+    /// Searches from `sources` (at most 64 distinct live nodes) at once and
+    /// returns the largest eccentricity among them. `level(depth, nodes)`
+    /// sees, for each depth from 0, the nodes some source first reaches
+    /// at that depth.
+    fn pass(&mut self, sources: &[NodeId], mut level: impl FnMut(u32, &[NodeId])) -> u32 {
+        assert!(sources.len() <= 64, "a pass carries at most 64 sources");
+        for (j, &s) in sources.iter().enumerate() {
+            self.seen[s.index()] = 1 << j;
+            self.fresh[s.index()] = 1 << j;
+        }
+        self.frontier.extend_from_slice(sources);
+        self.touched.extend_from_slice(sources);
+        let mut depth = 0;
+        loop {
+            level(depth, &self.frontier);
+            for &v in &self.frontier {
+                let bits = std::mem::take(&mut self.fresh[v.index()]);
+                for &w in self.g.neighbors(v) {
+                    let w_seen = self.seen[w.index()];
+                    let new = bits & !w_seen;
+                    if new == 0 {
+                        continue;
+                    }
+                    if w_seen == 0 {
+                        self.touched.push(w);
+                    }
+                    if self.next[w.index()] == 0 {
+                        self.upcoming.push(w);
+                    }
+                    self.seen[w.index()] = w_seen | new;
+                    self.next[w.index()] |= new;
+                }
+            }
+            if self.upcoming.is_empty() {
+                break;
+            }
+            std::mem::swap(&mut self.fresh, &mut self.next);
+            std::mem::swap(&mut self.frontier, &mut self.upcoming);
+            self.upcoming.clear();
+            depth += 1;
+        }
+        self.frontier.clear();
+        for v in self.touched.drain(..) {
+            self.seen[v.index()] = 0;
+        }
+        depth
+    }
+}
+
+/// The levels of the last single-source sweep, and for every node its
+/// largest distance from any source swept so far (a lower bound on its
+/// eccentricity).
+struct Sweeps {
+    far: Vec<u32>,
+    /// The last sweep's nodes in BFS order; depth `k` starts at
+    /// `order[starts[k]]`.
+    order: Vec<NodeId>,
+    starts: Vec<usize>,
+}
+
+impl Sweeps {
+    /// A BFS from `s`; returns its eccentricity.
+    fn sweep(&mut self, bfs: &mut Bfs<'_>, s: NodeId) -> u32 {
+        let Sweeps { far, order, starts } = self;
+        order.clear();
+        starts.clear();
+        bfs.pass(&[s], |depth, nodes| {
+            starts.push(order.len());
+            order.extend_from_slice(nodes);
+            for v in nodes {
+                far[v.index()] = far[v.index()].max(depth);
+            }
+        })
+    }
+
+    /// The nodes at distance `depth` from the last sweep's source.
+    fn level(&self, depth: u32) -> &[NodeId] {
+        let k = depth as usize;
+        &self.order[self.starts[k]..self.starts.get(k + 1).copied().unwrap_or(self.order.len())]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,7 +639,6 @@ mod tests {
         let g = path(5);
         assert_eq!(g.diameter(), 4);
         assert!(g.is_connected());
-        assert_eq!(g.eccentricity(NodeId(2)), 2);
     }
 
     #[test]
