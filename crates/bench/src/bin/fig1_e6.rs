@@ -19,8 +19,8 @@
 //! the paper's Theorem 1 / Theorem 2 curves. The measured point must sit
 //! at or below the upper curve at every `b`; the bin exits nonzero if not.
 //!
-//! Every Part 2 run is *recorded* with the production rig: a telemetry
-//! hub observes each round through the engine's round stream, and a
+//! Every Part 2 run is *recorded* with the production rig: a
+//! `RoundStats` sink meters each round, and a
 //! deterministic 1-in-16 sampler feeds a flight recorder keeping the
 //! last rounds of sampled send events. `--force-violation` arms a
 //! watchdog (on the full stream) with an absurd 1-bit budget so the
@@ -34,8 +34,8 @@
 use ftagg::bounds;
 use ftagg_bench::{f, rss_mb, Table};
 use netsim::{
-    round_observer, topology, Engine, FailureSchedule, FlightRecorder, Graph, Message,
-    MonitorConfig, NodeId, NodeLogic, Round, RoundCtx, SamplingSink, TelemetryHub, Watchdog,
+    topology, Engine, FailureSchedule, FlightRecorder, Graph, Message, MonitorConfig, NodeId,
+    NodeLogic, Round, RoundCtx, RoundStats, SamplingSink, Watchdog,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -213,15 +213,15 @@ fn main() {
         let mut eng = Engine::new(topology::hypercube(dim), schedule, factory);
         eng.use_lean_metrics();
         // Every Part-2 run is recorded with the production rig: the
-        // telemetry hub observes each round through the round stream
-        // (O(1) per round), and a deterministic 1-in-16 sampler feeds a
-        // flight recorder keeping the last 8 rounds of sampled send
-        // events (deliveries excluded, so the hot delivery loop stays
-        // untouched) — the configuration whose overhead the snapshot's
+        // round stats meter each round (O(1) per round), and a
+        // deterministic 1-in-16 sampler feeds a flight recorder keeping
+        // the last 8 rounds of sampled send events (the recorder takes
+        // no deliveries, so the hot delivery loop stays untouched) — the
+        // configuration whose overhead the snapshot's
         // `perf.telemetry.recorded_ratio` lane measures.
-        let hub = Arc::new(TelemetryHub::new());
-        eng.stream_rounds(round_observer(&hub));
-        let recorder = FlightRecorder::new(8).without_delivers();
+        let stats = Rc::new(RefCell::new(RoundStats::new()));
+        eng.add_sink(Box::new(Rc::clone(&stats)));
+        let recorder = FlightRecorder::new(8);
         let flight = recorder.handle();
         // An absurd 1-bit per-node ceiling over the whole window: the
         // very first summary send trips it, exercising the
@@ -265,14 +265,14 @@ fn main() {
                 }
             }
         }
-        let fs = flight.stats();
+        let (fs, stats) = (flight.stats(), stats.borrow());
         tele_lines.push(format!(
             "b = {b:>4}: rounds = {}, deliveries = {}, bits = {}, in-flight peak = {}; \
              flight ring rounds {}..={} ({} events, {} bytes, {} evicted)",
-            hub.counter("engine_rounds_total").get(),
-            hub.counter("engine_deliveries_total").get(),
-            hub.counter("engine_bits_total").get(),
-            hub.gauge("engine_inflight_peak").get(),
+            stats.rounds,
+            stats.deliveries,
+            stats.bits,
+            stats.inflight_peak,
             fs.oldest_round,
             fs.newest_round,
             fs.events_buffered,

@@ -24,16 +24,15 @@ use ftagg::tradeoff::{run_tradeoff, run_tradeoff_monitored, TradeoffConfig};
 use ftagg::Instance;
 use netsim::json::{quote, Json};
 use netsim::{
-    round_observer, topology, Engine, FailureSchedule, FlightRecorder, FloodState, Message,
-    MonitorConfig, NodeId, NodeLogic, RecorderStats, Round, RoundCtx, Runner, SampleFactor,
-    SamplingSink, SpanKind, Telemetry, TelemetryHub, Timeline, TimelineData, Watchdog,
+    topology, Engine, FailureSchedule, FlightRecorder, FloodState, Message, MonitorConfig, NodeId,
+    NodeLogic, RecorderStats, Round, RoundCtx, RoundStats, Runner, SampleFactor, SamplingSink,
+    SpanKind, Telemetry, Timeline, TimelineData, Watchdog,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Schema tag written into every snapshot.
@@ -154,21 +153,21 @@ pub const RECORDED_SAMPLE_K: u64 = 16;
 pub const RECORDED_SAMPLE_SEED: u64 = 7;
 
 /// [`flood_hypercube_soa`] with the production recording rig attached:
-/// a telemetry hub observing the engine's round stream, plus sampled
-/// tracing (a deterministic 1-in-[`RECORDED_SAMPLE_K`] [`SamplingSink`])
-/// feeding a deliver-less [`FlightRecorder`] black box. Returns the
-/// engine telemetry, total bits, the hub, the flight ring's final stats,
-/// and the sampler's scale-up factors — the `exact.*` instrument
-/// readings the snapshot pins.
+/// [`RoundStats`] metering every round, plus sampled tracing (a
+/// deterministic 1-in-[`RECORDED_SAMPLE_K`] [`SamplingSink`]) feeding a
+/// [`FlightRecorder`] black box. Returns the engine telemetry, total
+/// bits, the round stats, the flight ring's final stats, and the
+/// sampler's scale-up factors — the `exact.*` instrument readings the
+/// snapshot pins.
 pub fn flood_hypercube_soa_recorded(
     dim: u32,
-) -> (Telemetry, u64, Arc<TelemetryHub>, RecorderStats, Vec<SampleFactor>) {
+) -> (Telemetry, u64, RoundStats, RecorderStats, Vec<SampleFactor>) {
     let g = topology::hypercube(dim);
     let mut eng = Engine::new(g, FailureSchedule::none(), SingleFlood::new);
     eng.use_lean_metrics();
-    let hub = Arc::new(TelemetryHub::new());
-    eng.stream_rounds(round_observer(&hub));
-    let rec = FlightRecorder::new(8).without_delivers();
+    let stats = Rc::new(RefCell::new(RoundStats::new()));
+    eng.add_sink(Box::new(Rc::clone(&stats)));
+    let rec = FlightRecorder::new(8);
     let flight = rec.handle();
     let sampler = Rc::new(RefCell::new(SamplingSink::new(
         Box::new(rec),
@@ -179,7 +178,7 @@ pub fn flood_hypercube_soa_recorded(
     eng.run(Round::from(dim) + 2);
     let bits = eng.metrics().total_bits();
     let factors = sampler.borrow().factors();
-    (eng.telemetry().clone(), bits, hub, flight.stats(), factors)
+    (eng.telemetry().clone(), bits, stats.take(), flight.stats(), factors)
 }
 
 /// [`flood_hypercube_soa`] with the timeline profiler installed on
@@ -290,12 +289,12 @@ impl Snapshot {
         self.perf.insert(format!("{key}_iqr"), iqr);
     }
 
-    /// Telemetry overhead A/B: the production recording rig (hub on the
-    /// round stream + 1-in-16 sampled tracing into a deliver-less flight
-    /// recorder) against the plain engine on the identical single-origin
-    /// hypercube flood. The bare arm is the million-node flood itself
+    /// Telemetry overhead A/B: the production recording rig
+    /// ([`RoundStats`] + 1-in-16 sampled tracing into a flight recorder)
+    /// against the plain engine on the identical single-origin hypercube
+    /// flood. The bare arm is the million-node flood itself
     /// (`exact.e6.*`). `exact.telemetry.*` pins the deterministic
-    /// instrument readings: the hub must agree with the engine's own
+    /// instrument readings: the stats must agree with the engine's own
     /// meters bit for bit, and the sampler's full-stream meters and
     /// deterministic admission are pinned too.
     /// `perf.telemetry.recorded_ratio` is recorded-on / off throughput.
@@ -319,19 +318,16 @@ impl Snapshot {
         let (bare_deliveries, bare_bits) = bare.expect("at least one rep ran");
         self.exact.insert("exact.e6.deliveries".into(), bare_deliveries);
         self.exact.insert("exact.e6.total_bits".into(), bare_bits);
-        let (t, bits, hub, fs, factors) = recorded.expect("at least one rep ran");
-        let hub_deliveries = hub.counter("engine_deliveries_total").get();
-        let hub_bits = hub.counter("engine_bits_total").get();
-        assert_eq!(hub_deliveries, t.deliveries, "hub must agree with the engine's meters");
-        assert_eq!(hub_bits, bits, "hub must agree with the engine's meters");
+        let (t, bits, stats, fs, factors) = recorded.expect("at least one rep ran");
+        assert_eq!(stats.deliveries, t.deliveries, "stats must agree with the engine's meters");
+        assert_eq!(stats.bits, bits, "stats must agree with the engine's meters");
         // The sampler meters the full stream, so its per-stratum totals
         // are exact even though only 1-in-k nodes reach the black box.
         let sends_total: u64 = factors.iter().map(|f| f.total_events).sum();
         let sends_sampled: u64 = factors.iter().map(|f| f.sampled_events).sum();
-        self.exact
-            .insert("exact.telemetry.rounds".into(), hub.counter("engine_rounds_total").get());
-        self.exact.insert("exact.telemetry.deliveries".into(), hub_deliveries);
-        self.exact.insert("exact.telemetry.bits".into(), hub_bits);
+        self.exact.insert("exact.telemetry.rounds".into(), stats.rounds);
+        self.exact.insert("exact.telemetry.deliveries".into(), stats.deliveries);
+        self.exact.insert("exact.telemetry.bits".into(), stats.bits);
         self.exact.insert("exact.telemetry.send_events".into(), sends_total);
         self.exact.insert("exact.telemetry.sampled_events".into(), sends_sampled);
         self.exact.insert("exact.telemetry.flight_rounds".into(), fs.rounds_buffered);
@@ -544,11 +540,11 @@ impl Snapshot {
         for (key, value) in entries {
             let bad = |what: &str| format!("bad {what} for {key:?}");
             if key.starts_with("info.") {
-                s.info.insert(key.clone(), value.as_str().ok_or_else(|| bad("string"))?.into());
+                s.info.insert(key.to_string(), value.as_str().ok_or_else(|| bad("string"))?.into());
             } else if key.starts_with("exact.") {
-                s.exact.insert(key.clone(), value.as_u64().ok_or_else(|| bad("integer"))?);
+                s.exact.insert(key.to_string(), value.as_u64().ok_or_else(|| bad("integer"))?);
             } else if key.starts_with("perf.") {
-                s.perf.insert(key.clone(), value.as_f64().ok_or_else(|| bad("number"))?);
+                s.perf.insert(key.to_string(), value.as_f64().ok_or_else(|| bad("number"))?);
             } else if key != "schema" && key != "v" {
                 return Err(format!("unknown snapshot key {key:?}"));
             }

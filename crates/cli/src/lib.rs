@@ -49,7 +49,9 @@ use ftagg_bench::stretch_respecting_schedule;
 use netsim::{Graph, NodeId, Round};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Parsed command line: a subcommand plus `--key value` options
 /// (repeatable keys accumulate).
@@ -348,9 +350,9 @@ commands:
           --ring R (flight-recorder rounds retained, default 64)
           --flight-out PATH (dump the black box on exit and on panic)
           --trials K --threads T (fleet mode: run K instrumented copies
-          through the work-stealing runner and print the merged hub
+          through the work-stealing runner and print the merged round
           totals plus the per-worker load table)
-  telemetry  export the telemetry registry of one instrumented run
+  telemetry  export the round meters of one instrumented run
           telemetry export [--format prom|json] [--out PATH]
           (run options as top: --topology --c --t --seed --crash)
   timeline  wall-clock profiler: run the instrumented AGG+VERI pair
@@ -500,77 +502,28 @@ fn pair_instance(args: &Args, default_topology: &str) -> Result<(Instance, u32, 
 }
 
 /// One instrumented AGG+VERI pair: the shared workload behind `top`,
-/// `telemetry export` and `timeline`. The telemetry hub observes every
-/// round through the engine's round stream; when `flight_rounds > 0` a
-/// [`netsim::FlightRecorder`] (deliveries excluded, so the per-delivery
-/// path stays untouched) rides as an engine sink, with the panic hook
-/// armed when `flight_out` names a dump path.
+/// `telemetry export` and `timeline`. A [`netsim::RoundStats`] meters
+/// every round; `sinks` ride after it in order, and `timeline`, when
+/// given, records the run's round, stage and phase spans.
 struct ObservedRun {
-    hub: std::sync::Arc<netsim::TelemetryHub>,
-    flight: Option<netsim::FlightRecorderHandle>,
+    stats: netsim::RoundStats,
     n: usize,
     rounds: Round,
 }
 
-/// How often the timeline's `rss_mb` counter track is sampled, in
-/// rounds. The per-round tracks (bits, deliveries, in-flight) are exact.
-const TIMELINE_RSS_SAMPLE_ROUNDS: u64 = 64;
-
 fn run_observed_pair(
     args: &Args,
-    flight_rounds: usize,
-    flight_out: Option<&std::path::Path>,
-    extra: Option<Box<dyn FnMut(netsim::RoundFlow)>>,
+    sinks: Vec<Box<dyn netsim::TraceSink>>,
     timeline: Option<(&netsim::Timeline, u32)>,
 ) -> Result<ObservedRun, String> {
     let (inst, c, t) = pair_instance(args, "grid:16x16")?;
-    let hub = std::sync::Arc::new(netsim::TelemetryHub::new());
-    let mut obs = netsim::round_observer(&hub);
-    let mut extra = extra;
-    // With a timeline installed, every round feeds the exact counter
-    // tracks and (every TIMELINE_RSS_SAMPLE_ROUNDS rounds) the
-    // process-wide RSS sample. One branch per round otherwise.
-    let tl_counters = timeline.map(|(tl, _)| tl.clone());
-    let mut proc_tick: u64 = 0;
-    let rounds = Box::new(move |flow: netsim::RoundFlow| {
-        obs(flow);
-        if let Some(tl) = &tl_counters {
-            tl.counter("bits/round", flow.bits as f64);
-            tl.counter("messages/round", flow.logical as f64);
-            tl.counter("in-flight", flow.deliveries as f64);
-            if proc_tick.is_multiple_of(TIMELINE_RSS_SAMPLE_ROUNDS) {
-                if let Some(mb) = ftagg_bench::rss_mb() {
-                    tl.counter("rss_mb", mb);
-                }
-            }
-            proc_tick += 1;
-        }
-        if let Some(cb) = extra.as_mut() {
-            cb(flow);
-        }
-    });
-    let (sink, flight): (Option<Box<dyn netsim::TraceSink>>, _) = if flight_rounds > 0 {
-        let rec = netsim::FlightRecorder::new(flight_rounds).without_delivers();
-        let handle = rec.handle();
-        if let Some(path) = flight_out {
-            handle.install_panic_hook(path.to_path_buf());
-        }
-        (Some(Box::new(rec)), Some(handle))
-    } else if let Some((tl, lane)) = timeline.filter(|_| args.get("flows").is_some()) {
-        // `--flows yes` on a timeline run (which has no flight recorder):
-        // sample causal send→deliver flows into the timeline (rendered
-        // as arrows between rounds in the Perfetto view). Opt-in because
-        // this sink turns on the engine's per-delivery event path, which
-        // the span profiler otherwise leaves cold.
-        let seed: u64 = args.num("seed", 0)?;
-        (Some(Box::new(netsim::TimelineFlowSink::new(tl.clone(), lane, 64, seed))), None)
-    } else {
-        (None, None)
-    };
-    let obs = Observe { sink, rounds: Some(rounds), timeline, ..Observe::default() };
+    let stats = Rc::new(RefCell::new(netsim::RoundStats::new()));
+    let mut all: Vec<Box<dyn netsim::TraceSink>> = vec![Box::new(Rc::clone(&stats))];
+    all.extend(sinks);
+    let obs = Observe { sinks: all, timeline, ..Observe::default() };
     let s = inst.schedule.clone();
     let (report, _, _) = run_pair_observed(&Sum, &inst, s, c, t, true, 0, Tweaks::default(), obs);
-    Ok(ObservedRun { hub, flight, n: inst.n(), rounds: report.rounds })
+    Ok(ObservedRun { stats: stats.take(), n: inst.n(), rounds: report.rounds })
 }
 
 /// Test shorthand: parses a literal argument list.

@@ -8,6 +8,11 @@ pub(crate) const MODES: &[Mode] = &[Mode::new("radar", "quick tolerance threads 
 pub(crate) fn cmd_radar(args: &Args) -> Result<CmdOutput, String> {
     use ftagg_bench::radar;
     let tolerance: f64 = args.num("tolerance", radar::DEFAULT_TOLERANCE)?;
+    // A NaN or infinite tolerance would pass every residual, and a
+    // negative one would flag every cell.
+    if !(tolerance.is_finite() && tolerance >= 0.0) {
+        return Err(format!("--tolerance must be a finite number >= 0 (got {tolerance})"));
+    }
     let quick = args.get("quick").is_some();
     let threads: usize = args.num("threads", 0)?;
     let sink = netsim::ConsoleProgress::new();

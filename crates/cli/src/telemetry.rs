@@ -1,6 +1,7 @@
-//! `telemetry export` — run the instrumented workload and export the hub's
-//! registry as Prometheus-style text (`--format prom`, the default) or
-//! JSON (`--format json`), to stdout or `--out PATH`.
+//! `telemetry export` — run the instrumented workload and export its
+//! round meters ([`netsim::RoundStats`]) as Prometheus-style text
+//! (`--format prom`, the default) or JSON (`--format json`), to stdout or
+//! `--out PATH`.
 
 use crate::{run_observed_pair, Args, CmdOutput, Mode, USAGE};
 
@@ -11,10 +12,10 @@ pub(crate) fn cmd_telemetry(args: &Args) -> Result<CmdOutput, String> {
     match args.sub.as_deref() {
         Some("export") => {
             let format = args.get("format").unwrap_or("prom");
-            let run = run_observed_pair(args, 0, None, None, None)?;
+            let run = run_observed_pair(args, Vec::new(), None)?;
             let text = match format {
-                "prom" | "prometheus" => run.hub.render_prometheus(),
-                "json" => run.hub.render_json(),
+                "prom" | "prometheus" => run.stats.render_prometheus(),
+                "json" => run.stats.render_json(),
                 other => return Err(format!("unknown --format '{other}' (prom | json)")),
             };
             match args.get("out") {

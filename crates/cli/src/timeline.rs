@@ -17,6 +17,7 @@
 //! outside its direct children), the flame-graph view in text form.
 
 use crate::{count, load_trace, run_observed_pair, write_chrome_trace, Args, CmdOutput, Mode};
+use netsim::{Event, RoundFlow, TraceSink, Wants};
 use std::collections::BTreeMap;
 
 const LIVE: Mode =
@@ -56,12 +57,23 @@ pub(crate) fn cmd_timeline(args: &Args) -> Result<CmdOutput, String> {
         let threads: usize = args.num("threads", 0)?;
         let run_t0 = tl.now_ns();
         let seeds: Vec<u64> = (0..trials).collect();
-        let (runs, tele) = netsim::Runner::new(threads).run_observed(
-            &seeds,
-            |_s, lane| run_observed_pair(args, 0, None, None, Some((&tl, lane))),
-            None,
-            Some(&tl),
-        );
+        let flow_seed: Option<u64> =
+            if args.get("flows").is_some() { Some(args.num("seed", 0)?) } else { None };
+        let trial = |_s, lane| {
+            let mut sinks: Vec<Box<dyn TraceSink>> = Vec::new();
+            if let Some(seed) = flow_seed {
+                // `--flows yes`: sample causal send→deliver flows into the
+                // timeline (rendered as arrows between rounds in the
+                // Perfetto view). Opt-in because this sink turns on the
+                // engine's per-delivery event path, which the span
+                // profiler otherwise leaves cold.
+                sinks.push(Box::new(netsim::TimelineFlowSink::new(tl.clone(), lane, 64, seed)));
+            }
+            sinks.push(Box::new(CounterTracks { tl: tl.clone(), rounds: 0 }));
+            run_observed_pair(args, sinks, Some((&tl, lane)))
+        };
+        let (runs, tele) =
+            netsim::Runner::new(threads).run_observed(&seeds, trial, None, Some(&tl));
         let (mut n, mut rounds): (usize, netsim::Round) = (0, 0);
         for run in runs {
             let run = run?;
@@ -113,6 +125,36 @@ pub(crate) fn cmd_timeline(args: &Args) -> Result<CmdOutput, String> {
         out.push_str(&ftagg_bench::chart::self_time_table(&rows, top_k).render());
     }
     Ok(CmdOutput::ok(out))
+}
+
+/// How often the `rss_mb` counter track is sampled, in rounds. The
+/// per-round tracks (bits, messages, in-flight) are exact.
+const RSS_SAMPLE_ROUNDS: u64 = 64;
+
+/// Feeds the live timeline's counter tracks as each round retires.
+struct CounterTracks {
+    tl: netsim::Timeline,
+    rounds: u64,
+}
+
+impl TraceSink for CounterTracks {
+    fn record(&mut self, _: &Event) {}
+
+    fn end_round(&mut self, flow: &RoundFlow) {
+        self.tl.counter("bits/round", flow.bits as f64);
+        self.tl.counter("messages/round", flow.logical as f64);
+        self.tl.counter("in-flight", flow.deliveries as f64);
+        if self.rounds.is_multiple_of(RSS_SAMPLE_ROUNDS) {
+            if let Some(mb) = ftagg_bench::rss_mb() {
+                self.tl.counter("rss_mb", mb);
+            }
+        }
+        self.rounds += 1;
+    }
+
+    fn wants(&self) -> Wants {
+        Wants::Rounds
+    }
 }
 
 /// `timeline --validate PATH`: parse + structurally check a Chrome

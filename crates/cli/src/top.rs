@@ -5,6 +5,8 @@
 //! same artifact.
 
 use crate::{count, run_observed_pair, Args, CmdOutput, Mode};
+use netsim::{Event, RoundFlow, RoundStats, TraceSink, Wants};
+use std::time::Instant;
 
 const SINGLE: Mode =
     Mode::new("top without --trials", "topology crash c t seed refresh-ms ring flight-out");
@@ -23,42 +25,31 @@ pub(crate) fn cmd_top(args: &Args) -> Result<CmdOutput, String> {
     let ring = count(args, "ring", 64)? as usize;
     let flight_out = args.get("flight-out").map(std::path::PathBuf::from);
 
-    // The live line is wall-clock-throttled and rate-bearing, so it goes
-    // to stderr only; stdout stays byte-deterministic.
-    let start = std::time::Instant::now();
-    let mut last: Option<std::time::Instant> = None;
-    let mut deliveries: u64 = 0;
-    let mut bits: u64 = 0;
-    let live: Box<dyn FnMut(netsim::RoundFlow)> = Box::new(move |f| {
-        deliveries += f.deliveries;
-        bits += f.bits;
-        if last.is_none_or(|t| t.elapsed().as_millis() >= u128::from(refresh)) {
-            last = Some(std::time::Instant::now());
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            eprint!(
-                "\r  top: round {:>7} | {:>9.0} rounds/s | {:>11.0} deliveries/s | {:>13} bits   ",
-                f.round,
-                f.round as f64 / secs,
-                deliveries as f64 / secs,
-                bits
-            );
-        }
-    });
-    let run = run_observed_pair(args, ring, flight_out.as_deref(), Some(live), None)?;
+    let recorder = netsim::FlightRecorder::new(ring);
+    let flight = recorder.handle();
+    if let Some(path) = &flight_out {
+        flight.install_panic_hook(path.clone());
+    }
+    let live = LiveLine {
+        refresh: u128::from(refresh),
+        start: Instant::now(),
+        last: None,
+        deliveries: 0,
+        bits: 0,
+    };
+    let run = run_observed_pair(args, vec![Box::new(recorder), Box::new(live)], None)?;
     eprintln!();
 
-    let hub = &run.hub;
+    let stats = &run.stats;
     let mut out = String::new();
     let _ = writeln!(out, "top: AGG+VERI pair over {} nodes, {} rounds", run.n, run.rounds);
-    out.push_str(&totals_line(hub));
-    let _ = writeln!(
-        out,
-        "in-flight last = {}, peak = {}",
-        hub.gauge("engine_inflight_last").get(),
-        hub.gauge("engine_inflight_peak").get(),
-    );
-    for name in ["engine_round_bits", "engine_round_deliveries"] {
-        let h = hub.histogram(name).snapshot();
+    out.push_str(&totals_line(stats));
+    let _ =
+        writeln!(out, "in-flight last = {}, peak = {}", stats.inflight_last, stats.inflight_peak);
+    for (name, h) in [
+        ("engine_round_bits", &stats.round_bits),
+        ("engine_round_deliveries", &stats.round_deliveries),
+    ] {
         let _ = writeln!(
             out,
             "{name:<24} p50 = {:>8}  p90 = {:>8}  p99 = {:>8}  max = {:>8}",
@@ -68,29 +59,62 @@ pub(crate) fn cmd_top(args: &Args) -> Result<CmdOutput, String> {
             h.max(),
         );
     }
-    if let Some(flight) = &run.flight {
-        let s = flight.stats();
-        let _ = writeln!(
-            out,
-            "flight recorder: rounds {}..={} buffered ({} events, {} bytes), {} rounds evicted",
-            s.oldest_round, s.newest_round, s.events_buffered, s.bytes_buffered, s.evicted_rounds,
-        );
-        if let Some(path) = &flight_out {
-            if let Some(dumped) = flight.dump_once(path)? {
-                let _ = writeln!(
-                    out,
-                    "wrote flight dump ({} events) to {}",
-                    dumped.events_buffered,
-                    path.display()
-                );
-            }
+    let s = flight.stats();
+    let _ = writeln!(
+        out,
+        "flight recorder: rounds {}..={} buffered ({} events, {} bytes), {} rounds evicted",
+        s.oldest_round, s.newest_round, s.events_buffered, s.bytes_buffered, s.evicted_rounds,
+    );
+    if let Some(path) = &flight_out {
+        if let Some(dumped) = flight.dump_once(path)? {
+            let _ = writeln!(
+                out,
+                "wrote flight dump ({} events) to {}",
+                dumped.events_buffered,
+                path.display()
+            );
         }
     }
     Ok(CmdOutput::ok(out))
 }
 
+/// The live stats line: rounds/s, deliveries/s and bits so far. It is
+/// wall-clock-throttled to one redraw per `refresh` ms and rate-bearing,
+/// so it goes to stderr only; stdout stays byte-deterministic.
+struct LiveLine {
+    refresh: u128,
+    start: Instant,
+    last: Option<Instant>,
+    deliveries: u64,
+    bits: u64,
+}
+
+impl TraceSink for LiveLine {
+    fn record(&mut self, _: &Event) {}
+
+    fn end_round(&mut self, f: &RoundFlow) {
+        self.deliveries += f.deliveries;
+        self.bits += f.bits;
+        if self.last.is_none_or(|t| t.elapsed().as_millis() >= self.refresh) {
+            self.last = Some(Instant::now());
+            let secs = self.start.elapsed().as_secs_f64().max(1e-9);
+            eprint!(
+                "\r  top: round {:>7} | {:>9.0} rounds/s | {:>11.0} deliveries/s | {:>13} bits   ",
+                f.round,
+                f.round as f64 / secs,
+                self.deliveries as f64 / secs,
+                self.bits
+            );
+        }
+    }
+
+    fn wants(&self) -> Wants {
+        Wants::Rounds
+    }
+}
+
 /// `top --trials K` — K instrumented copies of the observed pair
-/// workload through the work-stealing runner: the merged hub totals are
+/// workload through the work-stealing runner: the merged round totals are
 /// exactly K× the single-run meters for any `--threads`, and the
 /// per-worker load table (trials, steals, busy/idle wall time, trial
 /// latency quantiles) shows how the pool divided them.
@@ -100,17 +124,13 @@ fn top_trials(args: &Args) -> Result<CmdOutput, String> {
     let threads: usize = args.num("threads", 0)?;
     let seeds: Vec<u64> = (0..trials).collect();
     let runner = netsim::Runner::new(threads);
-    let (runs, tele) = runner.run_observed(
-        &seeds,
-        |_s, _| run_observed_pair(args, 0, None, None, None),
-        None,
-        None,
-    );
-    let total = netsim::TelemetryHub::new();
+    let (runs, tele) =
+        runner.run_observed(&seeds, |_s, _| run_observed_pair(args, Vec::new(), None), None, None);
+    let mut total = RoundStats::new();
     let (mut n, mut rounds): (usize, netsim::Round) = (0, 0);
     for run in runs {
         let run = run?;
-        total.merge_from(&run.hub);
+        total.merge(&run.stats);
         n = run.n;
         rounds = run.rounds;
     }
@@ -128,14 +148,11 @@ fn top_trials(args: &Args) -> Result<CmdOutput, String> {
     Ok(CmdOutput::ok(out))
 }
 
-/// The hub's engine totals line, as both summaries print it.
-fn totals_line(hub: &netsim::TelemetryHub) -> String {
+/// The engine totals line, as both summaries print it.
+fn totals_line(stats: &RoundStats) -> String {
     format!(
         "rounds = {}, deliveries = {}, messages = {}, bits = {}\n",
-        hub.counter("engine_rounds_total").get(),
-        hub.counter("engine_deliveries_total").get(),
-        hub.counter("engine_logical_messages_total").get(),
-        hub.counter("engine_bits_total").get(),
+        stats.rounds, stats.deliveries, stats.logical, stats.bits,
     )
 }
 

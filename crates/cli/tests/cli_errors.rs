@@ -14,7 +14,9 @@
 //! 300,000 levels deep. A reader that closes stdout early is not a panic.
 //! So do specs that used to panic, abort or print a meaningless answer: a
 //! zero `modsum` modulus, inputs whose sum passes `u64::MAX`, a topology
-//! too large to allocate, and `bounds` with `b = 0`.
+//! too large to allocate, and `bounds` with `b = 0`. A `radar
+//! --tolerance` that is NaN, infinite or negative is refused before the
+//! grid runs: it used to pass or fail every residual silently.
 
 use std::process::{Command, Output};
 
@@ -202,6 +204,15 @@ fn explain_with_zero_c() {
 fn mine_pair_and_doubling_with_zero_c() {
     for protocol in ["pair:1", "doubling:2"] {
         assert_usage_error(&["mine", "--protocol", protocol, "--c", "0"], ZERO_C);
+    }
+}
+
+#[test]
+fn radar_refuses_a_tolerance_that_is_not_a_finite_number_at_least_zero() {
+    // NaN and infinity would switch the envelope gate off; a negative
+    // tolerance would flag every cell.
+    for bad in ["NaN", "inf", "-inf", "-1"] {
+        assert_usage_error(&["radar", "--quick", "yes", "--tolerance", bad], "--tolerance");
     }
 }
 

@@ -16,8 +16,7 @@
 //!   flooding and the folklore retry-until-clean tree aggregation (plus the
 //!   non-fault-tolerant TAG-style aggregation);
 //! - [`observe`] — the observer bundle every driver takes: trace,
-//!   watchdog, timeline lane, and for the pair also an extra sink and a
-//!   round-flow callback;
+//!   watchdog, timeline lane, and for the pair also extra sinks;
 //! - [`bounds`] — closed forms of every bound in Figure 1;
 //! - [`analysis`] — offline oracles: fragment decomposition (Figure 2) and
 //!   long-failure-chain detection (Table 2's scenarios).

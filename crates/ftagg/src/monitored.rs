@@ -126,7 +126,7 @@ mod tests {
         let i = inst(6);
         let recorder = netsim::FlightRecorder::new(8);
         let flight = recorder.handle();
-        let obs = Observe { sink: Some(Box::new(recorder)), ..Observe::watchdog(true) };
+        let obs = Observe { sinks: vec![Box::new(recorder)], ..Observe::watchdog(true) };
         let (report, seen, _) =
             run_pair_observed(&Sum, &i, i.schedule.clone(), 1, 1, true, 0, Tweaks::default(), obs);
         let monitor = seen.monitor.expect("watchdog requested");

@@ -2,8 +2,8 @@
 //!
 //! The pair, Algorithm 1, doubling and brute-force cores each take an
 //! [`Observe`] value naming what to attach to the engines they build — an
-//! in-memory trace, the Theorem 3/6 watchdog, an extra event sink, a
-//! round-flow callback and a timeline lane — and hand back an
+//! in-memory trace, the Theorem 3/6 watchdog, extra sinks and a timeline
+//! lane — and hand back an
 //! [`Observed`] with what those observers collected. Observers are
 //! passive: a run's report is the same whatever the bundle holds (pinned
 //! by `tests/observer_noninterference.rs`).
@@ -12,14 +12,11 @@ use crate::baselines::brute::run_brute_observed;
 use crate::config::Instance;
 use caaf::Caaf;
 use netsim::{
-    Engine, Event, Message, Metrics, MonitorConfig, MonitorReport, NodeLogic, Round, RoundFlow,
-    Timeline, Trace, TraceSink, Watchdog,
+    Engine, Event, Message, Metrics, MonitorConfig, MonitorReport, NodeLogic, Round, Timeline,
+    Trace, TraceSink, Watchdog,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// A per-round flow callback (see [`Observe::rounds`]).
-pub type RoundCallback = Box<dyn FnMut(RoundFlow)>;
 
 /// The observers a driver attaches to the engines it builds.
 /// `Observe::default()` attaches none.
@@ -36,14 +33,11 @@ pub struct Observe<'a> {
     /// lands in [`Observed::monitor`]. Strict mode panics on the first
     /// violation.
     pub watchdog: Option<bool>,
-    /// One more event sink, installed after the trace and the watchdog.
-    /// Keep an `Rc<RefCell<_>>` handle to it to read it after the run (see
-    /// [`netsim::TraceSink`]). Only the pair core takes one; the
-    /// multi-engine cores panic on it.
-    pub sink: Option<Box<dyn TraceSink>>,
-    /// Called with each round's flow as the round retires. Only the pair
-    /// core takes one; the multi-engine cores panic on it.
-    pub rounds: Option<RoundCallback>,
+    /// More sinks, installed in order after the trace and the watchdog.
+    /// Keep an `Rc<RefCell<_>>` handle to one to read it after the run
+    /// (see [`netsim::TraceSink`]). Only the pair core takes them; the
+    /// multi-engine cores panic on them.
+    pub sinks: Vec<Box<dyn TraceSink>>,
     /// A wall-clock timeline recording round/stage/phase spans on a lane.
     pub timeline: Option<(&'a Timeline, u32)>,
 }
@@ -71,7 +65,7 @@ impl<'a> Observe<'a> {
     /// Attaches the bundle to a freshly built engine. `config` builds the
     /// watchdog's configuration for this engine's protocol; it is called
     /// only when a watchdog is requested. The sinks go in as trace,
-    /// watchdog, extra sink: a strict watchdog that panics on an event
+    /// watchdog, extra sinks: a strict watchdog that panics on an event
     /// leaves that event already recorded in the trace.
     pub(crate) fn attach<M: Message, L: NodeLogic<M>>(
         self,
@@ -91,11 +85,8 @@ impl<'a> Observe<'a> {
         if let Some(watchdog) = &attached.watchdog {
             eng.add_sink(Box::new(Rc::clone(watchdog)));
         }
-        if let Some(sink) = self.sink {
+        for sink in self.sinks {
             eng.add_sink(sink);
-        }
-        if let Some(cb) = self.rounds {
-            eng.stream_rounds(cb);
         }
         if let Some((tl, lane)) = self.timeline {
             eng.set_timeline(tl, lane);
@@ -134,12 +125,9 @@ pub(crate) struct Merge<'a> {
 impl<'a> Merge<'a> {
     /// # Panics
     ///
-    /// Panics if `obs` carries an extra sink or a round callback.
+    /// Panics if `obs` carries extra sinks.
     pub(crate) fn new(obs: Observe<'a>, n: usize) -> Self {
-        assert!(
-            obs.sink.is_none() && obs.rounds.is_none(),
-            "a run over several engines takes no extra sink or round callback"
-        );
+        assert!(obs.sinks.is_empty(), "a run over several engines takes no extra sink");
         Merge {
             metrics: Metrics::new(n),
             trace: obs.trace.then(Trace::new),

@@ -22,11 +22,11 @@
 //!   broadcast stores its message once and every recipient's inbox entry
 //!   is a `u32` index into the arena — no per-message allocation, and the
 //!   arena double-buffers across rounds.
-//! - **Streaming per-round metrics**: [`Engine::stream_rounds`] hands a
-//!   [`RoundFlow`] row to a callback as each round retires, and
-//!   [`Metrics::lean`] drops the per-round ledger entirely, so a
-//!   million-node sweep never materializes per-round history it will not
-//!   read.
+//! - **Streaming per-round metrics**: every sink's
+//!   [`TraceSink::end_round`] receives a [`RoundFlow`] row as each round
+//!   retires, and [`Metrics::lean`] drops the per-round ledger entirely,
+//!   so a million-node sweep never materializes per-round history it will
+//!   not read.
 //!
 //! The scatter delivers in ascending sender id, then the sender's send
 //! order, because sends are recorded in node order during the round and
@@ -39,7 +39,7 @@
 use crate::adversary::{FailureSchedule, Round};
 use crate::graph::{Graph, NodeId};
 use crate::metrics::Metrics;
-use crate::trace::{Event, EventId, TraceSink};
+use crate::trace::{Event, EventId, TraceSink, Wants};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -325,8 +325,8 @@ pub struct Telemetry {
     pub busy: Duration,
 }
 
-/// One executed round's traffic, streamed to an
-/// [`Engine::stream_rounds`] callback as the round retires. The whole
+/// One executed round's traffic, handed to every sink's
+/// [`TraceSink::end_round`] as the round retires. The whole
 /// point is that a million-node run can aggregate these without the engine
 /// keeping per-round history alive.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -445,12 +445,10 @@ pub struct Engine<M: Message, L: NodeLogic<M>> {
     /// Scratch: per-kind accumulation of one node's outbox
     /// (kind, bits, logical, event id).
     kind_acc: Vec<(&'static str, u64, u64, EventId)>,
-    /// Per-round flow observer, if any (see [`Engine::stream_rounds`]).
-    round_stream: Option<Box<dyn FnMut(RoundFlow)>>,
-    /// Whether any installed sink wants [`Event::Deliver`] records: the OR
-    /// of their [`TraceSink::wants_delivers`], sampled at
-    /// [`Engine::add_sink`]. `false` while no sink is installed.
-    deliver_interest: bool,
+    /// What the installed sinks read: the highest of their
+    /// [`TraceSink::wants`], sampled at [`Engine::add_sink`].
+    /// [`Wants::Rounds`] while no sink is installed.
+    wants: Wants,
     /// Wall-clock profiler handle and lane, if installed (see
     /// [`Engine::set_timeline`]); `None` keeps the hot path at one
     /// branch per round.
@@ -508,8 +506,7 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             send_ids: Vec::new(),
             causes: Vec::new(),
             kind_acc: Vec::new(),
-            round_stream: None,
-            deliver_interest: false,
+            wants: Wants::Rounds,
             timeline: None,
         }
     }
@@ -528,34 +525,27 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
 
     /// Replaces the metrics with a [`Metrics::lean`] instance that skips
     /// the per-round ledger (per-node totals and CC stay exact); call
-    /// before the first step. Pair with [`Engine::stream_rounds`] when
-    /// per-round rows are still wanted, just not materialized.
+    /// before the first step. A sink's [`TraceSink::end_round`] still
+    /// sees every round's row, just not materialized.
     pub fn use_lean_metrics(&mut self) -> &mut Self {
         self.metrics = Metrics::lean(self.graph.len());
-        self
-    }
-
-    /// Installs a per-round flow observer: `cb` receives one [`RoundFlow`]
-    /// as each round retires. Purely observational — the callback sees
-    /// copies of counters the engine maintains anyway, so installing one
-    /// never perturbs the execution.
-    pub fn stream_rounds(&mut self, cb: impl FnMut(RoundFlow) + 'static) -> &mut Self {
-        self.round_stream = Some(Box::new(cb));
         self
     }
 
     /// Adds an event sink (an in-memory [`crate::trace::Trace`], a
     /// [`crate::trace::RingSink`], a [`crate::trace::JsonlSink`], a
     /// watchdog, or any custom [`TraceSink`]); call before the first step.
-    /// Every event goes to every sink, in installation order. To read a
-    /// sink after the run, install a clone of an `Rc<RefCell<_>>` handle
-    /// and keep the handle (see [`TraceSink`]).
+    /// Every event and every retired round goes to every sink, in
+    /// installation order. To read a sink after the run, install a clone
+    /// of an `Rc<RefCell<_>>` handle and keep the handle (see
+    /// [`TraceSink`]).
     pub fn add_sink(&mut self, sink: Box<dyn TraceSink>) -> &mut Self {
-        // Delivery interest is sampled once per installation: at N = 2²⁰
+        // The level is sampled once per installation: at N = 2²⁰
         // deliveries dominate event volume, and when no sink wants them
         // (e.g. a lone flight recorder) the engine skips building them —
-        // and the src-id column — entirely.
-        self.deliver_interest |= sink.wants_delivers();
+        // and the src-id column — entirely; a sink that reads only
+        // rounds turns on no send event either.
+        self.wants = self.wants.max(sink.wants());
         self.sinks.push(sink);
         self
     }
@@ -673,22 +663,21 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             send_ids,
             causes,
             kind_acc,
-            round_stream,
-            deliver_interest,
+            wants,
             timeline,
             ..
         } = self;
-        // `observed` gates every event; `tracing` gates only the
-        // per-delivery work (Deliver events and the src-id column), so
-        // sends/crashes/phases still reach sinks that all declined
+        // `observed` gates the send events and their ids; `tracing` gates
+        // only the per-delivery work (Deliver events and the src-id
+        // column), so sends still reach sinks that all declined
         // deliveries.
-        let observed = !sinks.is_empty();
-        let tracing = *deliver_interest;
-        // Stage attribution granularity: with a sink installed the loop
-        // already pays per-delivery encoding costs, so per-node clock
+        let observed = *wants >= Wants::Events;
+        let tracing = *wants >= Wants::Deliveries;
+        // Stage attribution granularity: with an event sink installed the
+        // loop already pays per-event encoding costs, so per-node clock
         // reads (2–3 per live node) disappear into them and buy exact
-        // trace/absorb/send splits. Without a sink the whole node loop
-        // is charged to `absorb` in one read — per-node reads would
+        // trace/absorb/send splits. Without one the whole node loop is
+        // charged to `absorb` in one read — per-node reads would
         // dominate idle nodes at N = 2²⁰ and sink the <5% overhead
         // budget.
         let fine = clock.is_some() && observed;
@@ -917,13 +906,10 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         }
         telemetry.deliveries += enqueued;
         telemetry.peak_inflight = telemetry.peak_inflight.max(enqueued);
-        if let Some(cb) = round_stream.as_deref_mut() {
-            cb(RoundFlow {
-                round: r,
-                bits: round_bits,
-                logical: round_logical,
-                deliveries: enqueued,
-            });
+        let flow =
+            RoundFlow { round: r, bits: round_bits, logical: round_logical, deliveries: enqueued };
+        for s in sinks.iter_mut() {
+            s.end_round(&flow);
         }
         if let Some(mut c) = clock {
             c.mark(crate::timeline::STAGE_TELEMETRY);
@@ -1186,29 +1172,33 @@ mod tests {
     }
 
     #[test]
-    fn round_stream_reports_the_per_round_ledger() {
-        let collected = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let sink = std::rc::Rc::clone(&collected);
+    fn a_round_only_sink_leaves_the_event_path_cold() {
+        use crate::telemetry::RoundStats;
+        use std::{cell::RefCell, rc::Rc};
         let mut eng = Engine::new(topology::path(3), FailureSchedule::none(), |_| Chatter {
             sizes: vec![8, 8],
             heard: vec![],
             stop_at: None,
         });
-        eng.stream_rounds(move |f| sink.borrow_mut().push(f));
+        let stats = Rc::new(RefCell::new(RoundStats::new()));
+        eng.add_sink(Box::new(Rc::clone(&stats)));
         eng.run(4);
-        let rows: Vec<RoundFlow> = collected.borrow().clone();
-        assert_eq!(rows.len(), 4);
-        // Rounds 1 and 2: all 3 nodes send one 8-bit message; ends reach 1
+        // A send or delivery event takes an id when it is built: none was.
+        assert_eq!(eng.wants, Wants::Rounds);
+        assert_eq!(eng.next_event_id, 0, "a round-only sink builds no send or delivery event");
+        // `end_round` fired once per round, and the stats agree with the
+        // engine's own meters and the non-lean per-round ledger. Rounds 1
+        // and 2: all 3 nodes send one 8-bit message; ends reach 1
         // neighbor, the middle reaches 2 → 4 deliveries per talking round.
+        let (s, t, m) = (stats.borrow(), eng.telemetry(), eng.metrics());
+        assert_eq!((s.rounds, s.bits, s.logical, s.deliveries), (4, 48, 6, 8));
         assert_eq!(
-            (rows[0].round, rows[0].bits, rows[0].logical, rows[0].deliveries),
-            (1, 24, 3, 4)
+            (s.rounds, s.deliveries, s.inflight_peak),
+            (t.rounds, t.deliveries, t.peak_inflight)
         );
-        assert_eq!((rows[1].round, rows[1].bits, rows[1].deliveries), (2, 24, 4));
-        assert_eq!((rows[2].bits, rows[2].deliveries), (0, 0));
-        // The stream matches the non-lean metrics ledger.
-        assert_eq!(eng.metrics().bits_in_round(1), 24);
-        assert_eq!(eng.telemetry().deliveries, 8);
+        assert_eq!(s.bits, (1..=4).map(|r| m.bits_in_round(r)).sum::<u64>());
+        assert_eq!(s.logical, (0..3).map(|v| m.sends_of(NodeId(v))).sum::<u64>());
+        assert_eq!((s.round_bits.count(), s.round_bits.max(), s.inflight_last), (4, 24, 0));
     }
 
     #[test]
@@ -1286,7 +1276,7 @@ mod trace_tests {
         let mut eng = Engine::new(g, FailureSchedule::none(), |_| Talk);
         eng.run(3);
         assert!(eng.sinks.is_empty());
-        assert!(!eng.deliver_interest);
+        assert_eq!(eng.wants, Wants::Rounds);
         assert_eq!(eng.next_event_id, 0, "no sink, no event ids");
     }
 
@@ -1370,10 +1360,10 @@ mod trace_tests {
     }
 
     #[test]
-    fn sinks_all_see_every_event_and_or_their_delivery_interest() {
+    fn sinks_all_see_every_event_and_the_engine_builds_the_most_any_wants() {
         let mut eng = two_path();
         let trace = add(&mut eng, Trace::new());
-        let deaf = add(&mut eng, FlightRecorder::new(2).without_delivers());
+        let deaf = add(&mut eng, FlightRecorder::new(2));
         eng.run(3);
         // The trace still wants deliveries, so the engine builds them,
         // and the deliver-less recorder is offered them too.
@@ -1384,10 +1374,10 @@ mod trace_tests {
 
         // No sink wants deliveries: the engine never builds one.
         let mut eng = two_path();
-        let a = add(&mut eng, FlightRecorder::new(2).without_delivers());
-        let b = add(&mut eng, FlightRecorder::new(2).without_delivers());
+        let a = add(&mut eng, FlightRecorder::new(2));
+        let b = add(&mut eng, FlightRecorder::new(2));
         eng.run(3);
-        assert!(!eng.deliver_interest);
+        assert_eq!(eng.wants, Wants::Events);
         assert_eq!(a.borrow().handle().stats().total_events, 4, "sends only");
         assert_eq!(b.borrow().handle().stats().total_events, 4, "sends only");
     }

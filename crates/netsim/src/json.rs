@@ -7,12 +7,15 @@
 //!
 //! The reader is a strict recursive-descent parser for RFC 8259 JSON,
 //! total on hostile input. A number keeps its literal text
-//! ([`Json::Num`]), so `u64` values above 2⁵³ read back exactly. Nesting
+//! ([`Json::Num`]), so `u64` values above 2⁵³ read back exactly, and a
+//! string or key without escapes borrows its text from the input too.
+//! Nesting
 //! deeper than [`MAX_DEPTH`] is refused instead of overflowing the stack,
 //! and a key repeated within one object is refused instead of silently
 //! keeping one value. Every error is one line naming the byte offset
 //! where parsing stopped and the keys of the objects it stopped inside.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -31,12 +34,13 @@ pub enum Json<'a> {
     /// against the JSON number grammar); read it with [`Json::as_u64`] or
     /// [`Json::as_f64`].
     Num(&'a str),
-    /// A string, unescaped.
-    Str(String),
+    /// A string, unescaped: borrowed from the input unless it held an
+    /// escape.
+    Str(Cow<'a, str>),
     /// An array.
     Arr(Vec<Json<'a>>),
-    /// An object; keys are unique.
-    Obj(BTreeMap<String, Json<'a>>),
+    /// An object; keys are unique, and borrowed like strings.
+    Obj(BTreeMap<Cow<'a, str>, Json<'a>>),
 }
 
 impl<'a> Json<'a> {
@@ -65,7 +69,7 @@ impl<'a> Json<'a> {
     /// The string, if this is one.
     pub fn as_str(&self) -> Option<&str> {
         let Json::Str(s) = self else { return None };
-        Some(s)
+        Some(s.as_ref())
     }
 
     /// The number as a `u64`, if it is an integer literal in range.
@@ -87,7 +91,7 @@ impl<'a> Json<'a> {
     }
 
     /// The key/value map, if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Json<'a>>> {
+    pub fn as_object(&self) -> Option<&BTreeMap<Cow<'a, str>, Json<'a>>> {
         let Json::Obj(m) = self else { return None };
         Some(m)
     }
@@ -209,28 +213,35 @@ impl<'a> Parser<'a> {
         Ok(Json::Num(&self.text[start..self.pos]))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         let start = self.pos;
         if !self.eat(b'"') {
             return Err(self.unexpected("a string"));
         }
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote, escape or control byte.
+            // Take the run up to the next quote, escape or control byte.
             // All three are ASCII, so the run ends on a char boundary.
             let rest = &self.bytes[self.pos..];
             let run = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
             let end = self.pos + run.unwrap_or(rest.len());
-            out.push_str(&self.text[self.pos..end]);
+            let text = &self.text[self.pos..end];
             self.pos = end;
             match self.peek() {
                 None => return Err(format!("unterminated string starting at byte {start}")),
+                // No escape so far: the string is the input's own text.
+                Some(b'"') if out.is_empty() => {
+                    self.pos += 1;
+                    return Ok(Cow::Borrowed(text));
+                }
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    out.push_str(text);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
+                    out.push_str(text);
                     out.push(self.escape()?);
                 }
                 Some(_) => {
@@ -333,5 +344,20 @@ impl<'a> Parser<'a> {
                 return Err(self.unexpected(&format!("',' or '{}'", char::from(close))));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn strings_and_keys_without_escapes_borrow_the_input() {
+        let v = Json::parse(r#"{"plain": "text", "esc\"aped": "a\nb"}"#).unwrap();
+        let m = v.as_object().unwrap();
+        let borrowed: Vec<bool> = m.keys().map(|k| matches!(k, Cow::Borrowed(_))).collect();
+        assert_eq!(borrowed, [false, true], "keys sort as esc\"aped, plain");
+        assert!(matches!(m.get("plain"), Some(Json::Str(Cow::Borrowed("text")))));
+        assert!(matches!(m.get("esc\"aped"), Some(Json::Str(Cow::Owned(s))) if s == "a\nb"));
     }
 }

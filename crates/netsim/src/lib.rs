@@ -84,14 +84,14 @@ pub use runner::{
     TrialStats, TrialSummary, WorkerLoad,
 };
 pub use telemetry::{
-    is_valid_metric_name, round_observer, Counter, FlightRecorder, FlightRecorderHandle, Gauge,
-    HistCell, RecorderStats, Reservoir, SampleFactor, SamplingSink, TeleHist, TelemetryHub,
+    is_valid_metric_name, FlightRecorder, FlightRecorderHandle, RecorderStats, Reservoir,
+    RoundStats, SampleFactor, SamplingSink, TeleHist,
 };
 pub use timeline::{
     chrome_trace_json, self_time, validate_chrome_trace, CounterSample, FlowPoint, SelfTimeRow,
     Span, SpanKind, Timeline, TimelineData, TimelineFlowSink, TraceCheck,
 };
 pub use trace::{
-    DeltaSink, Event, EventId, JsonlSink, RingSink, Trace, TraceSink, TRACE_SCHEMA_COMPAT_MIN,
-    TRACE_SCHEMA_VERSION,
+    DeltaSink, Event, EventId, JsonlSink, RingSink, Trace, TraceSink, Wants,
+    TRACE_SCHEMA_COMPAT_MIN, TRACE_SCHEMA_VERSION,
 };

@@ -108,8 +108,8 @@ impl Metrics {
     /// totals, CC ([`Metrics::max_bits`]) and TC stay exact, but
     /// round-windowed queries ([`Metrics::bits_in_round`] and friends) and
     /// phase `bits`/`sends` read as zero. For streaming million-node runs
-    /// where O(rounds) history is dead weight — pair with a per-round
-    /// stream (e.g. `Engine::stream_rounds`) if the ledger is wanted.
+    /// where O(rounds) history is dead weight — pair with a sink that
+    /// reads rounds (`TraceSink::end_round`) if the ledger is wanted.
     pub fn lean(n: usize) -> Self {
         let mut m = Self::new(n);
         m.lean = true;

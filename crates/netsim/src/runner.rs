@@ -22,10 +22,10 @@
 use crate::adversary::Round;
 use crate::graph::NodeId;
 use crate::metrics::{Metrics, PhaseStats};
-use crate::telemetry::{Counter, HistCell, TelemetryHub};
+use crate::telemetry::{fnv64, TeleHist};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -183,54 +183,52 @@ pub struct WorkerLoad {
 }
 
 /// The merged per-worker telemetry of one instrumented sweep: every
-/// worker owns a private [`TelemetryHub`] while running (no cross-worker
-/// synchronization on the trial path), and the hubs are merged in worker
-/// order at join — so the merged totals (`runner_trials_total`, the
-/// `runner_trial_micros` histogram count) are bit-identical across
-/// thread counts, while the per-worker rows expose the nondeterministic
-/// load split for straggler analysis.
+/// worker counts its own trials and trial latencies while running (no
+/// cross-worker synchronization on the trial path), and the workers are
+/// merged in worker order at join — so the totals (trial count, latency
+/// histogram count) are bit-identical across thread counts, while the
+/// per-worker rows expose the nondeterministic load split for straggler
+/// analysis.
 #[derive(Debug)]
 pub struct RunnerTelemetry {
-    /// The merged hub: `runner_trials_total`, `runner_steals_total`,
-    /// `runner_busy_micros_total`, `runner_idle_micros_total` counters
-    /// and the `runner_trial_micros` histogram.
-    pub hub: Arc<TelemetryHub>,
     /// Per-worker load rows, in worker order.
     pub workers: Vec<WorkerLoad>,
     /// Wall time of the whole sweep.
     pub elapsed: Duration,
+    /// Every worker's trial latencies (µs), merged in worker order.
+    latency: TeleHist,
 }
 
 impl RunnerTelemetry {
-    fn from_parts(parts: Vec<(TelemetryHub, WorkerLoad)>, elapsed: Duration) -> RunnerTelemetry {
-        let hub = TelemetryHub::new();
+    fn from_parts(parts: Vec<(WorkerLoad, TeleHist)>, elapsed: Duration) -> RunnerTelemetry {
+        let mut latency = trial_micros();
         let mut workers = Vec::with_capacity(parts.len());
-        for (whub, load) in parts {
-            hub.merge_from(&whub);
+        for (load, hist) in parts {
+            latency.merge(&hist);
             workers.push(load);
         }
-        RunnerTelemetry { hub: Arc::new(hub), workers, elapsed }
+        RunnerTelemetry { workers, elapsed, latency }
     }
 
     /// Total trials across workers (= the seed count; deterministic).
     pub fn trials(&self) -> u64 {
-        self.hub.counter("runner_trials_total").get()
+        self.workers.iter().map(|w| w.trials).sum()
     }
 
     /// Total out-of-share claims across workers (scheduling-dependent).
     pub fn steals(&self) -> u64 {
-        self.hub.counter("runner_steals_total").get()
+        self.workers.iter().map(|w| w.steals).sum()
     }
 
-    /// Median per-trial latency over the merged histogram, microseconds.
+    /// Median per-trial latency over every worker's trials, microseconds.
     pub fn p50_micros(&self) -> u64 {
-        self.hub.histogram("runner_trial_micros").snapshot().quantile(0.5)
+        self.latency.quantile(0.5)
     }
 
-    /// 99th-percentile per-trial latency over the merged histogram,
+    /// 99th-percentile per-trial latency over every worker's trials,
     /// microseconds.
     pub fn p99_micros(&self) -> u64 {
-        self.hub.histogram("runner_trial_micros").snapshot().quantile(0.99)
+        self.latency.quantile(0.99)
     }
 
     /// The worker whose busy time exceeds twice the mean, if any — the
@@ -319,34 +317,33 @@ impl LiveLoad {
     }
 }
 
-/// One worker's private instrumentation: a hub plus cached instrument
-/// handles, so the per-trial cost is two `Instant::now` calls, two
-/// atomic adds, and one uncontended histogram lock — no cross-worker
+/// An empty trial-latency histogram (µs). Its reservoir seed is fixed,
+/// so equal latencies always keep equal samples.
+fn trial_micros() -> TeleHist {
+    TeleHist::new(fnv64("runner_trial_micros"))
+}
+
+/// One worker's private instrumentation, so the per-trial cost is two
+/// `Instant::now` calls and a few plain adds — no cross-worker
 /// synchronization.
 struct WorkerTele {
     worker: usize,
     spawned: Instant,
     busy: Duration,
-    hub: TelemetryHub,
-    trials: Arc<Counter>,
-    steals: Arc<Counter>,
-    latency: Arc<HistCell>,
+    trials: u64,
+    steals: u64,
+    latency: TeleHist,
 }
 
 impl WorkerTele {
     fn new(worker: usize) -> WorkerTele {
-        let hub = TelemetryHub::new();
-        let trials = hub.counter("runner_trials_total");
-        let steals = hub.counter("runner_steals_total");
-        let latency = hub.histogram("runner_trial_micros");
         WorkerTele {
             worker,
             spawned: Instant::now(),
             busy: Duration::ZERO,
-            hub,
-            trials,
-            steals,
-            latency,
+            trials: 0,
+            steals: 0,
+            latency: trial_micros(),
         }
     }
 
@@ -358,10 +355,8 @@ impl WorkerTele {
         let dt = t0.elapsed();
         self.busy += dt;
         let micros = dt.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.trials.inc();
-        if stolen {
-            self.steals.inc();
-        }
+        self.trials += 1;
+        self.steals += u64::from(stolen);
         self.latency.record(micros);
         if let Some(l) = live {
             l.busy_micros[self.worker].store(self.busy.as_micros() as u64, Ordering::Relaxed);
@@ -370,23 +365,18 @@ impl WorkerTele {
         out
     }
 
-    /// Seals the worker: accounts busy/idle wall time into the hub and
-    /// extracts the load row.
-    fn finish(self) -> (TelemetryHub, WorkerLoad) {
-        let idle = self.spawned.elapsed().saturating_sub(self.busy);
-        self.hub.counter("runner_busy_micros_total").add(self.busy.as_micros() as u64);
-        self.hub.counter("runner_idle_micros_total").add(idle.as_micros() as u64);
-        let lat = self.latency.snapshot();
+    /// Seals the worker: its load row and its latency histogram.
+    fn finish(self) -> (WorkerLoad, TeleHist) {
         let load = WorkerLoad {
             worker: self.worker,
-            trials: lat.count(),
-            steals: self.steals.get(),
+            trials: self.trials,
+            steals: self.steals,
             busy: self.busy,
-            idle,
-            p50_micros: lat.quantile(0.5),
-            p99_micros: lat.quantile(0.99),
+            idle: self.spawned.elapsed().saturating_sub(self.busy),
+            p50_micros: self.latency.quantile(0.5),
+            p99_micros: self.latency.quantile(0.99),
         };
-        (self.hub, load)
+        (load, self.latency)
     }
 }
 
@@ -452,9 +442,9 @@ impl Runner {
     }
 
     /// [`Runner::run`] with everything a sweep can observe. Each worker
-    /// owns a private [`TelemetryHub`] (trials, steals, busy/idle wall
-    /// time, a per-trial latency log₂ histogram), merged deterministically
-    /// in worker order at join into the returned [`RunnerTelemetry`]. A
+    /// keeps its own counts (trials, steals, busy/idle wall time, a
+    /// per-trial latency histogram), merged deterministically in worker
+    /// order at join into the returned [`RunnerTelemetry`]. A
     /// `progress` sink sees every completion, with running p50/p99 trial
     /// latency and a straggler flag; it is consulted behind one `Option`
     /// branch per *trial* (not per round), mirroring the engine's
@@ -558,7 +548,7 @@ impl Runner {
         }
         // One worker's portion: seed-indexed results plus its telemetry
         // (when instrumentation is on).
-        type WorkerPart<T> = (Vec<(usize, T)>, Option<(TelemetryHub, WorkerLoad)>);
+        type WorkerPart<T> = (Vec<(usize, T)>, Option<(WorkerLoad, TeleHist)>);
         let cursor = AtomicUsize::new(0);
         let cursor = &cursor;
         let trial = &trial;
@@ -591,9 +581,9 @@ impl Runner {
                 })
                 .collect()
         });
-        // Merge the workers' buckets back into seed order; worker hubs
-        // merge in worker order (the join order), so the merged registry
-        // is deterministic even though the load split is not.
+        // Merge the workers' buckets back into seed order; worker
+        // histograms merge in worker order (the join order), so the merged
+        // totals are deterministic even though the load split is not.
         let mut slots: Vec<Option<T>> = (0..seeds.len()).map(|_| None).collect();
         let mut worker_parts = Vec::with_capacity(workers);
         for (bucket, tele) in parts {
@@ -1181,7 +1171,7 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_run_matches_plain_and_merges_worker_hubs() {
+    fn instrumented_run_matches_plain_and_merges_worker_rows() {
         let seeds: Vec<u64> = (0..37).collect();
         let plain = Runner::exact(4).run(&seeds, |s| s.wrapping_mul(7) ^ 1);
         for threads in [1, 2, 4] {
@@ -1194,21 +1184,14 @@ mod tests {
             assert_eq!(got, plain, "threads = {threads}");
             // Deterministic totals: every seed ran exactly once.
             assert_eq!(tele.trials(), seeds.len() as u64);
-            let lat = tele.hub.histogram("runner_trial_micros").snapshot();
-            assert_eq!(lat.count(), seeds.len() as u64);
+            assert_eq!(tele.latency.count(), seeds.len() as u64);
             // One load row per worker, partitioning the trials.
             assert_eq!(tele.workers.len(), threads.min(seeds.len()));
             assert_eq!(tele.workers.iter().map(|w| w.trials).sum::<u64>(), seeds.len() as u64);
             for (i, w) in tele.workers.iter().enumerate() {
                 assert_eq!(w.worker, i);
             }
-            // Busy + idle wall time is accounted into the merged hub.
-            let busy = tele.hub.counter("runner_busy_micros_total").get();
-            let idle = tele.hub.counter("runner_idle_micros_total").get();
-            let from_rows: u64 = tele.workers.iter().map(|w| w.busy.as_micros() as u64).sum();
-            assert_eq!(busy, from_rows);
-            let _ = idle; // non-negative by type; accounted per worker
-                          // The table renders one aligned row per worker.
+            // The table renders one aligned row per worker.
             let table = tele.workers_table();
             assert_eq!(table.lines().count(), 1 + tele.workers.len(), "{table}");
             assert!(table.contains("p99_us"), "{table}");

@@ -6,11 +6,12 @@
 //! more than the simulation itself. This module layers three cheaper
 //! instruments, each with a stated fidelity:
 //!
-//! - **[`TelemetryHub`]** — a registry of atomic [`Counter`]s/[`Gauge`]s
-//!   plus mergeable log₂-bucket + reservoir histograms ([`TeleHist`]).
-//!   Fed per *round* (not per delivery) from the engines' round stream
-//!   via [`round_observer`], so the per-delivery cost is exactly zero.
-//!   Exported as Prometheus-style text or JSON.
+//! - **[`RoundStats`]** — the engine's fixed round-level meters: four
+//!   counters, two gauges and two mergeable log₂-bucket + reservoir
+//!   histograms ([`TeleHist`]). It is a sink that reads only
+//!   [`TraceSink::end_round`], so it costs one call per *round* and the
+//!   engine builds no send or delivery event for it. Exported as
+//!   Prometheus-style text or JSON.
 //! - **[`SamplingSink`]** — wraps any sink and forwards the events of a
 //!   seed-deterministic 1-in-k subset of nodes, stratified per message
 //!   kind, while metering the full stream; [`SamplingSink::factors`]
@@ -25,18 +26,16 @@
 //!   million-node run that trips an invariant leaves a replayable tail
 //!   instead of nothing.
 //!
-//! Every sink here answers [`TraceSink::wants_delivers`], so the engine
-//! can skip per-delivery event construction entirely when no installed
-//! sink needs it — that interest bit is what keeps the recorded
-//! million-node run within a few percent of the blind one.
+//! Every sink here answers [`TraceSink::wants`] below
+//! [`Wants::Deliveries`], so the engine skips per-delivery event
+//! construction entirely when no other installed sink needs it.
 
 use crate::adversary::Round;
 use crate::engine::RoundFlow;
 use crate::graph::NodeId;
 use crate::runner::Histogram;
-use crate::trace::{DeltaSink, Event, TraceSink, TRACE_SCHEMA_VERSION};
+use crate::trace::{DeltaSink, Event, TraceSink, Wants, TRACE_SCHEMA_VERSION};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer. Used for
@@ -49,8 +48,8 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a over a name: stable seeds for named histograms.
-fn fnv64(s: &str) -> u64 {
+/// FNV-1a over a name: stable seeds for named histograms and strata.
+pub(crate) fn fnv64(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
         h ^= u64::from(b);
@@ -66,10 +65,9 @@ fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Whether `name` is a valid Prometheus metric identifier
-/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`). Everything this crate registers in a
-/// [`TelemetryHub`] must pass, or the exported exposition text is not
-/// scrapeable; the CLI's export golden test lints every exported name
-/// through this.
+/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`). Every name [`RoundStats`] exports must
+/// pass, or the exposition text is not scrapeable; the CLI's export
+/// golden test lints every exported name through this.
 pub fn is_valid_metric_name(name: &str) -> bool {
     let mut bytes = name.bytes();
     let Some(first) = bytes.next() else { return false };
@@ -80,48 +78,6 @@ pub fn is_valid_metric_name(name: &str) -> bool {
 // ---------------------------------------------------------------------------
 // Counters, gauges, histograms
 // ---------------------------------------------------------------------------
-
-/// A monotonically increasing atomic counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds `v`.
-    pub fn add(&self, v: u64) {
-        self.0.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Adds 1.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins atomic gauge with a running-maximum helper.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the gauge to `v`.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the gauge to `v` if `v` is larger.
-    pub fn raise(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// How many raw samples a [`TeleHist`] reservoir keeps (quantiles are
 /// exact up to this many samples, estimated past it).
@@ -246,151 +202,106 @@ impl TeleHist {
     }
 }
 
-/// A shared, internally synchronized [`TeleHist`] registered in a
-/// [`TelemetryHub`]. Recording takes an uncontended mutex — callers feed
-/// it per round, not per delivery.
-#[derive(Debug)]
-pub struct HistCell {
-    inner: Mutex<TeleHist>,
+/// The engine's round-level meters: a sink that reads only
+/// [`TraceSink::end_round`], so it costs one call per round and turns on
+/// no send or delivery event. Each field is one exported instrument; the
+/// name in its doc is the one [`RoundStats::render_prometheus`] and
+/// [`RoundStats::render_json`] write.
+#[derive(Clone, Debug)]
+pub struct RoundStats {
+    /// Rounds retired (`engine_rounds_total`).
+    pub rounds: u64,
+    /// Bits broadcast (`engine_bits_total`).
+    pub bits: u64,
+    /// Logical messages broadcast (`engine_logical_messages_total`).
+    pub logical: u64,
+    /// Deliveries enqueued (`engine_deliveries_total`).
+    pub deliveries: u64,
+    /// Deliveries the last round enqueued (`engine_inflight_last`).
+    pub inflight_last: u64,
+    /// The most deliveries one round enqueued (`engine_inflight_peak`).
+    pub inflight_peak: u64,
+    /// Bits broadcast per round (`engine_round_bits`).
+    pub round_bits: TeleHist,
+    /// Deliveries enqueued per round (`engine_round_deliveries`).
+    pub round_deliveries: TeleHist,
 }
 
-impl HistCell {
-    fn new(seed: u64) -> HistCell {
-        HistCell { inner: Mutex::new(TeleHist::new(seed)) }
-    }
-
-    /// Records one sample.
-    pub fn record(&self, v: u64) {
-        lock_ok(&self.inner).record(v);
-    }
-
-    /// A point-in-time copy of the cell.
-    pub fn snapshot(&self) -> TeleHist {
-        lock_ok(&self.inner).clone()
-    }
-
-    /// Merges an already-aggregated [`TeleHist`] into the cell (bucket
-    /// counts add exactly; reservoirs merge deterministically).
-    pub fn absorb(&self, other: &TeleHist) {
-        lock_ok(&self.inner).merge(other);
+impl Default for RoundStats {
+    fn default() -> Self {
+        RoundStats::new()
     }
 }
 
-/// A lock-free-ish registry of named counters, gauges, and histogram
-/// cells. Registration (first lookup of a name) takes a mutex; the
-/// returned handles are plain atomics ([`Counter`], [`Gauge`]) or
-/// per-cell mutexes ([`HistCell`]), so steady-state recording never
-/// touches the registry lock. Lookups are get-or-create: two callers
-/// asking for the same name share one instrument.
-#[derive(Debug, Default)]
-pub struct TelemetryHub {
-    counters: Mutex<Vec<(String, Arc<Counter>)>>,
-    gauges: Mutex<Vec<(String, Arc<Gauge>)>>,
-    hists: Mutex<Vec<(String, Arc<HistCell>)>>,
-}
-
-impl TelemetryHub {
-    /// An empty hub.
-    pub fn new() -> TelemetryHub {
-        TelemetryHub::default()
-    }
-
-    /// The counter registered under `name` (created on first use).
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut v = lock_ok(&self.counters);
-        if let Some((_, c)) = v.iter().find(|(n, _)| n == name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Counter::default());
-        v.push((name.to_string(), Arc::clone(&c)));
-        c
-    }
-
-    /// The gauge registered under `name` (created on first use).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut v = lock_ok(&self.gauges);
-        if let Some((_, g)) = v.iter().find(|(n, _)| n == name) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Gauge::default());
-        v.push((name.to_string(), Arc::clone(&g)));
-        g
-    }
-
-    /// The histogram cell registered under `name` (created on first use;
-    /// its reservoir seed derives from the name, so layouts are stable
-    /// across processes).
-    pub fn histogram(&self, name: &str) -> Arc<HistCell> {
-        let mut v = lock_ok(&self.hists);
-        if let Some((_, h)) = v.iter().find(|(n, _)| n == name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(HistCell::new(fnv64(name)));
-        v.push((name.to_string(), Arc::clone(&h)));
-        h
-    }
-
-    /// Merges every instrument of `other` into this hub: counters add,
-    /// gauges keep the maximum, histograms merge bucket-exactly. The
-    /// merge walks `other`'s instruments in sorted-name order, so folding
-    /// a fixed set of hubs (e.g. one per runner worker, in worker order)
-    /// produces a deterministic registry regardless of how each hub's
-    /// instruments were first touched. Totals (counter sums, histogram
-    /// counts) are therefore identical across thread counts whenever the
-    /// per-hub totals partition the same work.
-    pub fn merge_from(&self, other: &TelemetryHub) {
-        for (name, v) in other.sorted_counters() {
-            self.counter(&name).add(v);
-        }
-        for (name, v) in other.sorted_gauges() {
-            self.gauge(&name).raise(v);
-        }
-        for (name, h) in other.sorted_hists() {
-            self.histogram(&name).absorb(&h);
+impl RoundStats {
+    /// All meters at zero. Each histogram's reservoir seed is the FNV-1a
+    /// hash of its exported name, so layouts are stable across processes.
+    pub fn new() -> RoundStats {
+        RoundStats {
+            rounds: 0,
+            bits: 0,
+            logical: 0,
+            deliveries: 0,
+            inflight_last: 0,
+            inflight_peak: 0,
+            round_bits: TeleHist::new(fnv64("engine_round_bits")),
+            round_deliveries: TeleHist::new(fnv64("engine_round_deliveries")),
         }
     }
 
-    /// Every counter as `(name, value)`, sorted by name.
-    pub fn sorted_counters(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> =
-            lock_ok(&self.counters).iter().map(|(n, c)| (n.clone(), c.get())).collect();
-        v.sort();
-        v
+    /// Absorbs `other`: counters add, gauges keep the maximum and
+    /// histograms merge bucket-exactly. Folding a fixed list of stats in
+    /// list order gives the same totals at any thread count.
+    pub fn merge(&mut self, other: &RoundStats) {
+        self.rounds += other.rounds;
+        self.bits += other.bits;
+        self.logical += other.logical;
+        self.deliveries += other.deliveries;
+        self.inflight_last = self.inflight_last.max(other.inflight_last);
+        self.inflight_peak = self.inflight_peak.max(other.inflight_peak);
+        self.round_bits.merge(&other.round_bits);
+        self.round_deliveries.merge(&other.round_deliveries);
     }
 
-    /// Every gauge as `(name, value)`, sorted by name.
-    pub fn sorted_gauges(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> =
-            lock_ok(&self.gauges).iter().map(|(n, g)| (n.clone(), g.get())).collect();
-        v.sort();
-        v
+    /// The counters as `(name, value)`, sorted by name.
+    fn counters(&self) -> [(&'static str, u64); 4] {
+        [
+            ("engine_bits_total", self.bits),
+            ("engine_deliveries_total", self.deliveries),
+            ("engine_logical_messages_total", self.logical),
+            ("engine_rounds_total", self.rounds),
+        ]
     }
 
-    /// A snapshot of every histogram as `(name, hist)`, sorted by name.
-    pub fn sorted_hists(&self) -> Vec<(String, TeleHist)> {
-        let mut v: Vec<(String, TeleHist)> =
-            lock_ok(&self.hists).iter().map(|(n, h)| (n.clone(), h.snapshot())).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
+    /// The gauges as `(name, value)`, sorted by name.
+    fn gauges(&self) -> [(&'static str, u64); 2] {
+        [("engine_inflight_last", self.inflight_last), ("engine_inflight_peak", self.inflight_peak)]
+    }
+
+    /// The histograms as `(name, hist)`, sorted by name.
+    fn hists(&self) -> [(&'static str, &TeleHist); 2] {
+        [
+            ("engine_round_bits", &self.round_bits),
+            ("engine_round_deliveries", &self.round_deliveries),
+        ]
     }
 
     /// Renders every instrument as Prometheus exposition text (counters
     /// and gauges as-is; histograms as summaries with `quantile` labels
-    /// plus `_count` and `_max` series), names sorted.
+    /// plus `_count` and `_max` series), names sorted within each kind.
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (name, v) in self.sorted_counters() {
+        for (name, v) in self.counters() {
             let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
         }
-        for (name, v) in self.sorted_gauges() {
+        for (name, v) in self.gauges() {
             let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
         }
-        for (name, h) in self.sorted_hists() {
+        for (name, h) in self.hists() {
             let _ = writeln!(out, "# TYPE {name} summary");
-            for q in ["0.5", "0.9", "0.99"] {
-                let qv = h.quantile(q.parse().expect("literal quantile"));
-                let _ = writeln!(out, "{name}{{quantile=\"{q}\"}} {qv}");
+            for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
+                let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {}", h.quantile(q));
             }
             let _ = writeln!(out, "{name}_count {}\n{name}_max {}", h.count(), h.max());
         }
@@ -401,16 +312,12 @@ impl TelemetryHub {
     /// (`{"counters":{...},"gauges":{...},"histograms":{...}}`, names
     /// sorted).
     pub fn render_json(&self) -> String {
-        use std::fmt::Write as _;
-        let scalar_obj = |items: &[(String, u64)]| {
+        let scalars = |items: &[(&str, u64)]| {
             let fields: Vec<String> = items.iter().map(|(n, v)| format!("\"{n}\": {v}")).collect();
             format!("{{{}}}", fields.join(", "))
         };
-        let mut out = String::new();
-        let _ = write!(out, "{{\"counters\": {}", scalar_obj(&self.sorted_counters()));
-        let _ = write!(out, ", \"gauges\": {}", scalar_obj(&self.sorted_gauges()));
         let hists: Vec<String> = self
-            .sorted_hists()
+            .hists()
             .iter()
             .map(|(n, h)| {
                 format!(
@@ -423,36 +330,31 @@ impl TelemetryHub {
                 )
             })
             .collect();
-        let _ = write!(out, ", \"histograms\": {{{}}}}}", hists.join(", "));
-        out.push('\n');
-        out
+        format!(
+            "{{\"counters\": {}, \"gauges\": {}, \"histograms\": {{{}}}}}\n",
+            scalars(&self.counters()),
+            scalars(&self.gauges()),
+            hists.join(", ")
+        )
     }
 }
 
-/// Builds a per-round callback for `Engine::stream_rounds` that feeds the standard engine instruments
-/// of `hub`: `engine_rounds_total`, `engine_bits_total`,
-/// `engine_logical_messages_total`, `engine_deliveries_total` counters,
-/// `engine_inflight_last` / `engine_inflight_peak` gauges, and the
-/// `engine_round_bits` / `engine_round_deliveries` histograms. Cost is
-/// O(1) per **round**; nothing here runs per delivery.
-pub fn round_observer(hub: &Arc<TelemetryHub>) -> impl FnMut(RoundFlow) + 'static {
-    let rounds = hub.counter("engine_rounds_total");
-    let bits = hub.counter("engine_bits_total");
-    let logical = hub.counter("engine_logical_messages_total");
-    let deliveries = hub.counter("engine_deliveries_total");
-    let inflight = hub.gauge("engine_inflight_last");
-    let inflight_peak = hub.gauge("engine_inflight_peak");
-    let round_bits = hub.histogram("engine_round_bits");
-    let round_deliveries = hub.histogram("engine_round_deliveries");
-    move |flow: RoundFlow| {
-        rounds.inc();
-        bits.add(flow.bits);
-        logical.add(flow.logical);
-        deliveries.add(flow.deliveries);
-        inflight.set(flow.deliveries);
-        inflight_peak.raise(flow.deliveries);
-        round_bits.record(flow.bits);
-        round_deliveries.record(flow.deliveries);
+impl TraceSink for RoundStats {
+    fn record(&mut self, _: &Event) {}
+
+    fn end_round(&mut self, flow: &RoundFlow) {
+        self.rounds += 1;
+        self.bits += flow.bits;
+        self.logical += flow.logical;
+        self.deliveries += flow.deliveries;
+        self.inflight_last = flow.deliveries;
+        self.inflight_peak = self.inflight_peak.max(flow.deliveries);
+        self.round_bits.record(flow.bits);
+        self.round_deliveries.record(flow.deliveries);
+    }
+
+    fn wants(&self) -> Wants {
+        Wants::Rounds
     }
 }
 
@@ -618,8 +520,12 @@ impl TraceSink for SamplingSink {
         }
     }
 
-    fn wants_delivers(&self) -> bool {
-        self.inner.wants_delivers()
+    fn end_round(&mut self, flow: &RoundFlow) {
+        self.inner.end_round(flow);
+    }
+
+    fn wants(&self) -> Wants {
+        self.inner.wants()
     }
 }
 
@@ -641,7 +547,6 @@ struct RecorderCore {
     segments: VecDeque<Segment>,
     cur: DeltaSink,
     cur_round: Round,
-    record_delivers: bool,
     total_events: u64,
     recorded_events: u64,
     evicted_rounds: u64,
@@ -670,10 +575,8 @@ impl RecorderCore {
 
     fn offer(&mut self, e: &Event) {
         self.total_events += 1;
-        if !self.record_delivers {
-            if let Event::Deliver { .. } = e {
-                return;
-            }
+        if let Event::Deliver { .. } = e {
+            return;
         }
         let r = e.round();
         if r != self.cur_round && self.cur.event_count() > 0 {
@@ -730,8 +633,8 @@ pub struct RecorderStats {
     pub bytes_buffered: u64,
     /// Events offered to the recorder over its lifetime.
     pub total_events: u64,
-    /// Events actually encoded (differs from `total_events` when
-    /// deliveries are excluded).
+    /// Events actually encoded: `total_events` minus the deliveries a
+    /// sibling sink had the engine build.
     pub recorded_events: u64,
     /// Rounds evicted from the head of the ring.
     pub evicted_rounds: u64,
@@ -742,7 +645,11 @@ pub struct RecorderStats {
 }
 
 /// The black box: a [`TraceSink`] keeping the last R rounds of events as
-/// per-round [`DeltaSink`] segments in a bounded ring. Dumping decodes
+/// per-round [`DeltaSink`] segments in a bounded ring. It never records
+/// deliveries and tells the engine not to build them
+/// ([`Wants::Events`]): sends, crashes, phases and decides are retained
+/// at full fidelity — enough for replay, metrics and blame, which are all
+/// send-driven — at a per-round instead of per-delivery cost. Dumping decodes
 /// the retained segments back into one versioned v2 JSONL artifact that
 /// `ftagg-cli explain --input` / `report --input` replay directly.
 ///
@@ -762,25 +669,12 @@ impl FlightRecorder {
                 segments: VecDeque::new(),
                 cur: DeltaSink::new(),
                 cur_round: 0,
-                record_delivers: true,
                 total_events: 0,
                 recorded_events: 0,
                 evicted_rounds: 0,
                 dumped: false,
             })),
         }
-    }
-
-    /// Excludes per-delivery events (and tells the engine not to build
-    /// them, via [`TraceSink::wants_delivers`]). This is the
-    /// million-node configuration: sends, crashes, phases, and decides
-    /// are retained at full fidelity — enough for replay, metrics, and
-    /// blame, which are all send-driven — at a per-round instead of
-    /// per-delivery cost.
-    #[must_use]
-    pub fn without_delivers(self) -> FlightRecorder {
-        lock_ok(&self.core).record_delivers = false;
-        self
     }
 
     /// A shared handle for dumping/inspecting the ring after the
@@ -795,8 +689,8 @@ impl TraceSink for FlightRecorder {
         lock_ok(&self.core).offer(e);
     }
 
-    fn wants_delivers(&self) -> bool {
-        lock_ok(&self.core).record_delivers
+    fn wants(&self) -> Wants {
+        Wants::Events
     }
 }
 
@@ -886,47 +780,41 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    #[test]
-    fn counters_gauges_and_histograms_register_once() {
-        let hub = TelemetryHub::new();
-        hub.counter("c").add(3);
-        hub.counter("c").add(4);
-        assert_eq!(hub.counter("c").get(), 7);
-        hub.gauge("g").set(5);
-        hub.gauge("g").raise(2);
-        assert_eq!(hub.gauge("g").get(), 5);
-        hub.gauge("g").raise(9);
-        assert_eq!(hub.gauge("g").get(), 9);
-        hub.histogram("h").record(10);
-        hub.histogram("h").record(20);
-        assert_eq!(hub.histogram("h").snapshot().count(), 2);
+    /// Stats over two rounds: 24 bits, 3 messages and 4 deliveries, then
+    /// 8 bits, 1 message and 2 deliveries.
+    fn two_rounds() -> RoundStats {
+        let mut s = RoundStats::new();
+        s.end_round(&RoundFlow { round: 1, bits: 24, logical: 3, deliveries: 4 });
+        s.end_round(&RoundFlow { round: 2, bits: 8, logical: 1, deliveries: 2 });
+        s
     }
 
     #[test]
-    fn hub_merge_adds_counters_raises_gauges_and_merges_hists() {
-        let a = TelemetryHub::new();
-        a.counter("trials_total").add(3);
-        a.gauge("peak").set(10);
-        a.histogram("lat").record(4);
-        a.histogram("lat").record(8);
-        let b = TelemetryHub::new();
-        b.counter("trials_total").add(5);
-        b.counter("steals_total").add(2);
-        b.gauge("peak").set(7);
-        b.histogram("lat").record(100);
-        let merged = TelemetryHub::new();
-        merged.merge_from(&a);
-        merged.merge_from(&b);
-        assert_eq!(merged.counter("trials_total").get(), 8);
-        assert_eq!(merged.counter("steals_total").get(), 2);
-        assert_eq!(merged.gauge("peak").get(), 10, "gauges merge by max");
-        let lat = merged.histogram("lat").snapshot();
-        assert_eq!(lat.count(), 3);
-        assert_eq!(lat.max(), 100);
-        // Merging in either order gives the same rendered registry.
-        let flipped = TelemetryHub::new();
-        flipped.merge_from(&b);
-        flipped.merge_from(&a);
+    fn round_stats_meter_every_round_and_want_nothing_else() {
+        let s = two_rounds();
+        assert_eq!((s.rounds, s.bits, s.logical, s.deliveries), (2, 32, 4, 6));
+        assert_eq!((s.inflight_last, s.inflight_peak), (2, 4));
+        assert_eq!((s.round_bits.count(), s.round_bits.max()), (2, 24));
+        assert_eq!((s.round_deliveries.count(), s.round_deliveries.max()), (2, 4));
+        assert_eq!(s.wants(), Wants::Rounds);
+    }
+
+    #[test]
+    fn round_stats_merge_adds_counters_raises_gauges_and_merges_hists() {
+        let a = two_rounds();
+        let mut b = RoundStats::new();
+        b.end_round(&RoundFlow { round: 1, bits: 100, logical: 2, deliveries: 3 });
+        let mut merged = RoundStats::new();
+        merged.merge(&a);
+        merged.merge(&b);
+        assert_eq!((merged.rounds, merged.bits, merged.logical, merged.deliveries), (3, 132, 6, 9));
+        assert_eq!(merged.inflight_last, 3, "gauges merge by max");
+        assert_eq!(merged.inflight_peak, 4, "gauges merge by max");
+        assert_eq!((merged.round_bits.count(), merged.round_bits.max()), (3, 100));
+        // Merging in either order gives the same rendered stats.
+        let mut flipped = RoundStats::new();
+        flipped.merge(&b);
+        flipped.merge(&a);
         assert_eq!(flipped.render_prometheus(), merged.render_prometheus());
     }
 
@@ -983,38 +871,23 @@ mod tests {
     }
 
     #[test]
-    fn hub_renders_prometheus_and_json_sorted() {
-        let hub = TelemetryHub::new();
-        hub.counter("b_total").add(2);
-        hub.counter("a_total").add(1);
-        hub.gauge("inflight").set(4);
-        hub.histogram("lat").record(100);
-        let prom = hub.render_prometheus();
-        let a = prom.find("a_total 1").expect("a_total rendered");
-        let b = prom.find("b_total 2").expect("b_total rendered");
-        assert!(a < b, "names sorted:\n{prom}");
-        assert!(prom.contains("# TYPE inflight gauge"), "{prom}");
-        assert!(prom.contains("lat{quantile=\"0.5\"} 100"), "{prom}");
-        assert!(prom.contains("lat_count 1"), "{prom}");
-        let json = hub.render_json();
-        assert!(json.contains("\"a_total\": 1, \"b_total\": 2"), "{json}");
-        assert!(json.contains("\"inflight\": 4"), "{json}");
-        assert!(json.contains("\"lat\": {\"count\": 1"), "{json}");
-    }
-
-    #[test]
-    fn round_observer_feeds_the_standard_instruments() {
-        let hub = Arc::new(TelemetryHub::new());
-        let mut cb = round_observer(&hub);
-        cb(RoundFlow { round: 1, bits: 24, logical: 3, deliveries: 4 });
-        cb(RoundFlow { round: 2, bits: 8, logical: 1, deliveries: 2 });
-        assert_eq!(hub.counter("engine_rounds_total").get(), 2);
-        assert_eq!(hub.counter("engine_bits_total").get(), 32);
-        assert_eq!(hub.counter("engine_logical_messages_total").get(), 4);
-        assert_eq!(hub.counter("engine_deliveries_total").get(), 6);
-        assert_eq!(hub.gauge("engine_inflight_last").get(), 2);
-        assert_eq!(hub.gauge("engine_inflight_peak").get(), 4);
-        assert_eq!(hub.histogram("engine_round_bits").snapshot().count(), 2);
+    fn round_stats_render_prometheus_and_json_sorted() {
+        let s = two_rounds();
+        let prom = s.render_prometheus();
+        let bits = prom.find("engine_bits_total 32").expect("bits rendered");
+        let rounds = prom.find("engine_rounds_total 2").expect("rounds rendered");
+        assert!(bits < rounds, "names sorted:\n{prom}");
+        assert!(prom.contains("# TYPE engine_inflight_peak gauge"), "{prom}");
+        assert!(prom.contains("engine_round_bits{quantile=\"0.5\"} 8"), "{prom}");
+        assert!(prom.contains("engine_round_deliveries_count 2"), "{prom}");
+        let json = s.render_json();
+        assert!(json.starts_with("{\"counters\": {\"engine_bits_total\": 32, "), "{json}");
+        assert!(
+            json.contains("\"engine_inflight_last\": 2, \"engine_inflight_peak\": 4"),
+            "{json}"
+        );
+        assert!(json.contains("\"engine_round_bits\": {\"count\": 2, \"max\": 24"), "{json}");
+        assert!(json.ends_with("}}\n"), "{json}");
     }
 
     fn send(round: Round, node: u32, bits: u64) -> Event {
@@ -1130,7 +1003,7 @@ mod tests {
         }
         let stats = handle.stats();
         assert_eq!(stats.total_events, 30);
-        assert_eq!(stats.recorded_events, 30);
+        assert_eq!(stats.recorded_events, 20, "deliveries are offered but never recorded");
         assert_eq!(stats.evicted_rounds, 7);
         assert_eq!(stats.rounds_buffered, 3);
         assert_eq!(stats.oldest_round, 8);
@@ -1140,16 +1013,16 @@ mod tests {
         // Only rounds 8..=10 survive, in order, fully decoded.
         let trace = Trace::from_jsonl(jsonl.as_bytes()).expect("replayable");
         let rounds: Vec<Round> = trace.events().iter().map(Event::round).collect();
-        assert_eq!(trace.events().len(), 9);
+        assert_eq!(trace.events().len(), 6);
         assert!(rounds.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*rounds.first().expect("events"), 8);
         assert_eq!(*rounds.last().expect("events"), 10);
     }
 
     #[test]
-    fn flight_recorder_without_delivers_drops_them_and_reports_interest() {
-        let mut rec = FlightRecorder::new(4).without_delivers();
-        assert!(!rec.wants_delivers());
+    fn flight_recorder_drops_deliveries_and_wants_events() {
+        let mut rec = FlightRecorder::new(4);
+        assert_eq!(rec.wants(), Wants::Events);
         let handle = rec.handle();
         rec.record(&send(1, 0, 8));
         rec.record(&Event::deliver(1, NodeId(1), NodeId(0), 8));

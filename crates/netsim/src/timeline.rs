@@ -1,7 +1,7 @@
 //! # Wall-clock timeline profiler with Chrome-trace export
 //!
 //! Every observability layer so far (events, causal DAG, watchdog,
-//! telemetry hub, ledger) measures the *logical* execution — rounds,
+//! round stats) measures the *logical* execution — rounds,
 //! bits, causality. This module adds first-class **wall-clock
 //! attribution**: typed monotonic-clock spans
 //!
@@ -82,7 +82,7 @@ pub const STAGE_TELEMETRY: usize = 4;
 /// The engine stages a round decomposes into, in emission order:
 /// inbox buffer management and the delivery scatter, node logic
 /// (`on_round`), send metering and event grouping, per-delivery trace
-/// encoding, and the telemetry tail (counters + round stream).
+/// encoding, and the telemetry tail (counters + every sink's `end_round`).
 pub const STAGES: [&str; 5] = ["inbox-scatter", "absorb", "send", "trace-encode", "telemetry"];
 
 /// One recorded span: a `[start, start + dur)` window on a lane.

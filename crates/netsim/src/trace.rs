@@ -25,6 +25,7 @@
 //! `tests/observer_noninterference.rs`).
 
 use crate::adversary::Round;
+use crate::engine::RoundFlow;
 use crate::graph::NodeId;
 use crate::json::{quote, Json};
 use std::cell::RefCell;
@@ -308,11 +309,30 @@ impl Event {
     }
 }
 
+/// How much of an execution a [`TraceSink`] reads. The levels are
+/// ordered, each one including the levels below it, and the engine builds
+/// only what the highest level among its sinks asks for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Wants {
+    /// Only the per-round [`TraceSink::end_round`] rows. A sink at this
+    /// level costs the engine one call per round: no send or delivery
+    /// event is built for it (the rare crash, phase and decide events are
+    /// built whatever the level, and reach every sink).
+    Rounds,
+    /// Every event except [`Event::Deliver`]: sends, crashes, phases and
+    /// decisions, which is what replay, metrics and blame read.
+    Events,
+    /// Every event. At N = 2²⁰ deliveries outnumber sends by orders of
+    /// magnitude, so this level is the difference between a few percent
+    /// of overhead and a multiple.
+    Deliveries,
+}
+
 /// A consumer of engine events. An engine holds any number of sinks and
-/// hands each event to all of them, in installation order
-/// ([`crate::Engine::add_sink`]); with none installed it pays one
-/// emptiness test per event site. Everything a sink does is invisible to
-/// the execution it observes.
+/// hands each event it builds, and each retired round, to all of them in
+/// installation order ([`crate::Engine::add_sink`]); with none installed
+/// it pays one emptiness test per event site. Everything a sink does is
+/// invisible to the execution it observes.
 ///
 /// To read a sink after the run, keep a shared handle to it: an
 /// `Rc<RefCell<S>>` is itself a sink, so install one clone and read the
@@ -350,20 +370,18 @@ pub trait TraceSink {
     /// Receives one event. Events arrive in non-decreasing round order.
     fn record(&mut self, e: &Event);
 
-    /// Whether this sink needs per-delivery [`Event::Deliver`] records.
+    /// Receives one retired round's traffic, after that round's events.
+    fn end_round(&mut self, _flow: &RoundFlow) {}
+
+    /// How much of the execution this sink reads.
     ///
-    /// The engine consults this **once, at sink installation**, and skips
-    /// building delivery events (and their src-id side channels) entirely
-    /// when no installed sink answers `true` — at N = 2²⁰ deliveries
-    /// outnumber sends by orders of magnitude, so this bit is the
-    /// difference between a few percent of overhead and a multiple.
-    /// Defaults to `true`; sampling/recording sinks that only need sends,
-    /// crashes, phases, and decides (replay, metrics, and blame are
-    /// send-driven) override it. A `false` answer never changes the
-    /// execution, and a sink that gives it is still offered deliveries
-    /// when a sibling sink wants them.
-    fn wants_delivers(&self) -> bool {
-        true
+    /// The engine consults this **once, at sink installation**, and
+    /// builds only what the highest answer among its sinks asks for. A
+    /// lower answer never changes the execution, and a sink that gives
+    /// one is still offered every event a sibling sink asked for.
+    /// Defaults to [`Wants::Deliveries`].
+    fn wants(&self) -> Wants {
+        Wants::Deliveries
     }
 }
 
@@ -374,8 +392,12 @@ impl<S: TraceSink + ?Sized> TraceSink for Rc<RefCell<S>> {
         self.borrow_mut().record(e);
     }
 
-    fn wants_delivers(&self) -> bool {
-        self.borrow().wants_delivers()
+    fn end_round(&mut self, flow: &RoundFlow) {
+        self.borrow_mut().end_round(flow);
+    }
+
+    fn wants(&self) -> Wants {
+        self.borrow().wants()
     }
 }
 

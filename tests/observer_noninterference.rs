@@ -8,15 +8,14 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use caaf::Sum;
 use ftagg::pair::Tweaks;
 use ftagg::{run_pair, run_pair_observed, Instance, Observe, PairReport};
 use netsim::{
-    adversary::schedules, round_observer, topology, Engine, FailureSchedule, FlightRecorder, Graph,
+    adversary::schedules, topology, Engine, Event, FailureSchedule, FlightRecorder, Graph,
     JsonlSink, Message, Metrics, NodeId, NodeLogic, PhaseStats, Received, Round, RoundCtx,
-    SamplingSink, SpanKind, TelemetryHub, Timeline, Trace, TraceSink,
+    RoundStats, SamplingSink, SpanKind, Timeline, Trace, TraceSink,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -169,7 +168,7 @@ fn engine_observers_do_not_perturb_deliveries_or_metrics() {
 
 // ---------------------------------------------------------------------
 // Part 1b: the engine under the full observer stack — samplers, flight
-// recorders, several sinks at once, and the telemetry hub must all leave
+// recorders, several sinks at once, and the round stats must all leave
 // its execution byte-identical too.
 // ---------------------------------------------------------------------
 
@@ -199,53 +198,52 @@ fn soa_engine_observer_stack_does_not_perturb() {
             "k=1 sampler dropped events on seed {seed}"
         );
 
-        // A flight recorder whose ring outlives the run is a faithful
-        // ledger: unperturbed execution, and the delta-encoded ring
-        // decodes back into the exact event stream.
-        let recorder = FlightRecorder::new(64);
-        let flight = recorder.handle();
-        let (with_rec, _eng_r) = run_probes(seed, move |e| {
-            e.add_sink(Box::new(recorder));
+        // A lone flight recorder takes no deliveries, so it takes the
+        // engine down its skip-deliveries fast path — which must still
+        // deliver every message.
+        let (with_rec, _eng_r) = run_probes(seed, |e| {
+            e.add_sink(Box::new(FlightRecorder::new(64)));
         });
         assert_eq!(with_rec, quiet, "FlightRecorder perturbed the engine on seed {seed}");
-        let ring = Trace::from_jsonl(flight.snapshot_jsonl().unwrap().as_bytes()).unwrap();
-        assert_eq!(ring.events(), trace.events(), "flight ring diverged on seed {seed}");
 
-        // A deaf recorder (delivery events suppressed at the source via
-        // `wants_delivers`) takes the engine down its skip-deliveries
-        // fast path — which must still deliver every message.
-        let (with_deaf, _eng_d) = run_probes(seed, |e| {
-            e.add_sink(Box::new(FlightRecorder::new(64).without_delivers()));
-        });
-        assert_eq!(with_deaf, quiet, "deaf FlightRecorder perturbed the engine on seed {seed}");
-
-        // The whole stack at once: a trace and a deaf recorder side by
-        // side, plus a telemetry hub fed from the round stream. Still
-        // byte-identical, the trace beside the recorder still exact, and
-        // the hub's counters agree with the engine's own accounting.
-        let hub = Arc::new(TelemetryHub::new());
-        let obs = round_observer(&hub);
+        // The whole stack at once: round stats, a trace and a flight
+        // recorder whose ring outlives the run. Still byte-identical; the
+        // trace beside the recorder is still exact; the recorder is a
+        // faithful ledger (its delta-encoded ring decodes back into the
+        // exact stream, deliveries aside); and the stats agree with the
+        // engine's own accounting.
+        let stats = shared(RoundStats::new());
         let stacked_trace = shared(Trace::new());
+        let recorder = FlightRecorder::new(64);
+        let flight = recorder.handle();
         let (with_stack, _) = run_probes(seed, |e| {
-            e.stream_rounds(obs);
+            e.add_sink(Box::new(Rc::clone(&stats)));
             e.add_sink(Box::new(Rc::clone(&stacked_trace)));
-            e.add_sink(Box::new(FlightRecorder::new(64).without_delivers()));
+            e.add_sink(Box::new(recorder));
         });
-        assert_eq!(with_stack, quiet, "two sinks + hub perturbed the engine on seed {seed}");
+        assert_eq!(with_stack, quiet, "stats + two sinks perturbed the engine on seed {seed}");
         assert_eq!(
-            hub.counter("engine_bits_total").get(),
+            stats.borrow().bits,
             quiet.1.total_bits,
-            "hub bit counter disagrees with Metrics on seed {seed}"
+            "stats bit counter disagrees with Metrics on seed {seed}"
         );
         assert_eq!(
-            hub.counter("engine_deliveries_total").get(),
+            stats.borrow().deliveries,
             quiet_eng.telemetry().deliveries,
-            "hub delivery counter disagrees with engine telemetry on seed {seed}"
+            "stats delivery counter disagrees with engine telemetry on seed {seed}"
         );
         assert_eq!(
             stacked_trace.borrow().events(),
             trace.events(),
             "trace beside the recorder diverged on seed {seed}"
+        );
+        let ring = Trace::from_jsonl(flight.snapshot_jsonl().unwrap().as_bytes()).unwrap();
+        let sent: Vec<&Event> =
+            trace.events().iter().filter(|e| !matches!(e, Event::Deliver { .. })).collect();
+        assert_eq!(
+            ring.events().iter().collect::<Vec<_>>(),
+            sent,
+            "flight ring diverged on seed {seed}"
         );
     }
 }
@@ -337,7 +335,7 @@ fn pair_reports_and_metrics_are_identical_across_sinks() {
         let (inst, c, t) = pair_scenario(seed);
         let quiet = run_pair(&Sum, &inst, c, t, true);
         let with_sink = |sink: Box<dyn TraceSink>| {
-            let obs = Observe { sink: Some(sink), ..Observe::default() };
+            let obs = Observe { sinks: vec![sink], ..Observe::default() };
             let s = inst.schedule.clone();
             run_pair_observed(&Sum, &inst, s, c, t, true, 0, Tweaks::default(), obs).0
         };
@@ -428,11 +426,11 @@ fn tradeoff_and_doubling_carry_every_observer_without_perturbing() {
 }
 
 #[test]
-#[should_panic(expected = "takes no extra sink or round callback")]
+#[should_panic(expected = "takes no extra sink")]
 fn multi_engine_runs_reject_an_extra_sink() {
     use ftagg::tradeoff::{run_tradeoff_observed, TradeoffConfig};
     let (inst, c, _) = pair_scenario(0);
     let cfg = TradeoffConfig { b: 42, c, f: 1, seed: 0 };
-    let obs = Observe { sink: Some(Box::new(Trace::new())), ..Observe::default() };
+    let obs = Observe { sinks: vec![Box::new(Trace::new())], ..Observe::default() };
     run_tradeoff_observed(&Sum, &inst, &cfg, obs);
 }

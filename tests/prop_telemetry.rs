@@ -4,14 +4,15 @@
 //! scaled-up estimates converge onto the exact totals within the stated
 //! error bars, and a [`FlightRecorder`]'s delta-encoded ring decodes
 //! back byte-for-byte into the JSONL a [`JsonlSink`] wrote for the same
-//! run — evicting exactly the rounds older than its retention window.
+//! run, deliveries aside — evicting exactly the rounds older than its
+//! retention window.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use netsim::{
     topology, Engine, Event, FailureSchedule, FlightRecorder, Graph, JsonlSink, Message, NodeId,
-    NodeLogic, Received, Round, RoundCtx, SamplingSink, Trace, TraceSink,
+    NodeLogic, Received, Round, RoundCtx, SamplingSink, Trace, TraceSink, Wants,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -106,8 +107,8 @@ struct Discard;
 impl TraceSink for Discard {
     fn record(&mut self, _: &Event) {}
 
-    fn wants_delivers(&self) -> bool {
-        false
+    fn wants(&self) -> Wants {
+        Wants::Events
     }
 }
 
@@ -193,8 +194,9 @@ proptest! {
     }
 
     /// A flight recorder whose ring outlives the run reproduces the
-    /// JSONL a [`JsonlSink`] wrote for the same events, byte for byte —
-    /// the delta encoding loses nothing.
+    /// JSONL a [`JsonlSink`] wrote for the same events, byte for byte,
+    /// minus the delivery lines the recorder never keeps — the delta
+    /// encoding loses nothing.
     #[test]
     fn flight_ring_round_trips_byte_for_byte(
         seed in 0u64..1_000_000,
@@ -212,13 +214,18 @@ proptest! {
 
         let jsonl = Rc::try_unwrap(jsonl).expect("the engine is gone").into_inner();
         let written = String::from_utf8(jsonl.finish().unwrap()).unwrap();
-        prop_assert_eq!(flight.snapshot_jsonl().unwrap(), written, "ring decode diverged");
+        let sent: String = written
+            .split_inclusive('\n')
+            .filter(|line| !line.starts_with("{\"ev\":\"deliver\""))
+            .collect();
+        prop_assert_eq!(flight.snapshot_jsonl().unwrap(), sent, "ring decode diverged");
     }
 
-    /// A bounded ring retains exactly the last `r` event-bearing rounds:
-    /// the decoded dump equals the reference stream restricted to those
-    /// rounds, and the stats ledger (buffered/evicted/oldest/newest)
-    /// matches the same arithmetic.
+    /// A bounded ring retains exactly the last `r` rounds that bear an
+    /// event other than a delivery: the decoded dump equals the reference
+    /// stream, deliveries aside, restricted to those rounds, and the
+    /// stats ledger (buffered/evicted/oldest/newest) matches the same
+    /// arithmetic.
     #[test]
     fn flight_ring_evicts_all_but_the_last_r_rounds(
         seed in 0u64..1_000_000,
@@ -227,21 +234,25 @@ proptest! {
         r in 1usize..6,
     ) {
         let horizon: Round = 14;
-        let reference = reference_trace(seed, n, crashes, horizon);
-        let mut rounds: Vec<Round> = reference.events().iter().map(Event::round).collect();
+        // The reference rides beside the recorder, so both see the same
+        // event ids; the recorder is offered its deliveries and drops them.
+        let trace = Rc::new(RefCell::new(Trace::new()));
+        let recorder = FlightRecorder::new(r);
+        let flight = recorder.handle();
+        run_with_sinks(
+            seed, n, crashes, horizon,
+            vec![Box::new(Rc::clone(&trace)), Box::new(recorder)],
+        );
+        let reference = trace.take();
+        let kept: Vec<&Event> =
+            reference.events().iter().filter(|e| !matches!(e, Event::Deliver { .. })).collect();
+        let mut rounds: Vec<Round> = kept.iter().map(|e| e.round()).collect();
         rounds.dedup(); // event streams are round-monotone
         let retained: Vec<Round> = rounds[rounds.len().saturating_sub(r)..].to_vec();
 
-        let recorder = FlightRecorder::new(r);
-        let flight = recorder.handle();
-        run_with_sinks(seed, n, crashes, horizon, vec![Box::new(recorder)]);
-
         let dumped = Trace::from_jsonl(flight.snapshot_jsonl().unwrap().as_bytes()).unwrap();
-        let expected: Vec<&Event> = reference
-            .events()
-            .iter()
-            .filter(|e| retained.contains(&e.round()))
-            .collect();
+        let expected: Vec<&Event> =
+            kept.iter().copied().filter(|e| retained.contains(&e.round())).collect();
         let got: Vec<&Event> = dumped.events().iter().collect();
         prop_assert_eq!(got, expected, "ring kept the wrong window");
 
@@ -249,7 +260,7 @@ proptest! {
         prop_assert_eq!(stats.rounds_buffered, retained.len() as u64);
         prop_assert_eq!(stats.evicted_rounds, (rounds.len() - retained.len()) as u64);
         prop_assert_eq!(stats.events_buffered, expected.len() as u64);
-        prop_assert_eq!(stats.recorded_events, reference.events().len() as u64);
+        prop_assert_eq!(stats.recorded_events, kept.len() as u64);
         prop_assert_eq!(stats.total_events, reference.events().len() as u64);
         if let (Some(first), Some(last)) = (retained.first(), retained.last()) {
             prop_assert_eq!(stats.oldest_round, *first);
