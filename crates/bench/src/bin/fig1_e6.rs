@@ -7,9 +7,12 @@
 //!
 //! Part 1 is the engine-scaling table: a single-origin flood (node 0's
 //! token reaches all N nodes; deliveries = Σ live degrees) on hypercubes
-//! of growing dimension, reporting wall-clock, deliveries/s, and
-//! resident-memory growth — the "memory / deliveries-per-second table" of
-//! EXPERIMENTS.md.
+//! of growing dimension, reporting deliveries, plus wall-clock,
+//! deliveries/s and resident-memory growth — the "memory /
+//! deliveries-per-second table" of EXPERIMENTS.md.
+//!
+//! Standard output is deterministic; every wall-clock, speed and memory
+//! number goes to standard error.
 //!
 //! Part 2 is the Figure 1 shape at N = 2²⁰: for each TC budget `b`,
 //! Algorithm 1's dominant CC term is ⌈f/b⌉ concurrent group floods of
@@ -142,21 +145,18 @@ fn main() {
         "Scaling to a million nodes — single-origin flood on hypercube(dim), one box{}\n",
         if quick { " (--quick)" } else { "" }
     );
-    let mut t1 = Table::new(vec!["N", "dim", "wall s", "deliveries", "Mdel/s", "+RSS MB"]);
+    let mut t1 = Table::new(vec!["N", "dim", "deliveries"]);
+    let mut speed = Table::new(vec!["N", "wall s", "Mdel/s", "+RSS MB"]);
     let mut e6_mdps = 0.0f64;
     for &dim in dims {
         let (wall, deliveries, grew) = flood_once(topology::hypercube(dim), dim);
         e6_mdps = deliveries as f64 / wall / 1e6;
-        t1.row(vec![
-            (1usize << dim).to_string(),
-            dim.to_string(),
-            f(wall, 2),
-            deliveries.to_string(),
-            f(e6_mdps, 1),
-            f(grew, 0),
-        ]);
+        let n = (1usize << dim).to_string();
+        t1.row(vec![n.clone(), dim.to_string(), deliveries.to_string()]);
+        speed.row(vec![n, f(wall, 2), f(e6_mdps, 1), f(grew, 0)]);
     }
     t1.print();
+    eprint!("{}", speed.render());
 
     // ── Part 2: Figure-1-style CC sweep at N = 2^20 ───────────────────
     let dim: u32 = if quick { 12 } else { 20 };
@@ -178,8 +178,8 @@ fn main() {
         "lower new",
         "lower old",
         "rounds",
-        "wall s",
     ]);
+    let mut walls = Table::new(vec!["b", "wall s"]);
     let mut violations = 0usize;
     let mut forced_violations = 0u64;
     let mut flight_dumped = false;
@@ -291,12 +291,13 @@ fn main() {
             f(bounds::lower_bound_new(n, f_bound, b), 1),
             f(bounds::lower_bound_old(f_bound, b), 2),
             report.rounds.to_string(),
-            f(wall, 2),
         ]);
+        walls.row(vec![b.to_string(), f(wall, 2)]);
     }
     t2.print();
+    eprint!("{}", walls.render());
 
-    println!("\nrecorded telemetry (hub counters + flight-recorder ring, per budget):");
+    println!("\nrecorded telemetry (round stats + flight-recorder ring, per budget):");
     for line in &tele_lines {
         println!("  {line}");
     }
@@ -320,9 +321,9 @@ fn main() {
         eprintln!("\nVIOLATION: measured CC above the Theorem 1 curve at {violations} point(s)");
         std::process::exit(1);
     }
+    eprintln!("single-origin flood: {} Mdel/s", f(e6_mdps, 1));
     println!(
-        "\nok — the sweep completed at N = {n} on one box (single-origin flood: {} Mdel/s); \
-         measured CC sits below the Theorem 1 curve at every b.",
-        f(e6_mdps, 1)
+        "\nok — the sweep completed at N = {n} on one box; \
+         measured CC sits below the Theorem 1 curve at every b."
     );
 }

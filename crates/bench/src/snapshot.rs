@@ -278,7 +278,7 @@ impl Snapshot {
         s.collect_telemetry(quick, reps);
         s.collect_timeline(quick, reps);
         s.collect_sweep(quick, reps);
-        s.collect_runner(quick, reps);
+        s.collect_runner(quick);
         s
     }
 
@@ -457,18 +457,16 @@ impl Snapshot {
         self.record_ratio("perf.monitor.sweep_ratio", ratio);
     }
 
-    /// Per-worker runner telemetry overhead A/B: a fixed trial set
-    /// through the plain runner against the instrumented one
-    /// (`run_observed`), as `perf.runner.telemetry_ratio`. Both arms run
-    /// on one worker, as perfbench does: on every core, contention from
-    /// the rest of the host lands on whole arms and swamps the ratio.
-    fn collect_runner(&mut self, quick: bool, reps: usize) {
+    /// A fixed Algorithm 1 trial set through the runner on one worker, as
+    /// perfbench runs it: `exact.runner.*` pins the trial count, the
+    /// summed CC and the trials the runner's telemetry counted.
+    fn collect_runner(&mut self, quick: bool) {
         let trials: Vec<u64> = (0..if quick { 8 } else { 16 }).collect();
         let (b, c, f) = (63u64, 2u32, 4usize);
         let env = Env::random(23, 24, f, b, c);
         let graph = env.graph.clone();
         let horizon = b * Round::from(graph.diameter().max(1));
-        let trial = |s: u64| -> u64 {
+        let trial = |s: u64, _lane: u32| -> u64 {
             let mut rng = StdRng::seed_from_u64(s);
             let schedule =
                 crate::stretch_respecting_schedule(&graph, NodeId(0), f, horizon, c, 50, &mut rng);
@@ -478,28 +476,10 @@ impl Snapshot {
                 .expect("snapshot trial instances are valid");
             run_tradeoff(&Sum, &inst, &TradeoffConfig { b, c, f, seed: s }).metrics.max_bits()
         };
-        let (mut ccs, mut instr_trials) = (Vec::new(), 0);
-        let ratio = overhead_ratio(
-            reps,
-            || {
-                let t0 = Instant::now();
-                let out = Runner::new(1).run(&trials, trial);
-                let secs = t0.elapsed().as_secs_f64();
-                ccs = out;
-                secs
-            },
-            || {
-                let t0 = Instant::now();
-                let (_, tele) = Runner::new(1).run_observed(&trials, |s, _| trial(s), None, None);
-                let secs = t0.elapsed().as_secs_f64();
-                instr_trials = tele.trials();
-                secs
-            },
-        );
+        let (ccs, tele) = Runner::new(1).run_observed(&trials, trial, None, None);
         self.exact.insert("exact.runner.trials".into(), trials.len() as u64);
         self.exact.insert("exact.runner.sum_cc".into(), ccs.iter().sum());
-        self.exact.insert("exact.runner.telemetry_trials".into(), instr_trials);
-        self.record_ratio("perf.runner.telemetry_ratio", ratio);
+        self.exact.insert("exact.runner.telemetry_trials".into(), tele.trials());
     }
 
     /// Renders the snapshot as its canonical JSON form: one flat object,
@@ -789,14 +769,13 @@ mod tests {
         assert_eq!(s.exact["exact.timeline.bits"], s.exact["exact.e6.total_bits"]);
         assert_eq!(s.exact["exact.timeline.round_spans"], s.exact["exact.telemetry.rounds"]);
         assert_eq!(s.exact["exact.timeline.dropped_spans"], 0);
-        // The instrumented runner ran the same trial set as the plain one.
+        // The runner's telemetry counted every trial it ran.
         assert_eq!(s.exact["exact.runner.telemetry_trials"], s.exact["exact.runner.trials"]);
-        // The only perf keys are the five overhead lanes, each a positive
+        // The only perf keys are the four overhead lanes, each a positive
         // median with a finite, non-negative spread.
         let lanes = [
             "perf.monitor.flood_ratio",
             "perf.monitor.sweep_ratio",
-            "perf.runner.telemetry_ratio",
             "perf.telemetry.recorded_ratio",
             "perf.timeline.recorded_ratio",
         ];

@@ -65,17 +65,19 @@ pub(crate) fn cmd_explain(args: &Args) -> Result<CmdOutput, String> {
                 report.pairs_run,
                 report.used_fallback
             );
-            // --ring N: route the events through a bounded ring buffer, as
-            // a memory-capped deployment would; analyses then see the tail.
+            // --ring N: keep only the last N events, as a memory-capped
+            // deployment would; analyses then see a truncated tail.
             let trace = match args.get("ring") {
                 None => trace,
                 Some(_) => {
-                    use netsim::TraceSink as _;
-                    let mut ring = netsim::RingSink::new(count(args, "ring", 0)? as usize);
-                    for e in trace.events() {
-                        ring.record(e);
+                    let events = trace.events();
+                    let dropped = events.len().saturating_sub(count(args, "ring", 0)? as usize);
+                    let mut tail = netsim::Trace::new();
+                    for e in &events[dropped..] {
+                        tail.push(e.clone());
                     }
-                    ring.to_trace()
+                    tail.set_truncated(dropped > 0);
+                    tail
                 }
             };
             (trace, Some(LiveRun { report, inst }))

@@ -285,9 +285,9 @@ fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
 fn sampled_section(events: &[netsim::Event], k: u64, seed: u64) -> String {
     use netsim::TraceSink as _;
     use std::fmt::Write as _;
-    // A zero-capacity ring keeps nothing: the sampler still meters every
-    // stratum, we just discard the admitted events.
-    let mut sink = netsim::SamplingSink::new(Box::new(netsim::RingSink::new(0)), k, seed);
+    // The sampler meters every stratum; the admitted events it forwards
+    // are already in memory, so the inner trace is dropped unread.
+    let mut sink = netsim::SamplingSink::new(Box::new(netsim::Trace::new()), k, seed);
     for e in events {
         sink.record(e);
     }

@@ -654,16 +654,6 @@ impl<C: Caaf> PairNode<C> {
         &self.failed_parents
     }
 
-    /// `LFC_tail` verdicts seen (at the root: what forces false).
-    pub fn lfc_tails_seen(&self) -> &BTreeSet<NodeId> {
-        &self.lfc_tails
-    }
-
-    /// `not_LFC_tail` verdicts seen.
-    pub fn not_lfc_tails_seen(&self) -> &BTreeSet<NodeId> {
-        &self.not_lfc_tails
-    }
-
     /// This node's AGG bits sent (excluding the abort symbol).
     pub fn agg_bits_sent(&self) -> u64 {
         self.agg_bits

@@ -8,7 +8,7 @@ use crate::msg::Envelope;
 use crate::observe::{Observe, Observed};
 use crate::pair::{AggOutcome, PairNode, PairParams, Tweaks};
 use caaf::Caaf;
-use netsim::{Engine, Event, FailureSchedule, Metrics, NodeId, Round};
+use netsim::{Engine, Event, FailureSchedule, Metrics, Round};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -180,16 +180,11 @@ pub fn run_pair_engine<C: Caaf>(
     (eng, params)
 }
 
-/// Convenience: the id of every node, used by harness sweeps.
-pub fn all_nodes(inst: &Instance) -> Vec<NodeId> {
-    inst.graph.nodes().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use caaf::Sum;
-    use netsim::{topology, FailureSchedule};
+    use netsim::{topology, FailureSchedule, NodeId};
 
     fn inst(n: usize) -> Instance {
         Instance::new(

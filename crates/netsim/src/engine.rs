@@ -533,8 +533,8 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
     }
 
     /// Adds an event sink (an in-memory [`crate::trace::Trace`], a
-    /// [`crate::trace::RingSink`], a [`crate::trace::JsonlSink`], a
-    /// watchdog, or any custom [`TraceSink`]); call before the first step.
+    /// [`crate::trace::JsonlSink`], a flight recorder, a watchdog, or any
+    /// custom [`TraceSink`]); call before the first step.
     /// Every event and every retired round goes to every sink, in
     /// installation order. To read a sink after the run, install a clone
     /// of an `Rc<RefCell<_>>` handle and keep the handle (see
@@ -621,12 +621,6 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
     /// after the run).
     pub fn node(&self, v: NodeId) -> &L {
         &self.nodes[v.index()]
-    }
-
-    /// Mutable access to a node's logic (e.g. for the harness to inject the
-    /// next sub-protocol configuration between intervals).
-    pub fn node_mut(&mut self, v: NodeId) -> &mut L {
-        &mut self.nodes[v.index()]
     }
 
     /// Executes one round. Returns `false` once a stop has been requested
@@ -1198,7 +1192,7 @@ mod tests {
         );
         assert_eq!(s.bits, (1..=4).map(|r| m.bits_in_round(r)).sum::<u64>());
         assert_eq!(s.logical, (0..3).map(|v| m.sends_of(NodeId(v))).sum::<u64>());
-        assert_eq!((s.round_bits.count(), s.round_bits.max(), s.inflight_last), (4, 24, 0));
+        assert_eq!((s.round_bits.samples(), s.round_bits.max(), s.inflight_last), (4, 24, 0));
     }
 
     #[test]
@@ -1223,7 +1217,7 @@ mod trace_tests {
     use super::*;
     use crate::telemetry::FlightRecorder;
     use crate::topology;
-    use crate::trace::{Event, JsonlSink, RingSink, Trace};
+    use crate::trace::{Event, JsonlSink, Trace};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1322,7 +1316,7 @@ mod trace_tests {
     }
 
     #[test]
-    fn ring_and_jsonl_sinks_observe_the_same_events() {
+    fn recorder_and_jsonl_sinks_observe_the_same_events() {
         let engine = || {
             let g = topology::path(3);
             let mut s = FailureSchedule::none();
@@ -1331,21 +1325,20 @@ mod trace_tests {
         };
         let mut full = engine();
         let full_trace = add(&mut full, Trace::new());
+        let recorder = add(&mut full, FlightRecorder::new(64));
         full.run(4);
-        let mut ring = engine();
-        let ring_sink = add(&mut ring, RingSink::new(4));
-        ring.run(4);
         let mut jsonl = engine();
         let jsonl_sink = add(&mut jsonl, JsonlSink::new(Vec::<u8>::new()));
         jsonl.run(4);
         drop(jsonl);
 
-        let (full_trace, ring_sink) = (full_trace.borrow(), ring_sink.borrow());
-        // The ring kept the most recent 4 of the full event stream.
-        assert_eq!(ring_sink.seen() as usize, full_trace.events().len());
-        let tail: Vec<&Event> =
-            full_trace.events().iter().skip(full_trace.events().len() - 4).collect();
-        assert_eq!(ring_sink.events().collect::<Vec<_>>(), tail);
+        let full_trace = full_trace.borrow();
+        // The sibling recorder kept every event but the deliveries.
+        let dump = recorder.borrow().handle().snapshot_jsonl().unwrap();
+        let kept = Trace::from_jsonl(dump.as_bytes()).unwrap();
+        let sent: Vec<&Event> =
+            full_trace.events().iter().filter(|e| !matches!(e, Event::Deliver { .. })).collect();
+        assert_eq!(kept.events().iter().collect::<Vec<_>>(), sent);
         // The JSONL sink round-trips to the identical event sequence.
         let jsonl_sink = Rc::try_unwrap(jsonl_sink).expect("the engine is gone").into_inner();
         let bytes = jsonl_sink.finish().unwrap();
@@ -1406,21 +1399,20 @@ mod trace_tests {
 
     #[test]
     fn sinks_keep_fanning_out_when_one_truncates() {
-        // A tiny ring evicts its head and says so (the RingSink
-        // precedent: `to_trace()` comes back truncated), while the
-        // sibling ring keeps the whole stream — one degraded sink never
-        // steals events from the others.
+        // A one-round flight recorder evicts its oldest round and says so,
+        // while the sibling trace keeps the whole stream — one degraded
+        // sink never steals events from the others.
         let mut eng = two_path();
-        let tiny = add(&mut eng, RingSink::new(2));
-        let full = add(&mut eng, RingSink::new(64));
+        let tiny = add(&mut eng, FlightRecorder::new(1));
+        let full = add(&mut eng, Trace::new());
         eng.run(3);
-        let (tiny, full) = (tiny.borrow(), full.borrow());
-        assert_eq!(tiny.dropped(), 6);
-        assert_eq!(tiny.seen(), 8);
-        assert!(tiny.to_trace().truncated(), "eviction must be visible downstream");
-        assert_eq!(full.dropped(), 0);
-        assert_eq!(full.seen(), 8);
-        assert!(!full.to_trace().truncated());
+        let tiny = tiny.borrow().handle().stats();
+        assert_eq!(tiny.total_events, 8);
+        assert_eq!(tiny.evicted_rounds, 1, "eviction must be visible downstream");
+        assert_eq!((tiny.oldest_round, tiny.events_buffered), (2, 2));
+        let full = full.borrow();
+        assert_eq!(full.events().len(), 8);
+        assert!(!full.truncated());
     }
 
     #[test]
@@ -1448,12 +1440,12 @@ mod trace_tests {
         // One round of Talk on a 2-path: two sends.
         let mut eng = two_path();
         let jsonl = add(&mut eng, JsonlSink::new(FailAfterHeader { writes: 0 }));
-        let ring = add(&mut eng, RingSink::new(64));
+        let trace = add(&mut eng, Trace::new());
         eng.run(1);
         // The failing writer latched on its first event line and wrote
         // nothing further; the sibling still saw every event.
         assert_eq!(jsonl.borrow().lines(), 1, "only the header made it out");
-        assert_eq!(ring.borrow().seen(), 2, "fan-out must survive a failing sibling");
+        assert_eq!(trace.borrow().events().len(), 2, "fan-out must survive a failing sibling");
         // The latched error is propagated, not swallowed: finish()
         // surfaces the first I/O error.
         drop(eng);

@@ -353,6 +353,15 @@ impl Graph {
         })
     }
 
+    /// Records `d` for a family whose diameter has a closed form, so the
+    /// first [`Graph::diameter`] call searches nothing. On the
+    /// vertex-transitive families (cycle, torus, hypercube) every node has
+    /// the same eccentricity and the exact search scans half the levels.
+    pub(crate) fn with_diameter(self, d: u32) -> Graph {
+        let _ = self.diameter.set(d);
+        self
+    }
+
     /// Diameter of the residual graph with `removed` nodes deleted,
     /// restricted to the component containing `root`.
     ///

@@ -84,14 +84,14 @@ pub use runner::{
     TrialStats, TrialSummary, WorkerLoad,
 };
 pub use telemetry::{
-    is_valid_metric_name, FlightRecorder, FlightRecorderHandle, RecorderStats, Reservoir,
-    RoundStats, SampleFactor, SamplingSink, TeleHist,
+    is_valid_metric_name, FlightRecorder, FlightRecorderHandle, RecorderStats, RoundStats,
+    SampleFactor, SamplingSink,
 };
 pub use timeline::{
     chrome_trace_json, self_time, validate_chrome_trace, CounterSample, FlowPoint, SelfTimeRow,
     Span, SpanKind, Timeline, TimelineData, TimelineFlowSink, TraceCheck,
 };
 pub use trace::{
-    DeltaSink, Event, EventId, JsonlSink, RingSink, Trace, TraceSink, Wants,
-    TRACE_SCHEMA_COMPAT_MIN, TRACE_SCHEMA_VERSION,
+    DeltaSink, Event, EventId, JsonlSink, Trace, TraceSink, Wants, TRACE_SCHEMA_COMPAT_MIN,
+    TRACE_SCHEMA_VERSION,
 };

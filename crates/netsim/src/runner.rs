@@ -22,7 +22,6 @@
 use crate::adversary::Round;
 use crate::graph::NodeId;
 use crate::metrics::{Metrics, PhaseStats};
-use crate::telemetry::{fnv64, TeleHist};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -38,8 +37,8 @@ pub struct Progress {
     pub completed: usize,
     /// Total trials in the sweep.
     pub total: usize,
-    /// Index of the worker thread that finished this trial (0 on the
-    /// serial path).
+    /// Index of the worker that finished this trial (0 with one
+    /// worker).
     pub worker: usize,
     /// Wall time since the sweep started.
     pub elapsed: Duration,
@@ -158,11 +157,10 @@ impl ProgressSink for ConsoleProgress {
     }
 }
 
-/// One worker's share of an instrumented sweep (see
-/// [`Runner::run_observed`]). Wall-clock fields (`busy`, `idle`,
-/// latency quantiles) and `steals` depend on OS scheduling and are *not*
-/// deterministic; only the totals across workers (trial count, latency
-/// histogram count) are.
+/// One worker's share of a sweep (see [`Runner::run_observed`]).
+/// Wall-clock fields (`busy`, `idle`, latency quantiles) and `steals`
+/// depend on OS scheduling and are *not* deterministic; only the totals
+/// across workers (trial count, latency histogram count) are.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerLoad {
     /// Worker index (0-based).
@@ -182,13 +180,12 @@ pub struct WorkerLoad {
     pub p99_micros: u64,
 }
 
-/// The merged per-worker telemetry of one instrumented sweep: every
-/// worker counts its own trials and trial latencies while running (no
-/// cross-worker synchronization on the trial path), and the workers are
-/// merged in worker order at join — so the totals (trial count, latency
-/// histogram count) are bit-identical across thread counts, while the
-/// per-worker rows expose the nondeterministic load split for straggler
-/// analysis.
+/// The merged per-worker telemetry of one sweep: every worker counts its
+/// own trials and trial latencies while running (no cross-worker
+/// synchronization on the trial path), and the workers are merged in
+/// worker order at join — so the totals (trial count, latency histogram
+/// count) are bit-identical across thread counts, while the per-worker
+/// rows expose the nondeterministic load split for straggler analysis.
 #[derive(Debug)]
 pub struct RunnerTelemetry {
     /// Per-worker load rows, in worker order.
@@ -196,12 +193,12 @@ pub struct RunnerTelemetry {
     /// Wall time of the whole sweep.
     pub elapsed: Duration,
     /// Every worker's trial latencies (µs), merged in worker order.
-    latency: TeleHist,
+    latency: Histogram,
 }
 
 impl RunnerTelemetry {
-    fn from_parts(parts: Vec<(WorkerLoad, TeleHist)>, elapsed: Duration) -> RunnerTelemetry {
-        let mut latency = trial_micros();
+    fn from_parts(parts: Vec<(WorkerLoad, Histogram)>, elapsed: Duration) -> RunnerTelemetry {
+        let mut latency = Histogram::new();
         let mut workers = Vec::with_capacity(parts.len());
         for (load, hist) in parts {
             latency.merge(&hist);
@@ -283,8 +280,8 @@ fn straggler_of(busy_micros: &[u64]) -> Option<usize> {
     (mean > 0 && max > 2 * mean).then_some(worker)
 }
 
-/// Shared live state behind the instrumented progress line: a merged
-/// latency histogram and per-worker busy totals, touched once per trial.
+/// Shared live state behind the progress line: a merged latency
+/// histogram and per-worker busy totals, touched once per trial.
 struct LiveLoad {
     hist: Mutex<Histogram>,
     busy_micros: Vec<AtomicU64>,
@@ -294,7 +291,7 @@ impl LiveLoad {
     fn new(workers: usize) -> LiveLoad {
         LiveLoad {
             hist: Mutex::new(Histogram::new()),
-            busy_micros: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
+            busy_micros: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -317,22 +314,16 @@ impl LiveLoad {
     }
 }
 
-/// An empty trial-latency histogram (µs). Its reservoir seed is fixed,
-/// so equal latencies always keep equal samples.
-fn trial_micros() -> TeleHist {
-    TeleHist::new(fnv64("runner_trial_micros"))
-}
-
 /// One worker's private instrumentation, so the per-trial cost is two
-/// `Instant::now` calls and a few plain adds — no cross-worker
-/// synchronization.
+/// `Instant::now` calls, a histogram insert and a few plain adds — no
+/// cross-worker synchronization.
 struct WorkerTele {
     worker: usize,
     spawned: Instant,
     busy: Duration,
     trials: u64,
     steals: u64,
-    latency: TeleHist,
+    latency: Histogram,
 }
 
 impl WorkerTele {
@@ -343,7 +334,7 @@ impl WorkerTele {
             busy: Duration::ZERO,
             trials: 0,
             steals: 0,
-            latency: trial_micros(),
+            latency: Histogram::new(),
         }
     }
 
@@ -366,7 +357,7 @@ impl WorkerTele {
     }
 
     /// Seals the worker: its load row and its latency histogram.
-    fn finish(self) -> (WorkerLoad, TeleHist) {
+    fn finish(self) -> (WorkerLoad, Histogram) {
         let load = WorkerLoad {
             worker: self.worker,
             trials: self.trials,
@@ -424,7 +415,8 @@ impl Runner {
         self.threads
     }
 
-    /// Runs `trial` once per seed and returns the results in seed order.
+    /// Runs `trial` once per seed and returns the results in seed order:
+    /// [`Runner::run_observed`] without observers.
     ///
     /// With the same seeds, the returned vector is byte-identical for any
     /// thread count (including 1), because results are re-ordered by seed
@@ -438,25 +430,29 @@ impl Runner {
         T: Send,
         F: Fn(u64) -> T + Sync,
     {
-        self.run_inner(seeds, |s, _| trial(s), None, false).0
+        self.run_observed(seeds, |s, _| trial(s), None, None).0
     }
 
-    /// [`Runner::run`] with everything a sweep can observe. Each worker
-    /// keeps its own counts (trials, steals, busy/idle wall time, a
-    /// per-trial latency histogram), merged deterministically in worker
-    /// order at join into the returned [`RunnerTelemetry`]. A
+    /// Runs `trial` once per seed with everything a sweep can observe.
+    /// Each worker keeps its own counts (trials, steals, busy/idle wall
+    /// time, a per-trial latency histogram), merged deterministically in
+    /// worker order at join into the returned [`RunnerTelemetry`]. A
     /// `progress` sink sees every completion, with running p50/p99 trial
-    /// latency and a straggler flag; it is consulted behind one `Option`
-    /// branch per *trial* (not per round), mirroring the engine's
-    /// trace-sink guard. A `timeline` records one `Trial` span per seed on
-    /// the executing worker's lane.
+    /// latency and a straggler flag. A `timeline` records one `Trial`
+    /// span per seed on the executing worker's lane.
+    ///
+    /// One worker runs the trial loop on the calling thread; more run it
+    /// in scoped threads, claiming seeds through a shared cursor.
     ///
     /// `trial` receives `(seed, lane)`: worker `w` owns lane `w + 1`
     /// (lane 0 is left to the driver's own spans), so the closure can
     /// forward it to [`crate::engine::Engine::set_timeline`] and nested
     /// round/stage spans land on the same track as the enclosing trial.
-    /// The results vector is bit-identical to [`Runner::run`]'s —
-    /// observation never touches the seed-ordered results.
+    /// Observation never touches the seed-ordered results.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of any trial that panicked.
     pub fn run_observed<T, F>(
         &self,
         seeds: &[u64],
@@ -468,6 +464,8 @@ impl Runner {
         T: Send,
         F: Fn(u64, u32) -> T + Sync,
     {
+        let started = Instant::now();
+        let workers = self.threads.min(seeds.len()).max(1);
         if let Some(tl) = timeline {
             // Name the worker lanes up front so the export carries
             // readable tracks even if a worker never claims a seed.
@@ -475,8 +473,7 @@ impl Runner {
                 tl.name_lane(w as u32 + 1, &format!("worker {w}"));
             }
         }
-        let trial = |seed: u64, worker: usize| {
-            let lane = worker as u32 + 1;
+        let trial = |seed: u64, lane: u32| {
             let Some(tl) = timeline else { return trial(seed, lane) };
             let t0 = tl.now_ns();
             let out = trial(seed, lane);
@@ -485,146 +482,103 @@ impl Runner {
             tl.record_span(kind, &format!("seed {seed}"), lane, t0, dur, Some(seed));
             out
         };
-        let (results, tele) = self.run_inner(seeds, trial, progress, true);
-        (results, tele.expect("instrumented run always yields telemetry"))
-    }
-
-    /// The shared trial loop. `trial` receives `(seed, worker)` — the
-    /// public entry points either discard the worker index or map it to
-    /// the worker's timeline lane.
-    fn run_inner<T, F>(
-        &self,
-        seeds: &[u64],
-        trial: F,
-        progress: Option<&dyn ProgressSink>,
-        instrument: bool,
-    ) -> (Vec<T>, Option<RunnerTelemetry>)
-    where
-        T: Send,
-        F: Fn(u64, usize) -> T + Sync,
-    {
-        let total = seeds.len();
-        let started = Instant::now();
-        let completed = AtomicUsize::new(0);
-        let serial = self.threads <= 1 || seeds.len() <= 1;
-        let workers = if serial { 1 } else { self.threads.min(seeds.len()) };
         // Live latency/straggler state exists only when someone watches.
         let live = progress.map(|_| LiveLoad::new(workers));
         let live = live.as_ref();
-        // The per-trial observation both paths share: bump the shared
-        // counter, snapshot, hand to the sink. One branch when no sink.
-        let observe = |worker: usize| {
-            if let Some(sink) = progress {
-                let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                let (p50_micros, p99_micros, straggler) =
-                    live.map_or((0, 0, None), |l| l.snapshot(done));
-                sink.trial_done(&Progress {
-                    completed: done,
-                    total,
-                    worker,
-                    elapsed: started.elapsed(),
-                    p50_micros,
-                    p99_micros,
-                    straggler,
-                });
-            }
-        };
-        if serial {
-            let mut tele = instrument.then(|| WorkerTele::new(0));
-            let results = seeds
-                .iter()
-                .map(|&s| {
-                    let out = match &mut tele {
-                        Some(t) => t.timed(false, || trial(s, 0), live),
-                        None => trial(s, 0),
-                    };
-                    observe(0);
-                    out
-                })
-                .collect();
-            let tele =
-                tele.map(|t| RunnerTelemetry::from_parts(vec![t.finish()], started.elapsed()));
-            return (results, tele);
-        }
-        // One worker's portion: seed-indexed results plus its telemetry
-        // (when instrumentation is on).
-        type WorkerPart<T> = (Vec<(usize, T)>, Option<(WorkerLoad, TeleHist)>);
+        let completed = AtomicUsize::new(0);
         let cursor = AtomicUsize::new(0);
-        let cursor = &cursor;
-        let trial = &trial;
-        let observe = &observe;
-        let parts: Vec<WorkerPart<T>> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut tele = instrument.then(|| WorkerTele::new(w));
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&seed) = seeds.get(i) else { break };
-                            let r = match &mut tele {
-                                Some(t) => t.timed(i % workers != w, || trial(seed, w), live),
-                                None => trial(seed, w),
-                            };
-                            out.push((i, r));
-                            observe(w);
-                        }
-                        (out, tele.map(WorkerTele::finish))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(part) => part,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        // Merge the workers' buckets back into seed order; worker
+        // One worker's loop: claim the next seed, run it under the clock,
+        // report it. Returns seed-indexed results and the worker's meters.
+        let work = |w: usize| {
+            let mut tele = WorkerTele::new(w);
+            let mut out = Vec::with_capacity(seeds.len().div_ceil(workers));
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&seed) = seeds.get(i) else { break };
+                out.push((i, tele.timed(i % workers != w, || trial(seed, w as u32 + 1), live)));
+                if let (Some(sink), Some(l)) = (progress, live) {
+                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                    let (p50_micros, p99_micros, straggler) = l.snapshot(done);
+                    sink.trial_done(&Progress {
+                        completed: done,
+                        total: seeds.len(),
+                        worker: w,
+                        elapsed: started.elapsed(),
+                        p50_micros,
+                        p99_micros,
+                        straggler,
+                    });
+                }
+            }
+            (out, tele.finish())
+        };
+        let parts = if workers == 1 {
+            vec![work(0)]
+        } else {
+            let work = &work;
+            thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || work(w))).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+                    .collect()
+            })
+        };
+        // Merge the workers' buckets back into seed order: each bucket
+        // holds its seed indices in claim order, so seed `i` is at the head
+        // of exactly one bucket once every earlier seed is taken. Worker
         // histograms merge in worker order (the join order), so the merged
         // totals are deterministic even though the load split is not.
-        let mut slots: Vec<Option<T>> = (0..seeds.len()).map(|_| None).collect();
-        let mut worker_parts = Vec::with_capacity(workers);
-        for (bucket, tele) in parts {
-            for (i, t) in bucket {
-                slots[i] = Some(t);
-            }
-            if let Some(p) = tele {
-                worker_parts.push(p);
-            }
+        let mut buckets = Vec::with_capacity(workers);
+        let mut loads = Vec::with_capacity(workers);
+        for (bucket, load) in parts {
+            buckets.push(bucket.into_iter().peekable());
+            loads.push(load);
         }
-        let results =
-            slots.into_iter().map(|s| s.expect("every claimed seed produces a result")).collect();
-        let tele = instrument.then(|| RunnerTelemetry::from_parts(worker_parts, started.elapsed()));
-        (results, tele)
+        let results = (0..seeds.len())
+            .map(|i| {
+                let mut heads = buckets.iter_mut().filter_map(|b| b.next_if(|&(j, _)| j == i));
+                heads.next().expect("every seed ran exactly once").1
+            })
+            .collect();
+        (results, RunnerTelemetry::from_parts(loads, started.elapsed()))
     }
 }
 
-/// A fixed-bucket log₂ histogram over `u64` samples.
+/// A log₂ histogram over `u64` samples that answers exact quantiles
+/// while it is small.
 ///
 /// Bucket 0 holds the value 0; bucket `i ≥ 1` holds values in
 /// `[2^(i-1), 2^i - 1]`. The bucket layout never depends on the data, so
 /// two histograms merge by adding counts — deterministically, in any
 /// order — which is what lets [`TrialSummary`] accumulate distribution
-/// shape across trials without storing every sample. Quantiles are
-/// resolved to the matching bucket's upper edge (a ≤ 2× overestimate);
-/// the maximum is tracked exactly.
+/// shape across trials without storing every sample. The first 256
+/// samples are also kept, sorted: while the histogram holds at most that
+/// many, a quantile is the sample of that rank; past it, the upper edge
+/// of the bucket holding that rank (a ≤ 2× overestimate), capped at the
+/// maximum, which is tracked exactly.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Histogram {
-    /// `counts[i]` = samples in bucket `i` (65 buckets cover all of u64).
+    /// `counts[i]` = samples in bucket `i` (65 buckets cover all of u64;
+    /// allocated by the first sample).
     counts: Vec<u64>,
     samples: u64,
     max: u64,
+    /// Every sample, ascending, while `samples ≤ EXACT_SAMPLES`; empty
+    /// after.
+    exact: Vec<u64>,
 }
 
 /// Buckets: one for zero plus one per possible bit length of a `u64`.
 const HIST_BUCKETS: usize = 65;
 
+/// How many samples a [`Histogram`] keeps for exact quantiles.
+const EXACT_SAMPLES: u64 = 256;
+
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        Histogram { counts: vec![0; HIST_BUCKETS], samples: 0, max: 0 }
+        Histogram::default()
     }
 
     fn bucket(value: u64) -> usize {
@@ -652,6 +606,12 @@ impl Histogram {
         self.counts[Self::bucket(value)] += 1;
         self.samples += 1;
         self.max = self.max.max(value);
+        if self.samples <= EXACT_SAMPLES {
+            let at = self.exact.partition_point(|&v| v <= value);
+            self.exact.insert(at, value);
+        } else {
+            self.exact = Vec::new();
+        }
     }
 
     /// Number of samples recorded.
@@ -664,14 +624,19 @@ impl Histogram {
         self.max
     }
 
-    /// The `q`-quantile (`0 < q ≤ 1`), resolved to the upper edge of the
-    /// bucket holding the sample of that rank; 0 if empty. `quantile(0.5)`
-    /// is the p50, `quantile(0.9)` the p90.
+    /// The `q`-quantile (`0 < q ≤ 1`): the sample of rank `⌈q·n⌉`
+    /// (clamped to `1..=n`) while at most 256 were
+    /// recorded, else the upper edge of the bucket holding that rank,
+    /// capped at the maximum; 0 if empty. `quantile(0.5)` is the p50,
+    /// `quantile(0.9)` the p90.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.samples == 0 {
             return 0;
         }
         let rank = ((q * self.samples as f64).ceil() as u64).clamp(1, self.samples);
+        if self.samples <= EXACT_SAMPLES {
+            return self.exact[rank as usize - 1];
+        }
         let mut seen = 0;
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
@@ -696,6 +661,12 @@ impl Histogram {
         }
         self.samples += other.samples;
         self.max = self.max.max(other.max);
+        if self.samples <= EXACT_SAMPLES {
+            self.exact.extend_from_slice(&other.exact);
+            self.exact.sort_unstable();
+        } else {
+            self.exact = Vec::new();
+        }
     }
 
     /// `(bucket_lower, bucket_upper, count)` for each non-empty bucket, in
@@ -990,9 +961,8 @@ mod tests {
         }
         assert_eq!(h.samples(), 8);
         assert_eq!(h.max(), 1000);
-        // p50 of 8 samples is rank 4 (value 3, bucket [2,3] → edge 3).
+        // p50 of 8 samples is rank 4 (value 3); p90 is rank 8 (1000).
         assert_eq!(h.quantile(0.5), 3);
-        // p90 is rank 8 (value 1000, bucket [512,1023] → edge capped at max).
         assert_eq!(h.quantile(0.9), 1000);
         assert_eq!(h.quantile(1.0), 1000);
         // Merge equals recording the union, bucket by bucket.
@@ -1015,6 +985,58 @@ mod tests {
         assert_eq!(d, direct);
         d.record(0);
         assert_eq!(d.samples(), 4);
+    }
+
+    #[test]
+    fn histogram_quantiles_are_exact_up_to_the_kept_samples_then_bucket_edges() {
+        let mut h = Histogram::new();
+        for v in (1..=EXACT_SAMPLES).rev() {
+            h.record(v);
+        }
+        // 256 samples, recorded out of order: every quantile is a sample.
+        assert_eq!((h.quantile(0.5), h.quantile(0.9), h.quantile(1.0)), (128, 231, 256));
+        // One more sample: the p50 rank (129) falls in bucket [128, 255].
+        h.record(1000);
+        assert_eq!((h.quantile(0.5), h.quantile(1.0)), (255, 1000));
+    }
+
+    #[test]
+    fn a_histogram_merged_into_an_empty_one_answers_the_same_quantiles() {
+        let mut h = Histogram::new();
+        for v in 1..=1000 {
+            h.record(v);
+        }
+        let quantiles = |h: &Histogram| [0.5, 0.9, 0.99].map(|q| h.quantile(q));
+        assert_eq!(quantiles(&h), [511, 1000, 1000]);
+        let mut merged = Histogram::new();
+        merged.merge(&h);
+        assert_eq!(merged, h);
+        assert_eq!(quantiles(&merged), quantiles(&h));
+        // Two halves merge, in either order, into the whole.
+        let (mut lo, mut hi) = (Histogram::new(), Histogram::new());
+        for v in 1..=1000 {
+            if v <= 200 { &mut lo } else { &mut hi }.record(v);
+        }
+        let mut lo_hi = lo.clone();
+        lo_hi.merge(&hi);
+        let mut hi_lo = hi.clone();
+        hi_lo.merge(&lo);
+        assert_eq!(lo_hi, h);
+        assert_eq!(hi_lo, h);
+    }
+
+    #[test]
+    fn one_worker_row_and_the_summary_agree_past_the_kept_samples() {
+        // Trials spin for 0..50 µs, so the p50 and p99 land inside buckets.
+        let seeds: Vec<u64> = (0..600).collect();
+        let spin = |s: u64, _| {
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_micros(s % 50) {}
+        };
+        let (_, tele) = Runner::new(1).run_observed(&seeds, spin, None, None);
+        let row = &tele.workers[0];
+        assert_eq!(row.trials, 600);
+        assert_eq!((row.p50_micros, row.p99_micros), (tele.p50_micros(), tele.p99_micros()));
     }
 
     /// A counting sink for tests: remembers every completion it saw.
@@ -1184,7 +1206,7 @@ mod tests {
             assert_eq!(got, plain, "threads = {threads}");
             // Deterministic totals: every seed ran exactly once.
             assert_eq!(tele.trials(), seeds.len() as u64);
-            assert_eq!(tele.latency.count(), seeds.len() as u64);
+            assert_eq!(tele.latency.samples(), seeds.len() as u64);
             // One load row per worker, partitioning the trials.
             assert_eq!(tele.workers.len(), threads.min(seeds.len()));
             assert_eq!(tele.workers.iter().map(|w| w.trials).sum::<u64>(), seeds.len() as u64);

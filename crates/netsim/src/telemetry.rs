@@ -7,10 +7,10 @@
 //! instruments, each with a stated fidelity:
 //!
 //! - **[`RoundStats`]** — the engine's fixed round-level meters: four
-//!   counters, two gauges and two mergeable log₂-bucket + reservoir
-//!   histograms ([`TeleHist`]). It is a sink that reads only
-//!   [`TraceSink::end_round`], so it costs one call per *round* and the
-//!   engine builds no send or delivery event for it. Exported as
+//!   counters, two gauges and two mergeable [`Histogram`]s (log₂
+//!   buckets, exact quantiles up to 256 rounds). It is a sink that reads
+//!   only [`TraceSink::end_round`], so it costs one call per *round* and
+//!   the engine builds no send or delivery event for it. Exported as
 //!   Prometheus-style text or JSON.
 //! - **[`SamplingSink`]** — wraps any sink and forwards the events of a
 //!   seed-deterministic 1-in-k subset of nodes, stratified per message
@@ -39,8 +39,8 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer. Used for
-/// every deterministic "coin" in this module (reservoir replacement,
-/// node admission) so results are identical across runs and platforms.
+/// every deterministic "coin" (sampled-node admission, sampled timeline
+/// flows) so results are identical across runs and platforms.
 pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -48,7 +48,7 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a over a name: stable seeds for named histograms and strata.
+/// FNV-1a over a name: stable seeds for sampling strata.
 pub(crate) fn fnv64(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
@@ -75,139 +75,12 @@ pub fn is_valid_metric_name(name: &str) -> bool {
     head_ok && bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b':')
 }
 
-// ---------------------------------------------------------------------------
-// Counters, gauges, histograms
-// ---------------------------------------------------------------------------
-
-/// How many raw samples a [`TeleHist`] reservoir keeps (quantiles are
-/// exact up to this many samples, estimated past it).
-pub const RESERVOIR_CAP: usize = 256;
-
-/// A deterministic Algorithm-R reservoir over `u64` samples.
-///
-/// The replacement coin for sample `i` is `mix64(seed ^ i) % i`, so the
-/// kept subset depends only on the seed and the sample order — never on
-/// wall clock or a global RNG — and two runs of the same workload keep
-/// byte-identical reservoirs.
-#[derive(Clone, Debug)]
-pub struct Reservoir {
-    cap: usize,
-    seed: u64,
-    seen: u64,
-    samples: Vec<u64>,
-}
-
-impl Reservoir {
-    /// An empty reservoir holding at most `cap` samples.
-    pub fn new(cap: usize, seed: u64) -> Reservoir {
-        Reservoir { cap: cap.max(1), seed, seen: 0, samples: Vec::new() }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        self.seen += 1;
-        if self.samples.len() < self.cap {
-            self.samples.push(v);
-        } else {
-            let j = mix64(self.seed ^ self.seen) % self.seen;
-            if (j as usize) < self.cap {
-                self.samples[j as usize] = v;
-            }
-        }
-    }
-
-    /// Total samples offered (kept or not).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The kept samples, in arrival/replacement order.
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
-    }
-
-    /// The `q`-quantile over the *kept* samples (`0 < q <= 1`); `None`
-    /// when empty. Exact while `seen() <= cap`, an estimate after.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
-    }
-
-    /// Feeds every kept sample of `other` through this reservoir's own
-    /// deterministic replacement. (A merge of saturated reservoirs is an
-    /// approximation — fine for dashboards, not for exact gates.)
-    pub fn merge(&mut self, other: &Reservoir) {
-        for &v in &other.samples {
-            self.record(v);
-        }
-    }
-}
-
-/// A mergeable histogram cell: log₂ buckets (full range, 2× bucket
-/// resolution) plus a bounded reservoir (exact small-count quantiles).
-#[derive(Clone, Debug)]
-pub struct TeleHist {
-    hist: Histogram,
-    reservoir: Reservoir,
-}
-
-impl TeleHist {
-    /// An empty cell whose reservoir coins derive from `seed`.
-    pub fn new(seed: u64) -> TeleHist {
-        TeleHist { hist: Histogram::new(), reservoir: Reservoir::new(RESERVOIR_CAP, seed) }
-    }
-
-    /// Records one sample into both representations.
-    pub fn record(&mut self, v: u64) {
-        self.hist.record(v);
-        self.reservoir.record(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.hist.samples()
-    }
-
-    /// Exact maximum sample (0 if empty).
-    pub fn max(&self) -> u64 {
-        self.hist.max()
-    }
-
-    /// The `q`-quantile: exact (reservoir) while at most
-    /// [`RESERVOIR_CAP`] samples were recorded, otherwise the log₂
-    /// bucket's upper edge capped at the true maximum.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.reservoir.seen() <= RESERVOIR_CAP as u64 {
-            self.reservoir.quantile(q).unwrap_or(0)
-        } else {
-            self.hist.quantile(q)
-        }
-    }
-
-    /// The log₂-bucket representation.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-
-    /// Absorbs `other` (bucket counts add exactly; reservoirs merge
-    /// deterministically).
-    pub fn merge(&mut self, other: &TeleHist) {
-        self.hist.merge(&other.hist);
-        self.reservoir.merge(&other.reservoir);
-    }
-}
-
 /// The engine's round-level meters: a sink that reads only
 /// [`TraceSink::end_round`], so it costs one call per round and turns on
 /// no send or delivery event. Each field is one exported instrument; the
 /// name in its doc is the one [`RoundStats::render_prometheus`] and
 /// [`RoundStats::render_json`] write.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RoundStats {
     /// Rounds retired (`engine_rounds_total`).
     pub rounds: u64,
@@ -222,31 +95,15 @@ pub struct RoundStats {
     /// The most deliveries one round enqueued (`engine_inflight_peak`).
     pub inflight_peak: u64,
     /// Bits broadcast per round (`engine_round_bits`).
-    pub round_bits: TeleHist,
+    pub round_bits: Histogram,
     /// Deliveries enqueued per round (`engine_round_deliveries`).
-    pub round_deliveries: TeleHist,
-}
-
-impl Default for RoundStats {
-    fn default() -> Self {
-        RoundStats::new()
-    }
+    pub round_deliveries: Histogram,
 }
 
 impl RoundStats {
-    /// All meters at zero. Each histogram's reservoir seed is the FNV-1a
-    /// hash of its exported name, so layouts are stable across processes.
+    /// All meters at zero.
     pub fn new() -> RoundStats {
-        RoundStats {
-            rounds: 0,
-            bits: 0,
-            logical: 0,
-            deliveries: 0,
-            inflight_last: 0,
-            inflight_peak: 0,
-            round_bits: TeleHist::new(fnv64("engine_round_bits")),
-            round_deliveries: TeleHist::new(fnv64("engine_round_deliveries")),
-        }
+        RoundStats::default()
     }
 
     /// Absorbs `other`: counters add, gauges keep the maximum and
@@ -279,7 +136,7 @@ impl RoundStats {
     }
 
     /// The histograms as `(name, hist)`, sorted by name.
-    fn hists(&self) -> [(&'static str, &TeleHist); 2] {
+    fn hists(&self) -> [(&'static str, &Histogram); 2] {
         [
             ("engine_round_bits", &self.round_bits),
             ("engine_round_deliveries", &self.round_deliveries),
@@ -303,7 +160,7 @@ impl RoundStats {
             for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
                 let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {}", h.quantile(q));
             }
-            let _ = writeln!(out, "{name}_count {}\n{name}_max {}", h.count(), h.max());
+            let _ = writeln!(out, "{name}_count {}\n{name}_max {}", h.samples(), h.max());
         }
         out
     }
@@ -322,7 +179,7 @@ impl RoundStats {
             .map(|(n, h)| {
                 format!(
                     "\"{n}\": {{\"count\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                    h.count(),
+                    h.samples(),
                     h.max(),
                     h.quantile(0.5),
                     h.quantile(0.9),
@@ -794,8 +651,8 @@ mod tests {
         let s = two_rounds();
         assert_eq!((s.rounds, s.bits, s.logical, s.deliveries), (2, 32, 4, 6));
         assert_eq!((s.inflight_last, s.inflight_peak), (2, 4));
-        assert_eq!((s.round_bits.count(), s.round_bits.max()), (2, 24));
-        assert_eq!((s.round_deliveries.count(), s.round_deliveries.max()), (2, 4));
+        assert_eq!((s.round_bits.samples(), s.round_bits.max()), (2, 24));
+        assert_eq!((s.round_deliveries.samples(), s.round_deliveries.max()), (2, 4));
         assert_eq!(s.wants(), Wants::Rounds);
     }
 
@@ -810,7 +667,7 @@ mod tests {
         assert_eq!((merged.rounds, merged.bits, merged.logical, merged.deliveries), (3, 132, 6, 9));
         assert_eq!(merged.inflight_last, 3, "gauges merge by max");
         assert_eq!(merged.inflight_peak, 4, "gauges merge by max");
-        assert_eq!((merged.round_bits.count(), merged.round_bits.max()), (3, 100));
+        assert_eq!((merged.round_bits.samples(), merged.round_bits.max()), (3, 100));
         // Merging in either order gives the same rendered stats.
         let mut flipped = RoundStats::new();
         flipped.merge(&b);
@@ -826,48 +683,6 @@ mod tests {
         for bad in ["", "9lives", "has space", "dash-ed", "dot.ted", "ütf"] {
             assert!(!is_valid_metric_name(bad), "{bad}");
         }
-    }
-
-    #[test]
-    fn reservoir_is_deterministic_and_exact_when_small() {
-        let mut a = Reservoir::new(8, 42);
-        let mut b = Reservoir::new(8, 42);
-        for v in 0..100u64 {
-            a.record(v * 3);
-            b.record(v * 3);
-        }
-        assert_eq!(a.samples(), b.samples(), "same seed, same stream, same reservoir");
-        assert_eq!(a.seen(), 100);
-
-        let mut small = Reservoir::new(RESERVOIR_CAP, 1);
-        for v in [5u64, 1, 9, 3, 7] {
-            small.record(v);
-        }
-        assert_eq!(small.quantile(0.5), Some(5));
-        assert_eq!(small.quantile(1.0), Some(9));
-        assert_eq!(Reservoir::new(4, 0).quantile(0.5), None);
-    }
-
-    #[test]
-    fn telehist_quantiles_exact_then_bounded() {
-        let mut h = TeleHist::new(7);
-        for v in 1..=10u64 {
-            h.record(v);
-        }
-        // Ten samples fit the reservoir: exact quantiles.
-        assert_eq!(h.quantile(0.5), 5);
-        assert_eq!(h.quantile(1.0), 10);
-        for v in 0..1000u64 {
-            h.record(v);
-        }
-        // Saturated: falls back to the log2 bucket edge, never past max.
-        let p99 = h.quantile(0.99);
-        assert!(p99 <= h.max(), "p99 {p99} must not exceed max {}", h.max());
-        let mut other = TeleHist::new(7);
-        other.record(1_000_000);
-        h.merge(&other);
-        assert_eq!(h.max(), 1_000_000);
-        assert_eq!(h.count(), 1011);
     }
 
     #[test]

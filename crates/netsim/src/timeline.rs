@@ -12,7 +12,7 @@
 //! ```
 //!
 //! recorded into a bounded ring behind a cloneable [`Timeline`] handle,
-//! plus counter tracks (bits/round, in-flight, RSS, allocations) and
+//! plus counter tracks (bits/round, in-flight, RSS) and
 //! sampled async *flow* arrows from a `Send` event to its first
 //! delivery. The whole data set exports to **Chrome Trace Event Format
 //! JSON** — loadable in Perfetto or `chrome://tracing` — via
@@ -337,12 +337,6 @@ impl Timeline {
         }
     }
 
-    /// Spans evicted so far (spans, counter samples).
-    pub fn dropped(&self) -> (u64, u64) {
-        let st = self.lock();
-        (st.dropped_spans, st.dropped_counters)
-    }
-
     /// Clones out everything captured so far, with the span ring
     /// unrolled into record order.
     pub fn snapshot(&self) -> TimelineData {
@@ -397,11 +391,6 @@ impl RoundClock {
         let now = Instant::now();
         self.acc[stage] += now.saturating_duration_since(self.mark);
         self.mark = now;
-    }
-
-    /// Total attributed to `stage` so far.
-    pub fn stage_total(&self, stage: usize) -> Duration {
-        self.acc[stage]
     }
 }
 

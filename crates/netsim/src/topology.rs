@@ -31,7 +31,7 @@ pub fn cycle(n: usize) -> Graph {
     assert!(n >= 3, "cycle needs at least three nodes");
     let mut edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
     edges.push((n as u32 - 1, 0));
-    Graph::new(n, &edges).expect("cycle edges are valid")
+    Graph::new(n, &edges).expect("cycle edges are valid").with_diameter(n as u32 / 2)
 }
 
 /// A star with center 0 and `n-1` leaves (diameter 2).
@@ -83,7 +83,8 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
     Graph::new(rows * cols, &edges).expect("grid edges are valid")
 }
 
-/// A `rows x cols` torus (grid with wraparound links).
+/// A `rows x cols` torus (grid with wraparound links; diameter
+/// `rows/2 + cols/2`, rounded down each).
 ///
 /// # Panics
 ///
@@ -98,7 +99,8 @@ pub fn torus(rows: usize, cols: usize) -> Graph {
             edges.push((id(r, c), id((r + 1) % rows, c)));
         }
     }
-    Graph::new(rows * cols, &edges).expect("torus edges are valid")
+    let d = rows / 2 + cols / 2;
+    Graph::new(rows * cols, &edges).expect("torus edges are valid").with_diameter(d as u32)
 }
 
 /// A complete binary tree with `n` nodes, rooted at 0 (node `i`'s children
@@ -195,7 +197,7 @@ pub fn hypercube(dim: u32) -> Graph {
             }
         }
     }
-    Graph::new(n, &edges).expect("hypercube edges are valid")
+    Graph::new(n, &edges).expect("hypercube edges are valid").with_diameter(dim)
 }
 
 /// A wheel: a hub (node 0) connected to every node of an outer cycle

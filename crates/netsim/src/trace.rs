@@ -4,12 +4,10 @@
 //! an execution — who broadcast in which round, what was delivered where,
 //! when crashes took effect, which protocol phase the traffic belongs to.
 //! The engine emits [`Event`]s into a [`TraceSink`] when tracing is enabled
-//! (it is off by default; the hot path pays one branch). Three sinks ship
-//! with the crate:
+//! (it is off by default; the hot path pays one branch). Two sinks ship
+//! with this module:
 //!
 //! - [`Trace`] — the in-memory, queryable event log;
-//! - [`RingSink`] — a bounded ring buffer keeping the most recent events,
-//!   for long executions where only the tail matters;
 //! - [`JsonlSink`] — line-delimited JSON for offline analysis; the schema
 //!   is versioned ([`TRACE_SCHEMA_VERSION`]) and read back by
 //!   [`Trace::from_jsonl`].
@@ -29,7 +27,6 @@ use crate::engine::RoundFlow;
 use crate::graph::NodeId;
 use crate::json::{quote, Json};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
 use std::rc::Rc;
 
@@ -339,7 +336,9 @@ pub enum Wants {
 /// other. Nothing is ever taken back off an engine.
 ///
 /// ```
-/// use netsim::{topology, Engine, FailureSchedule, Message, NodeLogic, RingSink, RoundCtx, Trace};
+/// use netsim::{
+///     topology, Engine, FailureSchedule, FlightRecorder, Message, NodeLogic, RoundCtx, Trace,
+/// };
 /// use std::{cell::RefCell, rc::Rc};
 ///
 /// #[derive(Clone, Debug)]
@@ -358,13 +357,14 @@ pub enum Wants {
 ///
 /// let mut eng = Engine::new(topology::path(3), FailureSchedule::none(), |_| Greeter);
 /// let trace = Rc::new(RefCell::new(Trace::new()));
-/// let ring = Rc::new(RefCell::new(RingSink::new(2)));
-/// eng.add_sink(Box::new(Rc::clone(&trace))).add_sink(Box::new(Rc::clone(&ring)));
+/// let recorder = Rc::new(RefCell::new(FlightRecorder::new(8)));
+/// eng.add_sink(Box::new(Rc::clone(&trace))).add_sink(Box::new(Rc::clone(&recorder)));
 /// eng.run(2);
-/// // 3 sends in round 1, 4 deliveries in round 2: both sinks saw all 7.
+/// // 3 sends in round 1, 4 deliveries in round 2: both sinks saw all 7,
+/// // and the recorder, which keeps no deliveries, encoded the 3 sends.
 /// assert_eq!(trace.borrow().events().len(), 7);
-/// assert_eq!(ring.borrow().seen(), 7);
-/// assert_eq!(ring.borrow().dropped(), 5);
+/// let stats = recorder.borrow().handle().stats();
+/// assert_eq!((stats.total_events, stats.recorded_events), (7, 3));
 /// ```
 pub trait TraceSink {
     /// Receives one event. Events arrive in non-decreasing round order.
@@ -405,9 +405,9 @@ impl<S: TraceSink + ?Sized> TraceSink for Rc<RefCell<S>> {
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     events: Vec<Event>,
-    /// Set when this trace is known to be missing events (e.g. it came
-    /// from a [`RingSink`] that dropped its head). Analyses must surface
-    /// this instead of silently reporting on a partial stream.
+    /// Set when this trace is known to be missing events (e.g. only its
+    /// tail was kept). Analyses must surface this instead of silently
+    /// reporting on a partial stream.
     truncated: bool,
     /// Largest [`EventId`] seen, for id-shifting merges.
     max_id: u64,
@@ -443,8 +443,8 @@ impl Trace {
         &self.events
     }
 
-    /// Whether events are known to be missing from this log (ring-buffer
-    /// eviction). Reports built on a truncated trace must say so.
+    /// Whether events are known to be missing from this log (a kept
+    /// tail). Reports built on a truncated trace must say so.
     pub fn truncated(&self) -> bool {
         self.truncated
     }
@@ -669,65 +669,6 @@ impl Trace {
 impl TraceSink for Trace {
     fn record(&mut self, e: &Event) {
         self.push(e.clone());
-    }
-}
-
-/// A bounded ring-buffer sink: keeps the most recent `capacity` events and
-/// counts the rest, for long executions where holding the full log would
-/// dominate memory.
-#[derive(Clone, Debug)]
-pub struct RingSink {
-    capacity: usize,
-    events: VecDeque<Event>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring keeping at most `capacity` events (capacity 0 keeps none and
-    /// only counts).
-    pub fn new(capacity: usize) -> Self {
-        RingSink { capacity, events: VecDeque::with_capacity(capacity.min(1024)), dropped: 0 }
-    }
-
-    /// The retained (most recent) events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.events.iter()
-    }
-
-    /// Number of events evicted to honor the bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total events observed (retained + dropped).
-    pub fn seen(&self) -> u64 {
-        self.dropped + self.events.len() as u64
-    }
-
-    /// The retained tail as a queryable [`Trace`]. If any event was
-    /// evicted the result is marked [`Trace::truncated`], so downstream
-    /// analyses know they are looking at a partial stream.
-    pub fn to_trace(&self) -> Trace {
-        let mut t = Trace::new();
-        for e in &self.events {
-            t.push(e.clone());
-        }
-        t.set_truncated(self.dropped > 0);
-        t
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, e: &Event) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(e.clone());
     }
 }
 
@@ -1235,30 +1176,6 @@ mod tests {
             causes: Vec::new(),
         });
         assert!(t.render().contains("7 bits [tree-construct]"));
-    }
-
-    #[test]
-    fn ring_sink_keeps_the_tail() {
-        let mut ring = RingSink::new(2);
-        for r in 1..=5 {
-            ring.record(&Event::send(r, NodeId(0), r, 1));
-        }
-        assert_eq!(ring.dropped(), 3);
-        assert_eq!(ring.seen(), 5);
-        let rounds: Vec<Round> = ring.events().map(Event::round).collect();
-        assert_eq!(rounds, vec![4, 5]);
-        assert_eq!(ring.to_trace().last_round(), Some(5));
-        // Eviction marks the extracted trace truncated; a ring that never
-        // dropped yields a clean trace.
-        assert!(ring.to_trace().truncated());
-        let mut small = RingSink::new(8);
-        small.record(&Event::send(1, NodeId(0), 1, 1));
-        assert!(!small.to_trace().truncated());
-        // Capacity 0 only counts.
-        let mut zero = RingSink::new(0);
-        zero.record(&Event::Crash { round: 1, node: NodeId(0) });
-        assert_eq!(zero.seen(), 1);
-        assert_eq!(zero.events().count(), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use caaf::Sum;
 use ftagg::msg::{agg_bit_budget, veri_bit_budget};
 use ftagg::pair::AggOutcome;
 use ftagg::run::run_pair_engine;
-use ftagg::tradeoff::{run_tradeoff, TradeoffConfig};
+use ftagg::tradeoff::{run_tradeoff_monitored, TradeoffConfig};
 use ftagg::Instance;
 use netsim::{topology, FailureSchedule, NodeId};
 
@@ -80,36 +80,25 @@ fn veri_overflow_forces_false_within_budget() {
 
 #[test]
 fn tradeoff_runs_multiple_pairs_when_intervals_fail() {
-    // Seed-pinned: with seed 11, b = 84, c = 2 the first selected interval
-    // is known; concentrating failures there forces Algorithm 1 to move on
-    // to a later pair (exercising the multi-interval accounting). This is
-    // a code-path test, not an adversary-power claim (the schedule is
-    // chosen knowing the coins, which the oblivious model forbids).
-    let g = topology::cycle(14);
-    let d = u64::from(g.diameter());
+    // Algorithm 1's retry path, pinned. b = 400 gives x = 10 intervals
+    // and pair tolerance t = ⌊2f/x⌋ = 0 at f = 4. One crash early in
+    // aggregation (round 2cd + 2, where cd = 12 on the 4×8 torus) fails
+    // node 13's 4 edges and keeps the stretch at 1. The schedule does not
+    // read the coins. At coin seed 9, VERI rejects the first pair and a
+    // second pair runs.
+    let g = topology::torus(4, 8);
     let n = g.len();
-    let b = 84u64;
-    let cfg = TradeoffConfig { b, c: C, f: 6, seed: 11 };
-    // Crash a 2-chain in EVERY interval start (oblivious-compatible
-    // spreading over the first two intervals' tree-construction windows).
+    let cd = u64::from(C) * u64::from(g.diameter());
     let mut s = FailureSchedule::none();
-    let cd = u64::from(C) * d;
-    let interval = 19 * u64::from(C) * d;
-    s.crash(NodeId(1), 2 * cd + 2);
-    s.crash(NodeId(2), 2 * cd + 3);
-    s.crash(NodeId(4), interval + 2 * cd + 2);
-    s.crash(NodeId(5), interval + 2 * cd + 3);
+    s.crash(NodeId(13), 2 * cd + 2);
     let inst = Instance::new(g, NodeId(0), vec![2; n], s, 2).unwrap();
-    if inst.schedule.stretch_factor(&inst.graph, inst.root) > f64::from(C) {
-        return; // construction must respect the model; bail if not
-    }
-    let r = run_tradeoff(&Sum, &inst, &cfg);
+    assert_eq!(inst.schedule.stretch_factor(&inst.graph, inst.root), 1.0);
+    let b = 400;
+    let cfg = TradeoffConfig { b, c: C, f: 4, seed: 9 };
+    let (r, monitor) = run_tradeoff_monitored(&Sum, &inst, &cfg, true);
+    assert_eq!(r.pairs_run, 2, "the first pair must be rejected and retried");
+    assert!(!r.used_fallback);
     assert!(r.correct, "result {} incorrect", r.result);
-    // Whatever path it took, the metrics of all pairs merge and the TC
-    // budget holds.
     assert!(r.flooding_rounds <= b + 1);
-    if r.pairs_run >= 2 {
-        // The multi-pair path merged metrics from both executions.
-        assert!(r.metrics.max_bits() > 0);
-    }
+    assert!(monitor.is_clean(), "{}", monitor.render());
 }

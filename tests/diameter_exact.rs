@@ -2,9 +2,11 @@
 //! with all-pairs BFS on every connected graph on up to six nodes, and the
 //! residual diameter agrees on every connected graph on up to five nodes
 //! for every root and every removed set. Seeded random and structured
-//! families up to about 80 nodes, with random removals, agree too. A clone
-//! of a graph that has computed `d` equals a fresh build, and a
-//! disconnected graph panics on every `diameter` call.
+//! families up to about 80 nodes, with random removals, agree too, and so
+//! does the closed form that the cycle, torus and hypercube generators
+//! record, at every size in a small range. A clone of a graph that has
+//! computed `d` equals a fresh build, and a disconnected graph panics on
+//! every `diameter` call.
 
 use netsim::{topology, Graph, NodeId};
 use rand::rngs::StdRng;
@@ -104,6 +106,22 @@ fn seeded_families_with_random_removals_match_all_pairs_bfs() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn closed_form_diameters_match_all_pairs_bfs_at_every_small_size() {
+    let check = |g: Graph| assert_eq!(Some(g.diameter()), all_pairs(&g, NodeId(0), &[]));
+    for n in 3..=40 {
+        check(topology::cycle(n));
+    }
+    for rows in 3..=7 {
+        for cols in 3..=7 {
+            check(topology::torus(rows, cols));
+        }
+    }
+    for dim in 1..=8 {
+        check(topology::hypercube(dim));
     }
 }
 
