@@ -65,8 +65,10 @@ pub(crate) fn cmd_explain(args: &Args) -> Result<CmdOutput, String> {
                 report.pairs_run,
                 report.used_fallback
             );
-            // --ring N: keep only the last N events, as a memory-capped
-            // deployment would; analyses then see a truncated tail.
+            // --ring N: keep only the last N events, the tail a
+            // memory-capped recorder would keep, so the analyses see a
+            // truncated trace. The whole trace is recorded first, so peak
+            // memory is that of the full trace.
             let trace = match args.get("ring") {
                 None => trace,
                 Some(_) => {

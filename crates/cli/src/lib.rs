@@ -307,7 +307,8 @@ commands:
   explain causal provenance of one Algorithm 1 run: critical path into the
           decision, per-node per-kind CC blame, coverage audit
           live:  --topology SPEC --b B --c C --f F --seed S
-                 [--ring N] (bounded-memory capture; analyses get the tail)
+                 [--ring N] (analyses get the last N events; the whole
+                 trace is recorded first, so memory is not bounded)
           file:  --input TRACE.jsonl
           [--folded yes] (also emit speedscope/inferno folded stacks)
           exits 1 when an invariant cross-check fails

@@ -152,6 +152,16 @@ impl NodeLogic<BruteEnvelope> for BruteNode {
             ctx.send(BruteEnvelope::new(m, self.id_bits, self.value_bits));
         }
     }
+
+    /// The root starts the flood in round 1; every node runs on mail only
+    /// after that.
+    fn next_wake(&self, round: Round) -> Round {
+        if self.me == self.root && round < 1 {
+            1
+        } else {
+            Round::MAX
+        }
+    }
 }
 
 /// Outcome of a brute-force run.

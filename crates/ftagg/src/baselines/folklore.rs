@@ -121,6 +121,19 @@ impl<C: Caaf> FolkNode<C> {
         2 * self.cd + 1
     }
 
+    /// The round this node broadcasts its own `tree_construct` in, if it
+    /// falls inside tree construction.
+    fn tree_construct_round(&self) -> Option<Round> {
+        self.tc_emit_round.filter(|&r| r <= self.a1_end())
+    }
+
+    /// The round of this node's one aggregation action (phase round
+    /// `cd - level + 1`), while it is still to come.
+    fn aggregation_round(&self) -> Option<Round> {
+        let lvl = u64::from(self.level);
+        (self.activated && !self.acted && lvl <= self.cd).then(|| self.a1_end() + self.cd - lvl + 1)
+    }
+
     /// Attempt length in rounds: tree construction plus the aggregation
     /// wave reaching the root (`3cd + 2`).
     pub fn attempt_rounds(cd: u64) -> u64 {
@@ -172,31 +185,38 @@ impl<C: Caaf> NodeLogic<FolkEnvelope> for FolkNode<C> {
             out.push(FolkMsg::Ack { parent: from });
             self.tc_emit_round = Some(r + 1);
         }
-        if self.tc_emit_round == Some(r) && r <= self.a1_end() {
+        if self.tree_construct_round() == Some(r) {
             out.push(FolkMsg::TreeConstruct { level: self.level });
         }
-        // Aggregation action at phase round cd - level + 1.
-        if self.activated && !self.acted && u64::from(self.level) <= self.cd {
-            let action = self.a1_end() + (self.cd - u64::from(self.level) + 1);
-            if r == action {
-                self.acted = true;
-                for (&v, ()) in self.children.clone().iter() {
-                    match self.child_aggs.get(&v) {
-                        Some(&(ps, cl)) => {
-                            self.psum = self.op.combine(self.psum, ps);
-                            self.clean &= cl;
-                        }
-                        None => self.clean = false,
+        if self.aggregation_round() == Some(r) {
+            self.acted = true;
+            for (&v, ()) in self.children.clone().iter() {
+                match self.child_aggs.get(&v) {
+                    Some(&(ps, cl)) => {
+                        self.psum = self.op.combine(self.psum, ps);
+                        self.clean &= cl;
                     }
+                    None => self.clean = false,
                 }
-                if self.me != self.root {
-                    out.push(FolkMsg::Aggregation { psum: self.psum, clean: self.clean });
-                }
+            }
+            if self.me != self.root {
+                out.push(FolkMsg::Aggregation { psum: self.psum, clean: self.clean });
             }
         }
         for m in out {
             ctx.send(FolkEnvelope::new(m, self.n, self.value_bits));
         }
+    }
+
+    /// Wakes for the own `tree_construct` and the aggregation action; any
+    /// other round with an empty inbox does nothing.
+    fn next_wake(&self, round: Round) -> Round {
+        [self.tree_construct_round(), self.aggregation_round()]
+            .into_iter()
+            .flatten()
+            .filter(|&r| r > round)
+            .min()
+            .unwrap_or(Round::MAX)
     }
 }
 

@@ -38,7 +38,7 @@
 use crate::config::Model;
 use crate::msg::{agg_bit_budget, veri_bit_budget, AggMsg, Envelope, WireCtx};
 use caaf::Caaf;
-use netsim::{FloodState, NodeId, NodeLogic, Received, Round, RoundCtx};
+use netsim::{FloodState, Inbox, NodeId, NodeLogic, Round, RoundCtx};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Ablation switches for the design-choice experiments (E12). The faithful
@@ -112,6 +112,38 @@ impl PairParams {
             self.agg_rounds()
         }
     }
+}
+
+/// The scheduled steps of a pair execution, one per row of the round
+/// layout that acts in a fixed round (A1 acts one round after activation).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Step {
+    /// A1: broadcast the own `tree_construct`.
+    TreeConstruct,
+    /// A2: aggregate the children's partial sums.
+    Aggregate,
+    /// A3: flood the own partial sum (root: start the phase).
+    Speculate,
+    /// A4: witness determinations.
+    Determine,
+    /// V1: failed-parent detection (root: start the phase).
+    DetectParent,
+    /// V2: failed-child beacon and check.
+    DetectChild,
+    /// V3: LFC verdicts.
+    Verdict,
+}
+
+impl Step {
+    const ALL: [Step; 7] = [
+        Step::TreeConstruct,
+        Step::Aggregate,
+        Step::Speculate,
+        Step::Determine,
+        Step::DetectParent,
+        Step::DetectChild,
+        Step::Verdict,
+    ];
 }
 
 /// Result of AGG at the root.
@@ -254,6 +286,34 @@ impl<C: Caaf> PairNode<C> {
         11 * self.params.cd() + 6
     }
 
+    /// The round in which `step` fires for this node in its current state,
+    /// if it fires at all. [`PairNode::actions`] acts only in these rounds
+    /// and [`NodeLogic::next_wake`] wakes the node for them, so the phase
+    /// table lives here alone.
+    fn step_round(&self, step: Step) -> Option<Round> {
+        let cd = self.params.cd();
+        // `level` is set exactly when the node activates (the root's is 0).
+        let lvl = self.level.map(u64::from);
+        // A2 and V2 act at phase round `cd - level + 1`.
+        let upward = lvl.filter(|&l| l <= cd).map(|l| cd - l + 1);
+        match step {
+            Step::TreeConstruct => self.tc_emit_round.filter(|&r| r <= self.a1_end()),
+            Step::Aggregate => upward.map(|k| self.a1_end() + k),
+            Step::Speculate => lvl.map(|l| self.a2_end() + 1 + l).filter(|&r| r <= self.a3_end()),
+            Step::Determine => Some(self.a3_end() + 1),
+            Step::DetectParent => {
+                lvl.map(|l| self.a4_end() + 1 + l).filter(|&r| r <= self.v1_end())
+            }
+            Step::DetectChild => upward.map(|k| self.v1_end() + k),
+            Step::Verdict => Some(self.v2_end() + 1),
+        }
+    }
+
+    /// Whether `step` fires in round `r`.
+    fn fires(&self, step: Step, r: Round) -> bool {
+        self.step_round(step) == Some(r)
+    }
+
     /// `ancestor[i]` with the paper's indexing: index 0 is the node itself,
     /// then nearest ancestors outward; `None` past the known horizon.
     fn anc(&self, i: u32) -> Option<NodeId> {
@@ -323,7 +383,7 @@ impl<C: Caaf> PairNode<C> {
         }
     }
 
-    fn process_inbox(&mut self, inbox: &[Received<Envelope>], r: Round, out: &mut Vec<AggMsg>) {
+    fn process_inbox(&mut self, inbox: Inbox<'_, Envelope>, r: Round, out: &mut Vec<AggMsg>) {
         let in_a3 = r > self.a2_end() && r <= self.a3_end();
         let in_v1 = r > self.a4_end() && r <= self.v1_end();
         // Best tree_construct candidate this round (lowest sender id).
@@ -359,7 +419,7 @@ impl<C: Caaf> PairNode<C> {
                 AggMsg::DetectFailedChild => {}
                 flood => {
                     if self.flood.first_sighting(flood.clone()) {
-                        self.record_flood(&flood.clone());
+                        self.record_flood(flood);
                         out.push(flood.clone());
                     }
                 }
@@ -388,12 +448,11 @@ impl<C: Caaf> PairNode<C> {
         }
     }
 
-    fn actions(&mut self, r: Round, senders_this_round: &BTreeSet<NodeId>, out: &mut Vec<AggMsg>) {
-        let cd = self.params.cd();
+    fn actions(&mut self, r: Round, inbox: Inbox<'_, Envelope>, out: &mut Vec<AggMsg>) {
         let is_root = self.me == self.params.model.root;
 
         // A1: emit own tree_construct one round after activation.
-        if self.tc_emit_round == Some(r) && r <= self.a1_end() {
+        if self.fires(Step::TreeConstruct, r) {
             let lvl = self.level.expect("activated nodes have a level");
             let two_t = self.params.horizon() as usize;
             let mut anc = self.ancestors.clone();
@@ -402,42 +461,29 @@ impl<C: Caaf> PairNode<C> {
         }
 
         // A2: aggregation action at phase round cd - level + 1.
-        if self.activated {
-            let lvl = u64::from(self.level.expect("activated"));
-            if lvl <= cd {
-                let action = self.a1_end() + (cd - lvl + 1);
-                if r == action {
-                    let kids: Vec<NodeId> = self.children.iter().copied().collect();
-                    for v in kids {
-                        if let Some(&(ps, ml)) = self.child_aggs.get(&v) {
-                            self.psum = self.op.combine(self.psum, ps);
-                            self.max_level = self.max_level.max(ml);
-                        } else {
-                            self.initiate_flood(AggMsg::CriticalFailure { node: v }, out);
-                        }
-                    }
-                    out.push(AggMsg::Aggregation { psum: self.psum, max_level: self.max_level });
+        if self.fires(Step::Aggregate, r) {
+            let kids: Vec<NodeId> = self.children.iter().copied().collect();
+            for v in kids {
+                if let Some(&(ps, ml)) = self.child_aggs.get(&v) {
+                    self.psum = self.op.combine(self.psum, ps);
+                    self.max_level = self.max_level.max(ml);
+                } else {
+                    self.initiate_flood(AggMsg::CriticalFailure { node: v }, out);
                 }
             }
+            out.push(AggMsg::Aggregation { psum: self.psum, max_level: self.max_level });
         }
 
-        // A3: speculative flooding.
-        if self.activated {
-            let lvl = u64::from(self.level.expect("activated"));
-            let a3_start = self.a2_end() + 1;
-            let root_floods = is_root && r == a3_start;
-            let speculates = !is_root
-                && self.params.tweaks.speculative_flooding
-                && r == a3_start + lvl
-                && r <= self.a3_end()
-                && !self.a3_heard_parent;
-            if root_floods || speculates {
-                self.initiate_flood(AggMsg::FloodedPsum { source: self.me, psum: self.psum }, out);
-            }
+        // A3: speculative flooding; the root floods unconditionally at the
+        // phase start.
+        if self.fires(Step::Speculate, r)
+            && (is_root || (self.params.tweaks.speculative_flooding && !self.a3_heard_parent))
+        {
+            self.initiate_flood(AggMsg::FloodedPsum { source: self.me, psum: self.psum }, out);
         }
 
         // A4: witness determinations, phase round 1.
-        if r == self.a3_end() + 1 {
+        if self.fires(Step::Determine, r) {
             let t = self.params.t;
             let j = self.boundary_index();
             let sources: Vec<(NodeId, u64)> =
@@ -470,38 +516,31 @@ impl<C: Caaf> PairNode<C> {
             return;
         }
 
-        // V1: failed-parent detection.
-        let v1_start = self.a4_end() + 1;
-        if is_root && r == v1_start {
-            self.initiate_flood(AggMsg::DetectFailedParent, out);
-        } else if !is_root && self.activated {
-            let lvl = u64::from(self.level.expect("activated"));
-            if r == v1_start + lvl && r <= self.v1_end() && !self.v1_heard_parent {
+        // V1: failed-parent detection; the root starts the phase.
+        if self.fires(Step::DetectParent, r) {
+            if is_root {
+                self.initiate_flood(AggMsg::DetectFailedParent, out);
+            } else if !self.v1_heard_parent {
                 let parent = self.parent.expect("activated non-root has parent");
                 let x = self.max_level - self.level.expect("activated") + 1;
                 self.initiate_flood(AggMsg::FailedParent { parent, x }, out);
             }
         }
 
-        // V2: failed-child detection at phase round cd - level + 1.
-        if self.activated {
-            let lvl = u64::from(self.level.expect("activated"));
-            if lvl <= cd {
-                let action = self.v1_end() + (cd - lvl + 1);
-                if r == action {
-                    out.push(AggMsg::DetectFailedChild);
-                    let kids: Vec<NodeId> = self.children.iter().copied().collect();
-                    for v in kids {
-                        if !senders_this_round.contains(&v) {
-                            self.initiate_flood(AggMsg::FailedChild { child: v }, out);
-                        }
-                    }
+        // V2: failed-child detection at phase round cd - level + 1. Every
+        // live child beacons in this very round, so silence is death.
+        if self.fires(Step::DetectChild, r) {
+            out.push(AggMsg::DetectFailedChild);
+            let kids: Vec<NodeId> = self.children.iter().copied().collect();
+            for v in kids {
+                if !inbox.iter().any(|m| m.from == v) {
+                    self.initiate_flood(AggMsg::FailedChild { child: v }, out);
                 }
             }
         }
 
         // V3: LFC verdicts, phase round 1.
-        if r == self.v2_end() + 1 {
+        if self.fires(Step::Verdict, r) {
             let t = self.params.t;
             let j = self.boundary_index();
             let accused: BTreeSet<NodeId> = self.failed_parents.iter().map(|&(v, _)| v).collect();
@@ -666,26 +705,36 @@ impl<C: Caaf> PairNode<C> {
 }
 
 impl<C: Caaf> NodeLogic<Envelope> for PairNode<C> {
+    // With an empty inbox, a call changes nothing outside the rounds of
+    // `step_round`: `process_inbox` has nothing to read and `flush` of an
+    // empty outbox touches no field. So the node sleeps in between.
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Envelope>) {
         let r = ctx.round();
         if r > self.params.total_rounds() {
             return;
         }
-        let senders: BTreeSet<NodeId> = ctx.inbox().iter().map(|m| m.from).collect();
+        let inbox = ctx.inbox();
         // Remember this round's delivery ids for causal declarations (the
         // ids are NONE — and skipped — when tracing is off).
-        for i in 0..ctx.inbox().len() {
+        for i in 0..inbox.len() {
             let id = ctx.delivery_id(i);
             if id.is_some() {
                 self.heard_ids.push(id);
             }
         }
         let mut out = Vec::new();
-        // Borrow dance: inbox is borrowed from ctx, so copy what actions need.
-        let inbox: Vec<Received<Envelope>> = ctx.inbox().to_vec();
-        self.process_inbox(&inbox, r, &mut out);
-        self.actions(r, &senders, &mut out);
+        self.process_inbox(inbox, r, &mut out);
+        self.actions(r, inbox, &mut out);
         self.flush(out, ctx);
+    }
+
+    fn next_wake(&self, round: Round) -> Round {
+        Step::ALL
+            .iter()
+            .filter_map(|&s| self.step_round(s))
+            .filter(|&r| r > round && r <= self.params.total_rounds())
+            .min()
+            .unwrap_or(Round::MAX)
     }
 }
 

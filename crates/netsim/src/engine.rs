@@ -27,6 +27,11 @@
 //!   retires, and [`Metrics::lean`] drops the per-round ledger entirely,
 //!   so a million-node sweep never materializes per-round history it will
 //!   not read.
+//! - **Sleeping nodes**: a live node runs only in a round where its inbox
+//!   is non-empty or the wake-up it declared ([`NodeLogic::next_wake`])
+//!   is due. A round with no mail, no due wake-up and no crash runs no
+//!   node scan and no scatter: it only notes the round in the metrics
+//!   and telemetry and hands every sink an empty [`RoundFlow`].
 //!
 //! The scatter delivers in ascending sender id, then the sender's send
 //! order, because sends are recorded in node order during the round and
@@ -135,12 +140,6 @@ impl<'a, M> Inbox<'a, M> {
     /// Iterator over this round's deliveries as [`Received`] views.
     pub fn iter(&self) -> InboxIter<'a, M> {
         InboxIter { inbox: *self, i: 0 }
-    }
-
-    /// Copies the views out (e.g. to end a borrow of the context before
-    /// calling [`RoundCtx::send`]).
-    pub fn to_vec(&self) -> Vec<Received<'a, M>> {
-        self.iter().collect()
     }
 }
 
@@ -277,12 +276,29 @@ impl<'a, M> RoundCtx<'a, M> {
 
 /// A per-node protocol state machine.
 pub trait NodeLogic<M: Message> {
-    /// Called once per round while the node is alive, in node-id order.
+    /// Called in a round where the node is alive and either its inbox is
+    /// non-empty or the wake-up it declared through
+    /// [`NodeLogic::next_wake`] is due. Nodes run in node-id order.
     ///
     /// The paper's activation rule — a non-root node joins upon its first
     /// received message — is implemented by the logic itself: simply do
     /// nothing while the inbox is empty and the node is not yet activated.
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, M>);
+
+    /// The next round after `round` in which this node must run even if
+    /// its inbox is empty; `Round::MAX` means "only on mail". The engine
+    /// asks once with `round = 0` before the first round and again after
+    /// each [`NodeLogic::on_round`] call in `round`.
+    ///
+    /// A call with an empty inbox in any round before the declared one
+    /// must do nothing: the engine skips it, while
+    /// [`crate::testkit::Reference`] makes it, so the equivalence harness
+    /// catches a wake-up declared too late. Declaring one too early costs
+    /// only the call. The default, `round + 1`, runs the node in every
+    /// round it is alive.
+    fn next_wake(&self, round: Round) -> Round {
+        round + 1
+    }
 }
 
 /// Why [`Engine::run`] returned.
@@ -418,6 +434,12 @@ pub struct Engine<M: Message, L: NodeLogic<M>> {
     counts: Vec<u32>,
     /// Reusable outbox scratch handed to each node's [`RoundCtx`].
     outbox: Vec<M>,
+    /// Each node's declared wake-up round ([`NodeLogic::next_wake`]): it
+    /// runs in round `r` when `wake[i] <= r` or its inbox is non-empty.
+    wake: Vec<Round>,
+    /// The earliest round in which some live node's wake-up is due or a
+    /// crash is pending; a round before it with no mail is empty.
+    next_due: Round,
     /// First round each node is dead (`Round::MAX` if it never crashes).
     crash_round: Vec<Round>,
     /// Sorted receiver restriction of each node's final broadcast, for
@@ -464,7 +486,8 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         mut factory: impl FnMut(NodeId) -> L,
     ) -> Self {
         let n = graph.len();
-        let nodes = (0..n as u32).map(|i| factory(NodeId(i))).collect();
+        let nodes: Vec<L> = (0..n as u32).map(|i| factory(NodeId(i))).collect();
+        let wake: Vec<Round> = nodes.iter().map(|l| l.next_wake(0)).collect();
         let mut crash_round = vec![Round::MAX; n];
         let mut partial_rx: Vec<Option<Vec<NodeId>>> = vec![None; n];
         for (v, e) in schedule.iter() {
@@ -478,6 +501,7 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                 rx
             });
         }
+        let next_due = wake.iter().chain(&crash_round).copied().min().unwrap_or(Round::MAX);
         Engine {
             metrics: Metrics::new(n),
             cur_off: vec![0; n + 1],
@@ -490,6 +514,8 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             sends: Vec::new(),
             counts: vec![0; n],
             outbox: Vec::new(),
+            wake,
+            next_due,
             crash_round,
             partial_rx,
             crash_logged: vec![false; n],
@@ -630,9 +656,38 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             return false;
         }
         let r = self.round + 1;
+        let mut clock = self.timeline.as_ref().map(|(t, _)| t.round_clock());
+        self.metrics.note_round(r);
+        self.telemetry.rounds += 1;
+        // The offsets are a prefix sum, so a zero last offset means no node
+        // has mail. With no wake-up or crash due either, no node runs and
+        // nothing is sent: the round is empty.
+        let flow = if self.cur_off[self.graph.len()] == 0 && self.next_due > r {
+            RoundFlow { round: r, ..RoundFlow::default() }
+        } else {
+            self.work(r, &mut clock)
+        };
+        self.telemetry.deliveries += flow.deliveries;
+        self.telemetry.peak_inflight = self.telemetry.peak_inflight.max(flow.deliveries);
+        for s in self.sinks.iter_mut() {
+            s.end_round(&flow);
+        }
+        if let Some(mut c) = clock {
+            c.mark(crate::timeline::STAGE_TELEMETRY);
+            if let Some((tl, lane)) = self.timeline.as_ref() {
+                tl.push_round(r, *lane, c);
+            }
+        }
+        self.round = r;
+        true
+    }
+
+    /// Round `r`'s node scan and inbox scatter: logs this round's crashes,
+    /// runs every live node that has mail or a due wake-up, and builds
+    /// next round's inboxes. Returns the round's traffic.
+    fn work(&mut self, r: Round, clock: &mut Option<crate::timeline::RoundClock>) -> RoundFlow {
         let n = self.graph.len();
         let mut stop = false;
-        let mut clock = self.timeline.as_ref().map(|(t, _)| t.round_clock());
         let Engine {
             graph,
             nodes,
@@ -646,19 +701,19 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             sends,
             counts,
             outbox,
+            wake,
+            next_due,
             crash_round,
             partial_rx,
             crash_logged,
             metrics,
             sinks,
-            telemetry,
             next_event_id,
             delivery_ids,
             send_ids,
             causes,
             kind_acc,
             wants,
-            timeline,
             ..
         } = self;
         // `observed` gates the send events and their ids; `tracing` gates
@@ -675,8 +730,6 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         // dominate idle nodes at N = 2²⁰ and sink the <5% overhead
         // budget.
         let fine = clock.is_some() && observed;
-        metrics.note_round(r);
-        telemetry.rounds += 1;
         sends.clear();
         pend_arena.clear();
         pend_src.clear();
@@ -685,9 +738,12 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         }
         let mut round_bits: u64 = 0;
         let mut round_logical: u64 = 0;
+        // The earliest wake-up or pending crash among the live nodes.
+        let mut due = Round::MAX;
         for i in 0..n {
             let me = NodeId(i as u32);
-            if r >= crash_round[i] {
+            let dies = crash_round[i];
+            if r >= dies {
                 if !crash_logged[i] {
                     crash_logged[i] = true;
                     record_all(sinks, &Event::Crash { round: r, node: me });
@@ -696,6 +752,10 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             }
             let lo = cur_off[i] as usize;
             let hi = cur_off[i + 1] as usize;
+            if lo == hi && wake[i] > r {
+                due = due.min(wake[i]).min(dies);
+                continue;
+            }
             delivery_ids.clear();
             if tracing {
                 // Deliveries are logged when the node consumes its inbox
@@ -738,6 +798,13 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                 );
                 nodes[i].on_round(&mut ctx);
             }
+            // Any stored round <= r + 1 means "due next round", so a node
+            // that keeps the default (`r + 1`) never rewrites its entry.
+            let w = nodes[i].next_wake(r);
+            if w > r + 1 || wake[i] > r + 1 {
+                wake[i] = w;
+            }
+            due = due.min(w).min(dies);
             if fine {
                 if let Some(c) = clock.as_mut() {
                     c.mark(crate::timeline::STAGE_ABSORB);
@@ -808,6 +875,7 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                 }
             }
         }
+        *next_due = due;
         if !fine {
             if let Some(c) = clock.as_mut() {
                 c.mark(crate::timeline::STAGE_ABSORB);
@@ -817,7 +885,11 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         // consumed CSR, giving next round's inboxes in O(N + deliveries).
         let mut enqueued: u64 = 0;
         if sends.is_empty() {
-            cur_off.iter_mut().for_each(|o| *o = 0);
+            // Already empty after a round without sends: skip the O(N)
+            // reset.
+            if cur_off[n] != 0 {
+                cur_off.iter_mut().for_each(|o| *o = 0);
+            }
             cur_from.clear();
             cur_midx.clear();
             cur_src.clear();
@@ -898,24 +970,10 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         if let Some(c) = clock.as_mut() {
             c.mark(crate::timeline::STAGE_SCATTER);
         }
-        telemetry.deliveries += enqueued;
-        telemetry.peak_inflight = telemetry.peak_inflight.max(enqueued);
-        let flow =
-            RoundFlow { round: r, bits: round_bits, logical: round_logical, deliveries: enqueued };
-        for s in sinks.iter_mut() {
-            s.end_round(&flow);
-        }
-        if let Some(mut c) = clock {
-            c.mark(crate::timeline::STAGE_TELEMETRY);
-            if let Some((tl, lane)) = timeline.as_ref() {
-                tl.push_round(r, *lane, c);
-            }
-        }
-        self.round = r;
         if stop {
             self.stop_requested = true;
         }
-        true
+        RoundFlow { round: r, bits: round_bits, logical: round_logical, deliveries: enqueued }
     }
 
     /// Runs until a stop is requested or `max_rounds` rounds have executed.
@@ -1209,6 +1267,96 @@ mod tests {
         assert_eq!(eng.metrics().max_bits(), 16);
         // The per-round ledger was never materialized.
         assert_eq!(eng.metrics().bits_in_round(1), 0);
+    }
+
+    /// Logs the rounds it runs in; broadcasts in the rounds of `send_at`
+    /// and, if `relay`, on its first mail. `wakes: None` keeps the default
+    /// wake-up, every round; `Some(rounds)` declares exactly those.
+    struct Sleeper {
+        wakes: Option<Vec<Round>>,
+        send_at: Vec<Round>,
+        relay: bool,
+        calls: Vec<Round>,
+    }
+
+    impl NodeLogic<Blob> for Sleeper {
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Blob>) {
+            self.calls.push(ctx.round());
+            let relay = self.relay && !ctx.inbox().is_empty();
+            if relay || self.send_at.contains(&ctx.round()) {
+                ctx.send(Blob(1));
+            }
+            self.relay &= !relay;
+        }
+
+        fn next_wake(&self, round: Round) -> Round {
+            match &self.wakes {
+                None => round + 1,
+                Some(w) => w.iter().copied().find(|&x| x > round).unwrap_or(Round::MAX),
+            }
+        }
+    }
+
+    fn sleeper(wakes: &[Round], send_at: &[Round], relay: bool) -> Sleeper {
+        Sleeper { wakes: Some(wakes.to_vec()), send_at: send_at.to_vec(), relay, calls: vec![] }
+    }
+
+    #[test]
+    fn a_sleeping_node_runs_only_on_mail_or_a_due_wake_up() {
+        // Path 0 - 1 - 2 - 3. Node 0 wakes at 3 and 7 and sends at 3;
+        // node 1 relays its first mail; node 2 declares nothing; node 3
+        // keeps the default.
+        let mut eng = Engine::new(topology::path(4), FailureSchedule::none(), |v| match v.0 {
+            0 => sleeper(&[3, 7], &[3], false),
+            1 => sleeper(&[], &[], true),
+            2 => sleeper(&[], &[], false),
+            _ => Sleeper { wakes: None, send_at: vec![], relay: false, calls: vec![] },
+        });
+        eng.run(10);
+        // 0's round-3 send reaches 1 in round 4; 1's relay reaches 0 and
+        // 2 in round 5. Node 2 never sends, so node 3 hears nothing.
+        assert_eq!(eng.node(NodeId(0)).calls, vec![3, 5, 7]);
+        assert_eq!(eng.node(NodeId(1)).calls, vec![4]);
+        assert_eq!(eng.node(NodeId(2)).calls, vec![5]);
+        assert_eq!(eng.node(NodeId(3)).calls, (1..=10).collect::<Vec<_>>());
+        assert_eq!(eng.metrics().total_bits(), 2);
+    }
+
+    #[test]
+    fn empty_rounds_still_reach_every_round_sink() {
+        use crate::telemetry::RoundStats;
+        use std::{cell::RefCell, rc::Rc};
+        // Only node 0 ever runs, in round 2; every other round is empty.
+        let mut eng = Engine::new(topology::path(3), FailureSchedule::none(), |v| {
+            if v == NodeId(0) {
+                sleeper(&[2], &[2], false)
+            } else {
+                sleeper(&[], &[], false)
+            }
+        });
+        let stats = Rc::new(RefCell::new(RoundStats::new()));
+        eng.add_sink(Box::new(Rc::clone(&stats)));
+        eng.run(20);
+        let s = stats.borrow();
+        assert_eq!(s.rounds, eng.round());
+        assert_eq!(s.rounds, eng.telemetry().rounds);
+        assert_eq!((s.rounds, s.bits, s.deliveries), (20, 1, 1));
+        assert_eq!(eng.metrics().current_round(), 20);
+        assert_eq!(eng.node(NodeId(1)).calls, vec![3], "mail alone wakes a sleeper");
+    }
+
+    #[test]
+    fn a_crash_in_an_empty_round_is_logged_in_that_round() {
+        use crate::trace::Trace;
+        use std::{cell::RefCell, rc::Rc};
+        let mut schedule = FailureSchedule::none();
+        schedule.crash(NodeId(1), 6);
+        let mut eng = Engine::new(topology::path(3), schedule, |_| sleeper(&[], &[], false));
+        let trace = Rc::new(RefCell::new(Trace::new()));
+        eng.add_sink(Box::new(Rc::clone(&trace)));
+        eng.run(10);
+        assert_eq!(trace.borrow().events(), &[Event::Crash { round: 6, node: NodeId(1) }]);
+        assert!((0..3).all(|v| eng.node(NodeId(v)).calls.is_empty()), "nobody ran");
     }
 }
 

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a node in a [`Graph`], a dense index in `0..n`.
 ///
@@ -139,6 +139,8 @@ impl std::error::Error for GraphError {}
 /// `offsets`, so the engine's delivery loop walks a contiguous slice with
 /// no per-node allocation or pointer chasing. [`Graph::neighbors`] still
 /// returns a sorted `&[NodeId]`, so callers are unaffected by the layout.
+/// The arrays are shared: a clone bumps a reference count instead of
+/// copying them, so each engine over the same topology costs nothing.
 ///
 /// # Examples
 ///
@@ -154,20 +156,26 @@ impl std::error::Error for GraphError {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct Graph {
+    csr: Arc<Csr>,
+    /// `d`, filled by the first [`Graph::diameter`] call; clones carry it.
+    diameter: OnceLock<u32>,
+}
+
+/// The arrays of a [`Graph`], built once and shared by its clones.
+#[derive(Debug, PartialEq, Eq)]
+struct Csr {
     /// `offsets[v]..offsets[v + 1]` indexes `targets`; length `n + 1`.
     offsets: Vec<u32>,
     /// Concatenated sorted neighbor lists.
     targets: Vec<NodeId>,
     edges: Vec<Edge>,
-    /// `d`, filled by the first [`Graph::diameter`] call; clones carry it.
-    diameter: OnceLock<u32>,
 }
 
 /// Equality of the topology: the cached diameter is a function of it, so
 /// a copy that has computed `d` equals one that has not.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
-        self.offsets == other.offsets && self.targets == other.targets && self.edges == other.edges
+        Arc::ptr_eq(&self.csr, &other.csr) || self.csr == other.csr
     }
 }
 
@@ -221,12 +229,15 @@ impl Graph {
         for i in 0..n {
             targets[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
         }
-        Ok(Graph { offsets, targets, edges: list, diameter: OnceLock::new() })
+        Ok(Graph {
+            csr: Arc::new(Csr { offsets, targets, edges: list }),
+            diameter: OnceLock::new(),
+        })
     }
 
     /// Number of nodes `N`.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.csr.offsets.len() - 1
     }
 
     /// Returns true iff the graph has no nodes (never true for a constructed
@@ -237,12 +248,12 @@ impl Graph {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.csr.edges.len()
     }
 
     /// All edges in normalized ascending order.
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        &self.csr.edges
     }
 
     /// A copy of this graph with the edge `(a, b)` added. The graph is
@@ -254,7 +265,8 @@ impl Graph {
     /// Returns [`GraphError`] if the edge is a self-loop, out of range,
     /// or already present.
     pub fn with_edge(&self, a: NodeId, b: NodeId) -> Result<Graph, GraphError> {
-        let mut list: Vec<(u32, u32)> = self.edges.iter().map(|e| (e.lo().0, e.hi().0)).collect();
+        let mut list: Vec<(u32, u32)> =
+            self.csr.edges.iter().map(|e| (e.lo().0, e.hi().0)).collect();
         list.push((a.0, b.0));
         Graph::new(self.len(), &list)
     }
@@ -270,7 +282,7 @@ impl Graph {
         }
         let gone = Edge::new(a, b);
         let list: Vec<(u32, u32)> =
-            self.edges.iter().filter(|&&e| e != gone).map(|e| (e.lo().0, e.hi().0)).collect();
+            self.csr.edges.iter().filter(|&&e| e != gone).map(|e| (e.lo().0, e.hi().0)).collect();
         Some(Graph::new(self.len(), &list).expect("removing an edge keeps the list valid"))
     }
 
@@ -281,8 +293,8 @@ impl Graph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        let i = v.index();
-        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        let (i, csr) = (v.index(), &*self.csr);
+        &csr.targets[csr.offsets[i] as usize..csr.offsets[i + 1] as usize]
     }
 
     /// Degree of `v`.
@@ -457,7 +469,7 @@ impl Graph {
         for &h in highlight {
             let _ = writeln!(out, "  {} [style=filled, fillcolor=red];", h.0);
         }
-        for e in &self.edges {
+        for e in &self.csr.edges {
             let _ = writeln!(out, "  {} -- {};", e.lo().0, e.hi().0);
         }
         out.push_str("}\n");
@@ -471,7 +483,7 @@ impl Graph {
         for &v in nodes {
             dead[v.index()] = true;
         }
-        self.edges.iter().filter(|e| dead[e.lo().index()] || dead[e.hi().index()]).count()
+        self.csr.edges.iter().filter(|e| dead[e.lo().index()] || dead[e.hi().index()]).count()
     }
 }
 

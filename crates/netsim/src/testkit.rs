@@ -26,9 +26,11 @@ use crate::Round;
 /// The reference round engine: the model executed the obvious way, with
 /// no performance work and no observers.
 ///
-/// Per round `r`, nodes run in id order. A node dead at `r` (its crash
-/// round is `≤ r`) is skipped; the first time, a `Crash` event is
-/// logged. A live node first logs one `Deliver` per inbox entry, then
+/// Per round `r`, nodes run in id order. It calls every live node in
+/// every round and ignores [`NodeLogic::next_wake`], so a wake-up that a
+/// node declares too late shows up as a divergence from the engine.
+/// A node dead at `r` (its crash round is `≤ r`) is skipped; the first
+/// time, a `Crash` event is logged. A live node first logs one `Deliver` per inbox entry, then
 /// runs its logic, then meters and logs its outbox — one `Send` per
 /// message kind, in first-appearance order. Every neighbour alive at
 /// `r + 1` gets its own clone of each message, unless the sender crashes
