@@ -222,7 +222,6 @@ fn main() {
         let stats = Rc::new(RefCell::new(RoundStats::new()));
         eng.add_sink(Box::new(Rc::clone(&stats)));
         let recorder = FlightRecorder::new(8);
-        let flight = recorder.handle();
         // An absurd 1-bit per-node ceiling over the whole window: the
         // very first summary send trips it, exercising the
         // dump-on-violation path at scale. The watchdog taps the full
@@ -239,7 +238,7 @@ fn main() {
         if let Some(w) = &watchdog {
             eng.add_sink(Box::new(Rc::clone(w)));
         }
-        eng.add_sink(Box::new(SamplingSink::new(Box::new(recorder), 16, 7)));
+        eng.add_sink(Box::new(SamplingSink::new(Box::new(recorder.clone()), 16, 7)));
         let report = eng.run(Round::from(dim) + 2);
         let wall = t0.elapsed().as_secs_f64();
         let cc = eng.metrics().max_bits();
@@ -248,7 +247,7 @@ fn main() {
             forced_violations += verdict.total;
             if !verdict.is_clean() && !flight_dumped {
                 if let Some(path) = &flight_out {
-                    match flight.dump_once(std::path::Path::new(path)) {
+                    match recorder.dump_once(std::path::Path::new(path)) {
                         Ok(Some(stats)) => {
                             flight_dumped = true;
                             eprintln!(
@@ -265,10 +264,10 @@ fn main() {
                 }
             }
         }
-        let (fs, stats) = (flight.stats(), stats.borrow());
+        let (fs, stats) = (recorder.stats(), stats.borrow());
         tele_lines.push(format!(
             "b = {b:>4}: rounds = {}, deliveries = {}, bits = {}, in-flight peak = {}; \
-             flight ring rounds {}..={} ({} events, {} bytes, {} evicted)",
+             flight ring rounds {}..={} ({} events, {} evicted)",
             stats.rounds,
             stats.deliveries,
             stats.bits,
@@ -276,7 +275,6 @@ fn main() {
             fs.oldest_round,
             fs.newest_round,
             fs.events_buffered,
-            fs.bytes_buffered,
             fs.evicted_rounds,
         ));
         let upper = bounds::upper_bound_simple(n, f_bound, b);

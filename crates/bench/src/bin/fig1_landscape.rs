@@ -56,7 +56,7 @@ fn main() {
             let inst = env.instance();
             let cfg = TradeoffConfig { b, c, f: f_bound, seed: trial };
             // Strict watchdog: Theorem 3/6 budgets, crash silence,
-            // causality, phases, and the CAAF envelope checked live.
+            // phases, and the CAAF envelope checked live.
             let (r, monitor) = run_tradeoff_monitored(&Sum, &inst, &cfg, true);
             assert!(r.correct, "b = {b}, trial {trial}: incorrect result");
             assert!(monitor.is_clean(), "b = {b}, trial {trial}: {}", monitor.render());

@@ -2,7 +2,7 @@
 //!
 //! Runs hundreds of randomized pair executions — each under the strict
 //! invariant watchdog ([`ftagg::monitored`]), so a single budget,
-//! crash-silence, causality, or phase violation aborts the regeneration —
+//! crash-silence, phase or envelope violation aborts the regeneration —
 //! classifies each into its Table 2 scenario with the white-box oracle,
 //! and tabulates what AGG and VERI actually did. The paper's guarantees
 //! (✓ cells) must hold with zero violations; the "no guarantee" cells

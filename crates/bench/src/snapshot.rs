@@ -167,10 +167,9 @@ pub fn flood_hypercube_soa_recorded(
     eng.use_lean_metrics();
     let stats = Rc::new(RefCell::new(RoundStats::new()));
     eng.add_sink(Box::new(Rc::clone(&stats)));
-    let rec = FlightRecorder::new(8);
-    let flight = rec.handle();
+    let recorder = FlightRecorder::new(8);
     let sampler = Rc::new(RefCell::new(SamplingSink::new(
-        Box::new(rec),
+        Box::new(recorder.clone()),
         RECORDED_SAMPLE_K,
         RECORDED_SAMPLE_SEED,
     )));
@@ -178,7 +177,7 @@ pub fn flood_hypercube_soa_recorded(
     eng.run(Round::from(dim) + 2);
     let bits = eng.metrics().total_bits();
     let factors = sampler.borrow().factors();
-    (eng.telemetry().clone(), bits, stats.take(), flight.stats(), factors)
+    (eng.telemetry().clone(), bits, stats.take(), recorder.stats(), factors)
 }
 
 /// [`flood_hypercube_soa`] with the timeline profiler installed on

@@ -214,7 +214,7 @@ fn report_live(args: &Args, top: usize) -> Result<CmdOutput, String> {
     if monitor {
         let _ = writeln!(
             out,
-            "watchdog violations = {} in {}/{trials} trials (budgets, crash silence, causality, phases, envelope)",
+            "watchdog violations = {} in {}/{trials} trials (budgets, crash silence, phases, envelope)",
             summary.sum_violations, summary.violation_trials
         );
     }

@@ -26,9 +26,8 @@ pub(crate) fn cmd_top(args: &Args) -> Result<CmdOutput, String> {
     let flight_out = args.get("flight-out").map(std::path::PathBuf::from);
 
     let recorder = netsim::FlightRecorder::new(ring);
-    let flight = recorder.handle();
     if let Some(path) = &flight_out {
-        flight.install_panic_hook(path.clone());
+        recorder.install_panic_hook(path.clone());
     }
     let live = LiveLine {
         refresh: u128::from(refresh),
@@ -37,7 +36,7 @@ pub(crate) fn cmd_top(args: &Args) -> Result<CmdOutput, String> {
         deliveries: 0,
         bits: 0,
     };
-    let run = run_observed_pair(args, vec![Box::new(recorder), Box::new(live)], None)?;
+    let run = run_observed_pair(args, vec![Box::new(recorder.clone()), Box::new(live)], None)?;
     eprintln!();
 
     let stats = &run.stats;
@@ -59,14 +58,14 @@ pub(crate) fn cmd_top(args: &Args) -> Result<CmdOutput, String> {
             h.max(),
         );
     }
-    let s = flight.stats();
+    let s = recorder.stats();
     let _ = writeln!(
         out,
-        "flight recorder: rounds {}..={} buffered ({} events, {} bytes), {} rounds evicted",
-        s.oldest_round, s.newest_round, s.events_buffered, s.bytes_buffered, s.evicted_rounds,
+        "flight recorder: rounds {}..={} buffered ({} events), {} rounds evicted",
+        s.oldest_round, s.newest_round, s.events_buffered, s.evicted_rounds,
     );
     if let Some(path) = &flight_out {
-        if let Some(dumped) = flight.dump_once(path)? {
+        if let Some(dumped) = recorder.dump_once(path)? {
             let _ = writeln!(
                 out,
                 "wrote flight dump ({} events) to {}",

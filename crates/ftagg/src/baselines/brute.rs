@@ -209,7 +209,8 @@ pub fn run_brute<C: Caaf>(
 
 /// [`run_brute`] with the observers in `obs` attached (every message
 /// carries kind `"fallback"`). The protocol has no bit budget, so a
-/// requested watchdog checks crash silence and delivery causality only.
+/// requested watchdog checks crash silence (and delivery causality, when
+/// a trace has the engine build deliveries) only.
 /// The run records no `Decide` event: the driver reads the root's
 /// aggregate at the horizon.
 pub fn run_brute_observed<C: Caaf>(

@@ -98,7 +98,8 @@ mod tests {
         let i = inst(6);
         let (report, monitor) = monitored(&i, 1, 1, true);
         assert!(monitor.is_clean(), "{}", monitor.render());
-        assert!(monitor.sends > 0 && monitor.delivers > 0);
+        // A watchdog alone turns deliveries down, so it audited none.
+        assert!(monitor.sends > 0 && monitor.delivers == 0);
         assert_eq!(monitor.decides, 1);
         let plain = run_pair_with_schedule(&Sum, &i, i.schedule.clone(), 1, 1, true, 0);
         assert_eq!(report.result(), plain.result());
@@ -125,8 +126,7 @@ mod tests {
     fn recorded_pair_run_is_identical_and_its_dump_replays() {
         let i = inst(6);
         let recorder = netsim::FlightRecorder::new(8);
-        let flight = recorder.handle();
-        let obs = Observe { sinks: vec![Box::new(recorder)], ..Observe::watchdog(true) };
+        let obs = Observe { sinks: vec![Box::new(recorder.clone())], ..Observe::watchdog(true) };
         let (report, seen, _) =
             run_pair_observed(&Sum, &i, i.schedule.clone(), 1, 1, true, 0, Tweaks::default(), obs);
         let monitor = seen.monitor.expect("watchdog requested");
@@ -135,10 +135,10 @@ mod tests {
         assert_eq!(report.result(), plain.result());
         assert_eq!(report.metrics.total_bits(), plain.metrics.total_bits());
         // The black box holds the tail of the run and replays as a trace.
-        let stats = flight.stats();
+        let stats = recorder.stats();
         assert!(stats.rounds_buffered > 0 && stats.rounds_buffered <= 8);
         assert!(stats.events_buffered > 0);
-        let jsonl = flight.snapshot_jsonl().expect("segments decode");
+        let jsonl = recorder.snapshot_jsonl();
         let trace = netsim::Trace::from_jsonl(jsonl.as_bytes()).expect("dump must replay");
         assert_eq!(trace.events().len() as u64, stats.events_buffered);
     }

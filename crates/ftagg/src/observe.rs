@@ -27,11 +27,12 @@ pub struct Observe<'a> {
     /// onto its global round timeline.
     pub trace: bool,
     /// `Some(strict)` runs every AGG+VERI pair under the Theorem 3/6
-    /// watchdog (budgets, crash silence, delivery causality, phase
-    /// discipline, and the CAAF envelope at each decision, with the one
-    /// exemption [`crate::run_pair_observed`] names); the merged verdict
-    /// lands in [`Observed::monitor`]. Strict mode panics on the first
-    /// violation.
+    /// watchdog (budgets, crash silence, phase discipline, and the CAAF
+    /// envelope at each decision, with the one exemption
+    /// [`crate::run_pair_observed`] names); the merged verdict lands in
+    /// [`Observed::monitor`]. Strict mode panics on the first violation.
+    /// It checks deliveries only when [`Observe::trace`] or another sink
+    /// has the engine build them (see [`netsim::monitor`]).
     pub watchdog: Option<bool>,
     /// More sinks, installed in order after the trace and the watchdog.
     /// Keep an `Rc<RefCell<_>>` handle to one to read it after the run

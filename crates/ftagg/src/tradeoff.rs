@@ -94,8 +94,9 @@ pub fn run_tradeoff<C: Caaf + 'static>(
 
 /// [`run_tradeoff`] with every AGG+VERI pair running under a live
 /// [`netsim::Watchdog`] (Theorem 3/6 budgets, the per-interval Theorem 1
-/// budget, crash silence, delivery causality, phase discipline, and the
-/// CAAF envelope at each decision); see [`run_tradeoff_observed`].
+/// budget, crash silence, phase discipline, and the CAAF envelope at each
+/// decision; deliveries go unchecked, see [`netsim::monitor`]). See
+/// [`run_tradeoff_observed`].
 ///
 /// The watchdog is passive: the returned [`TradeoffReport`] is identical
 /// to [`run_tradeoff`]'s for the same inputs.

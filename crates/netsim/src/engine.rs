@@ -1254,6 +1254,35 @@ mod tests {
     }
 
     #[test]
+    fn a_watchdog_builds_no_delivery_alone_and_audits_them_beside_a_trace() {
+        use crate::monitor::{MonitorConfig, Watchdog};
+        use crate::trace::Trace;
+        use std::{cell::RefCell, rc::Rc};
+        // Rounds 1 and 2 bring 6 sends and 8 deliveries. Alone, the
+        // watchdog has the engine build the sends and no delivery; a
+        // trace beside it has the engine build the deliveries too, and
+        // the watchdog audits every one.
+        for (trace, wants, delivers) in [(false, Wants::Events, 0), (true, Wants::Deliveries, 8)] {
+            let mut eng = Engine::new(topology::path(3), FailureSchedule::none(), |_| Chatter {
+                sizes: vec![8, 8],
+                heard: vec![],
+                stop_at: None,
+            });
+            if trace {
+                eng.add_sink(Box::new(Trace::new()));
+            }
+            let watchdog = Rc::new(RefCell::new(Watchdog::new(MonitorConfig::new(3))));
+            eng.add_sink(Box::new(Rc::clone(&watchdog)));
+            eng.run(4);
+            assert_eq!(eng.wants, wants);
+            assert_eq!(eng.next_event_id, 6 + delivers, "one id per event built");
+            let report = watchdog.borrow_mut().finish();
+            assert!(report.is_clean(), "{}", report.render());
+            assert_eq!((report.sends, report.delivers), (6, delivers));
+        }
+    }
+
+    #[test]
     fn lean_metrics_keep_totals_but_skip_the_ledger() {
         let mut eng = Engine::new(topology::path(3), FailureSchedule::none(), |_| Chatter {
             sizes: vec![8, 8],
@@ -1473,7 +1502,8 @@ mod trace_tests {
         };
         let mut full = engine();
         let full_trace = add(&mut full, Trace::new());
-        let recorder = add(&mut full, FlightRecorder::new(64));
+        let recorder = FlightRecorder::new(64);
+        full.add_sink(Box::new(recorder.clone()));
         full.run(4);
         let mut jsonl = engine();
         let jsonl_sink = add(&mut jsonl, JsonlSink::new(Vec::<u8>::new()));
@@ -1482,7 +1512,7 @@ mod trace_tests {
 
         let full_trace = full_trace.borrow();
         // The sibling recorder kept every event but the deliveries.
-        let dump = recorder.borrow().handle().snapshot_jsonl().unwrap();
+        let dump = recorder.snapshot_jsonl();
         let kept = Trace::from_jsonl(dump.as_bytes()).unwrap();
         let sent: Vec<&Event> =
             full_trace.events().iter().filter(|e| !matches!(e, Event::Deliver { .. })).collect();
@@ -1504,23 +1534,24 @@ mod trace_tests {
     fn sinks_all_see_every_event_and_the_engine_builds_the_most_any_wants() {
         let mut eng = two_path();
         let trace = add(&mut eng, Trace::new());
-        let deaf = add(&mut eng, FlightRecorder::new(2));
+        let deaf = FlightRecorder::new(2);
+        eng.add_sink(Box::new(deaf.clone()));
         eng.run(3);
         // The trace still wants deliveries, so the engine builds them,
         // and the deliver-less recorder is offered them too.
         let t = trace.borrow();
         assert_eq!(t.events().len(), 8);
         assert_eq!(t.events().iter().filter(|e| matches!(e, Event::Deliver { .. })).count(), 4);
-        assert_eq!(deaf.borrow().handle().stats().total_events, 8);
+        assert_eq!(deaf.stats().total_events, 8);
 
         // No sink wants deliveries: the engine never builds one.
         let mut eng = two_path();
-        let a = add(&mut eng, FlightRecorder::new(2));
-        let b = add(&mut eng, FlightRecorder::new(2));
+        let (a, b) = (FlightRecorder::new(2), FlightRecorder::new(2));
+        eng.add_sink(Box::new(a.clone())).add_sink(Box::new(b.clone()));
         eng.run(3);
         assert_eq!(eng.wants, Wants::Events);
-        assert_eq!(a.borrow().handle().stats().total_events, 4, "sends only");
-        assert_eq!(b.borrow().handle().stats().total_events, 4, "sends only");
+        assert_eq!(a.stats().total_events, 4, "sends only");
+        assert_eq!(b.stats().total_events, 4, "sends only");
     }
 
     #[test]
@@ -1551,10 +1582,11 @@ mod trace_tests {
         // while the sibling trace keeps the whole stream — one degraded
         // sink never steals events from the others.
         let mut eng = two_path();
-        let tiny = add(&mut eng, FlightRecorder::new(1));
+        let tiny = FlightRecorder::new(1);
+        eng.add_sink(Box::new(tiny.clone()));
         let full = add(&mut eng, Trace::new());
         eng.run(3);
-        let tiny = tiny.borrow().handle().stats();
+        let tiny = tiny.stats();
         assert_eq!(tiny.total_events, 8);
         assert_eq!(tiny.evicted_rounds, 1, "eviction must be visible downstream");
         assert_eq!((tiny.oldest_round, tiny.events_buffered), (2, 2));

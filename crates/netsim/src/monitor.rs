@@ -25,13 +25,19 @@
 //! 5. **Decision envelope** — an optional [`DecideCheck`] closure (built by
 //!    the driver from the `caaf` oracle) judges every `Decide` value.
 //!
+//! The delivery checks (rules 2 and 3) run on every `Deliver` the
+//! watchdog is given, from a recorded trace or a sibling sink that has
+//! the engine build deliveries; alone, it turns them down
+//! ([`Wants::Events`]), and `tests/engine_equivalence.rs` checks the
+//! engine's deliveries against the test reference instead.
+//!
 //! Violations are collected into a structured [`MonitorReport`] rather than
 //! panicking, so sweeps can count them; `strict` mode panics on the first
 //! violation for use in tests and CI.
 
 use crate::adversary::Round;
 use crate::graph::NodeId;
-use crate::trace::{Event, TraceSink};
+use crate::trace::{Event, TraceSink, Wants};
 use std::fmt;
 
 /// A per-node cumulative bit allowance over an inclusive round window.
@@ -514,6 +520,12 @@ impl TraceSink for Watchdog {
                 }
             }
         }
+    }
+
+    /// Events without deliveries, which are most of what watching a live
+    /// run would cost (see the module doc).
+    fn wants(&self) -> Wants {
+        Wants::Events
     }
 }
 

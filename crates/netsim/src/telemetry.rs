@@ -19,10 +19,9 @@
 //!   stratum so reports can state their confidence instead of presenting
 //!   samples as exact.
 //! - **[`FlightRecorder`]** — a black box: a bounded ring of the last R
-//!   rounds of full-fidelity events, delta-encoded per round with
-//!   [`DeltaSink`], dumped as a versioned v2 JSONL artifact on a watchdog
-//!   violation, a mining counterexample, or a panic
-//!   ([`FlightRecorderHandle::install_panic_hook`]). A 16-second
+//!   rounds of full-fidelity events, dumped as a versioned v2 JSONL
+//!   artifact on a watchdog violation, a mining counterexample, or a
+//!   panic ([`FlightRecorder::install_panic_hook`]). A 16-second
 //!   million-node run that trips an invariant leaves a replayable tail
 //!   instead of nothing.
 //!
@@ -34,7 +33,7 @@ use crate::adversary::Round;
 use crate::engine::RoundFlow;
 use crate::graph::NodeId;
 use crate::runner::Histogram;
-use crate::trace::{DeltaSink, Event, TraceSink, Wants, TRACE_SCHEMA_VERSION};
+use crate::trace::{jsonl_header, Event, TraceSink, Wants};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -390,91 +389,62 @@ impl TraceSink for SamplingSink {
 // Flight recorder
 // ---------------------------------------------------------------------------
 
-/// One sealed round of delta-encoded events.
-#[derive(Clone, Debug)]
-struct Segment {
-    round: Round,
-    bytes: Vec<u8>,
-    events: u64,
-}
-
-#[derive(Debug)]
-struct RecorderCore {
+/// The shared state behind every clone of a [`FlightRecorder`].
+#[derive(Default)]
+struct Ring {
     rounds_cap: usize,
-    segments: VecDeque<Segment>,
-    cur: DeltaSink,
-    cur_round: Round,
+    /// The events of each held round, oldest first; the last entry is the
+    /// round being recorded.
+    rounds: VecDeque<(Round, Vec<Event>)>,
     total_events: u64,
     recorded_events: u64,
     evicted_rounds: u64,
     dumped: bool,
 }
 
-impl RecorderCore {
-    fn seal_current(&mut self) {
-        if self.cur.event_count() == 0 {
-            return;
-        }
-        let sink = std::mem::replace(&mut self.cur, DeltaSink::new());
-        let events = sink.event_count();
-        self.segments.push_back(Segment {
-            round: self.cur_round,
-            bytes: sink.into_bytes(),
-            events,
-        });
-        // The now-open round occupies one of the `rounds_cap` slots, so
-        // the ring retains exactly the last `rounds_cap` rounds overall.
-        while self.segments.len() + 1 > self.rounds_cap {
-            self.segments.pop_front();
-            self.evicted_rounds += 1;
-        }
-    }
-
+impl Ring {
     fn offer(&mut self, e: &Event) {
         self.total_events += 1;
         if let Event::Deliver { .. } = e {
             return;
         }
-        let r = e.round();
-        if r != self.cur_round && self.cur.event_count() > 0 {
-            self.seal_current();
-        }
-        self.cur_round = r;
-        self.cur.record(e);
         self.recorded_events += 1;
-    }
-
-    /// Every retained event, decoded back to one v2 JSONL document
-    /// (schema header + one line per event, byte-compatible with
-    /// `JsonlSink` output for the same events).
-    fn snapshot_jsonl(&self) -> Result<String, String> {
-        let mut out = format!("{{\"schema\":\"ftagg-trace\",\"v\":{TRACE_SCHEMA_VERSION}}}\n");
-        for seg in &self.segments {
-            for e in DeltaSink::decode(&seg.bytes)? {
-                out.push_str(&e.to_jsonl());
-                out.push('\n');
+        match self.rounds.back_mut() {
+            Some((round, events)) if *round == e.round() => events.push(e.clone()),
+            _ => {
+                // A new round takes one of the `rounds_cap` slots, so the
+                // ring retains exactly the last `rounds_cap` rounds.
+                if self.rounds.len() == self.rounds_cap {
+                    self.rounds.pop_front();
+                    self.evicted_rounds += 1;
+                }
+                self.rounds.push_back((e.round(), vec![e.clone()]));
             }
         }
-        for e in DeltaSink::decode(self.cur.bytes())? {
+    }
+
+    /// Every retained event as one v2 JSONL document: the schema header,
+    /// then one line per event, the bytes a `JsonlSink` writes for them.
+    fn snapshot_jsonl(&self) -> String {
+        let mut out = jsonl_header();
+        out.push('\n');
+        for e in self.rounds.iter().flat_map(|(_, events)| events) {
             out.push_str(&e.to_jsonl());
             out.push('\n');
         }
-        Ok(out)
+        out
     }
 
     fn stats(&self) -> RecorderStats {
-        let open = u64::from(self.cur.event_count() > 0);
+        let round = |held: Option<&(Round, Vec<Event>)>| held.map_or(0, |(r, _)| *r);
         RecorderStats {
-            rounds_buffered: self.segments.len() as u64 + open,
-            events_buffered: self.segments.iter().map(|s| s.events).sum::<u64>()
-                + self.cur.event_count(),
-            bytes_buffered: self.segments.iter().map(|s| s.bytes.len() as u64).sum::<u64>()
-                + self.cur.bytes().len() as u64,
+            rounds_buffered: self.rounds.len() as u64,
+            events_buffered: self.rounds.iter().map(|(_, events)| events.len() as u64).sum(),
             total_events: self.total_events,
             recorded_events: self.recorded_events,
             evicted_rounds: self.evicted_rounds,
-            oldest_round: self.segments.front().map_or(self.cur_round, |s| s.round),
-            newest_round: self.cur_round,
+            oldest_round: round(self.rounds.front()),
+            newest_round: round(self.rounds.back()),
         }
     }
 }
@@ -482,15 +452,13 @@ impl RecorderCore {
 /// Point-in-time bookkeeping of a [`FlightRecorder`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecorderStats {
-    /// Rounds currently held in the ring (sealed + open).
+    /// Rounds currently held in the ring.
     pub rounds_buffered: u64,
     /// Events currently held in the ring.
     pub events_buffered: u64,
-    /// Encoded bytes currently held in the ring.
-    pub bytes_buffered: u64,
     /// Events offered to the recorder over its lifetime.
     pub total_events: u64,
-    /// Events actually encoded: `total_events` minus the deliveries a
+    /// Events actually kept: `total_events` minus the deliveries a
     /// sibling sink had the engine build.
     pub recorded_events: u64,
     /// Rounds evicted from the head of the ring.
@@ -501,71 +469,32 @@ pub struct RecorderStats {
     pub newest_round: Round,
 }
 
-/// The black box: a [`TraceSink`] keeping the last R rounds of events as
-/// per-round [`DeltaSink`] segments in a bounded ring. It never records
-/// deliveries and tells the engine not to build them
-/// ([`Wants::Events`]): sends, crashes, phases and decides are retained
-/// at full fidelity — enough for replay, metrics and blame, which are all
-/// send-driven — at a per-round instead of per-delivery cost. Dumping decodes
-/// the retained segments back into one versioned v2 JSONL artifact that
+/// The black box: a [`TraceSink`] keeping the events of the last R rounds
+/// in a bounded ring. It never records deliveries and tells the engine
+/// not to build them ([`Wants::Events`]): sends, crashes, phases and
+/// decides are retained at full fidelity — enough for replay, metrics and
+/// blame, which are all send-driven — at a per-round instead of
+/// per-delivery cost. A dump is one versioned v2 JSONL artifact that
 /// `ftagg-cli explain --input` / `report --input` replay directly.
 ///
-/// Cloneable [`FlightRecorderHandle`]s (see [`FlightRecorder::handle`])
-/// share the ring, so a CLI can install the recorder into an engine and
-/// still dump it from a panic hook or after a watchdog violation.
+/// Clones share one ring, so a CLI can install one clone into an engine
+/// and still dump the ring through another, from a panic hook or after a
+/// watchdog violation.
+#[derive(Clone)]
 pub struct FlightRecorder {
-    core: Arc<Mutex<RecorderCore>>,
+    ring: Arc<Mutex<Ring>>,
 }
 
 impl FlightRecorder {
     /// A recorder retaining the last `rounds` rounds (at least 1).
     pub fn new(rounds: usize) -> FlightRecorder {
-        FlightRecorder {
-            core: Arc::new(Mutex::new(RecorderCore {
-                rounds_cap: rounds.max(1),
-                segments: VecDeque::new(),
-                cur: DeltaSink::new(),
-                cur_round: 0,
-                total_events: 0,
-                recorded_events: 0,
-                evicted_rounds: 0,
-                dumped: false,
-            })),
-        }
+        let ring = Ring { rounds_cap: rounds.max(1), ..Ring::default() };
+        FlightRecorder { ring: Arc::new(Mutex::new(ring)) }
     }
 
-    /// A shared handle for dumping/inspecting the ring after the
-    /// recorder itself has been boxed into an engine.
-    pub fn handle(&self) -> FlightRecorderHandle {
-        FlightRecorderHandle { core: Arc::clone(&self.core) }
-    }
-}
-
-impl TraceSink for FlightRecorder {
-    fn record(&mut self, e: &Event) {
-        lock_ok(&self.core).offer(e);
-    }
-
-    fn wants(&self) -> Wants {
-        Wants::Events
-    }
-}
-
-/// A cloneable view onto a [`FlightRecorder`]'s ring.
-#[derive(Clone)]
-pub struct FlightRecorderHandle {
-    core: Arc<Mutex<RecorderCore>>,
-}
-
-impl FlightRecorderHandle {
-    /// Decodes the retained ring into one v2 JSONL document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if a segment fails to decode (corrupt memory —
-    /// should not happen).
-    pub fn snapshot_jsonl(&self) -> Result<String, String> {
-        lock_ok(&self.core).snapshot_jsonl()
+    /// The retained ring as one v2 JSONL document.
+    pub fn snapshot_jsonl(&self) -> String {
+        lock_ok(&self.ring).snapshot_jsonl()
     }
 
     /// Writes [`Self::snapshot_jsonl`] to `path`, returning the
@@ -573,11 +502,11 @@ impl FlightRecorderHandle {
     ///
     /// # Errors
     ///
-    /// Returns a message on decode or IO failure.
+    /// Returns a message if the file cannot be written.
     pub fn dump_to(&self, path: &std::path::Path) -> Result<RecorderStats, String> {
         let (text, stats) = {
-            let core = lock_ok(&self.core);
-            (core.snapshot_jsonl()?, core.stats())
+            let ring = lock_ok(&self.ring);
+            (ring.snapshot_jsonl(), ring.stats())
         };
         std::fs::write(path, text)
             .map_err(|e| format!("cannot write flight recording '{}': {e}", path.display()))?;
@@ -585,26 +514,24 @@ impl FlightRecorderHandle {
     }
 
     /// Like [`Self::dump_to`], but a no-op returning `Ok(None)` if any
-    /// handle of this recorder already dumped — so a watchdog-triggered
+    /// clone of this recorder already dumped — so a watchdog-triggered
     /// dump and the panic hook cannot double-write.
     ///
     /// # Errors
     ///
-    /// Returns a message on decode or IO failure.
+    /// Returns a message if the file cannot be written.
     pub fn dump_once(&self, path: &std::path::Path) -> Result<Option<RecorderStats>, String> {
-        {
-            let mut core = lock_ok(&self.core);
-            if core.dumped {
-                return Ok(None);
-            }
-            core.dumped = true;
+        // The guard is a temporary of the condition, released before
+        // `dump_to` takes the lock again.
+        if std::mem::replace(&mut lock_ok(&self.ring).dumped, true) {
+            return Ok(None);
         }
         self.dump_to(path).map(Some)
     }
 
     /// Current bookkeeping.
     pub fn stats(&self) -> RecorderStats {
-        lock_ok(&self.core).stats()
+        lock_ok(&self.ring).stats()
     }
 
     /// Installs a process-wide panic hook that dumps the ring to `path`
@@ -612,10 +539,10 @@ impl FlightRecorderHandle {
     /// ring's mutex is poison-tolerant, so the dump works even when the
     /// panic unwound through a recording engine.
     pub fn install_panic_hook(&self, path: std::path::PathBuf) {
-        let handle = self.clone();
+        let recorder = self.clone();
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            match handle.dump_once(&path) {
+            match recorder.dump_once(&path) {
                 Ok(Some(stats)) => eprintln!(
                     "flight recorder: dumped {} events over {} rounds to {}",
                     stats.events_buffered,
@@ -627,6 +554,16 @@ impl FlightRecorderHandle {
             }
             prev(info);
         }));
+    }
+}
+
+impl TraceSink for FlightRecorder {
+    fn record(&mut self, e: &Event) {
+        lock_ok(&self.ring).offer(e);
+    }
+
+    fn wants(&self) -> Wants {
+        Wants::Events
     }
 }
 
@@ -809,23 +746,23 @@ mod tests {
 
     #[test]
     fn flight_recorder_retains_the_last_rounds_and_replays() {
-        let mut rec = FlightRecorder::new(3);
-        let handle = rec.handle();
+        let rec = FlightRecorder::new(3);
+        let mut sink = rec.clone();
         for r in 1..=10u64 {
-            rec.record(&Event::PhaseEnter { round: r, label: format!("P{r}") });
-            rec.record(&send(r, (r % 5) as u32, 8));
-            rec.record(&Event::deliver(r, NodeId(0), NodeId(1), 8));
+            sink.record(&Event::PhaseEnter { round: r, label: format!("P{r}") });
+            sink.record(&send(r, (r % 5) as u32, 8));
+            sink.record(&Event::deliver(r, NodeId(0), NodeId(1), 8));
         }
-        let stats = handle.stats();
+        let stats = rec.stats();
         assert_eq!(stats.total_events, 30);
         assert_eq!(stats.recorded_events, 20, "deliveries are offered but never recorded");
         assert_eq!(stats.evicted_rounds, 7);
         assert_eq!(stats.rounds_buffered, 3);
         assert_eq!(stats.oldest_round, 8);
         assert_eq!(stats.newest_round, 10);
-        let jsonl = handle.snapshot_jsonl().expect("decodes");
+        let jsonl = rec.snapshot_jsonl();
         assert!(jsonl.starts_with("{\"schema\":\"ftagg-trace\",\"v\":2}\n"), "{jsonl}");
-        // Only rounds 8..=10 survive, in order, fully decoded.
+        // Only rounds 8..=10 survive, in order.
         let trace = Trace::from_jsonl(jsonl.as_bytes()).expect("replayable");
         let rounds: Vec<Round> = trace.events().iter().map(Event::round).collect();
         assert_eq!(trace.events().len(), 6);
@@ -836,16 +773,16 @@ mod tests {
 
     #[test]
     fn flight_recorder_drops_deliveries_and_wants_events() {
-        let mut rec = FlightRecorder::new(4);
+        let rec = FlightRecorder::new(4);
         assert_eq!(rec.wants(), Wants::Events);
-        let handle = rec.handle();
-        rec.record(&send(1, 0, 8));
-        rec.record(&Event::deliver(1, NodeId(1), NodeId(0), 8));
-        rec.record(&Event::Crash { round: 1, node: NodeId(2) });
-        let stats = handle.stats();
+        let mut sink = rec.clone();
+        sink.record(&send(1, 0, 8));
+        sink.record(&Event::deliver(1, NodeId(1), NodeId(0), 8));
+        sink.record(&Event::Crash { round: 1, node: NodeId(2) });
+        let stats = rec.stats();
         assert_eq!(stats.total_events, 3);
         assert_eq!(stats.recorded_events, 2);
-        let jsonl = handle.snapshot_jsonl().expect("decodes");
+        let jsonl = rec.snapshot_jsonl();
         assert!(!jsonl.contains("\"ev\":\"deliver\""), "{jsonl}");
         assert!(jsonl.contains("\"ev\":\"crash\""), "{jsonl}");
     }
@@ -855,12 +792,11 @@ mod tests {
         let dir = std::env::temp_dir().join("ftagg-telemetry-test");
         std::fs::create_dir_all(&dir).expect("tempdir");
         let path = dir.join("dump_once.jsonl");
-        let mut rec = FlightRecorder::new(2);
-        rec.record(&send(1, 0, 8));
-        let handle = rec.handle();
-        let first = handle.dump_once(&path).expect("dump");
+        let rec = FlightRecorder::new(2);
+        rec.clone().record(&send(1, 0, 8));
+        let first = rec.dump_once(&path).expect("dump");
         assert!(first.is_some());
-        let second = handle.dump_once(&path).expect("second call is a no-op");
+        let second = rec.clone().dump_once(&path).expect("second call is a no-op");
         assert!(second.is_none());
         let text = std::fs::read_to_string(&path).expect("artifact written");
         assert!(text.contains("\"ev\":\"send\""), "{text}");

@@ -20,7 +20,7 @@ use crate::adversary::FailureSchedule;
 use crate::engine::{Engine, Inbox, Message, NodeLogic, RoundCtx, RunReport, StopCause, Telemetry};
 use crate::graph::{Graph, NodeId};
 use crate::metrics::{Metrics, PhaseSpan};
-use crate::trace::{Event, EventId, Trace};
+use crate::trace::{jsonl_header, Event, EventId, Trace};
 use crate::Round;
 
 /// The reference round engine: the model executed the obvious way, with
@@ -262,10 +262,7 @@ pub struct RunArtifacts {
 /// exact bytes `JsonlSink` would have written, one line per entry.
 fn jsonl_lines(events: &[Event]) -> Vec<String> {
     let mut lines = Vec::with_capacity(events.len() + 1);
-    lines.push(format!(
-        "{{\"schema\":\"ftagg-trace\",\"v\":{}}}",
-        crate::trace::TRACE_SCHEMA_VERSION
-    ));
+    lines.push(jsonl_header());
     lines.extend(events.iter().map(Event::to_jsonl));
     lines
 }

@@ -333,7 +333,8 @@ pub enum Wants {
 ///
 /// To read a sink after the run, keep a shared handle to it: an
 /// `Rc<RefCell<S>>` is itself a sink, so install one clone and read the
-/// other. Nothing is ever taken back off an engine.
+/// other. A [`crate::FlightRecorder`]'s clones already share its ring.
+/// Nothing is ever taken back off an engine.
 ///
 /// ```
 /// use netsim::{
@@ -357,13 +358,13 @@ pub enum Wants {
 ///
 /// let mut eng = Engine::new(topology::path(3), FailureSchedule::none(), |_| Greeter);
 /// let trace = Rc::new(RefCell::new(Trace::new()));
-/// let recorder = Rc::new(RefCell::new(FlightRecorder::new(8)));
-/// eng.add_sink(Box::new(Rc::clone(&trace))).add_sink(Box::new(Rc::clone(&recorder)));
+/// let recorder = FlightRecorder::new(8);
+/// eng.add_sink(Box::new(Rc::clone(&trace))).add_sink(Box::new(recorder.clone()));
 /// eng.run(2);
 /// // 3 sends in round 1, 4 deliveries in round 2: both sinks saw all 7,
-/// // and the recorder, which keeps no deliveries, encoded the 3 sends.
+/// // and the recorder, which keeps no deliveries, kept the 3 sends.
 /// assert_eq!(trace.borrow().events().len(), 7);
-/// let stats = recorder.borrow().handle().stats();
+/// let stats = recorder.stats();
 /// assert_eq!((stats.total_events, stats.recorded_events), (7, 3));
 /// ```
 pub trait TraceSink {
@@ -686,11 +687,15 @@ pub struct JsonlSink<W: Write> {
     error: Option<io::Error>,
 }
 
+/// The schema header line that starts every JSONL trace (no newline).
+pub(crate) fn jsonl_header() -> String {
+    format!("{{\"schema\":\"ftagg-trace\",\"v\":{TRACE_SCHEMA_VERSION}}}")
+}
+
 impl<W: Write> JsonlSink<W> {
     /// Wraps `writer`, emitting the schema header immediately.
     pub fn new(mut writer: W) -> Self {
-        let error =
-            writeln!(writer, "{{\"schema\":\"ftagg-trace\",\"v\":{TRACE_SCHEMA_VERSION}}}").err();
+        let error = writeln!(writer, "{}", jsonl_header()).err();
         JsonlSink { writer, lines: 1, error }
     }
 
@@ -721,377 +726,6 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         match writeln!(self.writer, "{}", e.to_jsonl()) {
             Ok(()) => self.lines += 1,
             Err(err) => self.error = Some(err),
-        }
-    }
-}
-
-#[inline]
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// A fixed stack buffer for one event's worth of varints, flushed into the
-/// stream with a single `extend_from_slice` — the flight-recorder hot path
-/// encodes ~10⁶ send events per million-node round, and per-byte `Vec`
-/// pushes are the dominant cost there.
-struct Scratch {
-    buf: [u8; 192],
-    len: usize,
-}
-
-impl Scratch {
-    #[inline]
-    fn new() -> Scratch {
-        Scratch { buf: [0; 192], len: 0 }
-    }
-
-    /// Appends one LEB128 varint; callers bound their field count so the
-    /// 192-byte scratch (19 maximal varints) can never overflow.
-    #[inline]
-    fn put(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf[self.len] = byte;
-                self.len += 1;
-                return;
-            }
-            self.buf[self.len] = byte | 0x80;
-            self.len += 1;
-        }
-    }
-
-    #[inline]
-    fn bytes(&self) -> &[u8] {
-        &self.buf[..self.len]
-    }
-}
-
-fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *bytes.get(*pos).ok_or("delta stream truncated inside varint")?;
-        *pos += 1;
-        if shift >= 64 {
-            return Err("varint overflows u64".into());
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// A delta-encoded binary sink: the in-flight representation of a trace at
-/// a fraction of its JSONL size, decoding back to the v2 JSONL stream
-/// **byte-for-byte** (pinned by `prop_soa.rs`).
-///
-/// The stream exploits what event logs actually look like: rounds are
-/// monotone (stored as deltas), event ids count up from the previous id
-/// (zigzag deltas), `src`/`causes` point a short distance backwards
-/// (stored as distances from the carrying event's id), and the `kind` /
-/// phase-label strings come from a tiny set (interned in-stream on first
-/// use). Every field is an LEB128 varint, so the common
-/// send/deliver event costs a handful of bytes instead of a ~100-byte
-/// JSON line.
-#[derive(Clone, Debug, Default)]
-pub struct DeltaSink {
-    buf: Vec<u8>,
-    /// In-stream string table; index 0 is pre-seeded as the empty string.
-    strings: Vec<String>,
-    prev_round: Round,
-    prev_id: u64,
-    events: u64,
-}
-
-/// Tags of the delta stream's event records, in [`Event`] variant order.
-const DELTA_TAG_SEND: u64 = 0;
-const DELTA_TAG_DELIVER: u64 = 1;
-const DELTA_TAG_CRASH: u64 = 2;
-const DELTA_TAG_PHASE_ENTER: u64 = 3;
-const DELTA_TAG_PHASE_EXIT: u64 = 4;
-const DELTA_TAG_DECIDE: u64 = 5;
-
-impl DeltaSink {
-    /// An empty delta stream.
-    pub fn new() -> Self {
-        DeltaSink { strings: vec![String::new()], ..Self::default() }
-    }
-
-    /// The encoded bytes so far.
-    pub fn bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Consumes the sink, returning the encoded stream.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Events encoded so far.
-    pub fn event_count(&self) -> u64 {
-        self.events
-    }
-
-    fn put_string(&mut self, s: &str) {
-        match self.intern_index(s) {
-            Some(i) => put_varint(&mut self.buf, i as u64),
-            None => {
-                put_varint(&mut self.buf, self.strings.len() as u64);
-                put_varint(&mut self.buf, s.len() as u64);
-                self.buf.extend_from_slice(s.as_bytes());
-                self.strings.push(s.to_string());
-            }
-        }
-    }
-
-    /// The in-stream table index of `s`, if already interned. The table
-    /// stays tiny (message kinds + phase labels), so a linear scan wins
-    /// over any map.
-    #[inline]
-    fn intern_index(&self, s: &str) -> Option<usize> {
-        self.strings.iter().position(|t| t == s)
-    }
-
-    /// Round delta (monotone in well-formed traces, zigzag for safety)
-    /// shared by every record; updates the predictor.
-    fn put_round(&mut self, round: Round) {
-        put_varint(&mut self.buf, zigzag(round as i64 - self.prev_round as i64));
-        self.prev_round = round;
-    }
-
-    /// Event id as a zigzag delta from the previous non-null id; null ids
-    /// (pre-sink deliveries) encode but do not advance the predictor.
-    fn put_id(&mut self, id: EventId) {
-        put_varint(&mut self.buf, zigzag(id.0 as i64 - self.prev_id as i64));
-        if id.0 != 0 {
-            self.prev_id = id.0;
-        }
-    }
-
-    /// Decodes a stream back to its events.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on a truncated or corrupt stream.
-    pub fn decode(bytes: &[u8]) -> Result<Vec<Event>, String> {
-        let mut out = Vec::new();
-        let mut strings = vec![String::new()];
-        let mut prev_round: Round = 0;
-        let mut prev_id: u64 = 0;
-        let mut pos = 0usize;
-        let get_string =
-            |bytes: &[u8], pos: &mut usize, strings: &mut Vec<String>| -> Result<String, String> {
-                let i = get_varint(bytes, pos)? as usize;
-                if i < strings.len() {
-                    return Ok(strings[i].clone());
-                }
-                if i != strings.len() {
-                    return Err(format!("string index {i} skips table of {}", strings.len()));
-                }
-                let len = get_varint(bytes, pos)? as usize;
-                let end = pos.checked_add(len).filter(|&e| e <= bytes.len());
-                let end = end.ok_or("delta stream truncated inside string")?;
-                let s = std::str::from_utf8(&bytes[*pos..end])
-                    .map_err(|_| "non-UTF-8 string in delta stream")?
-                    .to_string();
-                *pos = end;
-                strings.push(s.clone());
-                Ok(s)
-            };
-        while pos < bytes.len() {
-            let tag = get_varint(bytes, &mut pos)?;
-            let round = {
-                let d = unzigzag(get_varint(bytes, &mut pos)?);
-                let r = prev_round.checked_add_signed(d).ok_or("round delta underflows")?;
-                prev_round = r;
-                r
-            };
-            let get_id = |pos: &mut usize, prev_id: &mut u64| -> Result<EventId, String> {
-                let d = unzigzag(get_varint(bytes, pos)?);
-                let id = prev_id.checked_add_signed(d).ok_or("id delta underflows")?;
-                if id != 0 {
-                    *prev_id = id;
-                }
-                Ok(EventId(id))
-            };
-            let ev = match tag {
-                DELTA_TAG_SEND => {
-                    let node = NodeId(get_varint(bytes, &mut pos)? as u32);
-                    let bits = get_varint(bytes, &mut pos)?;
-                    let logical = get_varint(bytes, &mut pos)?;
-                    let id = get_id(&mut pos, &mut prev_id)?;
-                    let kind = get_string(bytes, &mut pos, &mut strings)?;
-                    // Each cause takes at least one byte, so a count
-                    // beyond the bytes left is corrupt; cap the
-                    // reservation instead of trusting it.
-                    let n_causes = get_varint(bytes, &mut pos)?;
-                    let mut causes = Vec::with_capacity((bytes.len() - pos).min(n_causes as usize));
-                    for _ in 0..n_causes {
-                        let back = unzigzag(get_varint(bytes, &mut pos)?)
-                            .checked_neg()
-                            .ok_or("cause distance overflows")?;
-                        let c = id.0.checked_add_signed(back).ok_or("cause underflows")?;
-                        causes.push(EventId(c));
-                    }
-                    Event::Send { round, node, bits, logical, id, kind, causes }
-                }
-                DELTA_TAG_DELIVER => {
-                    let node = NodeId(get_varint(bytes, &mut pos)? as u32);
-                    let from = NodeId(get_varint(bytes, &mut pos)? as u32);
-                    let bits = get_varint(bytes, &mut pos)?;
-                    let id = get_id(&mut pos, &mut prev_id)?;
-                    let src_code = get_varint(bytes, &mut pos)?;
-                    let src = if src_code == 0 {
-                        EventId::NONE
-                    } else {
-                        let back =
-                            unzigzag(src_code - 1).checked_neg().ok_or("src distance overflows")?;
-                        EventId(id.0.checked_add_signed(back).ok_or("src underflows")?)
-                    };
-                    Event::Deliver { round, node, from, bits, id, src }
-                }
-                DELTA_TAG_CRASH => {
-                    Event::Crash { round, node: NodeId(get_varint(bytes, &mut pos)? as u32) }
-                }
-                DELTA_TAG_PHASE_ENTER => {
-                    Event::PhaseEnter { round, label: get_string(bytes, &mut pos, &mut strings)? }
-                }
-                DELTA_TAG_PHASE_EXIT => {
-                    Event::PhaseExit { round, label: get_string(bytes, &mut pos, &mut strings)? }
-                }
-                DELTA_TAG_DECIDE => Event::Decide {
-                    round,
-                    node: NodeId(get_varint(bytes, &mut pos)? as u32),
-                    value: get_varint(bytes, &mut pos)?,
-                },
-                other => return Err(format!("unknown delta tag {other}")),
-            };
-            out.push(ev);
-        }
-        Ok(out)
-    }
-
-    /// Decodes a stream straight to the v2 JSONL text a [`JsonlSink`]
-    /// would have produced for the same events — header line included,
-    /// byte-for-byte.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on a truncated or corrupt stream.
-    pub fn decode_to_jsonl(bytes: &[u8]) -> Result<String, String> {
-        let events = Self::decode(bytes)?;
-        let mut text = format!("{{\"schema\":\"ftagg-trace\",\"v\":{TRACE_SCHEMA_VERSION}}}\n");
-        for e in &events {
-            text.push_str(&e.to_jsonl());
-            text.push('\n');
-        }
-        Ok(text)
-    }
-}
-
-impl TraceSink for DeltaSink {
-    fn record(&mut self, e: &Event) {
-        self.events += 1;
-        match e {
-            Event::Send { round, node, bits, logical, id, kind, causes } => {
-                // Hot path (interned kind, short cause list): stage the
-                // whole record on the stack, append with one memcpy.
-                if causes.len() <= 8 {
-                    if let Some(ki) = self.intern_index(kind) {
-                        let mut s = Scratch::new();
-                        s.put(DELTA_TAG_SEND);
-                        s.put(zigzag(*round as i64 - self.prev_round as i64));
-                        self.prev_round = *round;
-                        s.put(u64::from(node.0));
-                        s.put(*bits);
-                        s.put(*logical);
-                        s.put(zigzag(id.0 as i64 - self.prev_id as i64));
-                        if id.0 != 0 {
-                            self.prev_id = id.0;
-                        }
-                        s.put(ki as u64);
-                        s.put(causes.len() as u64);
-                        for c in causes {
-                            s.put(zigzag(id.0 as i64 - c.0 as i64));
-                        }
-                        self.buf.extend_from_slice(s.bytes());
-                        return;
-                    }
-                }
-                put_varint(&mut self.buf, DELTA_TAG_SEND);
-                self.put_round(*round);
-                put_varint(&mut self.buf, u64::from(node.0));
-                put_varint(&mut self.buf, *bits);
-                put_varint(&mut self.buf, *logical);
-                self.put_id(*id);
-                self.put_string(kind);
-                put_varint(&mut self.buf, causes.len() as u64);
-                for c in causes {
-                    put_varint(&mut self.buf, zigzag(id.0 as i64 - c.0 as i64));
-                }
-            }
-            Event::Deliver { round, node, from, bits, id, src } => {
-                let mut s = Scratch::new();
-                s.put(DELTA_TAG_DELIVER);
-                s.put(zigzag(*round as i64 - self.prev_round as i64));
-                self.prev_round = *round;
-                s.put(u64::from(node.0));
-                s.put(u64::from(from.0));
-                s.put(*bits);
-                s.put(zigzag(id.0 as i64 - self.prev_id as i64));
-                if id.0 != 0 {
-                    self.prev_id = id.0;
-                }
-                // src: 0 = NONE, else 1 + zigzag distance — unambiguous
-                // even for adversarial id/src pairs.
-                if src.is_some() {
-                    s.put(1 + zigzag(id.0 as i64 - src.0 as i64));
-                } else {
-                    s.put(0);
-                }
-                self.buf.extend_from_slice(s.bytes());
-            }
-            Event::Crash { round, node } => {
-                put_varint(&mut self.buf, DELTA_TAG_CRASH);
-                self.put_round(*round);
-                put_varint(&mut self.buf, u64::from(node.0));
-            }
-            Event::PhaseEnter { round, label } => {
-                put_varint(&mut self.buf, DELTA_TAG_PHASE_ENTER);
-                self.put_round(*round);
-                self.put_string(label);
-            }
-            Event::PhaseExit { round, label } => {
-                put_varint(&mut self.buf, DELTA_TAG_PHASE_EXIT);
-                self.put_round(*round);
-                self.put_string(label);
-            }
-            Event::Decide { round, node, value } => {
-                put_varint(&mut self.buf, DELTA_TAG_DECIDE);
-                self.put_round(*round);
-                put_varint(&mut self.buf, u64::from(node.0));
-                put_varint(&mut self.buf, *value);
-            }
         }
     }
 }
@@ -1262,16 +896,6 @@ mod tests {
         assert!(Trace::from_jsonl(missing_field.as_bytes()).is_err());
         let bad_causes = "{\"schema\":\"ftagg-trace\",\"v\":2}\n{\"ev\":\"send\",\"r\":1,\"n\":0,\"bits\":1,\"logical\":1,\"id\":1,\"causes\":[1,x]}\n";
         assert!(Trace::from_jsonl(bad_causes.as_bytes()).unwrap_err().contains("causes"));
-    }
-
-    #[test]
-    fn delta_decode_refuses_an_absurd_cause_count() {
-        // A send record (tag, round, node, bits, logical, id, kind) that
-        // claims 2^63 causes and ends there.
-        let mut bytes = vec![0u8; 7];
-        put_varint(&mut bytes, 1 << 63);
-        let err = DeltaSink::decode(&bytes).unwrap_err();
-        assert!(err.contains("truncated"), "{err}");
     }
 
     #[test]

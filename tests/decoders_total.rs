@@ -1,19 +1,19 @@
 //! Decoder totality: every reader of saved or received bytes returns `Ok`
 //! or a one-line `Err` on any input, and never panics.
 //!
-//! The decoders are `Trace::from_jsonl`, `DeltaSink::decode`,
-//! `Snapshot::from_json`, `validate_chrome_trace`, `CorpusEntry::from_text`
-//! and `AggMsg::decode`. Each is fed arbitrary bytes, every truncation and
-//! every single-bit flip of a real encoding. The writers and readers must
-//! also round-trip: `decode(encode(x)) == x` for traces (JSONL and delta),
-//! benchmark snapshots and corpus entries. Four hostile inputs that once
-//! crashed or slipped past these readers are pinned as fixed cases.
+//! The decoders are `Trace::from_jsonl`, `Snapshot::from_json`,
+//! `validate_chrome_trace`, `CorpusEntry::from_text` and `AggMsg::decode`.
+//! Each is fed arbitrary bytes, every truncation and every single-bit
+//! flip of a real encoding. The writers and readers must also round-trip:
+//! `decode(encode(x)) == x` for JSONL traces, benchmark snapshots and
+//! corpus entries. Three hostile inputs that once crashed or slipped past
+//! these readers are pinned as fixed cases.
 
 use ftagg::msg::{AggMsg, WireCtx};
 use ftagg_bench::snapshot::Snapshot;
 use netsim::json::{quote, Json, MAX_DEPTH};
 use netsim::{
-    chrome_trace_json, topology, validate_chrome_trace, CorpusEntry, DeltaSink, Event, EventId,
+    chrome_trace_json, topology, validate_chrome_trace, CorpusEntry, Event, EventId,
     FailureSchedule, JsonlSink, NodeId, Round, SpanKind, Timeline, Trace, TraceSink,
 };
 use proptest::prelude::*;
@@ -38,10 +38,6 @@ fn total<T>(decoder: &str, input: &[u8], decode: impl FnOnce() -> Result<T, Stri
 
 fn jsonl(bytes: &[u8]) {
     total("Trace::from_jsonl", bytes, || Trace::from_jsonl(bytes));
-}
-
-fn delta(bytes: &[u8]) {
-    total("DeltaSink::decode", bytes, || DeltaSink::decode(bytes));
 }
 
 fn snapshot(bytes: &[u8]) {
@@ -146,14 +142,6 @@ fn to_jsonl(events: &[Event]) -> Vec<u8> {
     sink.finish().expect("writing to a Vec cannot fail")
 }
 
-fn to_delta(events: &[Event]) -> Vec<u8> {
-    let mut sink = DeltaSink::new();
-    for e in events {
-        sink.record(e);
-    }
-    sink.into_bytes()
-}
-
 fn tiny_snapshot() -> Snapshot {
     let mut s = Snapshot::default();
     s.info.insert("info.host".into(), "box \"7\"".into());
@@ -213,7 +201,6 @@ fn wire_encoding() -> Vec<u8> {
 fn every_truncation_and_bit_flip_of_a_real_encoding_is_total() {
     let events = every_variant();
     mutations(&to_jsonl(&events), jsonl);
-    mutations(&to_delta(&events), delta);
     mutations(tiny_snapshot().to_json().as_bytes(), snapshot);
     mutations(small_chrome_trace().as_bytes(), chrome);
     mutations(sample_entry().to_text().as_bytes(), corpus);
@@ -227,7 +214,7 @@ proptest! {
     fn arbitrary_bytes_are_total_for_every_decoder(
         bytes in proptest::collection::vec(any::<u8>(), 0..96),
     ) {
-        for decode in [jsonl, delta, snapshot, chrome, corpus, wire_msgs] {
+        for decode in [jsonl, snapshot, chrome, corpus, wire_msgs] {
             decode(&bytes);
         }
     }
@@ -413,12 +400,11 @@ fn awkward_string(rng: &mut StdRng) -> String {
 }
 
 /// A round-ordered event stream with full-range values and awkward
-/// labels. Ids and rounds stay below 2^40: the delta writer encodes them
-/// as signed differences.
+/// labels.
 fn random_events(seed: u64) -> Vec<Event> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut round: Round = 0;
-    let id = |rng: &mut StdRng| EventId(rng.gen_range(0..1u64 << 40));
+    let id = |rng: &mut StdRng| EventId(rng.next_u64());
     (0..rng.gen_range(0..24))
         .map(|_| {
             round += rng.gen_range(0..3u64);
@@ -513,13 +499,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn traces_round_trip_through_jsonl_and_delta(seed in any::<u64>()) {
+    fn traces_round_trip_through_jsonl(seed in any::<u64>()) {
         let events = random_events(seed);
         let text = to_jsonl(&events);
         let back = Trace::from_jsonl(text.as_slice()).expect("JSONL reads back");
         prop_assert_eq!(back.events(), events.as_slice());
-        let bytes = to_delta(&events);
-        prop_assert_eq!(DeltaSink::decode(&bytes).expect("delta reads back"), events);
         // A bit flip anywhere in a real stream is still total.
         let i = (seed % text.len().max(1) as u64) as usize;
         if let Some(b) = text.get(i) {
@@ -579,17 +563,6 @@ fn a_trace_whose_rounds_go_back_is_refused_with_the_line() {
                 {\"ev\":\"crash\",\"r\":2,\"n\":2}\n";
     let err = Trace::from_jsonl(text.as_bytes()).unwrap_err();
     assert!(err.starts_with("line 3: round 2 after round 5"), "{err}");
-}
-
-#[test]
-fn a_delta_send_claiming_2_pow_63_causes_is_refused() {
-    // Tag, round, node, bits, logical, id and kind, then a cause count of
-    // 2^63 as a ten-byte varint. Used to panic with "capacity overflow".
-    let mut bytes = vec![0u8; 7];
-    bytes.extend([0x80; 9]);
-    bytes.push(0x01);
-    let err = DeltaSink::decode(&bytes).unwrap_err();
-    assert!(!err.contains('\n'), "{err}");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! The E1/E2 regeneration bins (`fig1_landscape`, `table2_guarantees`) run
 //! every execution under the strict invariant watchdog; these tests pin
 //! the same property — zero violations of the budget, crash-silence,
-//! causality, phase-discipline, and CAAF-envelope invariants — on reduced
+//! phase-discipline, and CAAF-envelope invariants — on reduced
 //! slices of those configurations so the guarantee is enforced by
 //! `cargo test` too, not only by running the bins.
 

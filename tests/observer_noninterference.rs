@@ -209,17 +209,16 @@ fn soa_engine_observer_stack_does_not_perturb() {
         // The whole stack at once: round stats, a trace and a flight
         // recorder whose ring outlives the run. Still byte-identical; the
         // trace beside the recorder is still exact; the recorder is a
-        // faithful ledger (its delta-encoded ring decodes back into the
-        // exact stream, deliveries aside); and the stats agree with the
-        // engine's own accounting.
+        // faithful ledger (its ring dumps back into the exact stream,
+        // deliveries aside); and the stats agree with the engine's own
+        // accounting.
         let stats = shared(RoundStats::new());
         let stacked_trace = shared(Trace::new());
         let recorder = FlightRecorder::new(64);
-        let flight = recorder.handle();
         let (with_stack, _) = run_probes(seed, |e| {
             e.add_sink(Box::new(Rc::clone(&stats)));
             e.add_sink(Box::new(Rc::clone(&stacked_trace)));
-            e.add_sink(Box::new(recorder));
+            e.add_sink(Box::new(recorder.clone()));
         });
         assert_eq!(with_stack, quiet, "stats + two sinks perturbed the engine on seed {seed}");
         assert_eq!(
@@ -237,7 +236,7 @@ fn soa_engine_observer_stack_does_not_perturb() {
             trace.events(),
             "trace beside the recorder diverged on seed {seed}"
         );
-        let ring = Trace::from_jsonl(flight.snapshot_jsonl().unwrap().as_bytes()).unwrap();
+        let ring = Trace::from_jsonl(recorder.snapshot_jsonl().as_bytes()).unwrap();
         let sent: Vec<&Event> =
             trace.events().iter().filter(|e| !matches!(e, Event::Deliver { .. })).collect();
         assert_eq!(

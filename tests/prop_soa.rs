@@ -1,16 +1,12 @@
-//! Property suite for the engine's struct-of-arrays layout:
-//!
-//! 1. the message arena never aliases live messages — payloads read from
-//!    an inbox are byte-identical to what the sender enqueued, on every
-//!    round of randomized chatter, while the whole run stays bit-identical
-//!    to the test reference ([`netsim::testkit::Reference`]);
-//! 2. delta-encoded traces ([`DeltaSink`]) decode to the v2 JSONL schema
-//!    byte for byte against [`JsonlSink`] on the same event stream.
+//! Property suite for the engine's struct-of-arrays layout: the message
+//! arena never aliases live messages — payloads read from an inbox are
+//! byte-identical to what the sender enqueued, on every round of
+//! randomized chatter, while the whole run stays bit-identical to the
+//! test reference ([`netsim::testkit::Reference`]).
 
 use netsim::testkit::{assert_equivalent, capture, Reference};
 use netsim::{
-    topology, DeltaSink, Engine, Event, FailureSchedule, Graph, JsonlSink, Message, NodeId,
-    NodeLogic, Round, RoundCtx, Trace, TraceSink,
+    topology, Engine, FailureSchedule, Graph, Message, NodeId, NodeLogic, Round, RoundCtx, Trace,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -48,7 +44,7 @@ fn random_setup(seed: u64, n: usize, crashes: usize, horizon: Round) -> (Graph, 
 }
 
 // ---------------------------------------------------------------------
-// 1. Arena aliasing: payload integrity + full engine/reference equivalence
+// Arena aliasing: payload integrity + full engine/reference equivalence
 // ---------------------------------------------------------------------
 
 /// A message whose payload is a pure function of (sender, round, copy):
@@ -152,60 +148,6 @@ proptest! {
                 &eng.node(v).received,
                 &reference.node(v).received,
                 "node {} delivery log", v
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// 2. Delta-encoded traces decode to v2 JSONL byte for byte
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Feed one randomized execution's event stream (sends with kinds and
-    /// lineage, delivers, crashes, phases, a decision) through both sinks:
-    /// the delta stream must decode to exactly the JSONL bytes, and it
-    /// must be materially smaller than what it encodes.
-    #[test]
-    fn delta_traces_decode_to_v2_jsonl_byte_for_byte(
-        seed in 0u64..1_000_000,
-        n in 3usize..14,
-        crashes in 0usize..4,
-    ) {
-        let horizon: Round = 10;
-        let (g, s) = random_setup(seed.wrapping_add(13), n, crashes, horizon);
-        let mut eng = Engine::new(g, s, |v| Chatter { me: v, seed, received: Vec::new() });
-        let trace = Rc::new(RefCell::new(Trace::new()));
-        eng.add_sink(Box::new(Rc::clone(&trace)));
-        eng.enter_phase("A");
-        eng.run(horizon / 2);
-        eng.exit_phase();
-        eng.enter_phase("B");
-        eng.run(horizon);
-        eng.exit_phase();
-        eng.annotate(Event::Decide { round: horizon, node: NodeId(0), value: seed });
-        let trace = trace.take();
-
-        // Reference bytes: JsonlSink over the identical event stream.
-        let mut jsonl = JsonlSink::new(Vec::<u8>::new());
-        let mut delta = DeltaSink::new();
-        for e in trace.events() {
-            jsonl.record(e);
-            delta.record(e);
-        }
-        let reference = String::from_utf8(jsonl.finish().unwrap()).unwrap();
-        prop_assert_eq!(delta.event_count(), trace.events().len() as u64);
-        let decoded = DeltaSink::decode_to_jsonl(delta.bytes()).unwrap();
-        prop_assert_eq!(&decoded, &reference, "delta stream decodes to the v2 JSONL bytes");
-        // The whole point of the encoding: materially smaller than JSONL.
-        if trace.events().len() > 20 {
-            prop_assert!(
-                delta.bytes().len() * 3 < reference.len(),
-                "delta stream ({} B) should be < 1/3 of JSONL ({} B)",
-                delta.bytes().len(),
-                reference.len()
             );
         }
     }

@@ -2,10 +2,9 @@
 //! [`SamplingSink`] meters the full event stream exactly and forwards
 //! precisely the deterministic 1-in-k node subset it advertises, its
 //! scaled-up estimates converge onto the exact totals within the stated
-//! error bars, and a [`FlightRecorder`]'s delta-encoded ring decodes
-//! back byte-for-byte into the JSONL a [`JsonlSink`] wrote for the same
-//! run, deliveries aside — evicting exactly the rounds older than its
-//! retention window.
+//! error bars, and a [`FlightRecorder`]'s ring dumps byte-for-byte the
+//! JSONL a [`JsonlSink`] wrote for the same run, deliveries aside —
+//! evicting exactly the rounds older than its retention window.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -195,8 +194,7 @@ proptest! {
 
     /// A flight recorder whose ring outlives the run reproduces the
     /// JSONL a [`JsonlSink`] wrote for the same events, byte for byte,
-    /// minus the delivery lines the recorder never keeps — the delta
-    /// encoding loses nothing.
+    /// minus the delivery lines the recorder never keeps.
     #[test]
     fn flight_ring_round_trips_byte_for_byte(
         seed in 0u64..1_000_000,
@@ -205,11 +203,10 @@ proptest! {
     ) {
         let horizon: Round = 14;
         let recorder = FlightRecorder::new(horizon as usize + 8);
-        let flight = recorder.handle();
         let jsonl = Rc::new(RefCell::new(JsonlSink::new(Vec::<u8>::new())));
         run_with_sinks(
             seed, n, crashes, horizon,
-            vec![Box::new(Rc::clone(&jsonl)), Box::new(recorder)],
+            vec![Box::new(Rc::clone(&jsonl)), Box::new(recorder.clone())],
         );
 
         let jsonl = Rc::try_unwrap(jsonl).expect("the engine is gone").into_inner();
@@ -218,11 +215,11 @@ proptest! {
             .split_inclusive('\n')
             .filter(|line| !line.starts_with("{\"ev\":\"deliver\""))
             .collect();
-        prop_assert_eq!(flight.snapshot_jsonl().unwrap(), sent, "ring decode diverged");
+        prop_assert_eq!(recorder.snapshot_jsonl(), sent, "ring dump diverged");
     }
 
     /// A bounded ring retains exactly the last `r` rounds that bear an
-    /// event other than a delivery: the decoded dump equals the reference
+    /// event other than a delivery: the dump equals the reference
     /// stream, deliveries aside, restricted to those rounds, and the
     /// stats ledger (buffered/evicted/oldest/newest) matches the same
     /// arithmetic.
@@ -238,10 +235,9 @@ proptest! {
         // event ids; the recorder is offered its deliveries and drops them.
         let trace = Rc::new(RefCell::new(Trace::new()));
         let recorder = FlightRecorder::new(r);
-        let flight = recorder.handle();
         run_with_sinks(
             seed, n, crashes, horizon,
-            vec![Box::new(Rc::clone(&trace)), Box::new(recorder)],
+            vec![Box::new(Rc::clone(&trace)), Box::new(recorder.clone())],
         );
         let reference = trace.take();
         let kept: Vec<&Event> =
@@ -250,13 +246,13 @@ proptest! {
         rounds.dedup(); // event streams are round-monotone
         let retained: Vec<Round> = rounds[rounds.len().saturating_sub(r)..].to_vec();
 
-        let dumped = Trace::from_jsonl(flight.snapshot_jsonl().unwrap().as_bytes()).unwrap();
+        let dumped = Trace::from_jsonl(recorder.snapshot_jsonl().as_bytes()).unwrap();
         let expected: Vec<&Event> =
             kept.iter().copied().filter(|e| retained.contains(&e.round())).collect();
         let got: Vec<&Event> = dumped.events().iter().collect();
         prop_assert_eq!(got, expected, "ring kept the wrong window");
 
-        let stats = flight.stats();
+        let stats = recorder.stats();
         prop_assert_eq!(stats.rounds_buffered, retained.len() as u64);
         prop_assert_eq!(stats.evicted_rounds, (rounds.len() - retained.len()) as u64);
         prop_assert_eq!(stats.events_buffered, expected.len() as u64);

@@ -45,7 +45,7 @@ fn pair_trial(seed: u64) -> Option<usize> {
     let inputs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..64)).collect();
     let t = rng.gen_range(0..6);
     let inst = Instance::new(g, NodeId(0), inputs, s, 63).unwrap();
-    // Strict watchdog: any budget / crash-silence / causality / phase
+    // Strict watchdog: any budget / crash-silence / phase / envelope
     // violation panics the trial on the spot.
     let obs = Observe::watchdog(true);
     let (_, seen, eng) = run_pair_observed(
