@@ -46,7 +46,8 @@ fn heaviest_nodes(bits: &[u64], top: usize) -> Vec<(usize, u64)> {
 /// the same report a live run would produce. With `--monitor`, the events
 /// are additionally replayed through a budget-less [`netsim::Watchdog`]
 /// (crash silence, delivery causality, phase discipline); violations turn
-/// the exit code to 1.
+/// the exit code to 1. A truncated trace (a flight recorder's tail) is
+/// reported from its first retained round and judged as a tail.
 fn report_from_jsonl(args: &Args, path: &str, top: usize) -> Result<CmdOutput, String> {
     use netsim::Event;
     use std::fmt::Write as _;
@@ -67,9 +68,13 @@ fn report_from_jsonl(args: &Args, path: &str, top: usize) -> Result<CmdOutput, S
             _ => {}
         }
     }
+    let first = match trace.events().first() {
+        Some(e) if trace.truncated() => e.round(),
+        _ => 1,
+    };
     let _ = writeln!(
         out,
-        "trace report: {} events over rounds 1..={} (schema v{})",
+        "trace report: {} events over rounds {first}..={} (schema v{})",
         trace.events().len(),
         trace.last_round().unwrap_or(0),
         netsim::TRACE_SCHEMA_VERSION,
@@ -101,7 +106,11 @@ fn report_from_jsonl(args: &Args, path: &str, top: usize) -> Result<CmdOutput, S
     if args.get("monitor").is_some() {
         use netsim::TraceSink as _;
         let n = (max_id as usize) + 1;
-        let mut dog = netsim::Watchdog::new(netsim::MonitorConfig::new(n));
+        let mut cfg = netsim::MonitorConfig::new(n);
+        if trace.truncated() {
+            cfg = cfg.tail();
+        }
+        let mut dog = netsim::Watchdog::new(cfg);
         for e in trace.events() {
             dog.record(e);
         }
@@ -432,6 +441,33 @@ mod tests {
         let out = dispatch_full(&args(&["report", "--input", bad2])).unwrap();
         assert_eq!(out.code, 0);
         std::fs::remove_file(bad2).ok();
+    }
+
+    #[test]
+    fn report_judges_an_evicting_flight_dump_as_a_tail() {
+        // The default 64-round ring evicts the pair's first 13 rounds,
+        // among them the phase entries whose exits it keeps.
+        let dump = tmp("report_tail_flight.jsonl");
+        dispatch(&cli(&format!("top --topology grid:6x6 --refresh-ms 0 --flight-out {dump}")))
+            .unwrap();
+        let text = std::fs::read_to_string(dump).unwrap();
+        let (header, events) = text.split_once('\n').unwrap();
+        assert_eq!(header, "{\"schema\":\"ftagg-trace\",\"v\":2,\"truncated\":true}");
+        let out = dispatch_full(&args(&["report", "--input", dump, "--monitor", "yes"])).unwrap();
+        assert_eq!(out.code, 0, "{}", out.text);
+        assert!(out.text.starts_with("warning: trace was truncated"), "{}", out.text);
+        assert!(out.text.contains("events over rounds 14..=247"), "{}", out.text);
+        assert!(out.text.contains("watchdog: clean"), "{}", out.text);
+        // The same events under a whole-run header: the stray exits are
+        // violations again.
+        let whole = tmp("report_tail_flight_whole.jsonl");
+        std::fs::write(whole, format!("{{\"schema\":\"ftagg-trace\",\"v\":2}}\n{events}")).unwrap();
+        let out = dispatch_full(&args(&["report", "--input", whole, "--monitor", "yes"])).unwrap();
+        assert_eq!(out.code, 1, "{}", out.text);
+        assert!(out.text.contains("events over rounds 1..=247"), "{}", out.text);
+        assert!(out.text.contains("phase_exit 'AGG' with no phase open"), "{}", out.text);
+        std::fs::remove_file(dump).ok();
+        std::fs::remove_file(whole).ok();
     }
 
     #[test]

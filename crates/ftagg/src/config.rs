@@ -30,6 +30,7 @@ impl Model {
 
     /// `c · d`, the per-flood propagation budget used throughout the
     /// protocols' phase arithmetic.
+    #[inline]
     pub fn cd(&self) -> u64 {
         u64::from(self.c) * u64::from(self.d)
     }

@@ -85,26 +85,31 @@ pub struct PairParams {
 }
 
 impl PairParams {
+    #[inline]
     fn cd(&self) -> u64 {
         self.model.cd().max(1)
     }
 
     /// Ancestor-table horizon: `2t` for the faithful protocol.
+    #[inline]
     pub fn horizon(&self) -> u32 {
         self.tweaks.ancestor_factor * self.t
     }
 
     /// Rounds AGG occupies: `7cd + 4` (Theorem 3).
+    #[inline]
     pub fn agg_rounds(&self) -> u64 {
         7 * self.cd() + 4
     }
 
     /// Rounds VERI occupies: `5cd + 3` (Theorem 6).
+    #[inline]
     pub fn veri_rounds(&self) -> u64 {
         5 * self.cd() + 3
     }
 
     /// Total rounds of the execution.
+    #[inline]
     pub fn total_rounds(&self) -> u64 {
         if self.run_veri {
             self.agg_rounds() + self.veri_rounds()

@@ -157,10 +157,12 @@ pub fn run_tradeoff_observed<C: Caaf>(
         merge.absorb(&rep.metrics, seen, offset, format!("interval {y}"), window, rep.accepted());
         pairs_run += 1;
         if rep.accepted() {
-            // Line 4: output AGG's result and terminate.
+            // Line 4: output AGG's result and terminate. The pair judged
+            // it against the correct interval at its last round, which is
+            // this run's last round too.
             let result = rep.result().expect("accepted implies a result");
-            let rounds = offset + rep.rounds;
-            output = Some((result, inst.correct_interval(op, rounds).contains(result), rounds));
+            let correct = rep.correct.expect("a result carries its verdict");
+            output = Some((result, correct, offset + rep.rounds));
             break;
         }
     }

@@ -15,9 +15,11 @@
 //!
 //! The data layout is struct-of-arrays, built for millions of nodes:
 //!
-//! - **CSR inboxes**: one offsets array plus parallel `from`/`midx`
-//!   columns instead of a million little `Vec`s, rebuilt in place each
-//!   round by a counting-sort scatter (two O(N + deliveries) passes).
+//! - **CSR inboxes**: parallel `from`/`midx` columns plus a per-node
+//!   window instead of a million little `Vec`s, rebuilt in place each
+//!   round by a counting-sort scatter in O(receivers + deliveries); when
+//!   at least N/8 nodes got mail, one sequential pass over every node
+//!   places the windows in id order instead.
 //! - **Message arena**: each round's payloads live in one `Vec<M>`; a
 //!   broadcast stores its message once and every recipient's inbox entry
 //!   is a `u32` index into the arena — no per-message allocation, and the
@@ -29,9 +31,12 @@
 //!   not read.
 //! - **Sleeping nodes**: a live node runs only in a round where its inbox
 //!   is non-empty or the wake-up it declared ([`NodeLogic::next_wake`])
-//!   is due. A round with no mail, no due wake-up and no crash runs no
-//!   node scan and no scatter: it only notes the round in the metrics
-//!   and telemetry and hands every sink an empty [`RoundFlow`].
+//!   is due. Each round walks only its visit set, in ascending id: last
+//!   round's receivers, nodes due again next round, and the entries of a
+//!   calendar (a heap of later wake-ups and of every crash round) that
+//!   fall due. A round costs O(visited nodes + deliveries); one with an
+//!   empty visit set only notes the round in the metrics and telemetry
+//!   and hands every sink an empty [`RoundFlow`].
 //!
 //! The scatter delivers in ascending sender id, then the sender's send
 //! order, because sends are recorded in node order during the round and
@@ -45,6 +50,8 @@ use crate::adversary::{FailureSchedule, Round};
 use crate::graph::{Graph, NodeId};
 use crate::metrics::Metrics;
 use crate::trace::{Event, EventId, TraceSink, Wants};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -409,9 +416,14 @@ pub struct Engine<M: Message, L: NodeLogic<M>> {
     graph: Graph,
     schedule: FailureSchedule,
     nodes: Vec<L>,
-    /// CSR offsets of the inbox consumed this round: node `i`'s deliveries
-    /// are entries `cur_off[i]..cur_off[i + 1]`.
-    cur_off: Vec<u32>,
+    /// Each node's inbox length this round: its entries in the consumed
+    /// CSR columns are `in_end[i] - in_len[i]..in_end[i]`. Only last
+    /// round's receivers have mail, and the walk zeroes their lengths as
+    /// it reads them.
+    in_len: Vec<u32>,
+    /// One past the end of each node's inbox window; stale where
+    /// `in_len` is 0.
+    in_end: Vec<u32>,
     /// Sender column of the consumed CSR.
     cur_from: Vec<NodeId>,
     /// Arena-index column of the consumed CSR (into `cur_arena`).
@@ -429,23 +441,28 @@ pub struct Engine<M: Message, L: NodeLogic<M>> {
     pend_src: Vec<EventId>,
     /// This round's broadcasts, in node order (= ascending sender id).
     sends: Vec<SendRec>,
-    /// Scratch: per-receiver entry counts, then write cursors, for the
-    /// counting-sort scatter.
-    counts: Vec<u32>,
+    /// Scratch: this round's receivers, in the order the scatter meets
+    /// them.
+    receivers: Vec<u32>,
     /// Reusable outbox scratch handed to each node's [`RoundCtx`].
     outbox: Vec<M>,
     /// Each node's declared wake-up round ([`NodeLogic::next_wake`]): it
     /// runs in round `r` when `wake[i] <= r` or its inbox is non-empty.
     wake: Vec<Round>,
-    /// The earliest round in which some live node's wake-up is due or a
-    /// crash is pending; a round before it with no mail is empty.
-    next_due: Round,
+    /// The nodes the coming round walks: last round's receivers, nodes
+    /// whose wake-up falls due and nodes whose crash round arrives.
+    visit: VisitSet,
+    /// The visit set the current round builds for the next one.
+    visit_next: VisitSet,
+    /// Wake-ups later than next round and every crash round, earliest
+    /// first, as `(round, node)`. A node that re-declares its wake-up
+    /// leaves its old entry behind; the walk skips it.
+    calendar: BinaryHeap<Reverse<(Round, u32)>>,
     /// First round each node is dead (`Round::MAX` if it never crashes).
     crash_round: Vec<Round>,
     /// Sorted receiver restriction of each node's final broadcast, for
     /// partial crashes.
     partial_rx: Vec<Option<Vec<NodeId>>>,
-    crash_logged: Vec<bool>,
     round: Round,
     metrics: Metrics,
     stop_requested: bool,
@@ -477,6 +494,36 @@ pub struct Engine<M: Message, L: NodeLogic<M>> {
     timeline: Option<(crate::timeline::Timeline, u32)>,
 }
 
+/// A set of node ids walked in ascending order: one bit per node, plus a
+/// summary bit per 64-node word so a walk passes over empty words 64 at a
+/// time.
+struct VisitSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    /// Whether any bit was set since the last walk.
+    any: bool,
+}
+
+impl VisitSet {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        VisitSet { words: vec![0; words], summary: vec![0; words.div_ceil(64)], any: false }
+    }
+
+    /// Adds the nodes of `bits` in word `w` (nodes `64w..64w + 64`).
+    #[inline]
+    fn insert_word(&mut self, w: usize, bits: u64) {
+        self.words[w] |= bits;
+        self.summary[w >> 6] |= 1 << (w & 63);
+        self.any = true;
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.insert_word(i >> 6, 1 << (i & 63));
+    }
+}
+
 impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
     /// Creates an engine over `graph` with the given oblivious `schedule`,
     /// instantiating each node's logic with `factory`.
@@ -501,10 +548,23 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                 rx
             });
         }
-        let next_due = wake.iter().chain(&crash_round).copied().min().unwrap_or(Round::MAX);
+        let mut visit = VisitSet::new(n);
+        let mut calendar = Vec::new();
+        for (i, (&w, &dies)) in wake.iter().zip(&crash_round).enumerate() {
+            if w <= 1 {
+                visit.insert(i);
+            } else if w != Round::MAX {
+                calendar.push(Reverse((w, i as u32)));
+            }
+            if dies != Round::MAX {
+                // A crash at round 0 or 1 is logged in round 1.
+                calendar.push(Reverse((dies.max(1), i as u32)));
+            }
+        }
         Engine {
             metrics: Metrics::new(n),
-            cur_off: vec![0; n + 1],
+            in_len: vec![0; n],
+            in_end: vec![0; n],
             cur_from: Vec::new(),
             cur_midx: Vec::new(),
             cur_src: Vec::new(),
@@ -512,13 +572,14 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             pend_arena: Vec::new(),
             pend_src: Vec::new(),
             sends: Vec::new(),
-            counts: vec![0; n],
+            receivers: Vec::new(),
             outbox: Vec::new(),
             wake,
-            next_due,
+            visit,
+            visit_next: VisitSet::new(n),
+            calendar: BinaryHeap::from(calendar),
             crash_round,
             partial_rx,
-            crash_logged: vec![false; n],
             graph,
             schedule,
             nodes,
@@ -659,13 +720,20 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         let mut clock = self.timeline.as_ref().map(|(t, _)| t.round_clock());
         self.metrics.note_round(r);
         self.telemetry.rounds += 1;
-        // The offsets are a prefix sum, so a zero last offset means no node
-        // has mail. With no wake-up or crash due either, no node runs and
+        // Wake-ups and crashes that fall due now join the visit set.
+        while let Some(&Reverse((at, v))) = self.calendar.peek() {
+            if at > r {
+                break;
+            }
+            self.calendar.pop();
+            self.visit.insert(v as usize);
+        }
+        // With no mail, no due wake-up and no crash, no node runs and
         // nothing is sent: the round is empty.
-        let flow = if self.cur_off[self.graph.len()] == 0 && self.next_due > r {
-            RoundFlow { round: r, ..RoundFlow::default() }
-        } else {
+        let flow = if self.visit.any {
             self.work(r, &mut clock)
+        } else {
+            RoundFlow { round: r, ..RoundFlow::default() }
         };
         self.telemetry.deliveries += flow.deliveries;
         self.telemetry.peak_inflight = self.telemetry.peak_inflight.max(flow.deliveries);
@@ -682,16 +750,18 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         true
     }
 
-    /// Round `r`'s node scan and inbox scatter: logs this round's crashes,
-    /// runs every live node that has mail or a due wake-up, and builds
-    /// next round's inboxes. Returns the round's traffic.
+    /// Round `r`'s walk and inbox scatter: walks the visit set in
+    /// ascending id, logging the crashes that fall due and running every
+    /// live node that has mail or a due wake-up, then builds next round's
+    /// inboxes and visit set. Returns the round's traffic.
     fn work(&mut self, r: Round, clock: &mut Option<crate::timeline::RoundClock>) -> RoundFlow {
         let n = self.graph.len();
         let mut stop = false;
         let Engine {
             graph,
             nodes,
-            cur_off,
+            in_len,
+            in_end,
             cur_from,
             cur_midx,
             cur_src,
@@ -699,13 +769,14 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
             pend_arena,
             pend_src,
             sends,
-            counts,
+            receivers,
             outbox,
             wake,
-            next_due,
+            visit,
+            visit_next,
+            calendar,
             crash_round,
             partial_rx,
-            crash_logged,
             metrics,
             sinks,
             next_event_id,
@@ -738,169 +809,199 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
         }
         let mut round_bits: u64 = 0;
         let mut round_logical: u64 = 0;
-        // The earliest wake-up or pending crash among the live nodes.
-        let mut due = Round::MAX;
-        for i in 0..n {
-            let me = NodeId(i as u32);
-            let dies = crash_round[i];
-            if r >= dies {
-                if !crash_logged[i] {
-                    crash_logged[i] = true;
-                    record_all(sinks, &Event::Crash { round: r, node: me });
-                }
-                continue;
-            }
-            let lo = cur_off[i] as usize;
-            let hi = cur_off[i + 1] as usize;
-            if lo == hi && wake[i] > r {
-                due = due.min(wake[i]).min(dies);
-                continue;
-            }
-            delivery_ids.clear();
-            if tracing {
-                // Deliveries are logged when the node consumes its inbox
-                // (this round), keeping the event log round-ordered. Each
-                // gets a fresh id and points back at the producing send.
-                for j in lo..hi {
-                    *next_event_id += 1;
-                    let id = EventId(*next_event_id);
-                    delivery_ids.push(id);
-                    let e = Event::Deliver {
-                        round: r,
-                        node: me,
-                        from: cur_from[j],
-                        bits: cur_arena[cur_midx[j] as usize].bit_len(),
-                        id,
-                        // NONE for deliveries enqueued before the sink
-                        // was installed (src column left empty).
-                        src: cur_src.get(j).copied().unwrap_or(EventId::NONE),
-                    };
-                    record_all(sinks, &e);
-                }
-                if fine {
-                    if let Some(c) = clock.as_mut() {
-                        c.mark(crate::timeline::STAGE_TRACE);
-                    }
-                }
-            }
-            outbox.clear();
-            causes.clear();
-            {
-                let mut ctx = RoundCtx::assemble(
-                    me,
-                    n,
-                    r,
-                    Inbox::new(&cur_from[lo..hi], &cur_midx[lo..hi], cur_arena),
-                    &mut *outbox,
-                    &mut stop,
-                    &*delivery_ids,
-                    &mut *causes,
-                );
-                nodes[i].on_round(&mut ctx);
-            }
-            // Any stored round <= r + 1 means "due next round", so a node
-            // that keeps the default (`r + 1`) never rewrites its entry.
-            let w = nodes[i].next_wake(r);
-            if w > r + 1 || wake[i] > r + 1 {
-                wake[i] = w;
-            }
-            due = due.min(w).min(dies);
-            if fine {
-                if let Some(c) = clock.as_mut() {
-                    c.mark(crate::timeline::STAGE_ABSORB);
-                }
-            }
-            if outbox.is_empty() {
-                continue;
-            }
-            let bits: u64 = outbox.iter().map(Message::bit_len).sum();
-            metrics.record_send(me, r, bits, outbox.len() as u64);
-            round_bits += bits;
-            round_logical += outbox.len() as u64;
-            send_ids.clear();
-            if observed {
-                // Group the outbox by message kind and emit one Send event
-                // per kind, so per-kind bits partition the node's round
-                // total exactly (the metrics above still see one combined
-                // broadcast). Outboxes hold a handful of kinds at most, so
-                // a linear scan beats hashing.
-                kind_acc.clear();
-                for m in outbox.iter() {
-                    let k = m.kind();
-                    let slot = match kind_acc.iter().position(|g| g.0 == k) {
-                        Some(p) => p,
-                        None => {
-                            *next_event_id += 1;
-                            kind_acc.push((k, 0, 0, EventId(*next_event_id)));
-                            kind_acc.len() - 1
+        visit.any = false;
+        for si in 0..visit.summary.len() {
+            let mut summary = std::mem::take(&mut visit.summary[si]);
+            while summary != 0 {
+                let wi = si * 64 + summary.trailing_zeros() as usize;
+                summary &= summary - 1;
+                let mut bits = std::mem::take(&mut visit.words[wi]);
+                // This word's nodes that are due again next round.
+                let mut again = 0u64;
+                while bits != 0 {
+                    let bit = bits & bits.wrapping_neg();
+                    bits ^= bit;
+                    let i = wi * 64 + bit.trailing_zeros() as usize;
+                    let me = NodeId(i as u32);
+                    let dies = crash_round[i];
+                    if r >= dies {
+                        // The calendar visits a dead node in its crash
+                        // round; a stale entry may visit it again later.
+                        if r == dies.max(1) {
+                            record_all(sinks, &Event::Crash { round: r, node: me });
                         }
+                        continue;
+                    }
+                    let len = in_len[i];
+                    let (lo, hi) = if len == 0 {
+                        if wake[i] > r {
+                            continue; // a stale calendar entry
+                        }
+                        (0, 0)
+                    } else {
+                        in_len[i] = 0;
+                        ((in_end[i] - len) as usize, in_end[i] as usize)
                     };
-                    kind_acc[slot].1 += m.bit_len();
-                    kind_acc[slot].2 += 1;
+                    delivery_ids.clear();
                     if tracing {
-                        // The per-message id column only feeds the
-                        // delivery-side src pointers, which a deaf sink
-                        // never sees.
-                        send_ids.push(kind_acc[slot].3);
+                        // Deliveries are logged when the node consumes its
+                        // inbox (this round), keeping the event log
+                        // round-ordered. Each gets a fresh id and points
+                        // back at the producing send.
+                        for j in lo..hi {
+                            *next_event_id += 1;
+                            let id = EventId(*next_event_id);
+                            delivery_ids.push(id);
+                            let e = Event::Deliver {
+                                round: r,
+                                node: me,
+                                from: cur_from[j],
+                                bits: cur_arena[cur_midx[j] as usize].bit_len(),
+                                id,
+                                // NONE for deliveries enqueued before the
+                                // sink was installed (src column left
+                                // empty).
+                                src: cur_src.get(j).copied().unwrap_or(EventId::NONE),
+                            };
+                            record_all(sinks, &e);
+                        }
+                        if fine {
+                            if let Some(c) = clock.as_mut() {
+                                c.mark(crate::timeline::STAGE_TRACE);
+                            }
+                        }
+                    }
+                    outbox.clear();
+                    causes.clear();
+                    {
+                        let mut ctx = RoundCtx::assemble(
+                            me,
+                            n,
+                            r,
+                            Inbox::new(&cur_from[lo..hi], &cur_midx[lo..hi], cur_arena),
+                            &mut *outbox,
+                            &mut stop,
+                            &*delivery_ids,
+                            &mut *causes,
+                        );
+                        nodes[i].on_round(&mut ctx);
+                    }
+                    // Any stored round <= r + 1 means "due next round", so
+                    // a node that keeps the default (`r + 1`) never
+                    // rewrites its entry. A later wake-up goes into the
+                    // calendar, unless it is the one already there.
+                    let w = nodes[i].next_wake(r);
+                    if w <= r + 1 {
+                        again |= bit;
+                        if wake[i] > r + 1 {
+                            wake[i] = w;
+                        }
+                    } else if w != wake[i] {
+                        wake[i] = w;
+                        if w != Round::MAX {
+                            calendar.push(Reverse((w, i as u32)));
+                        }
+                    }
+                    if fine {
+                        if let Some(c) = clock.as_mut() {
+                            c.mark(crate::timeline::STAGE_ABSORB);
+                        }
+                    }
+                    if outbox.is_empty() {
+                        continue;
+                    }
+                    let bits: u64 = outbox.iter().map(Message::bit_len).sum();
+                    metrics.record_send(me, r, bits, outbox.len() as u64);
+                    round_bits += bits;
+                    round_logical += outbox.len() as u64;
+                    send_ids.clear();
+                    if observed {
+                        // Group the outbox by message kind and emit one
+                        // Send event per kind, so per-kind bits partition
+                        // the node's round total exactly (the metrics
+                        // above still see one combined broadcast).
+                        // Outboxes hold a handful of kinds at most, so a
+                        // linear scan beats hashing.
+                        kind_acc.clear();
+                        for m in outbox.iter() {
+                            let k = m.kind();
+                            let slot = match kind_acc.iter().position(|g| g.0 == k) {
+                                Some(p) => p,
+                                None => {
+                                    *next_event_id += 1;
+                                    kind_acc.push((k, 0, 0, EventId(*next_event_id)));
+                                    kind_acc.len() - 1
+                                }
+                            };
+                            kind_acc[slot].1 += m.bit_len();
+                            kind_acc[slot].2 += 1;
+                            if tracing {
+                                // The per-message id column only feeds the
+                                // delivery-side src pointers, which a deaf
+                                // sink never sees.
+                                send_ids.push(kind_acc[slot].3);
+                            }
+                        }
+                        for &(k, kind_bits, logical, id) in kind_acc.iter() {
+                            let e = Event::Send {
+                                round: r,
+                                node: me,
+                                bits: kind_bits,
+                                logical,
+                                id,
+                                kind: k.to_string(),
+                                causes: causes.clone(),
+                            };
+                            record_all(sinks, &e);
+                        }
+                    }
+                    // Defer delivery: move the outbox into the round arena
+                    // and remember the window; the scatter below gives
+                    // each receiver ascending senders, each in send order.
+                    let win_lo = pend_arena.len() as u32;
+                    pend_arena.append(outbox);
+                    let win_hi = pend_arena.len() as u32;
+                    if tracing {
+                        for mi in 0..(win_hi - win_lo) as usize {
+                            pend_src.push(send_ids.get(mi).copied().unwrap_or(EventId::NONE));
+                        }
+                    }
+                    sends.push(SendRec { sender: i as u32, lo: win_lo, hi: win_hi });
+                    if fine {
+                        if let Some(c) = clock.as_mut() {
+                            c.mark(crate::timeline::STAGE_SEND);
+                        }
                     }
                 }
-                for &(k, kind_bits, logical, id) in kind_acc.iter() {
-                    let e = Event::Send {
-                        round: r,
-                        node: me,
-                        bits: kind_bits,
-                        logical,
-                        id,
-                        kind: k.to_string(),
-                        causes: causes.clone(),
-                    };
-                    record_all(sinks, &e);
-                }
-            }
-            // Defer delivery: move the outbox into the round arena and
-            // remember the window; the scatter below gives each receiver
-            // ascending senders, each in send order.
-            let win_lo = pend_arena.len() as u32;
-            pend_arena.append(outbox);
-            let win_hi = pend_arena.len() as u32;
-            if tracing {
-                for mi in 0..(win_hi - win_lo) as usize {
-                    pend_src.push(send_ids.get(mi).copied().unwrap_or(EventId::NONE));
-                }
-            }
-            sends.push(SendRec { sender: i as u32, lo: win_lo, hi: win_hi });
-            if fine {
-                if let Some(c) = clock.as_mut() {
-                    c.mark(crate::timeline::STAGE_SEND);
+                if again != 0 {
+                    visit_next.insert_word(wi, again);
                 }
             }
         }
-        *next_due = due;
         if !fine {
             if let Some(c) = clock.as_mut() {
                 c.mark(crate::timeline::STAGE_ABSORB);
             }
         }
-        // ---- Delivery build: counting-sort scatter into the (now dead)
-        // consumed CSR, giving next round's inboxes in O(N + deliveries).
+        // ---- Delivery build: a counting-sort scatter into the (now
+        // dead) consumed CSR, in O(receivers + deliveries) when few nodes
+        // get mail. The walk zeroed every length it read, so every
+        // `in_len` is 0 here.
         let mut enqueued: u64 = 0;
-        if sends.is_empty() {
-            // Already empty after a round without sends: skip the O(N)
-            // reset.
-            if cur_off[n] != 0 {
-                cur_off.iter_mut().for_each(|o| *o = 0);
-            }
-            cur_from.clear();
-            cur_midx.clear();
-            cur_src.clear();
-        } else {
-            counts.iter_mut().for_each(|c| *c = 0);
+        cur_from.clear();
+        cur_midx.clear();
+        cur_src.clear();
+        receivers.clear();
+        if !sends.is_empty() {
+            // From this many receivers on, the windows are placed by one
+            // pass over every node, and the receiver list is not needed.
+            let dense = n / 8;
             // Pass 1: how many entries each receiver gets. A sender
             // crashing exactly at r + 1 may have its final broadcast
             // restricted to a subset, and dead receivers hear nothing.
             for s in sends.iter() {
                 let si = s.sender as usize;
-                let msgs = u64::from(s.hi - s.lo);
+                let msgs = s.hi - s.lo;
                 let restriction: Option<&[NodeId]> =
                     if crash_round[si] == r + 1 { partial_rx[si].as_deref() } else { None };
                 for &w in graph.neighbors(NodeId(s.sender)) {
@@ -912,31 +1013,54 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                             continue;
                         }
                     }
-                    counts[w.index()] += s.hi - s.lo;
-                    enqueued += msgs;
+                    let len = &mut in_len[w.index()];
+                    if *len == 0 && receivers.len() < dense {
+                        receivers.push(w.0);
+                    }
+                    *len += msgs;
+                    enqueued += u64::from(msgs);
                 }
             }
-            // Prefix-sum into offsets; `counts` becomes the write cursors.
-            cur_off[0] = 0;
-            for i in 0..n {
-                let next = cur_off[i]
-                    .checked_add(counts[i])
+            // Place the windows: each `in_end` takes its window's start
+            // and becomes pass 2's write cursor. With many receivers one
+            // sequential pass over every node keeps the windows in id
+            // order, which the walk reads in; otherwise only the
+            // receivers are placed, in the order pass 1 met them.
+            let mut total: u32 = 0;
+            let mut place = |i: usize| {
+                in_end[i] = total;
+                total = total
+                    .checked_add(in_len[i])
                     .expect("round delivery volume exceeds u32 CSR capacity");
-                cur_off[i + 1] = next;
-                counts[i] = cur_off[i];
+            };
+            if receivers.len() >= dense {
+                for wi in 0..n.div_ceil(64) {
+                    let mut mail = 0u64;
+                    #[allow(clippy::needless_range_loop)] // `place` borrows both columns
+                    for i in wi * 64..n.min(wi * 64 + 64) {
+                        mail |= u64::from(in_len[i] != 0) << (i & 63);
+                        place(i);
+                    }
+                    if mail != 0 {
+                        visit_next.insert_word(wi, mail);
+                    }
+                }
+            } else {
+                for &w in receivers.iter() {
+                    place(w as usize);
+                    visit_next.insert(w as usize);
+                }
             }
-            let total = cur_off[n] as usize;
-            cur_from.clear();
+            let total = total as usize;
             cur_from.resize(total, NodeId(0));
-            cur_midx.clear();
             cur_midx.resize(total, 0);
-            cur_src.clear();
             if tracing {
                 cur_src.resize(total, EventId::NONE);
             }
             // Pass 2: scatter. Senders are visited in ascending id order
             // and each window in send order, so every receiver's slice
-            // comes out in delivery order.
+            // comes out in delivery order, and its cursor ends at the
+            // window's end.
             for s in sends.iter() {
                 let si = s.sender as usize;
                 let restriction: Option<&[NodeId]> =
@@ -951,7 +1075,7 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                         }
                     }
                     let wi = w.index();
-                    let mut pos = counts[wi] as usize;
+                    let mut pos = in_end[wi] as usize;
                     for mi in s.lo..s.hi {
                         cur_from[pos] = NodeId(s.sender);
                         cur_midx[pos] = mi;
@@ -960,13 +1084,14 @@ impl<M: Message, L: NodeLogic<M>> Engine<M, L> {
                         }
                         pos += 1;
                     }
-                    counts[wi] = pos as u32;
+                    in_end[wi] = pos as u32;
                 }
             }
         }
         // The round's payloads become next round's arena; the old arena's
         // allocation is recycled for the round after.
         std::mem::swap(cur_arena, pend_arena);
+        std::mem::swap(visit, visit_next);
         if let Some(c) = clock.as_mut() {
             c.mark(crate::timeline::STAGE_SCATTER);
         }
@@ -1386,6 +1511,101 @@ mod tests {
         eng.run(10);
         assert_eq!(trace.borrow().events(), &[Event::Crash { round: 6, node: NodeId(1) }]);
         assert!((0..3).all(|v| eng.node(NodeId(v)).calls.is_empty()), "nobody ran");
+    }
+
+    #[test]
+    fn a_far_wake_up_runs_once_after_thousands_of_empty_rounds() {
+        // Node 0 runs in round 1 and declares round 10,000: rounds 2 to
+        // 9,999 are empty, and its send in round 10,000 wakes node 1.
+        let mut eng = Engine::new(topology::path(2), FailureSchedule::none(), |v| match v.0 {
+            0 => sleeper(&[1, 10_000], &[10_000], false),
+            _ => sleeper(&[], &[], false),
+        });
+        eng.run(10_005);
+        assert_eq!(eng.node(NodeId(0)).calls, vec![1, 10_000]);
+        assert_eq!(eng.node(NodeId(1)).calls, vec![10_001]);
+        assert_eq!((eng.round(), eng.telemetry().rounds), (10_005, 10_005));
+    }
+
+    #[test]
+    fn a_crash_due_while_nothing_else_is_due_is_logged_in_its_round() {
+        use crate::trace::Trace;
+        use std::{cell::RefCell, rc::Rc};
+        // Path 0 - 1 - 2. Node 0 wakes in rounds 2 and 9. Node 1 crashes
+        // cleanly in round 6, when no wake-up or mail is due. Node 2
+        // declared round 8 but crashes in round 5, so its wake-up
+        // outlives it.
+        let mut schedule = FailureSchedule::none();
+        schedule.crash(NodeId(1), 6).crash(NodeId(2), 5);
+        let mut eng = Engine::new(topology::path(3), schedule, |v| match v.0 {
+            0 => sleeper(&[2, 9], &[], false),
+            1 => sleeper(&[], &[], false),
+            _ => sleeper(&[8], &[], false),
+        });
+        let trace = Rc::new(RefCell::new(Trace::new()));
+        eng.add_sink(Box::new(Rc::clone(&trace)));
+        eng.run(10);
+        assert_eq!(
+            trace.borrow().events(),
+            &[
+                Event::Crash { round: 5, node: NodeId(2) },
+                Event::Crash { round: 6, node: NodeId(1) }
+            ]
+        );
+        assert_eq!(eng.node(NodeId(0)).calls, vec![2, 9]);
+        assert!((1..3).all(|v| eng.node(NodeId(v)).calls.is_empty()), "the dead never ran");
+    }
+
+    /// Runs on mail or on the wake-ups of a script: declares `first`
+    /// before round 1 and, after running in round r, the round `script`
+    /// pairs with r (none: only on mail). Sends in the rounds of
+    /// `send_at` and logs (round, inbox length) of each call.
+    struct Scripted {
+        first: Round,
+        script: Vec<(Round, Round)>,
+        send_at: Vec<Round>,
+        calls: Vec<(Round, usize)>,
+    }
+
+    impl NodeLogic<Blob> for Scripted {
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, Blob>) {
+            self.calls.push((ctx.round(), ctx.inbox().len()));
+            if self.send_at.contains(&ctx.round()) {
+                ctx.send(Blob(1));
+            }
+        }
+
+        fn next_wake(&self, round: Round) -> Round {
+            if round == 0 {
+                return self.first;
+            }
+            self.script.iter().find(|s| s.0 == round).map_or(Round::MAX, |s| s.1)
+        }
+    }
+
+    #[test]
+    fn a_node_due_twice_over_runs_once() {
+        // Node 0 sends in rounds 3, 4 and 5, so node 1 has mail in rounds
+        // 4, 5 and 6. Node 1 is also due in round 4. Its wake-ups go 9,
+        // then 7, then 9 again: the calendar holds a stale entry for
+        // round 7 and two for round 9.
+        let mut eng = Engine::new(topology::path(2), FailureSchedule::none(), |v| match v.0 {
+            0 => Scripted {
+                first: 3,
+                script: vec![(3, 4), (4, 5)],
+                send_at: vec![3, 4, 5],
+                calls: vec![],
+            },
+            _ => Scripted {
+                first: 4,
+                script: vec![(4, 9), (5, 7), (6, 9)],
+                send_at: vec![],
+                calls: vec![],
+            },
+        });
+        eng.run(12);
+        assert_eq!(eng.node(NodeId(0)).calls, vec![(3, 0), (4, 0), (5, 0)]);
+        assert_eq!(eng.node(NodeId(1)).calls, vec![(4, 1), (5, 1), (6, 1), (9, 0)]);
     }
 }
 

@@ -10,9 +10,14 @@
 //! Flood identity is the payload value itself (source id + body); the
 //! immediate-sender id attached to every broadcast is *not* part of the
 //! identity, so copies arriving over different links deduplicate.
+//!
+//! The set hashes with `FxHasher`, not the standard library's SipHash:
+//! the keys are protocol messages, never outside input, so a collision
+//! costs only time, and the set is never iterated, so the hash cannot
+//! reach any result or trace.
 
 use std::collections::HashSet;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Dedup set for flooded payloads of key type `K`.
 ///
@@ -28,13 +33,76 @@ use std::hash::Hash;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FloodState<K> {
-    seen: HashSet<K>,
+    seen: HashSet<K, BuildHasherDefault<FxHasher>>,
+}
+
+/// The multiply-rotate hash of the Firefox and rustc hash tables: one
+/// rotate, xor and multiply per word, against SipHash's rounds per
+/// block.
+#[derive(Clone, Copy, Debug, Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(tail));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
 }
 
 impl<K: Eq + Hash + Clone> FloodState<K> {
     /// An empty dedup set.
     pub fn new() -> Self {
-        FloodState { seen: HashSet::new() }
+        FloodState { seen: HashSet::default() }
     }
 
     /// Registers `key`; returns `true` iff it had not been seen before

@@ -31,6 +31,10 @@
 //! ([`Wants::Events`]), and `tests/engine_equivalence.rs` checks the
 //! engine's deliveries against the test reference instead.
 //!
+//! A stream that is the tail of a run, such as a flight recorder's dump
+//! after it evicted rounds, is judged with [`MonitorConfig::tail`]: a
+//! violation that only the evicted head explains is not counted.
+//!
 //! Violations are collected into a structured [`MonitorReport`] rather than
 //! panicking, so sweeps can count them; `strict` mode panics on the first
 //! violation for use in tests and CI.
@@ -75,6 +79,9 @@ pub struct MonitorConfig {
     pub max_violations: usize,
     /// Optional judgment applied to every `Decide` event.
     pub decide: Option<DecideCheck>,
+    /// The stream is the tail of a run whose opening rounds were
+    /// evicted (see [`MonitorConfig::tail`]).
+    pub tail: bool,
 }
 
 impl fmt::Debug for MonitorConfig {
@@ -85,6 +92,7 @@ impl fmt::Debug for MonitorConfig {
             .field("budgets", &self.budgets)
             .field("max_violations", &self.max_violations)
             .field("decide", &self.decide.as_ref().map(|_| "<closure>"))
+            .field("tail", &self.tail)
             .finish()
     }
 }
@@ -93,7 +101,14 @@ impl MonitorConfig {
     /// A default configuration for `n` nodes: lenient, no budgets, no
     /// decide check, up to 64 stored violations.
     pub fn new(n: usize) -> Self {
-        MonitorConfig { n, strict: false, budgets: Vec::new(), max_violations: 64, decide: None }
+        MonitorConfig {
+            n,
+            strict: false,
+            budgets: Vec::new(),
+            max_violations: 64,
+            decide: None,
+            tail: false,
+        }
     }
 
     /// Enables strict mode (panic on the first violation).
@@ -117,6 +132,16 @@ impl MonitorConfig {
             end: *window.end(),
             per_node_bits,
         });
+        self
+    }
+
+    /// Judges the stream as the tail of a run whose opening rounds were
+    /// evicted: a `PhaseExit` with no phase open closes a phase the
+    /// evicted head opened, so it is not a violation, and the bits sent
+    /// outside every phase before it were inside that phase.
+    #[must_use]
+    pub fn tail(mut self) -> Self {
+        self.tail = true;
         self
     }
 
@@ -490,6 +515,12 @@ impl TraceSink for Watchdog {
                 self.phase_stack.push(label.clone());
             }
             Event::PhaseExit { round, label } => match self.phase_stack.pop() {
+                None if self.cfg.tail => {
+                    // The evicted head opened this phase, and the bits
+                    // sent with no phase open so far were inside it.
+                    self.saw_phase = true;
+                    self.unattributed_bits = 0;
+                }
                 None => {
                     self.violate(
                         *round,
@@ -673,6 +704,38 @@ mod tests {
         let r = w.finish();
         assert_eq!(r.total, 1);
         assert!(matches!(r.violations[0].kind, ViolationKind::UnattributedBits { bits: 5 }));
+    }
+
+    #[test]
+    fn a_tail_forgives_only_what_the_evicted_head_explains() {
+        // A run whose opening rounds were evicted: "AGG", then "pair",
+        // close although the head opened them, so the sends of rounds 5
+        // and 7 were inside a phase. Only the round-8 delivery, which
+        // claims more than round 7's send, is a fault of the tail itself.
+        let tail = [
+            send(5, 0, 9),
+            Event::PhaseExit { round: 6, label: "AGG".into() },
+            send(7, 0, 5),
+            deliver(8, 1, 0, 6),
+            Event::PhaseEnter { round: 9, label: "VERI".into() },
+            Event::PhaseExit { round: 9, label: "VERI".into() },
+            Event::PhaseExit { round: 9, label: "pair".into() },
+        ];
+        let mut w = Watchdog::new(MonitorConfig::new(2).tail());
+        feed(&mut w, &tail);
+        let r = w.finish();
+        assert_eq!(r.total, 1, "{}", r.render());
+        assert!(matches!(r.violations[0].kind, ViolationKind::UnmatchedDelivery { .. }));
+        assert_eq!(r.violations[0].round, 8);
+        // Judged as a whole run, the same stream has four violations.
+        let mut w = Watchdog::new(MonitorConfig::new(2));
+        feed(&mut w, &tail);
+        let r = w.finish();
+        let kinds: Vec<&ViolationKind> = r.violations.iter().map(|v| &v.kind).collect();
+        assert!(matches!(kinds[0], ViolationKind::PhaseUnderflow { .. }), "{kinds:?}");
+        assert!(matches!(kinds[1], ViolationKind::UnmatchedDelivery { .. }), "{kinds:?}");
+        assert!(matches!(kinds[2], ViolationKind::PhaseUnderflow { .. }), "{kinds:?}");
+        assert!(matches!(kinds[3], ViolationKind::UnattributedBits { bits: 14 }), "{kinds:?}");
     }
 
     #[test]

@@ -425,8 +425,11 @@ impl Ring {
 
     /// Every retained event as one v2 JSONL document: the schema header,
     /// then one line per event, the bytes a `JsonlSink` writes for them.
+    /// Once the ring has evicted a round, the header marks the dump as
+    /// a tail (`"truncated":true`), so a reader does not judge it as a
+    /// whole run.
     fn snapshot_jsonl(&self) -> String {
-        let mut out = jsonl_header();
+        let mut out = jsonl_header(self.evicted_rounds > 0);
         out.push('\n');
         for e in self.rounds.iter().flat_map(|(_, events)| events) {
             out.push_str(&e.to_jsonl());
@@ -761,9 +764,12 @@ mod tests {
         assert_eq!(stats.oldest_round, 8);
         assert_eq!(stats.newest_round, 10);
         let jsonl = rec.snapshot_jsonl();
-        assert!(jsonl.starts_with("{\"schema\":\"ftagg-trace\",\"v\":2}\n"), "{jsonl}");
+        // The dump says it is a tail, and reads back as one.
+        let header = "{\"schema\":\"ftagg-trace\",\"v\":2,\"truncated\":true}\n";
+        assert!(jsonl.starts_with(header), "{jsonl}");
         // Only rounds 8..=10 survive, in order.
         let trace = Trace::from_jsonl(jsonl.as_bytes()).expect("replayable");
+        assert!(trace.truncated());
         let rounds: Vec<Round> = trace.events().iter().map(Event::round).collect();
         assert_eq!(trace.events().len(), 6);
         assert!(rounds.windows(2).all(|w| w[0] <= w[1]));

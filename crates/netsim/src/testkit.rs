@@ -262,7 +262,7 @@ pub struct RunArtifacts {
 /// exact bytes `JsonlSink` would have written, one line per entry.
 fn jsonl_lines(events: &[Event]) -> Vec<String> {
     let mut lines = Vec::with_capacity(events.len() + 1);
-    lines.push(jsonl_header());
+    lines.push(jsonl_header(false));
     lines.extend(events.iter().map(Event::to_jsonl));
     lines
 }

@@ -573,13 +573,17 @@ impl Trace {
     /// Parses a JSONL trace (as written by [`JsonlSink`]), validating the
     /// schema header. Accepts the current schema and v1 (absent causal
     /// fields parse as empty lineage); anything else is rejected loudly —
-    /// never reinterpreted silently.
+    /// never reinterpreted silently. A header carrying
+    /// `"truncated":true` (a flight recorder's dump after it evicted
+    /// rounds) marks the trace [`Trace::truncated`]; without the key it
+    /// is whole.
     ///
     /// # Errors
     ///
     /// Returns a one-line message on I/O failure, a missing/mismatched
-    /// schema header, a malformed event line, or an event whose round is
-    /// lower than the one on the line before it.
+    /// schema header or a `truncated` key that is not a boolean, a
+    /// malformed event line, or an event whose round is lower than the
+    /// one on the line before it.
     pub fn from_jsonl(reader: impl BufRead) -> Result<Trace, String> {
         let mut trace = Trace::new();
         let mut saw_header = false;
@@ -607,6 +611,12 @@ impl Trace {
                         "trace schema v{v} unsupported (reader speaks v{TRACE_SCHEMA_COMPAT_MIN}..=v{TRACE_SCHEMA_VERSION})"
                     ));
                 }
+                let truncated = match header.get("truncated") {
+                    None => false,
+                    Some(Json::Bool(t)) => *t,
+                    Some(_) => return Err(at("bad \"truncated\": expected true or false".into())),
+                };
+                trace.set_truncated(truncated);
                 saw_header = true;
                 continue;
             }
@@ -688,14 +698,17 @@ pub struct JsonlSink<W: Write> {
 }
 
 /// The schema header line that starts every JSONL trace (no newline).
-pub(crate) fn jsonl_header() -> String {
-    format!("{{\"schema\":\"ftagg-trace\",\"v\":{TRACE_SCHEMA_VERSION}}}")
+/// The header of a trace missing its opening rounds says so with
+/// `"truncated":true`; a whole trace's header has no such key.
+pub(crate) fn jsonl_header(truncated: bool) -> String {
+    let tail = if truncated { ",\"truncated\":true" } else { "" };
+    format!("{{\"schema\":\"ftagg-trace\",\"v\":{TRACE_SCHEMA_VERSION}{tail}}}")
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Wraps `writer`, emitting the schema header immediately.
     pub fn new(mut writer: W) -> Self {
-        let error = writeln!(writer, "{}", jsonl_header()).err();
+        let error = writeln!(writer, "{}", jsonl_header(false)).err();
         JsonlSink { writer, lines: 1, error }
     }
 
