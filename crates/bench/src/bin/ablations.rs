@@ -34,8 +34,7 @@ struct Outcome {
 fn check(out: &mut Outcome, inst: &Instance, t: u32, tweaks: Tweaks) {
     let c = 2u32;
     let obs = Observe::default();
-    let (rep, _, _) =
-        run_pair_observed(&Sum, inst, inst.schedule.clone(), c, t, true, 0, tweaks, obs);
+    let (rep, _, _) = run_pair_observed(&Sum, inst, c, t, true, tweaks, obs);
     out.runs += 1;
     match rep.outcome {
         AggOutcome::Result(v) => {

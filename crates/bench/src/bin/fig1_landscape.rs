@@ -89,7 +89,7 @@ fn main() {
     let baseline = runner.run(&seeds, |trial| {
         let env = Env::caterpillar(7_000 + trial, 60, f_bound, 84, c);
         let inst = env.instance();
-        let br = run_brute(&Sum, &inst, inst.schedule.clone(), c, 0);
+        let br = run_brute(&Sum, &inst, c);
         assert!(br.correct);
         let fo = run_folklore(&Sum, &inst, c, 2 * f_bound + 2);
         assert!(fo.correct);

@@ -30,7 +30,7 @@ fn main() {
     s.crash(NodeId(6), (2 * cd + 1) + (cd - 2 + 1));
     let inst = Instance::new(g, NodeId(0), (1..=15).collect(), s, 15).unwrap();
 
-    let (eng, params) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), c, 3, true);
+    let (eng, params) = run_pair_engine(&Sum, &inst, c, 3, true);
     let tree = TreeView::from_engine(&eng, NodeId(0));
     let visible = eng.node(NodeId(0)).critical_failures_seen().clone();
     let truth = critical_failures(&tree, &inst.schedule, &params);
@@ -67,7 +67,7 @@ fn main() {
         }
         let inputs: Vec<u64> = (0..18).map(|i| 1 << (i % 10)).collect();
         let inst = Instance::new(g, NodeId(0), inputs.clone(), s, 1 << 10).unwrap();
-        let (eng, params) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), c, 2, true);
+        let (eng, params) = run_pair_engine(&Sum, &inst, c, 2, true);
         let tree = TreeView::from_engine(&eng, NodeId(0));
         let visible = eng.node(NodeId(0)).critical_failures_seen().clone();
         let frags = fragments(&tree, &visible);

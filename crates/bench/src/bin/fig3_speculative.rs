@@ -39,7 +39,7 @@ fn main() {
     println!("  -> D (3) and E (4) cannot wait to see whether A's flood");
     println!("     happened; they flood speculatively one round later.\n");
 
-    let (eng, params) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), c, t, true);
+    let (eng, params) = run_pair_engine(&Sum, &inst, c, t, true);
     let root = eng.node(NodeId(0));
 
     let mut tab = Table::new(vec!["source", "flooded psum", "labeled compulsory"]);

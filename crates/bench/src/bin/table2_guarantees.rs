@@ -72,12 +72,11 @@ fn run_trial(trial: u64, c: u32) -> Observation {
     }
     let t = rng.gen_range(0..5);
     let obs = Observe::watchdog(true);
-    let s = inst.schedule.clone();
-    let (_, seen, eng) = run_pair_observed(&Sum, &inst, s, c, t, true, 0, Tweaks::default(), obs);
+    let (_, seen, eng) = run_pair_observed(&Sum, &inst, c, t, true, Tweaks::default(), obs);
     let monitor = seen.monitor.expect("watchdog requested");
     let params = *eng.node(inst.root).params();
     assert!(monitor.is_clean(), "trial {trial}: {}", monitor.render());
-    let (scenario, _) = classify(&inst, &inst.schedule, &eng, &params);
+    let (scenario, _) = classify(&inst, &eng, &params);
     let root = eng.node(inst.root);
     let iv = inst.correct_interval(&Sum, params.total_rounds());
     let idx = match scenario {

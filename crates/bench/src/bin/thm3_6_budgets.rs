@@ -42,7 +42,7 @@ fn main() {
                 }
             };
             let inst = Instance::new(g, NodeId(0), vec![3; n], s, 3).unwrap();
-            let (eng, params) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), c, tt, true);
+            let (eng, params) = run_pair_engine(&Sum, &inst, c, tt, true);
             let agg_max = inst.graph.nodes().map(|v| eng.node(v).agg_bits_sent()).max().unwrap();
             let veri_max = inst.graph.nodes().map(|v| eng.node(v).veri_bits_sent()).max().unwrap();
             let ab = agg_bit_budget(n, tt);
@@ -75,7 +75,7 @@ fn main() {
     let n = g.len();
     let inst = Instance::new(g, NodeId(0), vec![1; n], netsim::FailureSchedule::none(), 1).unwrap();
     for &tt in &[0u32, 1, 2, 4, 8, 16] {
-        let (eng, _) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), c, tt, true);
+        let (eng, _) = run_pair_engine(&Sum, &inst, c, tt, true);
         let agg_max = inst.graph.nodes().map(|v| eng.node(v).agg_bits_sent()).max().unwrap();
         let ab = agg_bit_budget(n, tt);
         t2.row(vec![

@@ -27,6 +27,7 @@
 //! promoted to `tests/corpus/` via [`netsim::CorpusEntry`] and replayed
 //! bit-for-bit by [`replay_entry`].
 
+use crate::stretch_respecting_schedule;
 use caaf::{Caaf, Count, Gcd, Min, ModSum, Sum};
 use ftagg::doubling::{run_doubling_observed, DoublingConfig};
 use ftagg::pair::Tweaks;
@@ -303,9 +304,7 @@ pub fn run_protocol<C: Caaf>(
             (r.metrics, r.rounds, wrong, seen)
         }
         MineProtocol::Pair { t } => {
-            let schedule = inst.schedule.clone();
-            let (r, seen, _) =
-                run_pair_observed(op, inst, schedule, cfg.c, t, true, 0, Tweaks::default(), obs);
+            let (r, seen, _) = run_pair_observed(op, inst, cfg.c, t, true, Tweaks::default(), obs);
             let wrong = (r.accepted() && r.correct == Some(false))
                 .then(|| r.result().expect("accepted implies a result"));
             (r.metrics, r.rounds, wrong, seen)
@@ -390,30 +389,6 @@ fn push_counterexamples(into: &mut Vec<Counterexample>, found: Vec<Counterexampl
     }
 }
 
-/// Draws a random schedule under the `f` budget and stretch constraint
-/// (50 attempts, else no failures).
-fn random_schedule<R: Rng>(
-    graph: &Graph,
-    f_budget: usize,
-    horizon: Round,
-    c: u32,
-    rng: &mut R,
-) -> FailureSchedule {
-    for _ in 0..50 {
-        let s = netsim::adversary::schedules::random_with_edge_budget(
-            graph,
-            NodeId(0),
-            f_budget,
-            horizon,
-            rng,
-        );
-        if s.stretch_factor(graph, NodeId(0)) <= f64::from(c) {
-            return s;
-        }
-    }
-    FailureSchedule::none()
-}
-
 /// Mines a (locally) worst adversary for the configured protocol and
 /// objective.
 ///
@@ -437,7 +412,15 @@ pub fn mine<C: Caaf + Sync + 'static>(
     let mut horizon = cfg.b * u64::from(cur_graph.diameter().max(1));
     let mut cur = match initial {
         Some(s) => s.clone(),
-        None => random_schedule(&cur_graph, cfg.f_budget, horizon, cfg.c, &mut rng),
+        None => stretch_respecting_schedule(
+            &cur_graph,
+            root,
+            cfg.f_budget,
+            horizon,
+            cfg.c,
+            50,
+            &mut rng,
+        ),
     };
     let mut counterexamples = Vec::new();
     let (mut cur_value, found) = evaluate(op, &cur_graph, inputs, max_input, &cur, cfg);
@@ -695,7 +678,7 @@ mod tests {
         let inputs = vec![1u64; 12];
         let mut rng = StdRng::seed_from_u64(1);
         let horizon = 42 * u64::from(g.diameter());
-        let random = random_schedule(&g, 4, horizon, 2, &mut rng);
+        let random = stretch_respecting_schedule(&g, NodeId(0), 4, horizon, 2, 50, &mut rng);
         let c = cfg(15, 4);
         let (random_total, _) = evaluate(&Sum, &g, &inputs, 1, &random, &c);
         let searched = mine(&Sum, &g, &inputs, 1, &c, None, None);
@@ -725,7 +708,8 @@ mod tests {
             mutate_topology: false,
         };
         let mut rng = StdRng::seed_from_u64(3);
-        let start = random_schedule(&g, 5, 42 * u64::from(g.diameter()), 2, &mut rng);
+        let horizon = 42 * u64::from(g.diameter());
+        let start = stretch_respecting_schedule(&g, NodeId(0), 5, horizon, 2, 50, &mut rng);
         let (start_value, _) = evaluate(&Sum, &g, &inputs, 2, &start, &mc);
         let r = mine(&Sum, &g, &inputs, 2, &mc, Some(&start), None);
         assert!(r.value >= start_value, "{} < {start_value}", r.value);

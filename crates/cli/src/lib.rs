@@ -522,8 +522,7 @@ fn run_observed_pair(
     let mut all: Vec<Box<dyn netsim::TraceSink>> = vec![Box::new(Rc::clone(&stats))];
     all.extend(sinks);
     let obs = Observe { sinks: all, timeline, ..Observe::default() };
-    let s = inst.schedule.clone();
-    let (report, _, _) = run_pair_observed(&Sum, &inst, s, c, t, true, 0, Tweaks::default(), obs);
+    let (report, _, _) = run_pair_observed(&Sum, &inst, c, t, true, Tweaks::default(), obs);
     Ok(ObservedRun { stats: stats.take(), n: inst.n(), rounds: report.rounds })
 }
 

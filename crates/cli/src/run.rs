@@ -62,7 +62,7 @@ fn run_protocol<C: Caaf + 'static>(
             (r.result, r.correct, r.metrics.max_bits(), r.rounds)
         }
         "brute" => {
-            let r = run_brute(op, inst, inst.schedule.clone(), c, 0);
+            let r = run_brute(op, inst, c);
             (r.result, r.correct, r.metrics.max_bits(), r.rounds)
         }
         "folklore" => {
@@ -71,7 +71,7 @@ fn run_protocol<C: Caaf + 'static>(
             (r.result, r.correct, r.metrics.max_bits(), r.rounds)
         }
         "tag" => {
-            let r = run_tag_once(op, inst, inst.schedule.clone(), c, 0);
+            let r = run_tag_once(op, inst, c);
             let _ = writeln!(out, "clean = {}", r.clean);
             (r.result, r.correct, r.metrics.max_bits(), r.rounds)
         }

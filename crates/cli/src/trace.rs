@@ -13,8 +13,8 @@ pub(crate) fn cmd_trace(args: &Args) -> Result<CmdOutput, String> {
     let (inst, c, t) = pair_instance(args, "cycle:8")?;
     let (graph, schedule) = (&inst.graph, &inst.schedule);
     let dot = args.get("dot").is_some();
-    let (s, obs) = (schedule.clone(), Observe::trace());
-    let (_, seen, eng) = run_pair_observed(&Sum, &inst, s, c, t, true, 0, Tweaks::default(), obs);
+    let obs = Observe::trace();
+    let (_, seen, eng) = run_pair_observed(&Sum, &inst, c, t, true, Tweaks::default(), obs);
     let mut out = String::new();
     use std::fmt::Write as _;
     let root = eng.node(NodeId(0));

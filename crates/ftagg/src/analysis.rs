@@ -274,11 +274,11 @@ pub enum Scenario {
 /// runs the paper's accounting puts in scenario 2/3.)
 pub fn classify<C: Caaf>(
     inst: &Instance,
-    schedule: &FailureSchedule,
     eng: &Engine<Envelope, PairNode<C>>,
     params: &PairParams,
 ) -> (Scenario, LfcAnalysis) {
     let tree = TreeView::from_engine(eng, inst.root);
+    let schedule = &inst.schedule;
     let agg_end = params.agg_rounds();
     let veri_end = params.total_rounds();
     let visible = eng.node(inst.root).critical_failures_seen().clone();
@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn tree_view_of_clean_run() {
         let i = inst(topology::binary_tree(7), FailureSchedule::none());
-        let (eng, _) = run_pair_engine(&Sum, &i, i.schedule.clone(), 1, 1, true);
+        let (eng, _) = run_pair_engine(&Sum, &i, 1, 1, true);
         let tree = TreeView::from_engine(&eng, NodeId(0));
         assert_eq!(tree.members().len(), 7);
         assert_eq!(tree.parent(NodeId(3)), Some(NodeId(1)));
@@ -334,7 +334,7 @@ mod tests {
     #[test]
     fn ascii_render_shows_structure() {
         let i = inst(topology::path(4), FailureSchedule::none());
-        let (eng, _) = run_pair_engine(&Sum, &i, i.schedule.clone(), 1, 1, true);
+        let (eng, _) = run_pair_engine(&Sum, &i, 1, 1, true);
         let tree = TreeView::from_engine(&eng, NodeId(0));
         let marked = BTreeSet::from([NodeId(2)]);
         let out = tree.render_ascii(&marked);
@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn single_fragment_without_failures() {
         let i = inst(topology::grid(3, 3), FailureSchedule::none());
-        let (eng, params) = run_pair_engine(&Sum, &i, i.schedule.clone(), 1, 1, true);
+        let (eng, params) = run_pair_engine(&Sum, &i, 1, 1, true);
         let tree = TreeView::from_engine(&eng, NodeId(0));
         let frags = fragments(&tree, &BTreeSet::new());
         assert_eq!(frags.count(), 1);
@@ -378,7 +378,7 @@ mod tests {
         let mut s = FailureSchedule::none();
         s.crash(NodeId(1), action_of_1);
         let i = inst(g, s);
-        let (eng, params) = run_pair_engine(&Sum, &i, i.schedule.clone(), 1, 1, true);
+        let (eng, params) = run_pair_engine(&Sum, &i, 1, 1, true);
         let tree = TreeView::from_engine(&eng, NodeId(0));
 
         let crits = critical_failures(&tree, &i.schedule, &params);
@@ -420,7 +420,7 @@ mod tests {
         let mut s = FailureSchedule::none();
         s.crash(NodeId(1), action_of_1);
         let i = inst(g, s);
-        let (eng, params) = run_pair_engine(&Sum, &i, i.schedule.clone(), 1, 1, true);
+        let (eng, params) = run_pair_engine(&Sum, &i, 1, 1, true);
         let tree = TreeView::from_engine(&eng, NodeId(0));
         let visible = eng.node(NodeId(0)).critical_failures_seen().clone();
         let lfc = find_lfcs(
@@ -444,7 +444,7 @@ mod tests {
         let mut s = FailureSchedule::none();
         s.crash(NodeId(1), action_of_1);
         let i = inst(g, s);
-        let (eng, params) = run_pair_engine(&Sum, &i, i.schedule.clone(), 1, 3, true);
+        let (eng, params) = run_pair_engine(&Sum, &i, 1, 3, true);
         let tree = TreeView::from_engine(&eng, NodeId(0));
         let visible = eng.node(NodeId(0)).critical_failures_seen().clone();
         let lfc = find_lfcs(
@@ -470,7 +470,7 @@ mod tests {
         s.crash(NodeId(2), 2 * d + 2);
         s.crash(NodeId(3), 2 * d + 2);
         let i = inst(g, s);
-        let (eng, params) = run_pair_engine(&Sum, &i, i.schedule.clone(), 1, 1, true);
+        let (eng, params) = run_pair_engine(&Sum, &i, 1, 1, true);
         let tree = TreeView::from_engine(&eng, NodeId(0));
         let visible = eng.node(NodeId(0)).critical_failures_seen().clone();
         let lfc = find_lfcs(
@@ -489,8 +489,8 @@ mod tests {
     fn classify_scenarios() {
         // Few failures.
         let i = inst(topology::grid(3, 3), FailureSchedule::none());
-        let (eng, params) = run_pair_engine(&Sum, &i, i.schedule.clone(), 1, 2, true);
-        let (sc, _) = classify(&i, &i.schedule, &eng, &params);
+        let (eng, params) = run_pair_engine(&Sum, &i, 1, 2, true);
+        let (sc, _) = classify(&i, &eng, &params);
         assert_eq!(sc, Scenario::FewFailures);
 
         // Many failures, LFC: two-node failed chain whose descendants stay
@@ -501,8 +501,8 @@ mod tests {
         s.crash(NodeId(1), 2 * d + 2);
         s.crash(NodeId(2), 2 * d + 2);
         let i = inst(g, s);
-        let (eng, params) = run_pair_engine(&Sum, &i, i.schedule.clone(), 1, 2, true);
-        let (sc, lfc) = classify(&i, &i.schedule, &eng, &params);
+        let (eng, params) = run_pair_engine(&Sum, &i, 1, 2, true);
+        let (sc, lfc) = classify(&i, &eng, &params);
         assert_eq!(sc, Scenario::ManyFailuresLfc);
         assert!(lfc.exists());
     }

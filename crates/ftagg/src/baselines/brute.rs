@@ -13,8 +13,8 @@ use crate::config::Instance;
 use crate::observe::{Observe, Observed};
 use caaf::Caaf;
 use netsim::{
-    Engine, EventId, FailureSchedule, FloodState, Message, Metrics, MonitorConfig, NodeId,
-    NodeLogic, Round, RoundCtx,
+    Engine, EventId, FloodState, Message, Metrics, MonitorConfig, NodeId, NodeLogic, Round,
+    RoundCtx,
 };
 use std::collections::BTreeMap;
 
@@ -173,14 +173,12 @@ pub struct BruteReport {
     pub rounds: Round,
     /// Bit meters.
     pub metrics: Metrics,
-    /// Correctness against the paper's oracle at the end of the run
-    /// (shifted by `global_offset`).
+    /// Correctness against the paper's oracle at the end of the run.
     pub correct: bool,
 }
 
-/// Runs the brute-force protocol over `inst` with stretch `c`, using
-/// `schedule` (already shifted when called as Algorithm 1's fallback) and
-/// evaluating correctness at global round `global_offset + rounds`.
+/// Runs the brute-force protocol over `inst` with stretch `c` and judges
+/// its result on `inst` at the run's last round.
 ///
 /// # Examples
 ///
@@ -192,51 +190,45 @@ pub struct BruteReport {
 /// let inst = Instance::new(
 ///     topology::cycle(6), NodeId(0), (1..=6).collect(), FailureSchedule::none(), 6,
 /// )?;
-/// let report = run_brute(&Sum, &inst, inst.schedule.clone(), 1, 0);
+/// let report = run_brute(&Sum, &inst, 1);
 /// assert_eq!(report.result, 21);
 /// assert!(report.correct);
 /// # Ok::<(), String>(())
 /// ```
-pub fn run_brute<C: Caaf>(
-    op: &C,
-    inst: &Instance,
-    schedule: FailureSchedule,
-    c: u32,
-    global_offset: Round,
-) -> BruteReport {
-    run_brute_observed(op, inst, schedule, c, global_offset, Observe::default()).0
+pub fn run_brute<C: Caaf>(op: &C, inst: &Instance, c: u32) -> BruteReport {
+    run_brute_observed(op, inst, c, Observe::default()).0
 }
 
 /// [`run_brute`] with the observers in `obs` attached (every message
-/// carries kind `"fallback"`). The protocol has no bit budget, so a
+/// carries kind `"fallback"`); `inst` is `&inst` or a stage from
+/// [`Instance::shifted`] moved in. The protocol has no bit budget, so a
 /// requested watchdog checks crash silence (and delivery causality, when
 /// a trace has the engine build deliveries) only.
 /// The run records no `Decide` event: the driver reads the root's
 /// aggregate at the horizon.
 pub fn run_brute_observed<C: Caaf>(
     op: &C,
-    inst: &Instance,
-    schedule: FailureSchedule,
+    inst: impl Into<Instance>,
     c: u32,
-    global_offset: Round,
     obs: Observe<'_>,
 ) -> (BruteReport, Observed) {
+    let inst = inst.into();
     let model = inst.model(c);
     let id_bits = model.id_bits();
     let value_bits = op.value_bits(model.n, model.max_input);
-    let inputs = inst.inputs.clone();
     let root = inst.root;
-    let mut eng: Engine<BruteEnvelope, BruteNode> =
-        Engine::new(inst.graph.clone(), schedule, |v| {
-            BruteNode::new(v, root, inputs[v.index()], id_bits, value_bits)
-        });
-    let attached = obs.attach(&mut eng, || MonitorConfig::new(model.n));
     // Start bit spreads in ≤ cd rounds; the farthest report needs ≤ cd
-    // more, arriving in round 2cd + 1; +1 slack for the boundary.
+    // more, arriving in round 2cd + 1; +1 slack for the boundary. No node
+    // stops the run early, so it is judged at the horizon.
     let horizon = 2 * model.cd() + 2;
+    let interval = inst.correct_interval(op, horizon);
+    let mut eng: Engine<BruteEnvelope, BruteNode> = Engine::new(inst.graph, inst.schedule, |v| {
+        BruteNode::new(v, root, inst.inputs[v.index()], id_bits, value_bits)
+    });
+    let attached = obs.attach(&mut eng, || MonitorConfig::new(model.n));
     let run = eng.run(horizon);
     let result = eng.node(root).result(op);
-    let correct = inst.correct_interval(op, global_offset + run.rounds).contains(result);
+    let correct = interval.contains(result);
     let report =
         BruteReport { result, rounds: run.rounds, metrics: eng.metrics().clone(), correct };
     (report, attached.collect())
@@ -246,7 +238,7 @@ pub fn run_brute_observed<C: Caaf>(
 mod tests {
     use super::*;
     use caaf::Sum;
-    use netsim::topology;
+    use netsim::{topology, FailureSchedule};
 
     fn inst(g: netsim::Graph, inputs: Vec<u64>, s: FailureSchedule) -> Instance {
         let max = inputs.iter().copied().max().unwrap_or(0).max(1);
@@ -256,7 +248,7 @@ mod tests {
     #[test]
     fn failure_free_exact() {
         let i = inst(topology::grid(3, 3), (1..=9).collect(), FailureSchedule::none());
-        let r = run_brute(&Sum, &i, i.schedule.clone(), 1, 0);
+        let r = run_brute(&Sum, &i, 1);
         assert_eq!(r.result, 45);
         assert!(r.correct);
         assert_eq!(r.rounds, 2 * 4 + 2); // d = 4, c = 1, plus boundary slack
@@ -267,7 +259,7 @@ mod tests {
         // Every node forwards every report: CC ~ N(logN + value bits).
         let n = 16;
         let i = inst(topology::path(n), vec![1; n], FailureSchedule::none());
-        let r = run_brute(&Sum, &i, i.schedule.clone(), 1, 0);
+        let r = run_brute(&Sum, &i, 1);
         let per_report = 1 + u64::from(wire::id_bits(n)) + u64::from(Sum.value_bits(n, 1));
         // Interior path nodes forward ~all N reports plus the start bit.
         assert!(r.metrics.max_bits() >= (n as u64 - 2) * per_report);
@@ -282,7 +274,7 @@ mod tests {
             s.crash(NodeId(v), 3);
         }
         let i = inst(topology::cycle(10), vec![10; 10], s);
-        let r = run_brute(&Sum, &i, i.schedule.clone(), 2, 0);
+        let r = run_brute(&Sum, &i, 2);
         assert!(r.correct, "brute force is always correct, got {}", r.result);
     }
 
@@ -291,7 +283,7 @@ mod tests {
         let mut s = FailureSchedule::none();
         s.crash(NodeId(2), 1);
         let i = inst(topology::path(4), vec![1, 1, 1, 1], s);
-        let r = run_brute(&Sum, &i, i.schedule.clone(), 1, 0);
+        let r = run_brute(&Sum, &i, 1);
         // Node 2 dead from round 1; nodes 2,3 partitioned; 0,1 report.
         assert_eq!(r.result, 2);
         assert!(r.correct);

@@ -14,7 +14,7 @@
 
 use crate::config::Instance;
 use caaf::Caaf;
-use netsim::{Engine, FailureSchedule, Message, Metrics, NodeId, NodeLogic, Round, RoundCtx};
+use netsim::{Engine, Message, Metrics, NodeId, NodeLogic, Round, RoundCtx};
 use std::collections::BTreeMap;
 use wire::range_bits;
 
@@ -236,29 +236,25 @@ pub struct AttemptReport {
 }
 
 /// Runs one (non-fault-tolerant) tree-aggregation attempt — the classic
-/// TAG baseline. Under failures its result may be **incorrect**; that gap
-/// is exactly what the paper's protocols close.
-pub fn run_tag_once<C: Caaf>(
-    op: &C,
-    inst: &Instance,
-    schedule: FailureSchedule,
-    c: u32,
-    global_offset: Round,
-) -> AttemptReport {
+/// TAG baseline — over `inst` (`&inst`, or a stage from
+/// [`Instance::shifted`] moved in). Under failures its result may be
+/// **incorrect**; that gap is exactly what the paper's protocols close.
+pub fn run_tag_once<C: Caaf>(op: &C, inst: impl Into<Instance>, c: u32) -> AttemptReport {
+    let inst = inst.into();
     let model = inst.model(c);
     let cd = model.cd();
     let value_bits = op.value_bits(model.n, model.max_input);
-    let inputs = inst.inputs.clone();
     let (root, n) = (inst.root, model.n);
-    let op2 = op.clone();
-    let mut eng: Engine<FolkEnvelope, FolkNode<C>> =
-        Engine::new(inst.graph.clone(), schedule, |v| {
-            FolkNode::new(op2.clone(), v, root, n, cd, value_bits, inputs[v.index()])
-        });
-    let run = eng.run(FolkNode::<C>::attempt_rounds(cd));
+    // No node stops the attempt early, so it is judged at its last round.
+    let rounds = FolkNode::<C>::attempt_rounds(cd);
+    let interval = inst.correct_interval(op, rounds);
+    let mut eng: Engine<FolkEnvelope, FolkNode<C>> = Engine::new(inst.graph, inst.schedule, |v| {
+        FolkNode::new(op.clone(), v, root, n, cd, value_bits, inst.inputs[v.index()])
+    });
+    let run = eng.run(rounds);
     let result = eng.node(root).result();
     let clean = eng.node(root).clean();
-    let correct = inst.correct_interval(op, global_offset + run.rounds).contains(result);
+    let correct = interval.contains(result);
     AttemptReport { result, clean, rounds: run.rounds, metrics: eng.metrics().clone(), correct }
 }
 
@@ -310,8 +306,7 @@ pub fn run_folklore<C: Caaf>(
     let mut offset: Round = 0;
     let mut last = None;
     for attempt in 1..=max_attempts.max(1) {
-        let shifted = inst.schedule.shifted(offset);
-        let rep = run_tag_once(op, inst, shifted, c, offset);
+        let rep = run_tag_once(op, inst.shifted(offset), c);
         metrics.absorb_shifted(&rep.metrics, offset);
         offset += rep.rounds;
         let clean = rep.clean;
@@ -320,14 +315,15 @@ pub fn run_folklore<C: Caaf>(
             break;
         }
     }
+    // The last attempt judged its result at its last round, which is this
+    // run's last round too.
     let (rep, attempts) = last.expect("at least one attempt runs");
-    let correct = inst.correct_interval(op, offset).contains(rep.result);
     FolkloreReport {
         result: rep.result,
         attempts,
         rounds: offset,
         metrics,
-        correct,
+        correct: rep.correct,
         exhausted: !rep.clean,
     }
 }
@@ -336,7 +332,7 @@ pub fn run_folklore<C: Caaf>(
 mod tests {
     use super::*;
     use caaf::Sum;
-    use netsim::topology;
+    use netsim::{topology, FailureSchedule};
 
     fn inst(g: netsim::Graph, inputs: Vec<u64>, s: FailureSchedule) -> Instance {
         let max = inputs.iter().copied().max().unwrap_or(0).max(1);
@@ -346,7 +342,7 @@ mod tests {
     #[test]
     fn tag_failure_free_exact_and_clean() {
         let i = inst(topology::binary_tree(7), (1..=7).collect(), FailureSchedule::none());
-        let r = run_tag_once(&Sum, &i, i.schedule.clone(), 1, 0);
+        let r = run_tag_once(&Sum, &i, 1);
         assert_eq!(r.result, 28);
         assert!(r.clean);
         assert!(r.correct);
@@ -362,7 +358,7 @@ mod tests {
         let mut s = FailureSchedule::none();
         s.crash(NodeId(1), action_of_1);
         let i = inst(g, vec![1, 2, 4, 8, 16], s);
-        let r = run_tag_once(&Sum, &i, i.schedule.clone(), 1, 0);
+        let r = run_tag_once(&Sum, &i, 1);
         assert!(!r.clean, "critical failure must strip the clean bit");
         assert_eq!(r.result, 1, "only the root's own input survives");
     }

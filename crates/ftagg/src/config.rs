@@ -141,6 +141,32 @@ impl Instance {
     pub fn full_aggregate<C: Caaf>(&self, op: &C) -> u64 {
         op.aggregate(self.inputs.iter().copied())
     }
+
+    /// The instance as a stage that starts after global round `offset`
+    /// sees it: the schedule is [`FailureSchedule::shifted`] and nothing
+    /// is re-validated. Its [`Instance::correct_interval`] at local round
+    /// `r ≥ 1` is this instance's at `offset + r`, so every stage of a
+    /// run (Algorithm 1's intervals, the doubling stages, the folklore
+    /// retries, the fallback) runs and is judged by the run's one
+    /// schedule.
+    pub fn shifted(&self, offset: Round) -> Instance {
+        Instance {
+            graph: self.graph.clone(),
+            root: self.root,
+            inputs: self.inputs.clone(),
+            schedule: self.schedule.shifted(offset),
+            max_input: self.max_input,
+        }
+    }
+}
+
+/// Lets a driver take `&inst` or an owned stage from
+/// [`Instance::shifted`] as `impl Into<Instance>`: a reference is copied,
+/// and a stage moves its schedule into the engine without another copy.
+impl From<&Instance> for Instance {
+    fn from(inst: &Instance) -> Instance {
+        inst.clone()
+    }
 }
 
 #[cfg(test)]

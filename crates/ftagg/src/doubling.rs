@@ -86,29 +86,27 @@ pub fn run_doubling_observed<C: Caaf>(
     obs: Observe<'_>,
 ) -> (DoublingReport, Observed) {
     let tweaks = Tweaks { kind_override: Some("doubling-stage"), ..Tweaks::default() };
-    let mut merge = Merge::new(obs, inst.n());
+    let mut merge = Merge::new(obs, inst);
     let mut offset: Round = 0;
     let mut output = None;
     for k in 0..cfg.max_stages {
         let guess: u64 = 1 << k;
         let t = guess.min(u32::MAX as u64) as u32;
-        let shifted = inst.schedule.shifted(offset);
-        let sub = merge.stage(true);
-        let (rep, seen, _) =
-            run_pair_observed(op, inst, shifted, cfg.c, t, true, offset, tweaks, sub);
+        let (stage, sub) = (inst.shifted(offset), merge.stage(true));
+        let (rep, seen, _) = run_pair_observed(op, stage, cfg.c, t, true, tweaks, sub);
         // Each stage's round window is a phase.
         let window = (offset + 1, offset + rep.rounds);
         merge.absorb(&rep.metrics, seen, offset, format!("stage {k}"), window, rep.accepted());
         offset += rep.rounds;
         if rep.accepted() {
             let result = rep.result().expect("accepted implies a result");
-            let correct = inst.correct_interval(op, offset).contains(result);
+            let correct = rep.correct.expect("a result carries its verdict");
             output = Some((result, correct, k + 1, guess, offset));
             break;
         }
     }
     let (result, correct, stages, final_guess, rounds) = output.unwrap_or_else(|| {
-        let (result, correct, rounds) = merge.fallback(op, inst, cfg.c, offset);
+        let (result, correct, rounds) = merge.fallback(op, cfg.c, offset);
         (result, correct, cfg.max_stages, 0, rounds)
     });
     let (metrics, seen) = merge.finish();

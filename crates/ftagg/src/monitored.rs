@@ -69,7 +69,7 @@ mod tests {
     use crate::config::Instance;
     use crate::observe::Observe;
     use crate::pair::Tweaks;
-    use crate::run::{run_pair_observed, run_pair_with_schedule, PairReport};
+    use crate::run::{run_pair, run_pair_observed, PairReport};
     use caaf::Sum;
     use netsim::{adversary::schedules, topology, FailureSchedule, MonitorReport};
     use rand::rngs::StdRng;
@@ -88,8 +88,7 @@ mod tests {
 
     fn monitored(i: &Instance, c: u32, t: u32, strict: bool) -> (PairReport, MonitorReport) {
         let obs = Observe::watchdog(strict);
-        let (report, seen, _) =
-            run_pair_observed(&Sum, i, i.schedule.clone(), c, t, true, 0, Tweaks::default(), obs);
+        let (report, seen, _) = run_pair_observed(&Sum, i, c, t, true, Tweaks::default(), obs);
         (report, seen.monitor.expect("watchdog requested"))
     }
 
@@ -101,7 +100,7 @@ mod tests {
         // A watchdog alone turns deliveries down, so it audited none.
         assert!(monitor.sends > 0 && monitor.delivers == 0);
         assert_eq!(monitor.decides, 1);
-        let plain = run_pair_with_schedule(&Sum, &i, i.schedule.clone(), 1, 1, true, 0);
+        let plain = run_pair(&Sum, &i, 1, 1, true);
         assert_eq!(report.result(), plain.result());
         assert_eq!(report.rounds, plain.rounds);
         assert_eq!(report.metrics.max_bits(), plain.metrics.max_bits());
@@ -127,11 +126,10 @@ mod tests {
         let i = inst(6);
         let recorder = netsim::FlightRecorder::new(8);
         let obs = Observe { sinks: vec![Box::new(recorder.clone())], ..Observe::watchdog(true) };
-        let (report, seen, _) =
-            run_pair_observed(&Sum, &i, i.schedule.clone(), 1, 1, true, 0, Tweaks::default(), obs);
+        let (report, seen, _) = run_pair_observed(&Sum, &i, 1, 1, true, Tweaks::default(), obs);
         let monitor = seen.monitor.expect("watchdog requested");
         assert!(monitor.is_clean(), "{}", monitor.render());
-        let plain = run_pair_with_schedule(&Sum, &i, i.schedule.clone(), 1, 1, true, 0);
+        let plain = run_pair(&Sum, &i, 1, 1, true);
         assert_eq!(report.result(), plain.result());
         assert_eq!(report.metrics.total_bits(), plain.metrics.total_bits());
         // The black box holds the tail of the run and replays as a trace.

@@ -112,10 +112,12 @@ impl Attached {
     }
 }
 
-/// Merges the metrics and observations of a run that executes one engine
-/// after another — Algorithm 1's intervals, the doubling stages, the
-/// brute-force fallback — onto the run's global round timeline.
+/// Merges the metrics and observations of a run over `inst` that executes
+/// one engine after another — Algorithm 1's intervals, the doubling
+/// stages, the brute-force fallback — onto the run's global round
+/// timeline.
 pub(crate) struct Merge<'a> {
+    inst: &'a Instance,
     metrics: Metrics,
     trace: Option<Trace>,
     watchdog: Option<bool>,
@@ -127,10 +129,11 @@ impl<'a> Merge<'a> {
     /// # Panics
     ///
     /// Panics if `obs` carries extra sinks.
-    pub(crate) fn new(obs: Observe<'a>, n: usize) -> Self {
+    pub(crate) fn new(obs: Observe<'a>, inst: &'a Instance) -> Self {
         assert!(obs.sinks.is_empty(), "a run over several engines takes no extra sink");
         Merge {
-            metrics: Metrics::new(n),
+            inst,
+            metrics: Metrics::new(inst.n()),
             trace: obs.trace.then(Trace::new),
             watchdog: obs.watchdog,
             monitor: obs.watchdog.map(|_| MonitorReport::default()),
@@ -180,24 +183,24 @@ impl<'a> Merge<'a> {
         }
     }
 
-    /// Runs the brute-force fallback as the run's last stage, after
-    /// global round `offset` and outside the watchdog's budget model. The
-    /// protocol decides nothing in-band, so the root's aggregate at the
-    /// horizon is recorded as the run's decision. Returns the result, the
-    /// oracle's verdict and the global end round.
+    /// Runs the brute-force fallback as the run's last stage, on the
+    /// instance shifted past global round `offset` and outside the
+    /// watchdog's budget model. The protocol decides nothing in-band, so
+    /// the root's aggregate at the horizon is recorded as the run's
+    /// decision. Returns the result, the stage's verdict and the global
+    /// end round.
     pub(crate) fn fallback<C: Caaf>(
         &mut self,
         op: &C,
-        inst: &Instance,
         c: u32,
         offset: Round,
     ) -> (u64, bool, Round) {
-        let shifted = inst.schedule.shifted(offset);
-        let (rep, seen) = run_brute_observed(op, inst, shifted, c, offset, self.stage(false));
+        let stage = self.inst.shifted(offset);
+        let (rep, seen) = run_brute_observed(op, stage, c, self.stage(false));
         let end = offset + rep.rounds;
         self.absorb(&rep.metrics, seen, offset, "fallback".into(), (offset + 1, end), true);
         if let Some(trace) = self.trace.as_mut() {
-            trace.push(Event::Decide { round: end, node: inst.root, value: rep.result });
+            trace.push(Event::Decide { round: end, node: self.inst.root, value: rep.result });
         }
         (rep.result, rep.correct, end)
     }

@@ -45,7 +45,7 @@ impl PairReport {
 }
 
 /// Runs one AGG (+ VERI) pair over `inst` with stretch constant `c` and
-/// tolerance `t`, using the instance's own failure schedule.
+/// tolerance `t`.
 ///
 /// # Examples
 ///
@@ -64,12 +64,17 @@ impl PairReport {
 /// # Ok::<(), String>(())
 /// ```
 pub fn run_pair<C: Caaf>(op: &C, inst: &Instance, c: u32, t: u32, run_veri: bool) -> PairReport {
-    run_pair_with_schedule(op, inst, inst.schedule.clone(), c, t, run_veri, 0)
+    run_pair_observed(op, inst, c, t, run_veri, Tweaks::default(), Observe::default()).0
 }
 
-/// Like [`run_pair`] but with an explicit (already shifted) schedule and a
-/// global-round offset used only for correctness evaluation — Algorithm 1
-/// runs pairs inside later intervals of a longer execution.
+/// [`run_pair`] on the stage `inst.shifted(global_offset)`. Kept, like
+/// `netsim::SoaEngine`, for perfbench's layer replay, which passes the
+/// stage's schedule beside the instance.
+///
+/// # Panics
+///
+/// Panics if `schedule` is not `inst.schedule.shifted(global_offset)`:
+/// a pair is judged by the schedule it runs.
 pub fn run_pair_with_schedule<C: Caaf>(
     op: &C,
     inst: &Instance,
@@ -79,46 +84,47 @@ pub fn run_pair_with_schedule<C: Caaf>(
     run_veri: bool,
     global_offset: Round,
 ) -> PairReport {
-    let obs = Observe::default();
-    run_pair_observed(op, inst, schedule, c, t, run_veri, global_offset, Tweaks::default(), obs).0
+    let stage = inst.shifted(global_offset);
+    assert!(
+        stage.schedule == schedule,
+        "the schedule must be the instance's shifted by {global_offset}"
+    );
+    run_pair_observed(op, stage, c, t, run_veri, Tweaks::default(), Observe::default()).0
 }
 
-/// The one AGG (+ VERI) driver: builds the engine over `schedule` with
-/// ablation `tweaks` (the default gives the faithful protocol), attaches
-/// the observers in `obs`, attributes the AGG and VERI round windows as
-/// metrics phases (mirrored to the sinks as `PhaseEnter`/`PhaseExit`),
-/// runs to the pair's round budget, adds a `Decide` event if the root
-/// produced a result, and evaluates the paper's correctness oracle at
-/// global round `global_offset + rounds`. Returns the report, what the
-/// observers collected, and the engine for white-box inspection (tree
-/// snapshots, per-node flood state).
+/// The one AGG (+ VERI) driver: builds the engine over `inst` (`&inst`,
+/// or a stage from [`Instance::shifted`] moved in) with ablation `tweaks`
+/// (the default gives the faithful protocol), attaches the observers in
+/// `obs`, attributes the AGG and VERI round windows as metrics phases
+/// (mirrored to the sinks as `PhaseEnter`/`PhaseExit`), runs to the
+/// pair's round budget, adds a `Decide` event if the root produced a
+/// result, and evaluates the paper's correctness oracle on `inst` at the
+/// pair's last round. Returns the report, what the observers collected,
+/// and the engine for white-box inspection (tree snapshots, per-node
+/// flood state).
 ///
 /// The watchdog enforces [`pair_monitor_config`]'s Theorem 3/6 budgets
 /// and the CAAF envelope at the decision. Per Table 2, AGG may be wrong
 /// only when the pair saw more than `t` edge failures, and VERI then says
 /// false; such a rejected value is exempt from the envelope, every other
 /// one is judged.
-#[allow(clippy::too_many_arguments)]
 pub fn run_pair_observed<C: Caaf>(
     op: &C,
-    inst: &Instance,
-    schedule: FailureSchedule,
+    inst: impl Into<Instance>,
     c: u32,
     t: u32,
     run_veri: bool,
-    global_offset: Round,
     tweaks: Tweaks,
     obs: Observe<'_>,
 ) -> (PairReport, Observed, Engine<Envelope, PairNode<C>>) {
+    let inst = inst.into();
     let params = PairParams { model: inst.model(c), t, run_veri, tweaks };
-    let op2 = op.clone();
-    let inputs = inst.inputs.clone();
-    let mut eng: Engine<Envelope, PairNode<C>> = Engine::new(inst.graph.clone(), schedule, |v| {
-        PairNode::new(params, op2.clone(), v, inputs[v.index()])
-    });
     // The pair always ends at its round budget, so the correct interval
     // at the decision round is known before the run.
-    let interval = inst.correct_interval(op, global_offset + params.total_rounds());
+    let interval = inst.correct_interval(op, params.total_rounds());
+    let mut eng: Engine<Envelope, PairNode<C>> = Engine::new(inst.graph, inst.schedule, |v| {
+        PairNode::new(params, op.clone(), v, inst.inputs[v.index()])
+    });
     // Whether a rejected value is exempt; set after the run, before the
     // decision is annotated.
     let mut exempt = None;
@@ -168,14 +174,12 @@ pub fn run_pair_observed<C: Caaf>(
 pub fn run_pair_engine<C: Caaf>(
     op: &C,
     inst: &Instance,
-    schedule: FailureSchedule,
     c: u32,
     t: u32,
     run_veri: bool,
 ) -> (Engine<Envelope, PairNode<C>>, PairParams) {
     let obs = Observe::default();
-    let (_, _, eng) =
-        run_pair_observed(op, inst, schedule, c, t, run_veri, 0, Tweaks::default(), obs);
+    let (_, _, eng) = run_pair_observed(op, inst, c, t, run_veri, Tweaks::default(), obs);
     let params = *eng.node(inst.root).params();
     (eng, params)
 }
@@ -241,8 +245,8 @@ mod tests {
     fn sink_returns_trace_with_phase_markers_and_decision() {
         use netsim::{Event, Trace};
         let i = inst(5);
-        let (s, obs) = (i.schedule.clone(), Observe::trace());
-        let (r, seen, _) = run_pair_observed(&Sum, &i, s, 1, 1, true, 0, Tweaks::default(), obs);
+        let obs = Observe::trace();
+        let (r, seen, _) = run_pair_observed(&Sum, &i, 1, 1, true, Tweaks::default(), obs);
         assert_eq!(r.result(), Some(15));
         let t: Trace = seen.trace.expect("trace requested");
         let kinds: Vec<&str> = t.events().iter().map(Event::kind).collect();
@@ -259,7 +263,7 @@ mod tests {
     #[test]
     fn engine_access_exposes_snapshots() {
         let i = inst(4);
-        let (eng, params) = run_pair_engine(&Sum, &i, i.schedule.clone(), 1, 1, true);
+        let (eng, params) = run_pair_engine(&Sum, &i, 1, 1, true);
         assert_eq!(eng.round(), params.total_rounds());
         let snap = eng.node(NodeId(3)).snapshot();
         assert_eq!(snap.level, Some(3));

@@ -142,24 +142,22 @@ pub fn run_tradeoff_observed<C: Caaf>(
     ys.sort_unstable();
     ys.dedup(); // Line 2's "i = 1 or y_i != y_{i-1}" skip.
 
-    let mut merge = Merge::new(obs, inst.n());
+    let mut merge = Merge::new(obs, inst);
     let mut pairs_run = 0;
     let mut output = None;
     for &y in &ys {
         // Line 3: the pair starts at flooding round (y-1)·19c + 1.
         let offset: Round = layout.pair_offset(y);
-        let shifted = inst.schedule.shifted(offset);
-        let sub = merge.stage(true);
-        let (rep, seen, _) =
-            run_pair_observed(op, inst, shifted, cfg.c, t, true, offset, Tweaks::default(), sub);
+        let (stage, sub) = (inst.shifted(offset), merge.stage(true));
+        let (rep, seen, _) = run_pair_observed(op, stage, cfg.c, t, true, Tweaks::default(), sub);
         // The interval's full 19c-flooding-round window is the phase.
         let window = layout.interval_window(y);
         merge.absorb(&rep.metrics, seen, offset, format!("interval {y}"), window, rep.accepted());
         pairs_run += 1;
         if rep.accepted() {
             // Line 4: output AGG's result and terminate. The pair judged
-            // it against the correct interval at its last round, which is
-            // this run's last round too.
+            // it on its stage instance at its last round, which is this
+            // run's last round too.
             let result = rep.result().expect("accepted implies a result");
             let correct = rep.correct.expect("a result carries its verdict");
             output = Some((result, correct, offset + rep.rounds));
@@ -168,7 +166,7 @@ pub fn run_tradeoff_observed<C: Caaf>(
     }
     // Line 6: brute force in the last 2c flooding rounds.
     let (result, correct, rounds) =
-        output.unwrap_or_else(|| merge.fallback(op, inst, cfg.c, layout.fallback_start() - 1));
+        output.unwrap_or_else(|| merge.fallback(op, cfg.c, layout.fallback_start() - 1));
     let (metrics, seen) = merge.finish();
     let report = TradeoffReport {
         result,

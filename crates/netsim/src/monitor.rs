@@ -66,6 +66,10 @@ pub struct BudgetRule {
 /// decision is outside the correctness envelope.
 pub type DecideCheck = Box<dyn Fn(Round, NodeId, u64) -> Result<(), String>>;
 
+/// At most this many [`Violation`]s are stored verbatim in a
+/// [`MonitorReport`]; [`MonitorReport::total`] keeps counting past it.
+pub const MAX_STORED_VIOLATIONS: usize = 64;
+
 /// Configuration of a [`Watchdog`].
 pub struct MonitorConfig {
     /// Number of nodes in the monitored execution.
@@ -74,9 +78,6 @@ pub struct MonitorConfig {
     pub strict: bool,
     /// Budget windows to enforce (empty = no budget checking).
     pub budgets: Vec<BudgetRule>,
-    /// At most this many [`Violation`]s are stored verbatim; the total
-    /// count keeps incrementing past the cap.
-    pub max_violations: usize,
     /// Optional judgment applied to every `Decide` event.
     pub decide: Option<DecideCheck>,
     /// The stream is the tail of a run whose opening rounds were
@@ -90,7 +91,6 @@ impl fmt::Debug for MonitorConfig {
             .field("n", &self.n)
             .field("strict", &self.strict)
             .field("budgets", &self.budgets)
-            .field("max_violations", &self.max_violations)
             .field("decide", &self.decide.as_ref().map(|_| "<closure>"))
             .field("tail", &self.tail)
             .finish()
@@ -99,16 +99,9 @@ impl fmt::Debug for MonitorConfig {
 
 impl MonitorConfig {
     /// A default configuration for `n` nodes: lenient, no budgets, no
-    /// decide check, up to 64 stored violations.
+    /// decide check.
     pub fn new(n: usize) -> Self {
-        MonitorConfig {
-            n,
-            strict: false,
-            budgets: Vec::new(),
-            max_violations: 64,
-            decide: None,
-            tail: false,
-        }
+        MonitorConfig { n, strict: false, budgets: Vec::new(), decide: None, tail: false }
     }
 
     /// Enables strict mode (panic on the first violation).
@@ -282,8 +275,8 @@ impl fmt::Display for Violation {
 /// volume it audited.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MonitorReport {
-    /// Stored violations, in occurrence order (capped by
-    /// [`MonitorConfig::max_violations`]).
+    /// Stored violations, in occurrence order (at most
+    /// [`MAX_STORED_VIOLATIONS`]).
     pub violations: Vec<Violation>,
     /// Total violations observed, including any past the storage cap.
     pub total: u64,
@@ -392,7 +385,7 @@ impl Watchdog {
             panic!("watchdog (strict): {v}");
         }
         self.report.total += 1;
-        if self.report.violations.len() < self.cfg.max_violations {
+        if self.report.violations.len() < MAX_STORED_VIOLATIONS {
             self.report.violations.push(v);
         }
     }
@@ -773,17 +766,15 @@ mod tests {
 
     #[test]
     fn violation_cap_keeps_counting() {
-        let mut cfg = MonitorConfig::new(1).budget("tiny", 1..=100, 0);
-        cfg.max_violations = 2;
-        let mut w = Watchdog::new(cfg);
-        // One BudgetExceeded (flagged once) + repeated phase underflows.
-        for r in 1..=5 {
+        let mut w = Watchdog::new(MonitorConfig::new(1));
+        // Every phase exit with no phase open is one violation.
+        for r in 1..=65 {
             w.record(&Event::PhaseExit { round: r, label: "x".into() });
         }
         let r = w.finish();
-        assert_eq!(r.total, 5);
-        assert_eq!(r.violations.len(), 2);
-        assert!(r.render().contains("and 3 more"));
+        assert_eq!(r.total, 65);
+        assert_eq!(r.violations.len(), 64);
+        assert!(r.render().contains("and 1 more"));
     }
 
     #[test]

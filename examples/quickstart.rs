@@ -54,7 +54,7 @@ fn main() -> Result<(), String> {
     );
 
     // Baseline: brute-force flooding (O(1) TC, O(N log N) CC).
-    let br = run_brute(&Sum, &inst, inst.schedule.clone(), 2, 0);
+    let br = run_brute(&Sum, &inst, 2);
     println!("Brute force:");
     println!("  result   = {} (correct: {})", br.result, br.correct);
     println!("  CC       = {} bits\n", br.metrics.max_bits());

@@ -53,7 +53,7 @@ fn main() -> Result<(), String> {
         assert!(r.correct);
     }
 
-    let br = run_brute(&Sum, &inst, inst.schedule.clone(), c, 0);
+    let br = run_brute(&Sum, &inst, c);
     let fo = run_folklore(&Sum, &inst, c, 2 * f + 2);
     println!("\nbaselines (fixed TC):");
     println!(

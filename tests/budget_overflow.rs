@@ -35,7 +35,7 @@ fn agg_aborts_but_never_exceeds_budget() {
     // against a t = 0 budget.
     let inst = mass_failure_instance(2);
     let t = 0;
-    let (eng, _params) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), C, t, true);
+    let (eng, _params) = run_pair_engine(&Sum, &inst, C, t, true);
     let root = eng.node(inst.root);
     assert_eq!(
         root.agg_outcome(),
@@ -59,7 +59,7 @@ fn veri_overflow_forces_false_within_budget() {
     // faces a storm of failed-parent/failed-child floods at t = 0.
     let inst = mass_failure_instance(5);
     let t = 0;
-    let (eng, _params) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), C, t, true);
+    let (eng, _params) = run_pair_engine(&Sum, &inst, C, t, true);
     let root = eng.node(inst.root);
     // With t = 0 there are no witnesses, so any failed-parent claim that
     // reaches the root (or an overflow) forces false — the one-sided rule.

@@ -34,7 +34,7 @@ proptest! {
         // agg/veri counters measure the same traffic (the budget symbols
         // are the only exempt messages; they are 4-bit tags).
         if let Some(inst) = make(seed, n, k) {
-            let (eng, _params) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), C, t, true);
+            let (eng, _params) = run_pair_engine(&Sum, &inst, C, t, true);
             for v in inst.graph.nodes() {
                 let metered = eng.metrics().bits_of(v);
                 let internal = eng.node(v).agg_bits_sent() + eng.node(v).veri_bits_sent();
@@ -62,7 +62,7 @@ proptest! {
     #[test]
     fn metrics_totals_are_sums(seed in 0u64..100_000, n in 6usize..20, t in 0u32..4) {
         if let Some(inst) = make(seed, n, 2) {
-            let (eng, _p) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), C, t, true);
+            let (eng, _p) = run_pair_engine(&Sum, &inst, C, t, true);
             let m = eng.metrics();
             let sum: u64 = inst.graph.nodes().map(|v| m.bits_of(v)).sum();
             prop_assert_eq!(m.total_bits(), sum);

@@ -68,7 +68,7 @@ fn speculative_flooding_recovers_blocked_sums() {
     assert_eq!(inst.edge_failures(), 4);
 
     let t = 4; // tolerate all of them: Theorems 4 & 7 apply in full
-    let (eng, params) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), c, t, true);
+    let (eng, params) = run_pair_engine(&Sum, &inst, c, t, true);
     let root = eng.node(NodeId(0));
 
     // Tree sanity: A under B, D/E under A.
@@ -118,7 +118,7 @@ fn without_speculation_window_sums_survive_via_parent_flood() {
     let inputs = vec![1u64, 2, 4, 8, 16, 32, 64, 128];
     let inst = Instance::new(g, NodeId(0), inputs, s, 128).unwrap();
     let t = 2;
-    let (eng, params) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), c, t, true);
+    let (eng, params) = run_pair_engine(&Sum, &inst, c, t, true);
     let root = eng.node(NodeId(0));
 
     let psums = root.flooded_psums_seen();

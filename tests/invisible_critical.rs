@@ -38,7 +38,7 @@ fn invisible_critical_failure_is_still_recovered() {
     // f = edges incident to {1, 2} = (0,1),(1,2),(2,3) = 3.
     assert_eq!(inst.edge_failures(), 3);
     let t = 3;
-    let (eng, params) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), c, t, true);
+    let (eng, params) = run_pair_engine(&Sum, &inst, c, t, true);
     let root = eng.node(NodeId(0));
 
     // Sanity: the tree shape is as constructed.

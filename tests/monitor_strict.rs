@@ -61,17 +61,7 @@ fn strict_watchdog_clean_on_table2_style_pairs() {
         }
         let t = rng.gen_range(0..5);
         let obs = Observe::watchdog(true);
-        let (_, seen, _) = run_pair_observed(
-            &Sum,
-            &inst,
-            inst.schedule.clone(),
-            C,
-            t,
-            true,
-            0,
-            Tweaks::default(),
-            obs,
-        );
+        let (_, seen, _) = run_pair_observed(&Sum, &inst, C, t, true, Tweaks::default(), obs);
         let monitor = seen.monitor.expect("watchdog requested");
         assert!(monitor.is_clean(), "trial {trial}: {}", monitor.render());
         true
@@ -91,9 +81,8 @@ fn strict_watchdog_exempts_a_rejected_value_beyond_t_failures() {
     s.crash(NodeId(2), 16).crash(NodeId(3), 18);
     let inputs = vec![3, 7, 4, 1, 1, 1, 0, 3, 3];
     let inst = Instance::new(topology::cycle(9), NodeId(0), inputs, s, 7).unwrap();
-    let (obs, s) = (Observe::watchdog(true), inst.schedule.clone());
-    let (report, seen, _) =
-        run_pair_observed(&Sum, &inst, s, C, 0, true, 0, Tweaks::default(), obs);
+    let obs = Observe::watchdog(true);
+    let (report, seen, _) = run_pair_observed(&Sum, &inst, C, 0, true, Tweaks::default(), obs);
     assert_eq!((report.verdict, report.correct), (Some(false), Some(false)));
     let failures = ftagg::analysis::effective_edge_failures(
         &inst.graph,

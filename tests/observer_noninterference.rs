@@ -335,8 +335,7 @@ fn pair_reports_and_metrics_are_identical_across_sinks() {
         let quiet = run_pair(&Sum, &inst, c, t, true);
         let with_sink = |sink: Box<dyn TraceSink>| {
             let obs = Observe { sinks: vec![sink], ..Observe::default() };
-            let s = inst.schedule.clone();
-            run_pair_observed(&Sum, &inst, s, c, t, true, 0, Tweaks::default(), obs).0
+            run_pair_observed(&Sum, &inst, c, t, true, Tweaks::default(), obs).0
         };
         let trace = shared(Trace::new());
         let jsonl = shared(JsonlSink::new(Vec::<u8>::new()));

@@ -67,7 +67,7 @@ fn brute_force_survives_partial_broadcast_crashes() {
         }
         let inputs: Vec<u64> = (0..18).map(|_| rng.gen_range(0..32)).collect();
         let inst = Instance::new(g, NodeId(0), inputs, s, 31).unwrap();
-        let r = run_brute(&Sum, &inst, inst.schedule.clone(), C, 0);
+        let r = run_brute(&Sum, &inst, C);
         assert!(r.correct, "trial {trial}: brute result {} incorrect", r.result);
     }
 }

@@ -50,10 +50,9 @@ fn random_instance(seed: u64, c: u32) -> Instance {
     Instance::new(g, NodeId(0), inputs, schedule, 50).unwrap()
 }
 
-fn traced_pair(inst: &Instance, schedule: FailureSchedule, c: u32) -> (PairReport, Trace) {
+fn traced_pair(inst: &Instance, c: u32) -> (PairReport, Trace) {
     let obs = Observe::trace();
-    let (r, seen, _) =
-        run_pair_observed(&caaf::Sum, inst, schedule, c, 2, true, 0, Tweaks::default(), obs);
+    let (r, seen, _) = run_pair_observed(&caaf::Sum, inst, c, 2, true, Tweaks::default(), obs);
     (r, seen.trace.expect("trace requested"))
 }
 
@@ -72,8 +71,7 @@ proptest! {
     fn pair_dag_is_acyclic_with_forward_edges(seed in 0u64..100_000) {
         let c = 2;
         let inst = random_instance(seed, c);
-        let (_rep, trace) =
-            traced_pair(&inst, inst.schedule.clone(), c);
+        let (_rep, trace) = traced_pair(&inst, c);
         let dag = CausalDag::from_trace(&trace);
         for (p, ch) in dag.edges() {
             prop_assert!(p < ch, "parent {} not before child {} in vertex order", p, ch);
@@ -91,8 +89,7 @@ proptest! {
     fn pair_blame_partitions_bits_of(seed in 0u64..100_000) {
         let c = 2;
         let inst = random_instance(seed, c);
-        let (rep, trace) =
-            traced_pair(&inst, inst.schedule.clone(), c);
+        let (rep, trace) = traced_pair(&inst, c);
         let blame = Blame::from_trace(&trace);
         for v in inst.graph.nodes() {
             prop_assert_eq!(
@@ -114,8 +111,7 @@ proptest! {
     fn pair_critical_path_matches_the_decision_round(seed in 0u64..100_000) {
         let c = 2;
         let inst = random_instance(seed, c);
-        let (rep, trace) =
-            traced_pair(&inst, inst.schedule.clone(), c);
+        let (rep, trace) = traced_pair(&inst, c);
         let dag = CausalDag::from_trace(&trace);
         match (rep.result(), dag.critical_path()) {
             (Some(_), Some(cp)) => {

@@ -54,7 +54,7 @@ proptest! {
     #[test]
     fn brute_always_correct(seed in 0u64..1_000_000, n in 4usize..30, crashes in 0usize..8) {
         if let Some(inst) = make_instance(seed, n, crashes) {
-            let r = run_brute(&Sum, &inst, inst.schedule.clone(), C, 0);
+            let r = run_brute(&Sum, &inst, C);
             prop_assert!(r.correct, "seed {seed}: brute result {} incorrect", r.result);
         }
     }

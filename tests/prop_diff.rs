@@ -39,10 +39,9 @@ fn random_instance(seed: u64, c: u32) -> Instance {
     Instance::new(g, NodeId(0), inputs, schedule, 50).unwrap()
 }
 
-fn traced_pair(inst: &Instance, schedule: FailureSchedule, c: u32) -> (PairReport, Trace) {
+fn traced_pair(inst: &Instance, c: u32) -> (PairReport, Trace) {
     let obs = Observe::trace();
-    let (r, seen, _) =
-        run_pair_observed(&Sum, inst, schedule, c, 2, true, 0, Tweaks::default(), obs);
+    let (r, seen, _) = run_pair_observed(&Sum, inst, c, 2, true, Tweaks::default(), obs);
     (r, seen.trace.expect("trace requested"))
 }
 
@@ -59,13 +58,13 @@ proptest! {
     fn pair_self_diff_is_empty(seed in 0u64..100_000) {
         let c = 2;
         let inst = random_instance(seed, c);
-        let (_r, t) = traced_pair(&inst, inst.schedule.clone(), c);
+        let (_r, t) = traced_pair(&inst, c);
         let d = diff(&t, &t);
         prop_assert!(d.is_empty(), "self-diff must be empty: {:?}", d.divergence);
         prop_assert_eq!(d.events.0, t.events().len());
         // Determinism, witnessed through the diff: an independent rerun
         // of the same configuration is observationally identical.
-        let (_r2, t2) = traced_pair(&inst, inst.schedule.clone(), c);
+        let (_r2, t2) = traced_pair(&inst, c);
         prop_assert!(diff(&t, &t2).is_empty(), "rerun must diff empty");
     }
 
@@ -100,9 +99,10 @@ proptest! {
         s1.crash(node, r1);
         let mut s2 = FailureSchedule::none();
         s2.crash(node, r2);
-        let inst = Instance::new(g, NodeId(0), inputs, s1.clone(), 50).unwrap();
-        let (_ra, ta) = traced_pair(&inst, s1, c);
-        let (_rb, tb) = traced_pair(&inst, s2, c);
+        // Each run is judged by the schedule it runs: one instance each.
+        let inst = |s| Instance::new(g.clone(), NodeId(0), inputs.clone(), s, 50).unwrap();
+        let (_ra, ta) = traced_pair(&inst(s1), c);
+        let (_rb, tb) = traced_pair(&inst(s2), c);
         let d = diff(&ta, &tb);
         let dv = d.divergence.as_ref().expect("a moved crash must diverge");
         prop_assert!(
@@ -129,9 +129,9 @@ fn pinned_crash_move_is_classified_and_bounded() {
     s1.crash(NodeId(5), 4);
     let mut s2 = FailureSchedule::none();
     s2.crash(NodeId(5), 5);
-    let inst = Instance::new(g, NodeId(0), inputs.clone(), s1.clone(), n as u64).unwrap();
-    let (_ra, ta) = traced_pair(&inst, s1, 2);
-    let (_rb, tb) = traced_pair(&inst, s2, 2);
+    let inst = |s| Instance::new(g.clone(), NodeId(0), inputs.clone(), s, n as u64).unwrap();
+    let (_ra, ta) = traced_pair(&inst(s1), 2);
+    let (_rb, tb) = traced_pair(&inst(s2), 2);
     let d = diff(&ta, &tb);
     let dv = d.divergence.expect("moved crash diverges");
     assert!((4..=5).contains(&dv.round), "round {}", dv.round);

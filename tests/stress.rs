@@ -48,21 +48,11 @@ fn pair_trial(seed: u64) -> Option<usize> {
     // Strict watchdog: any budget / crash-silence / phase / envelope
     // violation panics the trial on the spot.
     let obs = Observe::watchdog(true);
-    let (_, seen, eng) = run_pair_observed(
-        &Sum,
-        &inst,
-        inst.schedule.clone(),
-        C,
-        t,
-        true,
-        0,
-        Tweaks::default(),
-        obs,
-    );
+    let (_, seen, eng) = run_pair_observed(&Sum, &inst, C, t, true, Tweaks::default(), obs);
     let monitor = seen.monitor.expect("watchdog requested");
     let params = *eng.node(inst.root).params();
     assert!(monitor.is_clean(), "seed {seed}: {}", monitor.render());
-    let (scenario, _) = classify(&inst, &inst.schedule, &eng, &params);
+    let (scenario, _) = classify(&inst, &eng, &params);
     let root = eng.node(inst.root);
     let iv = inst.correct_interval(&Sum, params.total_rounds());
     let idx = match scenario {

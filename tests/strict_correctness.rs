@@ -64,7 +64,7 @@ fn pair_results_are_strictly_correct() {
         }
         let inst = Instance::new(g, NodeId(0), pow2_inputs(n), s, 1 << 15).unwrap();
         let t = rng.gen_range(0..5);
-        let (eng, params) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), C, t, true);
+        let (eng, params) = run_pair_engine(&Sum, &inst, C, t, true);
         let root = eng.node(inst.root);
         // Per Theorem 5 the strict guarantee only binds when there is no
         // LFC; the acceptance condition (no abort + VERI true) implies it.

@@ -34,8 +34,8 @@ fn run_matrix(mut make: impl FnMut(u64) -> (Instance, u32)) -> Tally {
         if inst.schedule.stretch_factor(&inst.graph, inst.root) > f64::from(C) {
             continue; // outside the model's c·d assumption
         }
-        let (eng, params) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), C, t, true);
-        let (scenario, _) = classify(&inst, &inst.schedule, &eng, &params);
+        let (eng, params) = run_pair_engine(&Sum, &inst, C, t, true);
+        let (scenario, _) = classify(&inst, &eng, &params);
         let root = eng.node(inst.root);
         let outcome = root.agg_outcome();
         let verdict = root.veri_verdict();

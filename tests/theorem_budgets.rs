@@ -18,7 +18,7 @@ const C: u32 = 2;
 
 fn check_budgets(inst: &Instance, t: u32, label: &str) {
     let n = inst.n();
-    let (eng, params) = run_pair_engine(&Sum, inst, inst.schedule.clone(), C, t, true);
+    let (eng, params) = run_pair_engine(&Sum, inst, C, t, true);
     // Round budgets are structural (the state machines are phase-driven).
     assert_eq!(params.agg_rounds(), 7 * params.model.cd() + 4);
     assert_eq!(params.veri_rounds(), 5 * params.model.cd() + 3);
@@ -106,7 +106,7 @@ fn cc_grows_linearly_in_t() {
     let inst = Instance::new(g, NodeId(0), vec![1; n], netsim::FailureSchedule::none(), 1).unwrap();
     let mut costs = Vec::new();
     for t in [1u32, 2, 4, 8] {
-        let (eng, _) = run_pair_engine(&Sum, &inst, inst.schedule.clone(), C, t, true);
+        let (eng, _) = run_pair_engine(&Sum, &inst, C, t, true);
         let max = inst.graph.nodes().map(|v| eng.node(v).agg_bits_sent()).max().unwrap();
         costs.push((t, max));
     }
